@@ -54,9 +54,8 @@ func uniq(prefix string) string {
 
 // reportRecordsPerSec standardizes throughput reporting across the
 // end-to-end pipeline benchmarks: input records processed per wall
-// second, the same unit as the records_per_sec field of
-// internal/obs/perf trajectory records. records is the per-iteration
-// input volume.
+// second, the same unit as the repo benchmark's records_per_s (bench/).
+// records is the per-iteration input volume.
 func reportRecordsPerSec(b *testing.B, records int64) {
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(records)*float64(b.N)/secs, "records/sec")

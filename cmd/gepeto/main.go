@@ -35,7 +35,6 @@ import (
 	"repro/internal/gepeto/synth"
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
-	"repro/internal/obs/perf"
 	obstrace "repro/internal/obs/trace"
 	"repro/internal/privacy"
 	"repro/internal/trace"
@@ -215,9 +214,6 @@ func deploy(nodes, racks, slots int, chunkMB int64) (*core.Toolkit, func(), erro
 		src := obstrace.Multi(collector, store)
 		srv.Handle("/trace/", obstrace.TraceHandler("/trace/", src))
 		srv.Handle("/analyze/", obstrace.AnalyzeHandler("/analyze/", src, obstrace.Options{}))
-		// Latest BENCH_*.json trajectory record, so a deployed cluster
-		// exposes the perf point its build was measured at.
-		srv.Handle("/perf", perf.Handler("."))
 		stopSampler := obs.StartRuntimeSampler(reg, time.Second)
 		fmt.Fprintf(os.Stderr, "status server listening on %s\n", srv.URL())
 		// Drain the server gracefully both on normal teardown and on
@@ -325,7 +321,7 @@ func cmdGenerate(args []string) error {
 // sample, stream N synthetic users into DFS as RCIO blocks (no full
 // corpus in memory), and optionally run a k-means iteration over them
 // with a spill-forcing shuffle budget, printing the spill counters
-// that prove the external shuffle engaged.
+// that prove runs went to DFS.
 func cmdSynth(args []string) error {
 	fs := flag.NewFlagSet("synth", flag.ExitOnError)
 	users := fs.Int("users", 100_000, "synthetic users to generate")
@@ -337,7 +333,7 @@ func cmdSynth(args []string) error {
 	k := fs.Int("k", 11, "clusters for -run kmeans")
 	iters := fs.Int("maxiter", 1, "iterations for -run kmeans")
 	budgetMB := fs.Float64("shuffle-budget-mb", 0,
-		"MaxShuffleBytes per map task in MiB (0 = unbounded in-memory shuffle)")
+		"MaxShuffleBytes per map task in MiB (0 = unbounded: runs stay in memory)")
 	compress := fs.Bool("compress-spill", true, "DEFLATE-compress spill run files")
 	combiner := fs.Bool("combiner", true, "enable the k-means combiner (applied in-spill too)")
 	nodes, racks, slots, chunkMB := clusterFlags(fs)

@@ -66,10 +66,10 @@ type completeArgs struct {
 	Res     resultWire
 }
 
-// resultWire mirrors the gob-safe face of mapreduce.TaskResult.
-// TaskResult itself carries unexported local* fields (the in-process
-// fast path); shipping it whole would gob-drop them silently, so the
-// wire form makes the boundary explicit: only these fields cross.
+// resultWire mirrors mapreduce.TaskResult with every run reduced to
+// its RunDesc face: a Run also has an in-memory form gob would drop
+// silently, so the wire type makes the boundary explicit. Nothing is
+// lost — a worker forces every run to a file.
 type resultWire struct {
 	Records      int64
 	MapRuns      [][]mapreduce.RunDesc
@@ -79,17 +79,42 @@ type resultWire struct {
 }
 
 func toResultWire(r mapreduce.TaskResult) resultWire {
-	return resultWire{
-		Records: r.Records, MapRuns: r.MapRuns, OutFile: r.OutFile,
+	w := resultWire{
+		Records: r.Records, OutFile: r.OutFile,
 		Stats: r.Stats, UserCounters: r.UserCounters,
 	}
+	for _, runs := range r.MapRuns {
+		w.MapRuns = append(w.MapRuns, runDescs(runs))
+	}
+	return w
 }
 
-func (r resultWire) taskResult() mapreduce.TaskResult {
-	return mapreduce.TaskResult{
-		Records: r.Records, MapRuns: r.MapRuns, OutFile: r.OutFile,
-		Stats: r.Stats, UserCounters: r.UserCounters,
+func (w resultWire) taskResult() mapreduce.TaskResult {
+	r := mapreduce.TaskResult{
+		Records: w.Records, OutFile: w.OutFile,
+		Stats: w.Stats, UserCounters: w.UserCounters,
 	}
+	for _, descs := range w.MapRuns {
+		r.MapRuns = append(r.MapRuns, fileRuns(descs))
+	}
+	return r
+}
+
+// runDescs and fileRuns convert between runs and their wire face.
+func runDescs(runs []mapreduce.Run) []mapreduce.RunDesc {
+	descs := make([]mapreduce.RunDesc, len(runs))
+	for i, r := range runs {
+		descs[i] = r.RunDesc
+	}
+	return descs
+}
+
+func fileRuns(descs []mapreduce.RunDesc) []mapreduce.Run {
+	runs := make([]mapreduce.Run, len(descs))
+	for i, d := range descs {
+		runs[i] = mapreduce.Run{RunDesc: d}
+	}
+	return runs
 }
 
 type completeReply struct{}
@@ -596,9 +621,8 @@ type rpcExecutor struct {
 	jt *Jobtracker
 }
 
-// External implements mapreduce.Executor: results live in the DFS, not
-// driver memory, so the engine plans an all-file shuffle and commits by
-// rename.
+// External implements mapreduce.Executor: attempts run in worker
+// processes.
 func (x *rpcExecutor) External() bool { return true }
 
 // RunTask implements mapreduce.Executor.
@@ -610,7 +634,7 @@ func (x *rpcExecutor) RunTask(ctx context.Context, spec mapreduce.TaskSpec) (map
 	if w == nil {
 		return mapreduce.TaskResult{}, fmt.Errorf("rpc: no worker registered for node %s", spec.Node)
 	}
-	wire, err := spec.Job.Wire(spec.ShuffleBudget)
+	wire, err := spec.Job.Wire()
 	if err != nil {
 		return mapreduce.TaskResult{}, err
 	}
@@ -630,8 +654,8 @@ func (x *rpcExecutor) RunTask(ctx context.Context, spec mapreduce.TaskSpec) (map
 	args := assignArgs{
 		Job: wire, Phase: spec.Phase, TaskID: spec.TaskID, Index: spec.Index,
 		Attempt: spec.Attempt, Node: spec.Node, MapOnly: spec.MapOnly,
-		NumReducers: spec.NumReducers, ShuffleBudget: spec.ShuffleBudget,
-		Split: spec.Split, Partition: spec.Partition, Runs: spec.Runs,
+		NumReducers: spec.NumReducers, Split: spec.Split,
+		Partition: spec.Partition, Runs: runDescs(spec.Runs),
 	}
 	jt.log.Debug("assigning attempt", "job", spec.Job.Name, "task", spec.TaskID, "attempt", spec.Attempt, "worker", spec.Node)
 	assigned := time.Now()

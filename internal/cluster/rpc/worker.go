@@ -13,20 +13,19 @@ import (
 
 // Task assignment args/replies. assignArgs mirrors mapreduce.TaskSpec
 // with the Job flattened to its wire form (TaskSpec itself carries
-// function fields and cannot gob).
+// function fields and cannot gob) and the runs to their RunDesc face.
 type assignArgs struct {
-	Job           mapreduce.JobWire
-	Phase         string
-	TaskID        string
-	Index         int
-	Attempt       int
-	Node          string
-	MapOnly       bool
-	NumReducers   int
-	ShuffleBudget int64
-	Split         mapreduce.InputSplit
-	Partition     int
-	Runs          []mapreduce.RunDesc
+	Job         mapreduce.JobWire
+	Phase       string
+	TaskID      string
+	Index       int
+	Attempt     int
+	Node        string
+	MapOnly     bool
+	NumReducers int
+	Split       mapreduce.InputSplit
+	Partition   int
+	Runs        []mapreduce.RunDesc
 }
 
 type assignReply struct{}
@@ -311,8 +310,8 @@ func (w *Worker) execute(a assignArgs) (mapreduce.TaskResult, error) {
 	spec := mapreduce.TaskSpec{
 		Job: job, Phase: a.Phase, TaskID: a.TaskID, Index: a.Index,
 		Attempt: a.Attempt, Node: a.Node, MapOnly: a.MapOnly,
-		NumReducers: a.NumReducers, ShuffleBudget: a.ShuffleBudget,
-		Split: a.Split, Partition: a.Partition, Runs: a.Runs,
+		NumReducers: a.NumReducers, Split: a.Split,
+		Partition: a.Partition, Runs: fileRuns(a.Runs),
 	}
 	return mapreduce.ExecuteTask(w.store, spec)
 }

@@ -96,58 +96,6 @@ func (l *attemptLog) snapshot() []obs.AttemptRecord {
 	return append([]obs.AttemptRecord(nil), l.recs...)
 }
 
-// mapOutput is one map task's partitioned intermediate output: per
-// partition either an in-memory sorted run, or — when the task spilled
-// under Job.MaxShuffleBytes, or ran on an external executor — a list
-// of file-backed sorted runs.
-type mapOutput struct {
-	parts    [][]KV       // indexed by reducer partition; nil entries when spilled
-	fileRuns [][]spillRun // per-partition spill runs, nil unless the task spilled
-}
-
-// remoteMapOutput converts a remote map task's run descriptors into
-// the engine's shuffle-planning form. Every partition of a remote task
-// is file-backed (or empty).
-func remoteMapOutput(runs [][]RunDesc, numReducers int) *mapOutput {
-	out := &mapOutput{parts: make([][]KV, numReducers)}
-	var fr [][]spillRun
-	for p, rds := range runs {
-		if len(rds) == 0 {
-			continue
-		}
-		if fr == nil {
-			fr = make([][]spillRun, numReducers)
-		}
-		for _, rd := range rds {
-			fr[p] = append(fr[p], spillRun{path: rd.Path, records: rd.Records, bytes: rd.Bytes})
-		}
-	}
-	out.fileRuns = fr
-	return out
-}
-
-// shuffleBudgetFor resolves a job's per-task spill budget: the manual
-// MaxShuffleBytes knob wins; otherwise MemoryTargetBytes is divided by
-// the cluster's concurrent task slots (the worst case of every slot's
-// map task buffering at once); otherwise 0, the all-in-memory shuffle.
-func (e *Engine) shuffleBudgetFor(job *Job) int64 {
-	if job.MaxShuffleBytes > 0 {
-		return job.MaxShuffleBytes
-	}
-	if job.MemoryTargetBytes <= 0 {
-		return 0
-	}
-	slots := e.cluster.TotalSlots()
-	if slots < 1 {
-		slots = 1
-	}
-	budget := job.MemoryTargetBytes / int64(slots)
-	if budget < 1 {
-		budget = 1
-	}
-	return budget
-}
-
 // Run executes one job to completion and returns its result.
 func (e *Engine) Run(job *Job) (*Result, error) {
 	start := time.Now()
@@ -158,10 +106,6 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 	if numReducers <= 0 {
 		numReducers = 1
 	}
-	partition := job.Partitioner
-	if partition == nil {
-		partition = HashPartition
-	}
 	maxAttempts := job.MaxAttempts
 	if maxAttempts <= 0 {
 		maxAttempts = 3
@@ -169,16 +113,16 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 	if existing := e.fs.List(job.OutputPath); len(existing) > 0 {
 		return nil, fmt.Errorf("mapreduce: output path %q already exists", job.OutputPath)
 	}
-	budget := e.shuffleBudgetFor(job)
 	mapOnly := job.NewReducer == nil
 
-	// Select the executor. The external path additionally requires the
+	// Select the executor. An external one additionally requires the
 	// job to wire — a missing kind registration should fail the job at
 	// submission, not every task attempt on the workers.
 	exec := e.opts.Executor
-	external := exec != nil && exec.External()
-	if external {
-		if _, err := job.Wire(budget); err != nil {
+	if exec == nil {
+		exec = localExecutor{e}
+	} else if exec.External() {
+		if _, err := job.Wire(); err != nil {
 			return nil, err
 		}
 	}
@@ -194,15 +138,6 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 		MapTasks: len(splits),
 		Start:    start,
 	}
-	var lx *localExecutor
-	if exec == nil {
-		lx = &localExecutor{
-			e: e, job: job, mapOnly: mapOnly, numReducers: numReducers,
-			partition: partition, budget: budget, counters: res.Counters,
-		}
-		exec = lx
-	}
-
 	bus := e.opts.Obs
 	alog := &attemptLog{t0: start}
 	io0 := e.fs.IOStats()
@@ -210,24 +145,17 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 		Type: obs.JobSubmitted, Job: job.Name, Parent: job.Parent, Time: start,
 		Detail: fmt.Sprintf("maps=%d reducers=%d", len(splits), numReducers),
 	})
-	// cleanupSpills removes the job's external-shuffle run files and —
-	// on an external executor — the uncommitted task temp outputs at
-	// job end. Cleanup is best-effort — a stuck delete must not change
+	// cleanup removes the job's run files and uncommitted task outputs
+	// at job end. It is best-effort — a stuck delete must not change
 	// the job's outcome — but failures are counted, never dropped.
 	// Background speculative reduce losers may still be streaming a
-	// spill file here; their read error is discarded with the rest of
+	// run file here; their read error is discarded with the rest of
 	// the losing attempt.
-	cleanupSpills := func() {
-		if external {
-			if derr := e.fs.DeleteDir(tmpDir(job.Name)); derr != nil {
+	cleanup := func() {
+		for _, dir := range []string{tmpDir(job.Name), spillDir(job)} {
+			if derr := e.fs.DeleteDir(dir); derr != nil {
 				res.Counters.Get(CounterGroupShuffle, CounterShuffleSpillCleanupErrors).Inc(1)
 			}
-		}
-		if (budget <= 0 && !external) || mapOnly {
-			return
-		}
-		if derr := e.fs.DeleteDir(spillDir(job)); derr != nil {
-			res.Counters.Get(CounterGroupShuffle, CounterShuffleSpillCleanupErrors).Inc(1)
 		}
 	}
 	// fail reports the job's failure on the bus before returning it.
@@ -236,7 +164,7 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 	// was written by this job, and leaving partial output behind would
 	// make a rerun of the same job fail on that very check.
 	fail := func(err error) (*Result, error) {
-		cleanupSpills()
+		cleanup()
 		if derr := e.fs.DeleteDir(job.OutputPath); derr != nil {
 			// A rerun would now trip the output-exists check; make the
 			// stuck cleanup part of the reported failure.
@@ -248,10 +176,41 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 		})
 		return nil, err
 	}
-	// complete finalises a successful result: attempt records, the
-	// job's share of DFS I/O, the finish event, and the history record.
-	complete := func() *Result {
-		cleanupSpills()
+	// runPhase schedules one phase's tasks between its PhaseStart and
+	// PhaseEnd events — the phase is closed even on failure: an
+	// unpaired PhaseStart reads as a still-running phase to the tracker
+	// and timeline. Only the winning attempt's result is committed —
+	// counters, stats and output alike (speculative losers are
+	// discarded).
+	runPhase := func(phase string, specs []TaskSpec, reports []TaskReport, commit func(i int, tr TaskResult)) (time.Duration, error) {
+		t0 := time.Now()
+		bus.Emit(obs.Event{Type: obs.PhaseStart, Job: job.Name, Phase: phase, Time: t0})
+		err := e.schedule(job, phase, alog, specs, maxAttempts, res.Counters, exec, func(i int, tr TaskResult) {
+			mergeUserCounters(res.Counters, tr.UserCounters)
+			reports[i].Records = tr.Records
+			commit(i, tr)
+		}, reports)
+		end := obs.Event{Type: obs.PhaseEnd, Job: job.Name, Phase: phase, Dur: time.Since(t0)}
+		if err != nil {
+			end.Err = err.Error()
+			err = fmt.Errorf("mapreduce: job %s: %v", job.Name, err)
+		}
+		bus.Emit(end)
+		return end.Dur, err
+	}
+	// commitOutputs renames each task's winning temp file into place as
+	// a part file, then finalises the successful result: attempt
+	// records, the job's share of DFS I/O, the finish event, and the
+	// history record.
+	commitOutputs := func(kind string, temps []string) (*Result, error) {
+		for i, tmp := range temps {
+			name := fmt.Sprintf("%s/part-%s-%05d", job.OutputPath, kind, i)
+			if err := e.fs.Rename(tmp, name); err != nil {
+				return fail(err)
+			}
+			res.OutputFiles = append(res.OutputFiles, name)
+		}
+		cleanup()
 		res.Wall = time.Since(start)
 		io1 := e.fs.IOStats()
 		res.Counters.Get(CounterGroupDFS, CounterDFSBytesRead).Inc(io1.BytesRead - io0.BytesRead)
@@ -268,26 +227,20 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 				res.Counters.Get(CounterGroupEngine, CounterHistorySaveErrors).Inc(1)
 			}
 		}
-		return res
+		return res, nil
 	}
 
 	// ---- Map phase ----
-	mapStart := time.Now()
-	bus.Emit(obs.Event{Type: obs.PhaseStart, Job: job.Name, Phase: "map", Time: mapStart})
-	outputs := make([]*mapOutput, len(splits))
-	mapTemps := make([]string, len(splits)) // external map-only temp files
-	reports := make([]TaskReport, len(splits))
+	mapResults := make([]TaskResult, len(splits))
+	res.Tasks = make([]TaskReport, len(splits))
 	mapSpecs := make([]TaskSpec, len(splits))
 	for i, sp := range splits {
 		mapSpecs[i] = TaskSpec{
 			Job: job, Phase: "map", TaskID: fmt.Sprintf("map-%04d", i), Index: i,
-			MapOnly: mapOnly, NumReducers: numReducers, ShuffleBudget: budget,
-			Split: sp,
+			MapOnly: mapOnly, NumReducers: numReducers, Split: sp,
 		}
 	}
-	// Only the winning attempt's result is committed — counters, stats
-	// and output alike (speculative losers are discarded).
-	err = e.schedule(job, "map", alog, mapSpecs, maxAttempts, res.Counters, exec, func(i int, tr TaskResult) {
+	res.MapWall, err = runPhase("map", mapSpecs, res.Tasks, func(i int, tr TaskResult) {
 		st := tr.Stats
 		res.Counters.Get(CounterGroupTask, CounterMapInputRecords).Inc(st.MapInputRecords)
 		res.Counters.Get(CounterGroupTask, CounterMapOutputRecords).Inc(st.MapOutputRecords)
@@ -302,234 +255,78 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 				res.Counters.Get(CounterGroupShuffle, CounterShuffleSpillBytes).Inc(st.SpillBytes)
 			}
 		}
-		mergeUserCounters(res.Counters, tr.UserCounters)
-		switch {
-		case external && mapOnly:
-			mapTemps[i] = tr.OutFile
-		case external:
-			outputs[i] = remoteMapOutput(tr.MapRuns, numReducers)
-		default:
-			outputs[i] = tr.localMap
-		}
-		reports[i].Records = tr.Records
-	}, reports)
+		mapResults[i] = tr
+	})
 	if err != nil {
-		// Close the phase even on failure: an unpaired PhaseStart reads
-		// as a still-running phase to the tracker and timeline.
-		bus.Emit(obs.Event{
-			Type: obs.PhaseEnd, Job: job.Name, Phase: "map",
-			Dur: time.Since(mapStart), Err: err.Error(),
-		})
-		return fail(fmt.Errorf("mapreduce: job %s: %v", job.Name, err))
+		return fail(err)
 	}
-	res.MapWall = time.Since(mapStart)
-	bus.Emit(obs.Event{Type: obs.PhaseEnd, Job: job.Name, Phase: "map", Dur: res.MapWall})
-
 	if mapOnly {
-		// Each map task's output becomes a part-m file: written from
-		// memory in-process, renamed from the winner's temp file on an
-		// external executor.
-		for i := range splits {
-			name := fmt.Sprintf("%s/part-m-%05d", job.OutputPath, i)
-			if external {
-				if err := e.fs.Rename(mapTemps[i], name); err != nil {
-					return fail(err)
-				}
-			} else {
-				if err := e.writePartFile(name, outputs[i].parts[0], job.BinaryOutput); err != nil {
-					return fail(err)
-				}
-			}
-			res.OutputFiles = append(res.OutputFiles, name)
+		// Each map task's output is its part-m file.
+		temps := make([]string, len(mapResults))
+		for i, tr := range mapResults {
+			temps[i] = tr.OutFile
 		}
-		res.Tasks = reports
-		return complete(), nil
+		return commitOutputs("m", temps)
 	}
 
 	// ---- Shuffle: the only communication step (§III). ----
-	// Sort-based: every map task committed pre-sorted runs per reduce
-	// partition, so the shuffle is a k-way merge per partition, run in
-	// parallel across partitions bounded by the cluster's task slots.
+	// Every map task left pre-sorted runs per reduce partition, so the
+	// shuffle is pure planning: hand each reduce task its partition's
+	// runs in (map task, spill sequence) order — the order the merge's
+	// tie-break relies on for stability. The k-way merge itself streams
+	// inside the reduce attempts.
 	shuffleStart := time.Now()
 	res.ReduceTasks = numReducers
-	// Collect every map task's runs per partition, in (map task, spill
-	// sequence) order — the order the merges' tie-break relies on for
-	// stability. Map outputs are released as the shuffle takes
-	// ownership, so outputs and merged partitions are never both
-	// retained (peak shuffle memory used to be ~2× intermediate data).
-	sources := make([][]shuffleSource, numReducers)
-	external2 := make([]bool, numReducers)
-	var totalRuns int64
-	for i, out := range outputs {
-		for p := 0; p < numReducers; p++ {
-			if len(out.parts[p]) > 0 {
-				sources[p] = append(sources[p], shuffleSource{mem: out.parts[p]})
-				totalRuns++
-			}
-			if out.fileRuns != nil {
-				for _, fr := range out.fileRuns[p] {
-					sources[p] = append(sources[p], shuffleSource{file: fr})
-					external2[p] = true
-					totalRuns++
-				}
-			}
+	reduceSpecs := make([]TaskSpec, numReducers) // no locality: reducers read from all mappers
+	for r := range reduceSpecs {
+		reduceSpecs[r] = TaskSpec{
+			Job: job, Phase: "reduce", TaskID: fmt.Sprintf("reduce-%04d", r), Index: r,
+			NumReducers: numReducers, Partition: r,
 		}
-		outputs[i] = nil
 	}
+	for _, tr := range mapResults {
+		for p, runs := range tr.MapRuns {
+			reduceSpecs[p].Runs = append(reduceSpecs[p].Runs, runs...)
+		}
+	}
+	parts := make([]obs.PartStat, numReducers)
+	var totalRuns, shuffleBytes int64
+	for p, spec := range reduceSpecs {
+		parts[p] = obs.PartStat{Part: p, Runs: int64(len(spec.Runs))}
+		for _, run := range spec.Runs {
+			parts[p].Records += run.Records
+			parts[p].Bytes += run.Bytes
+		}
+		totalRuns += parts[p].Runs
+		shuffleBytes += parts[p].Bytes
+	}
+	res.Counters.Get(CounterGroupShuffle, CounterShuffleBytes).Inc(shuffleBytes)
+	res.Counters.Get(CounterGroupShuffle, CounterShuffleRunsMerged).Inc(totalRuns)
 	bus.Emit(obs.Event{
 		Type: obs.PhaseStart, Job: job.Name, Phase: "shuffle", Time: shuffleStart,
 		Detail: fmt.Sprintf("partitions=%d runs=%d", numReducers, totalRuns),
 	})
-	// Partitions whose runs all sit in memory are merged eagerly as
-	// before, bounded by the cluster's task slots; partitions with any
-	// file-backed run defer their merge to the reduce attempts, which
-	// stream it (extPartition.iter) instead of materialising it. On an
-	// external executor every non-empty partition is file-backed.
-	reduceInputs := make([][]KV, numReducers)
-	extParts := make([]*extPartition, numReducers)
-	runCounts := make([]int64, numReducers)
-	recCounts := make([]int64, numReducers)
-	partBytes := make([]int64, numReducers)
-	partDur := make([]time.Duration, numReducers)
-	slots := e.cluster.TotalSlots()
-	if slots < 1 {
-		slots = 1
-	}
-	sem := make(chan struct{}, slots)
-	var mergeWG sync.WaitGroup
-	for p := 0; p < numReducers; p++ {
-		runCounts[p] = int64(len(sources[p]))
-		if external2[p] {
-			ext := &extPartition{sources: sources[p]}
-			for _, s := range sources[p] {
-				if s.file.path != "" {
-					ext.records += s.file.records
-					ext.bytes += s.file.bytes
-					continue
-				}
-				ext.records += int64(len(s.mem))
-				for _, kv := range s.mem {
-					ext.bytes += int64(len(kv.Key) + len(kv.Value))
-				}
-			}
-			extParts[p] = ext
-			recCounts[p] = ext.records
-			partBytes[p] = ext.bytes
-			continue
-		}
-		mergeWG.Add(1)
-		sem <- struct{}{}
-		go func(p int) {
-			defer mergeWG.Done()
-			defer func() { <-sem }()
-			mergeStart := time.Now()
-			runs := make([][]KV, len(sources[p]))
-			for i, s := range sources[p] {
-				runs[i] = s.mem
-			}
-			merged := mergeRuns(runs, job.KeyCompare)
-			var b int64
-			for _, kv := range merged {
-				b += int64(len(kv.Key) + len(kv.Value))
-			}
-			reduceInputs[p] = merged
-			recCounts[p] = int64(len(merged))
-			partBytes[p] = b
-			partDur[p] = time.Since(mergeStart)
-			// Release the run slices: merged now holds (or, for a lone
-			// run, aliases) the partition's data.
-			sources[p] = nil
-		}(p)
-	}
-	mergeWG.Wait()
-	var shuffleBytes int64
-	for _, b := range partBytes {
-		shuffleBytes += b
-	}
-	res.Counters.Get(CounterGroupShuffle, CounterShuffleBytes).Inc(shuffleBytes)
-	res.Counters.Get(CounterGroupShuffle, CounterShuffleRunsMerged).Inc(totalRuns)
 	res.ShuffleWall = time.Since(shuffleStart)
-	var parts []obs.PartStat
-	if bus.Active() {
-		parts = make([]obs.PartStat, numReducers)
-		for p := 0; p < numReducers; p++ {
-			parts[p] = obs.PartStat{
-				Part:    p,
-				Runs:    runCounts[p],
-				Records: recCounts[p],
-				Bytes:   partBytes[p],
-				DurUs:   partDur[p].Microseconds(),
-			}
-		}
-	}
 	bus.Emit(obs.Event{
 		Type: obs.PhaseEnd, Job: job.Name, Phase: "shuffle", Dur: res.ShuffleWall,
-		Value: shuffleBytes, Detail: shuffleDetail(runCounts, recCounts, partBytes),
-		Parts: parts,
+		Value: shuffleBytes, Detail: shuffleDetail(parts), Parts: parts,
 	})
 
 	// ---- Reduce phase ----
-	reduceStart := time.Now()
-	bus.Emit(obs.Event{Type: obs.PhaseStart, Job: job.Name, Phase: "reduce", Time: reduceStart})
+	temps := make([]string, numReducers)
 	reduceReports := make([]TaskReport, numReducers)
-	reduceSpecs := make([]TaskSpec, numReducers) // no locality: reducers read from all mappers
-	for r := 0; r < numReducers; r++ {
-		reduceSpecs[r] = TaskSpec{
-			Job: job, Phase: "reduce", TaskID: fmt.Sprintf("reduce-%04d", r), Index: r,
-			NumReducers: numReducers, ShuffleBudget: budget, Partition: r,
-		}
-		if external {
-			if ext := extParts[r]; ext != nil {
-				runs := make([]RunDesc, 0, len(ext.sources))
-				for _, s := range ext.sources {
-					runs = append(runs, RunDesc{Path: s.file.path, Records: s.file.records, Bytes: s.file.bytes})
-				}
-				reduceSpecs[r].Runs = runs
-			}
-		}
-	}
-	if lx != nil {
-		// Hand the in-process executor the shuffle's product: eagerly
-		// merged partitions and deferred file-backed ones.
-		lx.reduceInputs, lx.extParts = reduceInputs, extParts
-	}
-	partFiles := make([][]KV, numReducers)
-	reduceTemps := make([]string, numReducers)
-	err = e.schedule(job, "reduce", alog, reduceSpecs, maxAttempts, res.Counters, exec, func(r int, tr TaskResult) {
+	res.ReduceWall, err = runPhase("reduce", reduceSpecs, reduceReports, func(r int, tr TaskResult) {
 		st := tr.Stats
 		res.Counters.Get(CounterGroupTask, CounterReduceInputRecords).Inc(st.ReduceInputRecords)
 		res.Counters.Get(CounterGroupTask, CounterReduceOutput).Inc(st.ReduceOutputRecords)
 		res.Counters.Get(CounterGroupTask, CounterReduceInputGroups).Inc(st.ReduceInputGroups)
-		mergeUserCounters(res.Counters, tr.UserCounters)
-		partFiles[r] = tr.localReduce
-		reduceTemps[r] = tr.OutFile
-		reduceReports[r].Records = tr.Records
-	}, reduceReports)
+		temps[r] = tr.OutFile
+	})
 	if err != nil {
-		bus.Emit(obs.Event{
-			Type: obs.PhaseEnd, Job: job.Name, Phase: "reduce",
-			Dur: time.Since(reduceStart), Err: err.Error(),
-		})
-		return fail(fmt.Errorf("mapreduce: job %s: %v", job.Name, err))
+		return fail(err)
 	}
-	res.ReduceWall = time.Since(reduceStart)
-	bus.Emit(obs.Event{Type: obs.PhaseEnd, Job: job.Name, Phase: "reduce", Dur: res.ReduceWall})
-
-	for r := 0; r < numReducers; r++ {
-		name := fmt.Sprintf("%s/part-r-%05d", job.OutputPath, r)
-		if external {
-			if err := e.fs.Rename(reduceTemps[r], name); err != nil {
-				return fail(err)
-			}
-		} else {
-			if err := e.writePartFile(name, partFiles[r], job.BinaryOutput); err != nil {
-				return fail(err)
-			}
-		}
-		res.OutputFiles = append(res.OutputFiles, name)
-	}
-	res.Tasks = append(reports, reduceReports...)
-	return complete(), nil
+	res.Tasks = append(res.Tasks, reduceReports...)
+	return commitOutputs("r", temps)
 }
 
 // runReduce feeds each distinct-key group of a sorted record stream to
@@ -566,29 +363,27 @@ func runReduce(ctx *TaskContext, red Reducer, it kvIter, groupCount *int64, cmp 
 	return out, nil
 }
 
-// shuffleDetail renders the per-partition merge summary carried on the
-// shuffle PhaseEnd event: runs merged, records and bytes per reduce
-// partition, capped so huge reducer counts stay readable.
-func shuffleDetail(runs, records, bytes []int64) string {
+// shuffleDetail renders the per-partition summary carried on the
+// shuffle PhaseEnd event: runs, records and bytes per reduce partition,
+// capped so huge reducer counts stay readable.
+func shuffleDetail(parts []obs.PartStat) string {
 	const maxParts = 16
 	var sb strings.Builder
-	for p := range records {
-		if p == maxParts {
-			fmt.Fprintf(&sb, " …(+%d partitions)", len(records)-maxParts)
+	for i, p := range parts {
+		if i == maxParts {
+			fmt.Fprintf(&sb, " …(+%d partitions)", len(parts)-maxParts)
 			break
 		}
-		if p > 0 {
+		if i > 0 {
 			sb.WriteByte(' ')
 		}
-		fmt.Fprintf(&sb, "p%d:runs=%d,records=%d,bytes=%d", p, runs[p], records[p], bytes[p])
+		fmt.Fprintf(&sb, "p%d:runs=%d,records=%d,bytes=%d", p.Part, p.Runs, p.Records, p.Bytes)
 	}
 	return sb.String()
 }
 
 // encodePartFile renders records in the part-file format — recordio
-// binary records, or "key\tvalue" text lines. It is shared by the
-// driver's commit path and the out-of-process workers, which is what
-// makes remote part files byte-identical to in-process ones.
+// binary records, or "key\tvalue" text lines.
 func encodePartFile(kvs []KV, binary bool) []byte {
 	if binary {
 		w := recordio.NewWriter()
@@ -605,11 +400,6 @@ func encodePartFile(kvs []KV, binary bool) []byte {
 		sb.WriteByte('\n')
 	}
 	return []byte(sb.String())
-}
-
-// writePartFile stores records in DFS as one part file.
-func (e *Engine) writePartFile(path string, kvs []KV, binary bool) error {
-	return e.fs.Create(path, encodePartFile(kvs, binary), "")
 }
 
 // ReadOutput reads back all part files of a completed job's output

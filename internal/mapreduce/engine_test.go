@@ -1218,3 +1218,58 @@ func TestTaskOverheadSlowsJobs(t *testing.T) {
 		t.Fatalf("overhead did not slow the job: %v vs %v", slow, fast)
 	}
 }
+
+// tickMapper ticks a user counter once per input record. The record
+// "slow" also stalls its task, holding the map phase open while a
+// straggler's losing attempt runs to completion inside it.
+type tickMapper struct{ MapperBase }
+
+func (tickMapper) Map(ctx *TaskContext, _, value string, emit Emit) error {
+	ctx.Counter("user", "records").Inc(1)
+	if value == "slow" {
+		time.Sleep(200 * time.Millisecond)
+	}
+	emit(value, "1")
+	return nil
+}
+
+// TestUserCountersAreWinnerOnly pins the counter semantics both
+// backends share: only the winning attempt's ctx.Counter ticks are
+// committed. The straggler node's primary attempt loses to a backup,
+// then still runs — and ticks — while the "slow" task keeps the phase
+// open; none of that may reach the job's counters.
+func TestUserCountersAreWinnerOnly(t *testing.T) {
+	c, _ := cluster.NewUniform(4, 2, 1)
+	slowNode := c.Nodes()[0].ID
+	fs, _ := dfs.New(c, dfs.Config{ChunkSize: 64, Replication: 3, Seed: 1})
+	e := NewEngine(c, fs, Options{
+		SpeculativeSlack: 10 * time.Millisecond,
+		NodeDelay: func(node string) time.Duration {
+			if node == slowNode {
+				return 60 * time.Millisecond
+			}
+			return 5 * time.Millisecond
+		},
+	})
+	const lines = 41
+	writeInput(t, e, "in/f", "slow\n"+strings.Repeat("hello world\n", lines-1))
+	res, err := e.Run(&Job{
+		Name:       "winner-only",
+		InputPaths: []string{"in/f"},
+		OutputPath: "out",
+		NewMapper:  func() Mapper { return tickMapper{} },
+		NewReducer: func() Reducer { return sumReducer{} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Counters.Value(CounterGroupScheduler, CounterSpeculativeLaunched) == 0 {
+		t.Fatal("no speculative attempt launched; the fixture exercises nothing")
+	}
+	if n := res.Counters.Value(CounterGroupTask, CounterMapInputRecords); n != lines {
+		t.Fatalf("map_input_records = %d, want %d", n, lines)
+	}
+	if n := res.Counters.Value("user", "records"); n != lines {
+		t.Fatalf("user counter = %d, want %d: a losing attempt's ticks were committed", n, lines)
+	}
+}

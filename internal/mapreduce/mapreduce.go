@@ -156,21 +156,14 @@ type Job struct {
 	MaxAttempts int
 	// MaxShuffleBytes bounds the raw key+value bytes a map task
 	// buffers in memory before sorting, combining and spilling the
-	// buffer to DFS as external run files; the reduce side then
-	// streams a k-way merge over the spilled runs instead of holding
-	// merged partitions in memory. 0 (the default) keeps the
-	// all-in-memory shuffle. Ignored by map-only jobs.
+	// buffer to DFS as file-backed runs. 0 (the default) never trips:
+	// in-process, each partition then leaves the task as one in-memory
+	// run. Either way the reduce attempt streams the k-way merge over
+	// whatever runs it is handed. Ignored by map-only jobs.
 	MaxShuffleBytes int64
-	// MemoryTargetBytes, when MaxShuffleBytes is 0, derives the
-	// per-task spill budget adaptively: the job-wide memory target is
-	// divided by the cluster's concurrent task slots, so a job states
-	// how much memory the shuffle may use in total and the engine
-	// sizes each task's buffer for the worst case of every slot
-	// spilling at once. MaxShuffleBytes, when set, overrides this.
-	MemoryTargetBytes int64
-	// CompressSpill writes spill run files in the DEFLATE-compressed
+	// CompressSpill writes run files in the DEFLATE-compressed
 	// recordio block format (version 2) instead of plain record
-	// files. Only consulted when MaxShuffleBytes is set.
+	// files.
 	CompressSpill bool
 	// Parent is an optional observability span ID grouping this job
 	// into a pipeline trace (set by the k-means, DJ-Cluster and R-tree

@@ -7,12 +7,12 @@ import (
 
 // This file implements the sort-based shuffle's merge machinery,
 // mirroring Hadoop's intermediate-data path: each map task sorts every
-// partition of its output at commit time (a "run", Hadoop's spill
-// file), the shuffle performs a k-way merge of the pre-sorted runs per
-// reduce partition, and the reducer consumes a streaming group
-// iterator over the merged stream — no reduce-side re-sort, and no
-// defensive copy for concurrent speculative attempts, which share the
-// merged slice read-only.
+// partition of its output into runs (Hadoop's spill files), and each
+// reduce attempt streams one k-way merge over its partition's runs —
+// opened as cursors, whether a run sits in memory or in a DFS file —
+// into a group iterator. Nothing is re-sorted or materialised on the
+// reduce side, and concurrent speculative attempts each open their own
+// cursors over the shared read-only runs.
 //
 // Every stage takes an optional key comparator (Job.KeyCompare,
 // Hadoop's RawComparator). A nil comparator means plain byte order on
@@ -52,149 +52,46 @@ func (s *sliceIter) next() (KV, bool) {
 	return kv, true
 }
 
-// runCursor is one sorted run's read position inside the merge heap.
-// ord is the run's position in the input order; it breaks key ties so
-// the merge is stable across runs (records of equal keys come out in
-// map-task order, exactly as the concat-then-stable-sort shuffle
-// produced them).
-type runCursor struct {
-	run []KV
-	pos int
-	ord int
-}
+// cursor yields the successive records of one sorted run. ok=false
+// ends the run cleanly; an error (a failed run-file read) aborts the
+// merge.
+type cursor func() (KV, bool, error)
 
-// runHeap is a min-heap of run cursors ordered by (current key, ord)
-// under the given comparator (nil = byte order).
-type runHeap struct {
-	cursors []*runCursor
-	cmp     func(a, b string) int
-}
-
-func (h *runHeap) Len() int { return len(h.cursors) }
-
-func (h *runHeap) Less(i, j int) bool {
-	ci, cj := h.cursors[i], h.cursors[j]
-	ki, kj := ci.run[ci.pos].Key, cj.run[cj.pos].Key
-	if h.cmp == nil {
-		if ki != kj {
-			return ki < kj
+// sliceCursor is the cursor over an in-memory run.
+func sliceCursor(kvs []KV) cursor {
+	pos := 0
+	return func() (KV, bool, error) {
+		if pos >= len(kvs) {
+			return KV{}, false, nil
 		}
-	} else if c := h.cmp(ki, kj); c != 0 {
-		return c < 0
+		pos++
+		return kvs[pos-1], true, nil
 	}
-	return ci.ord < cj.ord
 }
 
-func (h *runHeap) Swap(i, j int) { h.cursors[i], h.cursors[j] = h.cursors[j], h.cursors[i] }
-
-func (h *runHeap) Push(x any) { h.cursors = append(h.cursors, x.(*runCursor)) }
-
-func (h *runHeap) Pop() any {
-	old := h.cursors
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = nil
-	h.cursors = old[:n-1]
-	return x
-}
-
-// mergeIter streams the k-way merge of pre-sorted runs.
-type mergeIter struct {
-	h runHeap
-}
-
-// newMergeIter builds a merge iterator over the given runs. Each run
-// must already be sorted under cmp; empty runs are skipped.
-func newMergeIter(runs [][]KV, cmp func(a, b string) int) *mergeIter {
-	h := runHeap{cursors: make([]*runCursor, 0, len(runs)), cmp: cmp}
-	for ord, r := range runs {
-		if len(r) > 0 {
-			h.cursors = append(h.cursors, &runCursor{run: r, ord: ord})
-		}
-	}
-	heap.Init(&h)
-	return &mergeIter{h: h}
-}
-
-func (m *mergeIter) next() (KV, bool) {
-	if len(m.h.cursors) == 0 {
-		return KV{}, false
-	}
-	c := m.h.cursors[0]
-	kv := c.run[c.pos]
-	c.pos++
-	if c.pos == len(c.run) {
-		heap.Pop(&m.h)
-	} else {
-		heap.Fix(&m.h, 0)
-	}
-	return kv, true
-}
-
-// MergeRuns merges pre-sorted runs into one sorted slice under plain
-// byte order. Records with equal keys keep run order (and, within a
-// run, the run's own order), so merging stable-sorted runs is
-// kv-for-kv equivalent to concatenating the unsorted runs and
-// stable-sorting the whole — the seed shuffle's behaviour, now at
-// O(N log k) instead of O(N log N).
-//
-// When exactly one run is non-empty the result aliases it rather than
-// copying; callers must treat the inputs as consumed and the output as
-// read-only. Exported for benchmarks and downstream tooling.
-func MergeRuns(runs [][]KV) []KV {
-	return mergeRuns(runs, nil)
-}
-
-// mergeRuns is MergeRuns under an optional custom key comparator.
-func mergeRuns(runs [][]KV, cmp func(a, b string) int) []KV {
-	var last []KV
-	nonEmpty, total := 0, 0
-	for _, r := range runs {
-		if len(r) > 0 {
-			nonEmpty++
-			total += len(r)
-			last = r
-		}
-	}
-	switch nonEmpty {
-	case 0:
-		return nil
-	case 1:
-		return last
-	}
-	out := make([]KV, 0, total)
-	it := newMergeIter(runs, cmp)
-	for kv, ok := it.next(); ok; kv, ok = it.next() {
-		out = append(out, kv)
-	}
-	return out
-}
-
-// pullFunc yields the successive records of one sorted run — the
-// file-backed generalisation of a runCursor. ok=false ends the run
-// cleanly; an error (a failed spill-file read) aborts the merge.
-type pullFunc func() (KV, bool, error)
-
-// pullCursor is one pull-based run's position inside the merge heap.
-// ord breaks key ties by run input order, exactly like runCursor, so
-// the external merge stays stable across runs.
-type pullCursor struct {
-	next pullFunc
+// mergeSource is one run's position inside the merge heap: its cursor
+// and the record it currently offers. ord is the run's position in the
+// input order; it breaks key ties so the merge is stable across runs
+// (records of equal keys come out in map-task order, exactly as the
+// seed's concat-then-stable-sort shuffle produced them).
+type mergeSource struct {
+	next cursor
 	cur  KV
 	ord  int
 }
 
-// pullHeap is runHeap over pull cursors.
-type pullHeap struct {
-	cursors []*pullCursor
-	cmp     func(a, b string) int
+// mergeHeap is a min-heap of merge sources ordered by (current key,
+// ord) under the given comparator (nil = byte order).
+type mergeHeap struct {
+	srcs []*mergeSource
+	cmp  func(a, b string) int
 }
 
-func (h *pullHeap) Len() int { return len(h.cursors) }
+func (h *mergeHeap) Len() int { return len(h.srcs) }
 
-func (h *pullHeap) Less(i, j int) bool {
-	ci, cj := h.cursors[i], h.cursors[j]
-	ki, kj := ci.cur.Key, cj.cur.Key
+func (h *mergeHeap) Less(i, j int) bool {
+	si, sj := h.srcs[i], h.srcs[j]
+	ki, kj := si.cur.Key, sj.cur.Key
 	if h.cmp == nil {
 		if ki != kj {
 			return ki < kj
@@ -202,64 +99,63 @@ func (h *pullHeap) Less(i, j int) bool {
 	} else if c := h.cmp(ki, kj); c != 0 {
 		return c < 0
 	}
-	return ci.ord < cj.ord
+	return si.ord < sj.ord
 }
 
-func (h *pullHeap) Swap(i, j int) { h.cursors[i], h.cursors[j] = h.cursors[j], h.cursors[i] }
+func (h *mergeHeap) Swap(i, j int) { h.srcs[i], h.srcs[j] = h.srcs[j], h.srcs[i] }
 
-func (h *pullHeap) Push(x any) { h.cursors = append(h.cursors, x.(*pullCursor)) }
+func (h *mergeHeap) Push(x any) { h.srcs = append(h.srcs, x.(*mergeSource)) }
 
-func (h *pullHeap) Pop() any {
-	old := h.cursors
+func (h *mergeHeap) Pop() any {
+	old := h.srcs
 	n := len(old)
 	x := old[n-1]
 	old[n-1] = nil
-	h.cursors = old[:n-1]
+	h.srcs = old[:n-1]
 	return x
 }
 
-// extMergeIter streams the k-way merge of pull-based sorted runs —
-// the external shuffle's counterpart of mergeIter, where runs live in
-// DFS spill files instead of slices. kvIter.next has no error channel,
-// so a run read error stops the stream immediately and is surfaced
-// through Err; callers must check Err after draining and before
-// committing any result derived from the stream.
-type extMergeIter struct {
-	h   pullHeap
+// mergeIter streams the k-way merge of sorted runs. kvIter.next has no
+// error channel, so a run read error stops the stream immediately and
+// is surfaced through Err; callers must check Err after draining and
+// before committing any result derived from the stream.
+type mergeIter struct {
+	h   mergeHeap
 	err error
 }
 
-// newExtMergeIter primes one record from every run. Runs must already
-// be sorted under cmp; empty runs are skipped.
-func newExtMergeIter(pulls []pullFunc, cmp func(a, b string) int) (*extMergeIter, error) {
-	h := pullHeap{cursors: make([]*pullCursor, 0, len(pulls)), cmp: cmp}
-	for ord, pull := range pulls {
-		kv, ok, err := pull()
+// newMergeIter primes one record from every run. Runs must already be
+// sorted under cmp; empty runs are skipped.
+func newMergeIter(runs []cursor, cmp func(a, b string) int) *mergeIter {
+	m := &mergeIter{h: mergeHeap{srcs: make([]*mergeSource, 0, len(runs)), cmp: cmp}}
+	for ord, next := range runs {
+		kv, ok, err := next()
 		if err != nil {
-			return nil, err
+			m.err = err
+			m.h.srcs = nil
+			return m
 		}
-		if !ok {
-			continue
+		if ok {
+			m.h.srcs = append(m.h.srcs, &mergeSource{next: next, cur: kv, ord: ord})
 		}
-		h.cursors = append(h.cursors, &pullCursor{next: pull, cur: kv, ord: ord})
 	}
-	heap.Init(&h)
-	return &extMergeIter{h: h}, nil
+	heap.Init(&m.h)
+	return m
 }
 
-func (m *extMergeIter) next() (KV, bool) {
-	if m.err != nil || len(m.h.cursors) == 0 {
+func (m *mergeIter) next() (KV, bool) {
+	if len(m.h.srcs) == 0 {
 		return KV{}, false
 	}
-	c := m.h.cursors[0]
-	kv := c.cur
-	nkv, ok, err := c.next()
+	s := m.h.srcs[0]
+	kv := s.cur
+	nkv, ok, err := s.next()
 	switch {
 	case err != nil:
 		m.err = err
-		m.h.cursors = nil
+		m.h.srcs = nil
 	case ok:
-		c.cur = nkv
+		s.cur = nkv
 		heap.Fix(&m.h, 0)
 	default:
 		heap.Pop(&m.h)
@@ -269,7 +165,32 @@ func (m *extMergeIter) next() (KV, bool) {
 
 // Err reports the first run read error, if any. A non-nil Err means
 // the stream ended early and everything consumed from it is suspect.
-func (m *extMergeIter) Err() error { return m.err }
+func (m *mergeIter) Err() error { return m.err }
+
+// MergeRuns merges pre-sorted runs into one sorted slice under plain
+// byte order — a drain of the merge the reduce attempts stream.
+// Records with equal keys keep run order (and, within a run, the run's
+// own order), so merging stable-sorted runs is kv-for-kv equivalent to
+// concatenating the unsorted runs and stable-sorting the whole — the
+// seed shuffle's behaviour, at O(N log k) instead of O(N log N).
+// Exported for benchmarks and downstream tooling.
+func MergeRuns(runs [][]KV) []KV {
+	cursors := make([]cursor, len(runs))
+	total := 0
+	for i, r := range runs {
+		cursors[i] = sliceCursor(r)
+		total += len(r)
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]KV, 0, total)
+	it := newMergeIter(cursors, nil) // slice cursors cannot fail
+	for kv, ok := it.next(); ok; kv, ok = it.next() {
+		out = append(out, kv)
+	}
+	return out
+}
 
 // groupIter turns a sorted kv stream into (key, values) groups, the
 // unit a Reducer consumes. It buffers only one group at a time. Group

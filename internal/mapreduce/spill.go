@@ -1,16 +1,13 @@
-// Map-side spill-to-DFS and the external shuffle, the memory-bounded
-// path behind Job.MaxShuffleBytes. A map task buffers emitted records
-// per reduce partition as before, but tracks the raw key+value bytes;
-// when the budget trips, every non-empty partition buffer is sorted,
-// run through the combiner (if any), written to DFS as a recordio run
-// file — optionally DEFLATE-compressed — and released. The shuffle
-// then defers partitions with file-backed runs: instead of an eager
-// in-memory merge, the reduce attempt streams a k-way merge over file
-// cursors (recordio.FileReader windows over dfs.ReadRange) and any
-// in-memory tail runs from under-budget map tasks, feeding the same
-// group iterator the in-memory path uses. With MaxShuffleBytes unset
-// the spiller reduces exactly to the legacy commit-time sort+combine,
-// so the in-memory path is preserved bit for bit.
+// Sorted runs and the map-side spiller. A run is the only thing a map
+// attempt produces and a reduce attempt consumes: one partition's
+// records, sorted (and combined, if the job has a combiner), either
+// held in memory or written to DFS as a recordio file — optionally
+// DEFLATE-compressed. A map task buffers emitted records per reduce
+// partition and tracks the raw key+value bytes; whenever
+// Job.MaxShuffleBytes trips, every non-empty partition buffer is
+// sealed into a file-backed run and released. At the end of the task
+// the remaining buffers are sealed too — to files if the task already
+// spilled or runs on an out-of-process worker, in memory otherwise.
 
 package mapreduce
 
@@ -21,66 +18,105 @@ import (
 	"repro/internal/recordio"
 )
 
-// spillDir is the DFS directory holding a job's spill run files,
-// removed when the job finishes. Concurrent jobs must therefore not
-// share a name (they already could not: history and output paths
-// collide too).
+// spillDir is the DFS directory holding a job's run files, removed
+// when the job finishes. Concurrent jobs must therefore not share a
+// name (they already could not: history and output paths collide too).
 func spillDir(job *Job) string { return "_shuffle/" + job.Name }
 
-// spillRun describes one file-backed sorted run of a single reduce
-// partition.
-type spillRun struct {
-	path    string
-	records int64
-	bytes   int64 // raw key+value bytes, pre-compression
+// RunDesc is the face of a run that crosses process boundaries: where
+// its file is and how much it holds.
+type RunDesc struct {
+	Path    string // DFS file; empty for a run held in memory
+	Records int64
+	Bytes   int64 // raw key+value bytes, pre-compression
 }
 
-// mapSpiller owns one map attempt's partitioned output buffer and its
-// spill lifecycle. It is used by every map task — budget or not — so
-// the two shuffle paths share one commit code path.
+// Run is one sorted run of a single reduce partition. Only its RunDesc
+// crosses the wire, which loses nothing: out-of-process workers force
+// every run to a file, so only the in-process executor ever holds one
+// in memory.
+type Run struct {
+	RunDesc
+	mem []KV
+}
+
+// open returns a fresh cursor over the run. Each reduce attempt opens
+// its own (with its own fetch window, for a file), so concurrent
+// speculative attempts never share read state.
+func (r Run) open(store dfs.Store) (cursor, error) {
+	if r.Path == "" {
+		return sliceCursor(r.mem), nil
+	}
+	return openRunFile(store, r.Path)
+}
+
+// openRunFile opens one run file as a cursor streaming through ranged
+// DFS reads, holding one fetch window rather than the file.
+func openRunFile(store dfs.Store, path string) (cursor, error) {
+	size, err := store.Size(path)
+	if err != nil {
+		return nil, fmt.Errorf("spill run %s: %v", path, err)
+	}
+	r, err := recordio.NewFileReader(size, func(off, n int64) ([]byte, error) {
+		return store.ReadRange(path, off, n)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("spill run %s: %v", path, err)
+	}
+	return func() (KV, bool, error) {
+		k, v, ok, err := r.Next()
+		if err != nil {
+			return KV{}, false, fmt.Errorf("spill run %s: %v", path, err)
+		}
+		return KV{Key: k, Value: v}, ok, nil
+	}, nil
+}
+
+// mapSpiller owns one map attempt's partitioned output buffer and
+// turns it into runs.
 type mapSpiller struct {
-	fs          dfs.Store
-	job         *Job
-	ctx         *TaskContext
-	taskID      string
-	attempt     int
-	node        string
-	mapOnly     bool
-	numReducers int
-	partition   func(key string, numReducers int) int
-	budget      int64
-	// forceSpill makes finish flush every partition to file-backed
-	// runs even when nothing tripped the budget — out-of-process map
-	// tasks have no other way to hand their output to the driver.
-	forceSpill bool
+	store     dfs.Store
+	ctx       *TaskContext
+	spec      TaskSpec
+	partition func(key string, numReducers int) int
+	budget    int64
+	// forceFiles makes finish seal every run to a file even when
+	// nothing tripped the budget — out-of-process map tasks have no
+	// other way to hand their output to the reducers.
+	forceFiles bool
 
 	parts    [][]KV
 	bufBytes int64
 	spillSeq int
 	err      error // first spill failure; emit becomes a no-op after
 
-	fileRuns [][]spillRun // per partition, spill order
+	runs [][]Run // per partition, spill order
 
 	added      int64 // records emitted by the mapper
 	sorted     int64 // records sorted into runs (Hadoop's "Spilled Records")
 	combineIn  int64
 	combineOut int64
-	files      int64 // spill files written
+	files      int64 // run files written
 	fileBytes  int64 // on-DFS bytes of those files
 }
 
-func newMapSpiller(fs dfs.Store, job *Job, ctx *TaskContext, taskID string, attempt int, node string, mapOnly bool, numReducers int, partition func(string, int) int, budget int64, forceSpill bool) *mapSpiller {
-	nParts := numReducers
-	if mapOnly {
-		nParts = 1
-		budget = 0 // map-only output goes straight to part files
-		forceSpill = false
+func newMapSpiller(store dfs.Store, ctx *TaskContext, spec TaskSpec, forceFiles bool) *mapSpiller {
+	sp := &mapSpiller{
+		store: store, ctx: ctx, spec: spec, partition: spec.Job.Partitioner,
+		budget: spec.Job.MaxShuffleBytes, forceFiles: forceFiles,
 	}
-	return &mapSpiller{
-		fs: fs, job: job, ctx: ctx, taskID: taskID, attempt: attempt, node: node,
-		mapOnly: mapOnly, numReducers: numReducers, partition: partition,
-		budget: budget, forceSpill: forceSpill, parts: make([][]KV, nParts),
+	if sp.partition == nil {
+		sp.partition = HashPartition
 	}
+	nParts := spec.NumReducers
+	if spec.MapOnly {
+		// Map-only output skips the shuffle: one unsorted buffer that
+		// goes straight to the task's part file.
+		nParts, sp.budget = 1, 0
+	}
+	sp.parts = make([][]KV, nParts)
+	sp.runs = make([][]Run, nParts)
+	return sp
 }
 
 // stats packages the attempt's counter deltas for the TaskResult; the
@@ -104,172 +140,94 @@ func (sp *mapSpiller) emit(k, v string) {
 		return
 	}
 	p := 0
-	if !sp.mapOnly {
-		p = sp.partition(k, sp.numReducers)
+	if !sp.spec.MapOnly {
+		p = sp.partition(k, sp.spec.NumReducers)
 	}
 	sp.parts[p] = append(sp.parts[p], KV{k, v})
 	sp.added++
 	if sp.budget > 0 {
 		sp.bufBytes += int64(len(k) + len(v))
 		if sp.bufBytes >= sp.budget {
-			sp.err = sp.spill()
+			sp.err = sp.seal(true)
+			sp.spillSeq++
+			sp.bufBytes = 0
 		}
 	}
 }
 
-// sortCombine is the commit-time run preparation both paths share:
-// stable sort, optional combine over the sorted groups, and a re-sort
-// of the combined output (a combiner Cleanup may emit out of order) —
-// the exact sequence the in-memory commit path has always run.
+// sortCombine prepares one partition buffer as a run: stable sort,
+// optional combine over the sorted groups, and a re-sort of the
+// combined output (a combiner Cleanup may emit out of order).
 func (sp *mapSpiller) sortCombine(run []KV) ([]KV, error) {
-	sortRun(run, sp.job.KeyCompare)
-	if sp.job.NewCombiner == nil {
+	job := sp.spec.Job
+	sortRun(run, job.KeyCompare)
+	if job.NewCombiner == nil {
 		return run, nil
 	}
-	combined, err := runReduce(sp.ctx, sp.job.NewCombiner(), &sliceIter{kvs: run}, nil, sp.job.KeyCompare)
+	combined, err := runReduce(sp.ctx, job.NewCombiner(), &sliceIter{kvs: run}, nil, job.KeyCompare)
 	if err != nil {
 		return nil, fmt.Errorf("combiner: %v", err)
 	}
 	sp.combineIn += int64(len(run))
 	sp.combineOut += int64(len(combined))
-	sortRun(combined, sp.job.KeyCompare)
+	sortRun(combined, job.KeyCompare)
 	return combined, nil
 }
 
-// spill writes every non-empty partition buffer to DFS as one sorted
-// (and combined) run file, then resets the buffer accounting.
-func (sp *mapSpiller) spill() error {
-	for p := range sp.parts {
-		if len(sp.parts[p]) == 0 {
+// seal turns every non-empty partition buffer into one sorted (and
+// combined) run — written to DFS when toFile is set, kept in memory
+// otherwise — and releases the buffer.
+func (sp *mapSpiller) seal(toFile bool) error {
+	job := sp.spec.Job
+	for p, buf := range sp.parts {
+		if len(buf) == 0 {
 			continue
 		}
-		run, err := sp.sortCombine(sp.parts[p])
+		kvs, err := sp.sortCombine(buf)
 		if err != nil {
 			return err
 		}
-		var data []byte
-		var raw int64
-		if sp.job.CompressSpill {
-			w := recordio.NewCompressedWriter(0)
-			for _, kv := range run {
-				w.Add(kv.Key, kv.Value)
-				raw += int64(len(kv.Key) + len(kv.Value))
-			}
-			data = w.Bytes()
-		} else {
-			w := recordio.NewWriter()
-			for _, kv := range run {
-				w.Add(kv.Key, kv.Value)
-				raw += int64(len(kv.Key) + len(kv.Value))
-			}
-			data = w.Bytes()
-		}
-		path := fmt.Sprintf("%s/%s-a%04d-spill-%04d-p%05d",
-			spillDir(sp.job), sp.taskID, sp.attempt, sp.spillSeq, p)
-		if err := sp.fs.Create(path, data, sp.node); err != nil {
-			return fmt.Errorf("spill %s: %v", path, err)
-		}
-		if sp.fileRuns == nil {
-			sp.fileRuns = make([][]spillRun, len(sp.parts))
-		}
-		sp.fileRuns[p] = append(sp.fileRuns[p], spillRun{
-			path: path, records: int64(len(run)), bytes: raw,
-		})
-		sp.sorted += int64(len(run))
-		sp.files++
-		sp.fileBytes += int64(len(data))
 		sp.parts[p] = nil
+		if len(kvs) == 0 {
+			continue
+		}
+		run := Run{RunDesc: RunDesc{Records: int64(len(kvs))}, mem: kvs}
+		for _, kv := range kvs {
+			run.Bytes += int64(len(kv.Key) + len(kv.Value))
+		}
+		if toFile {
+			var w interface {
+				Add(key, value string)
+				Bytes() []byte
+			} = recordio.NewWriter()
+			if job.CompressSpill {
+				w = recordio.NewCompressedWriter(0)
+			}
+			for _, kv := range kvs {
+				w.Add(kv.Key, kv.Value)
+			}
+			data := w.Bytes()
+			run.Path = fmt.Sprintf("%s/%s-a%04d-spill-%04d-p%05d",
+				spillDir(job), sp.spec.TaskID, sp.spec.Attempt, sp.spillSeq, p)
+			if err := sp.store.Create(run.Path, data, sp.spec.Node); err != nil {
+				return fmt.Errorf("spill %s: %v", run.Path, err)
+			}
+			run.mem = nil
+			sp.files++
+			sp.fileBytes += int64(len(data))
+		}
+		sp.runs[p] = append(sp.runs[p], run)
+		sp.sorted += run.Records
 	}
-	sp.spillSeq++
-	sp.bufBytes = 0
 	return nil
 }
 
-// finish seals the attempt's output after mapper cleanup. If nothing
-// spilled, each partition is sorted and combined in place — the legacy
-// commit path, bit for bit. If any spill happened, the remaining
-// buffer is flushed too, so every run of this attempt is file-backed.
-func (sp *mapSpiller) finish() (*mapOutput, error) {
-	if sp.err != nil {
-		return nil, sp.err
+// finish seals the attempt's remaining buffers after mapper cleanup
+// and returns its runs per partition. Once anything spilled the tail
+// goes to files too, so an attempt's runs are all of one kind.
+func (sp *mapSpiller) finish() ([][]Run, error) {
+	if sp.err == nil {
+		sp.err = sp.seal(sp.spillSeq > 0 || sp.forceFiles)
 	}
-	if sp.mapOnly {
-		return &mapOutput{parts: sp.parts}, nil
-	}
-	if sp.spillSeq > 0 || sp.forceSpill {
-		if err := sp.spill(); err != nil {
-			return nil, err
-		}
-		return &mapOutput{parts: make([][]KV, len(sp.parts)), fileRuns: sp.fileRuns}, nil
-	}
-	for p := range sp.parts {
-		run, err := sp.sortCombine(sp.parts[p])
-		if err != nil {
-			return nil, err
-		}
-		sp.parts[p] = run
-		sp.sorted += int64(len(run))
-	}
-	return &mapOutput{parts: sp.parts}, nil
-}
-
-// shuffleSource is one run feeding a reduce partition's merge: either
-// an in-memory slice from an under-budget map task or a file-backed
-// spill run. Exactly one of mem / file.path is set.
-type shuffleSource struct {
-	mem  []KV
-	file spillRun
-}
-
-// extPartition is a reduce partition whose merge is deferred to the
-// reduce attempt because at least one of its runs is file-backed.
-type extPartition struct {
-	sources []shuffleSource // map-task order, spill order within a task
-	records int64
-	bytes   int64 // raw key+value bytes across all runs
-}
-
-// iter opens a fresh streaming merge over the partition's runs. Each
-// reduce attempt gets its own cursors (and fetch windows), so
-// concurrent speculative attempts never share read state.
-func (x *extPartition) iter(fs dfs.Store, cmp func(a, b string) int) (*extMergeIter, error) {
-	pulls := make([]pullFunc, 0, len(x.sources))
-	for _, s := range x.sources {
-		if s.file.path == "" {
-			it := &sliceIter{kvs: s.mem}
-			pulls = append(pulls, func() (KV, bool, error) {
-				kv, ok := it.next()
-				return kv, ok, nil
-			})
-			continue
-		}
-		pull, err := openSpillRun(fs, s.file.path)
-		if err != nil {
-			return nil, err
-		}
-		pulls = append(pulls, pull)
-	}
-	return newExtMergeIter(pulls, cmp)
-}
-
-// openSpillRun opens one spill file as a pull cursor streaming through
-// ranged DFS reads, holding one fetch window rather than the file.
-func openSpillRun(fs dfs.Store, path string) (pullFunc, error) {
-	size, err := fs.Size(path)
-	if err != nil {
-		return nil, fmt.Errorf("spill run %s: %v", path, err)
-	}
-	r, err := recordio.NewFileReader(size, func(off, n int64) ([]byte, error) {
-		return fs.ReadRange(path, off, n)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("spill run %s: %v", path, err)
-	}
-	return func() (KV, bool, error) {
-		k, v, ok, err := r.Next()
-		if err != nil {
-			return KV{}, false, fmt.Errorf("spill run %s: %v", path, err)
-		}
-		return KV{Key: k, Value: v}, ok, nil
-	}, nil
+	return sp.runs, sp.err
 }

@@ -1,8 +1,10 @@
 package mapreduce
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -22,86 +24,215 @@ func (joinReducer) Reduce(_ *TaskContext, key string, values []string, emit Emit
 	return nil
 }
 
-// runShuffledWordCount runs one wordcount-shaped job over text and
-// returns its sorted output plus the result. budget=0 is the legacy
-// in-memory shuffle; small budgets force map-side spills to DFS.
-func runShuffledWordCount(seed int64, text string, reducers int, budget int64, compress, combiner, joined, reverse bool) ([]KV, *Result, error) {
-	c, err := cluster.NewUniform(4, 2, 2)
-	if err != nil {
-		return nil, nil, err
+// lineCountingWordMapper is wordMapper plus one user-counter tick per
+// input record, so the executors' counter semantics are compared too.
+type lineCountingWordMapper struct{ wordMapper }
+
+func (m lineCountingWordMapper) Map(ctx *TaskContext, key, value string, emit Emit) error {
+	ctx.Counter("user", "lines").Inc(1)
+	return m.wordMapper.Map(ctx, key, value, emit)
+}
+
+// failOnReducer fails every attempt that meets the given key.
+type failOnReducer struct {
+	sumReducer
+	key string
+}
+
+func (r failOnReducer) Reduce(ctx *TaskContext, key string, values []string, emit Emit) error {
+	if key == r.key {
+		return fmt.Errorf("reducer refuses %q", key)
 	}
-	fs, err := dfs.New(c, dfs.Config{ChunkSize: 120, Replication: 3, Seed: seed})
+	return r.sumReducer.Reduce(ctx, key, values, emit)
+}
+
+// storeExecutor runs every attempt through the worker-side entry point
+// against the engine's own file system: an RPC worker minus the wire,
+// so every run is a file.
+type storeExecutor struct{ fs *dfs.FileSystem }
+
+func (x storeExecutor) External() bool { return true }
+
+func (x storeExecutor) RunTask(_ context.Context, spec TaskSpec) (TaskResult, error) {
+	return ExecuteTask(x.fs, spec)
+}
+
+// An external executor's jobs must wire; the task code still comes
+// from the Job the test hands to ExecuteTask.
+const kindShuffleTest = "test-ext-shuffle"
+
+func init() {
+	RegisterKind(kindShuffleTest, JobKind{NewMapper: func() Mapper { return wordMapper{} }})
+}
+
+// shuffleJob is one wordcount-shaped job over text. budget=0 keeps
+// every in-process run in memory; small budgets force map-side spills
+// to DFS; viaStore runs it on storeExecutor instead of in-process.
+type shuffleJob struct {
+	seed     int64
+	text     string
+	reducers int
+	budget   int64
+	compress bool
+	combiner bool
+	joined   bool   // joinReducer instead of sumReducer
+	reverse  bool   // custom KeyCompare: descending keys
+	mapOnly  bool   // no reducer at all
+	failKey  string // reducer fails on this key
+	viaStore bool
+}
+
+// shuffleOut is what a shuffleJob leaves behind: its output records
+// (sorted), its part files byte for byte, the shuffle-relevant counter
+// groups, and whatever the job forgot under _tmp/ and _shuffle/.
+type shuffleOut struct {
+	kvs       []KV
+	parts     map[string]string
+	counters  map[string]map[string]int64
+	leftovers []string
+}
+
+func (c shuffleJob) run() (shuffleOut, error) {
+	var out shuffleOut
+	cl, err := cluster.NewUniform(4, 2, 2)
 	if err != nil {
-		return nil, nil, err
+		return out, err
 	}
-	e := NewEngine(c, fs, Options{})
-	if err := fs.Create("in/f", []byte(text), ""); err != nil {
-		return nil, nil, err
+	fs, err := dfs.New(cl, dfs.Config{ChunkSize: 120, Replication: 3, Seed: c.seed})
+	if err != nil {
+		return out, err
+	}
+	var opts Options
+	if c.viaStore {
+		opts.Executor = storeExecutor{fs}
+	}
+	e := NewEngine(cl, fs, opts)
+	if err := fs.Create("in/f", []byte(c.text), ""); err != nil {
+		return out, err
 	}
 	job := &Job{
 		Name:            "ext-shuffle",
+		Kind:            kindShuffleTest,
 		InputPaths:      []string{"in/f"},
 		OutputPath:      "out",
-		NewMapper:       func() Mapper { return wordMapper{} },
+		NewMapper:       func() Mapper { return lineCountingWordMapper{} },
 		NewReducer:      func() Reducer { return sumReducer{} },
-		NumReducers:     reducers,
-		MaxShuffleBytes: budget,
-		CompressSpill:   compress,
+		NumReducers:     c.reducers,
+		MaxShuffleBytes: c.budget,
+		CompressSpill:   c.compress,
 	}
-	if joined {
+	switch {
+	case c.mapOnly:
+		job.NewReducer = nil
+	case c.failKey != "":
+		job.NewReducer = func() Reducer { return failOnReducer{key: c.failKey} }
+	case c.joined:
 		job.NewReducer = func() Reducer { return joinReducer{} }
 	}
-	if combiner {
+	if c.combiner {
 		job.NewCombiner = func() Reducer { return sumReducer{} }
 	}
-	if reverse {
+	if c.reverse {
 		job.KeyCompare = func(a, b string) int { return -strings.Compare(a, b) }
 	}
-	res, err := e.Run(job)
-	if err != nil {
-		return nil, nil, err
+	res, runErr := e.Run(job)
+	out.leftovers = append(fs.List("_tmp"), fs.List("_shuffle")...)
+	out.parts = map[string]string{}
+	for _, f := range fs.List("out") {
+		data, err := fs.ReadAll(f)
+		if err != nil {
+			return out, err
+		}
+		out.parts[f] = string(data)
 	}
-	kvs, err := e.ReadOutput("out")
-	if err != nil {
-		return nil, nil, err
+	if runErr != nil {
+		return out, runErr
 	}
-	sortRun(kvs, nil)
-	return kvs, res, nil
+	snap := res.Counters.Snapshot()
+	out.counters = map[string]map[string]int64{
+		CounterGroupTask: snap[CounterGroupTask], CounterGroupShuffle: snap[CounterGroupShuffle], "user": snap["user"],
+	}
+	out.kvs, err = e.ReadOutput("out")
+	sortRun(out.kvs, nil)
+	return out, err
 }
 
-// TestPropertyExternalShuffleEqualsInMemory is the external shuffle's
-// core contract: for random inputs, reducer counts, budgets, custom
-// key orders and combiner/compression settings, the spill-to-DFS path
-// produces record-for-record the output of the all-in-memory path.
-// With the combiner off the joined-values reducer makes the comparison
-// cover the complete grouped kv stream, not just aggregates.
+// sameAcrossExecutors runs the job in-process and on storeExecutor and
+// reports any difference in part-file bytes, counters or cleanup,
+// returning the in-process outcome. The two spill-file counters are
+// compared only when wantFiles is set: below a budget that spills
+// everything they count files the all-file executor writes by
+// construction and the in-process one does not.
+func sameAcrossExecutors(t *testing.T, c shuffleJob, wantFiles bool) (shuffleOut, bool) {
+	t.Helper()
+	c.viaStore = false
+	local, lerr := c.run()
+	c.viaStore = true
+	store, serr := c.run()
+	ok := true
+	complain := func(format string, args ...any) {
+		t.Logf("%+v: "+format, append([]any{c}, args...)...)
+		ok = false
+	}
+	if (lerr == nil) != (serr == nil) || (c.failKey == "") != (lerr == nil) {
+		complain("errors: in-process %v, store %v", lerr, serr)
+	}
+	for name, o := range map[string]shuffleOut{"in-process": local, "store": store} {
+		if len(o.leftovers) != 0 {
+			complain("%s left %v behind", name, o.leftovers)
+		}
+		if lerr != nil && len(o.parts) != 0 {
+			complain("%s failed but kept output %v", name, o.parts)
+		}
+	}
+	if !reflect.DeepEqual(local.parts, store.parts) {
+		complain("part files differ:\n in-process %q\n store      %q", local.parts, store.parts)
+	}
+	if !wantFiles && lerr == nil {
+		for _, o := range []shuffleOut{local, store} {
+			delete(o.counters[CounterGroupShuffle], CounterShuffleSpillFiles)
+			delete(o.counters[CounterGroupShuffle], CounterShuffleSpillBytes)
+		}
+	}
+	if !reflect.DeepEqual(local.counters, store.counters) {
+		complain("counters differ:\n in-process %v\n store      %v", local.counters, store.counters)
+	}
+	return local, ok
+}
+
+// TestPropertyExternalShuffleEqualsInMemory is the shuffle's core
+// contract: for random inputs, reducer counts, budgets, custom key
+// orders and combiner/compression settings, runs spilled to DFS produce
+// record-for-record the output of runs held in memory — and at either
+// budget the all-file executor produces byte-for-byte the part files
+// and counters of the in-process one. With the combiner off the
+// joined-values reducer makes the comparison cover the complete grouped
+// kv stream, not just aggregates.
 func TestPropertyExternalShuffleEqualsInMemory(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 30}
 	f := func(seed int64, reducersRaw, budgetRaw uint8, combiner, compress, reverse bool) bool {
 		rng := rand.New(rand.NewSource(seed))
-		text := randText(rng)
-		reducers := int(reducersRaw)%4 + 1
+		inMem := shuffleJob{
+			seed: seed, text: randText(rng), reducers: int(reducersRaw)%4 + 1,
+			combiner: combiner, reverse: reverse,
+			joined: !combiner, // full-stream comparison needs an uncombined stream
+		}
+		ext := inMem
 		// 32..287 bytes: small enough that most tasks spill repeatedly.
-		budget := int64(budgetRaw) + 32
-		joined := !combiner // full-stream comparison needs an uncombined stream
+		ext.budget, ext.compress = int64(budgetRaw)+32, compress
 
-		want, _, err := runShuffledWordCount(seed, text, reducers, 0, false, combiner, joined, reverse)
-		if err != nil {
-			t.Logf("seed=%d in-memory: %v", seed, err)
+		want, ok := sameAcrossExecutors(t, inMem, false)
+		got, extOK := sameAcrossExecutors(t, ext, false)
+		if !ok || !extOK {
 			return false
 		}
-		got, _, err := runShuffledWordCount(seed, text, reducers, budget, compress, combiner, joined, reverse)
-		if err != nil {
-			t.Logf("seed=%d external: %v", seed, err)
+		if len(got.kvs) != len(want.kvs) {
+			t.Logf("seed=%d: %d records, want %d", seed, len(got.kvs), len(want.kvs))
 			return false
 		}
-		if len(got) != len(want) {
-			t.Logf("seed=%d: %d records, want %d", seed, len(got), len(want))
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Logf("seed=%d budget=%d: record %d = %v, want %v", seed, budget, i, got[i], want[i])
+		for i := range got.kvs {
+			if got.kvs[i] != want.kvs[i] {
+				t.Logf("seed=%d budget=%d: record %d = %v, want %v", seed, ext.budget, i, got.kvs[i], want.kvs[i])
 				return false
 			}
 		}
@@ -112,6 +243,39 @@ func TestPropertyExternalShuffleEqualsInMemory(t *testing.T) {
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExternalShuffleExecutorsAgree pins the cross-executor identity on
+// the shapes the property only meets by chance: reducer + combiner +
+// custom key order + several reducers at budget 0, at a budget that
+// spills every record (so the spill-file counters must agree too) and
+// compressed; a map-only job; and a failing job, which must leave
+// neither output nor debris on either executor.
+func TestExternalShuffleExecutorsAgree(t *testing.T) {
+	base := shuffleJob{
+		seed: 11, text: strings.Repeat("delta alpha gamma beta alpha x yy\nzzz beta\n", 40),
+		reducers: 3, combiner: true, reverse: true,
+	}
+	tiny, compressed, mapOnly, failing := base, base, base, base
+	tiny.budget = 1
+	compressed.budget, compressed.compress = 1, true
+	mapOnly.mapOnly, mapOnly.combiner = true, false
+	failing.failKey, failing.budget = "gamma", 64
+	for _, tc := range []struct {
+		name      string
+		job       shuffleJob
+		wantFiles bool
+	}{
+		{"budget 0", base, false},
+		{"tiny budget", tiny, true},
+		{"compressed", compressed, true},
+		{"map-only", mapOnly, true},
+		{"failing reducer", failing, false},
+	} {
+		if _, ok := sameAcrossExecutors(t, tc.job, tc.wantFiles); !ok {
+			t.Errorf("%s: executors disagree", tc.name)
+		}
 	}
 }
 
@@ -210,6 +374,12 @@ func TestExternalShuffleUnderSpeculation(t *testing.T) {
 			t.Fatalf("word %q = %q, want 60", w, got[w])
 		}
 	}
+	// The straggler's own attempt wakes from its node delay after the
+	// job has swept its directories; it must not write there any more.
+	time.Sleep(200 * time.Millisecond)
+	if left := append(fs.List("_shuffle"), fs.List("_tmp")...); len(left) != 0 {
+		t.Fatalf("losing attempt wrote after the job ended: %v", left)
+	}
 }
 
 // TestMapOnlyJobIgnoresShuffleBudget asserts the budget knob is inert
@@ -248,7 +418,7 @@ func TestSpillRunTruncationIsAnError(t *testing.T) {
 	fs, _ := dfs.New(c, dfs.Config{ChunkSize: 1 << 20, Replication: 3, Seed: 3})
 	e := NewEngine(c, fs, Options{})
 	job := &Job{Name: "trunc", MaxShuffleBytes: 1}
-	sp := newMapSpiller(e.fs, job, &TaskContext{}, "m0", 0, "", false, 1, HashPartition, job.MaxShuffleBytes, false)
+	sp := newMapSpiller(e.fs, &TaskContext{}, TaskSpec{Job: job, TaskID: "m0", NumReducers: 1}, false)
 	for i := 0; i < 50; i++ {
 		sp.emit(fmt.Sprintf("key-%02d", i), "value-payload")
 	}
@@ -256,19 +426,19 @@ func TestSpillRunTruncationIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.fileRuns) == 0 || len(out.fileRuns[0]) == 0 {
+	if len(out[0]) == 0 || out[0][0].Path == "" {
 		t.Fatal("fixture produced no file runs")
 	}
-	run := out.fileRuns[0][0]
-	data, err := fs.ReadAll(run.path)
+	run := out[0][0]
+	data, err := fs.ReadAll(run.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trunc := run.path + ".trunc"
+	trunc := run.Path + ".trunc"
 	if err := fs.Create(trunc, data[:len(data)-3], ""); err != nil {
 		t.Fatal(err)
 	}
-	pull, err := openSpillRun(fs, trunc)
+	pull, err := Run{RunDesc: RunDesc{Path: trunc}}.open(fs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,9 @@
-// Worker-side task execution: the entry point an out-of-process
-// tasktracker calls for each assigned attempt. Unlike the in-process
-// executor, nothing here touches driver memory — map output leaves as
-// DFS spill-run files, reduce/map-only output as an attempt-unique
-// temp file the driver renames into place for the winner, and user
-// counters travel back as a snapshot in the TaskResult.
+// Task execution: the one body of a map or reduce attempt, run by the
+// in-process executor against the engine's file system and by an
+// out-of-process tasktracker against a RemoteStore. Map output leaves
+// as sorted runs, reduce and map-only output as an attempt-unique temp
+// file the driver renames into place for the winner, and user counters
+// travel back as a snapshot in the TaskResult.
 
 package mapreduce
 
@@ -17,25 +17,26 @@ import (
 // outputs, swept when the job finishes.
 func tmpDir(jobName string) string { return "_tmp/" + jobName }
 
-// taskTempPath is the attempt-unique temp path for a task's output:
-// concurrent speculative attempts of one task never collide, and a
-// retry never collides with the debris of a failed earlier attempt.
-func taskTempPath(jobName, taskID string, attempt int) string {
-	return fmt.Sprintf("%s/%s-a%04d", tmpDir(jobName), taskID, attempt)
+// ExecuteTask runs one task attempt against the given store and
+// returns its result, every map-output run written to a file. It is
+// transport-agnostic — the RPC worker calls it with a RemoteStore after
+// materialising spec.Job from the wire; tests may call it directly
+// against a local DFS.
+func ExecuteTask(store dfs.Store, spec TaskSpec) (TaskResult, error) {
+	return executeTask(store, spec, true)
 }
 
-// ExecuteTask runs one task attempt against the given store and
-// returns its result. It is transport-agnostic — the RPC worker calls
-// it with a RemoteStore after materialising spec.Job from the wire;
-// tests may call it directly against a local DFS.
-func ExecuteTask(store dfs.Store, spec TaskSpec) (TaskResult, error) {
+// executeTask is ExecuteTask with the choice the in-process executor
+// makes differently: with forceFiles unset, a map task's unspilled
+// runs stay in memory.
+func executeTask(store dfs.Store, spec TaskSpec, forceFiles bool) (TaskResult, error) {
 	job := spec.Job
 	if job == nil {
 		return TaskResult{}, fmt.Errorf("mapreduce: task %s has no job", spec.TaskID)
 	}
 	// A fresh registry per attempt: user counters reach the driver as
 	// a snapshot and are merged winner-only, so a failed or losing
-	// remote attempt contributes nothing.
+	// attempt contributes nothing.
 	counters := NewCounters()
 	ctx := &TaskContext{
 		JobName: job.Name, TaskID: spec.TaskID, Attempt: spec.Attempt, Node: spec.Node,
@@ -45,78 +46,77 @@ func ExecuteTask(store dfs.Store, spec TaskSpec) (TaskResult, error) {
 	var err error
 	switch spec.Phase {
 	case "map":
-		res, err = executeMapTask(store, job, ctx, spec)
+		res, err = executeMapTask(store, ctx, spec, forceFiles)
 	case "reduce":
-		res, err = executeReduceTask(store, job, ctx, spec)
+		res, err = executeReduceTask(store, ctx, spec)
 	default:
-		err = fmt.Errorf("mapreduce: task %s: unknown phase %q", spec.TaskID, spec.Phase)
+		err = fmt.Errorf("mapreduce: unknown phase %q", spec.Phase)
 	}
 	if err != nil {
-		return TaskResult{}, err
+		return TaskResult{}, fmt.Errorf("%s: %v", spec.TaskID, err)
 	}
 	res.UserCounters = counters.Snapshot()
 	return res, nil
 }
 
-func executeMapTask(store dfs.Store, job *Job, ctx *TaskContext, spec TaskSpec) (TaskResult, error) {
-	partition := job.Partitioner
-	if partition == nil {
-		partition = HashPartition
+// executeMapTask feeds the split through the mapper into a spiller and
+// seals the output: sorted runs for the shuffle, or — map-only — the
+// emitted records, in emission order, as the task's part file.
+func executeMapTask(store dfs.Store, ctx *TaskContext, spec TaskSpec, forceFiles bool) (TaskResult, error) {
+	sp := newMapSpiller(store, ctx, spec, forceFiles)
+	m := spec.Job.NewMapper()
+	if err := m.Setup(ctx); err != nil {
+		return TaskResult{}, fmt.Errorf("setup: %v", err)
 	}
-	// Force-spill: every partition of a remote map task must end
-	// file-backed, because the driver cannot reach this process's
-	// memory. At budget 0 that is exactly one sorted+combined run per
-	// partition — the same records, in the same order, the in-process
-	// path would hold in memory.
-	out, records, sp, err := execMapAttempt(store, job, ctx, spec, partition, spec.ShuffleBudget, !spec.MapOnly)
+	var records int64
+	err := readSplit(store, spec.Split, func(key, value string) error {
+		records++
+		return m.Map(ctx, key, value, sp.emit)
+	})
 	if err != nil {
 		return TaskResult{}, err
 	}
-	res := TaskResult{Records: records, Stats: sp.stats(records)}
+	if err := m.Cleanup(ctx, sp.emit); err != nil {
+		return TaskResult{}, fmt.Errorf("cleanup: %v", err)
+	}
+	res := TaskResult{Records: records}
 	if spec.MapOnly {
-		tmp := taskTempPath(job.Name, spec.TaskID, spec.Attempt)
-		if err := store.Create(tmp, encodePartFile(out.parts[0], job.BinaryOutput), spec.Node); err != nil {
-			return TaskResult{}, fmt.Errorf("%s: %v", spec.TaskID, err)
-		}
-		res.OutFile = tmp
-		return res, nil
+		res.OutFile, err = writeTaskOutput(store, spec, sp.parts[0])
+	} else {
+		res.MapRuns, err = sp.finish()
 	}
-	res.MapRuns = make([][]RunDesc, spec.NumReducers)
-	for p, runs := range out.fileRuns {
-		for _, r := range runs {
-			res.MapRuns[p] = append(res.MapRuns[p], RunDesc{Path: r.path, Records: r.records, Bytes: r.bytes})
-		}
-	}
-	return res, nil
+	res.Stats = sp.stats(records)
+	return res, err
 }
 
-func executeReduceTask(store dfs.Store, job *Job, ctx *TaskContext, spec TaskSpec) (TaskResult, error) {
-	pulls := make([]pullFunc, 0, len(spec.Runs))
+// executeReduceTask streams the k-way merge of the partition's runs
+// through the group iterator into the reducer. Each attempt opens its
+// own cursors, so concurrent speculative attempts need no defensive
+// copy and nobody re-sorts.
+func executeReduceTask(store dfs.Store, ctx *TaskContext, spec TaskSpec) (TaskResult, error) {
+	job := spec.Job
+	cursors := make([]cursor, len(spec.Runs))
 	var inRecords int64
-	for _, rd := range spec.Runs {
-		pull, err := openSpillRun(store, rd.Path)
+	for i, r := range spec.Runs {
+		c, err := r.open(store)
 		if err != nil {
-			return TaskResult{}, fmt.Errorf("%s: %v", spec.TaskID, err)
+			return TaskResult{}, err
 		}
-		pulls = append(pulls, pull)
-		inRecords += rd.Records
+		cursors[i] = c
+		inRecords += r.Records
 	}
-	it, err := newExtMergeIter(pulls, job.KeyCompare)
-	if err != nil {
-		return TaskResult{}, fmt.Errorf("%s: %v", spec.TaskID, err)
-	}
+	it := newMergeIter(cursors, job.KeyCompare)
 	var groups int64
 	out, err := runReduce(ctx, job.NewReducer(), it, &groups, job.KeyCompare)
 	if err == nil {
+		// The merge stream has no error channel; a run-file read
+		// failure ends it early and surfaces here.
 		err = it.Err()
 	}
 	if err != nil {
-		return TaskResult{}, fmt.Errorf("%s: %v", spec.TaskID, err)
+		return TaskResult{}, err
 	}
-	tmp := taskTempPath(job.Name, spec.TaskID, spec.Attempt)
-	if err := store.Create(tmp, encodePartFile(out, job.BinaryOutput), spec.Node); err != nil {
-		return TaskResult{}, fmt.Errorf("%s: %v", spec.TaskID, err)
-	}
+	tmp, err := writeTaskOutput(store, spec, out)
 	return TaskResult{
 		Records: inRecords,
 		OutFile: tmp,
@@ -125,5 +125,14 @@ func executeReduceTask(store dfs.Store, job *Job, ctx *TaskContext, spec TaskSpe
 			ReduceOutputRecords: int64(len(out)),
 			ReduceInputGroups:   groups,
 		},
-	}, nil
+	}, err
+}
+
+// writeTaskOutput stores a reduce or map-only attempt's part file at
+// its attempt-unique temp path: concurrent speculative attempts of one
+// task never collide, and a retry never collides with the debris of a
+// failed earlier attempt.
+func writeTaskOutput(store dfs.Store, spec TaskSpec, kvs []KV) (string, error) {
+	tmp := fmt.Sprintf("%s/%s-a%04d", tmpDir(spec.Job.Name), spec.TaskID, spec.Attempt)
+	return tmp, store.Create(tmp, encodePartFile(kvs, spec.Job.BinaryOutput), spec.Node)
 }

@@ -130,31 +130,28 @@ type TypedJob[KI, VI, KM, VM, KO, VO any] struct {
 	Cache       map[string][]byte
 	MaxAttempts int
 	Parent      string
-	// MaxShuffleBytes, MemoryTargetBytes and CompressSpill configure
-	// the memory-bounded external shuffle; see the Job fields of the
-	// same names.
-	MaxShuffleBytes   int64
-	MemoryTargetBytes int64
-	CompressSpill     bool
+	// MaxShuffleBytes and CompressSpill configure the map-side spill;
+	// see the Job fields of the same names.
+	MaxShuffleBytes int64
+	CompressSpill   bool
 }
 
 // Build lowers the typed job onto the untyped engine Job.
 func (tj *TypedJob[KI, VI, KM, VM, KO, VO]) Build() *Job {
 	job := &Job{
-		Name:              tj.Name,
-		Kind:              tj.Kind,
-		InputPaths:        tj.InputPaths,
-		OutputPath:        tj.OutputPath,
-		NumReducers:       tj.NumReducers,
-		Conf:              tj.Conf,
-		Cache:             tj.Cache,
-		MaxAttempts:       tj.MaxAttempts,
-		Parent:            tj.Parent,
-		KeyCompare:        tj.KeyCompare,
-		BinaryOutput:      !tj.TextOutput,
-		MaxShuffleBytes:   tj.MaxShuffleBytes,
-		MemoryTargetBytes: tj.MemoryTargetBytes,
-		CompressSpill:     tj.CompressSpill,
+		Name:            tj.Name,
+		Kind:            tj.Kind,
+		InputPaths:      tj.InputPaths,
+		OutputPath:      tj.OutputPath,
+		NumReducers:     tj.NumReducers,
+		Conf:            tj.Conf,
+		Cache:           tj.Cache,
+		MaxAttempts:     tj.MaxAttempts,
+		Parent:          tj.Parent,
+		KeyCompare:      tj.KeyCompare,
+		BinaryOutput:    !tj.TextOutput,
+		MaxShuffleBytes: tj.MaxShuffleBytes,
+		CompressSpill:   tj.CompressSpill,
 	}
 	if tj.Mapper != nil {
 		job.NewMapper = func() Mapper {

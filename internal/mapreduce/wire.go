@@ -85,16 +85,16 @@ type JobWire struct {
 	HasCombiner bool
 	Conf        map[string]string
 	Cache       map[string][]byte
-	// ShuffleBudget is the driver-resolved per-task spill budget
-	// (adaptive derivation included), so workers never re-derive it.
-	ShuffleBudget int64
-	CompressSpill bool
+	// MaxShuffleBytes and CompressSpill are the Job fields of the same
+	// names.
+	MaxShuffleBytes int64
+	CompressSpill   bool
 }
 
 // Wire converts the job for shipping to a worker. It fails when the
 // job has no kind, or the kind is not registered in this binary —
 // catching a typo driver-side beats a per-task failure worker-side.
-func (j *Job) Wire(shuffleBudget int64) (JobWire, error) {
+func (j *Job) Wire() (JobWire, error) {
 	if j.Kind == "" {
 		return JobWire{}, fmt.Errorf("mapreduce: job %s has no Kind; remote execution needs a registered kind", j.Name)
 	}
@@ -102,15 +102,15 @@ func (j *Job) Wire(shuffleBudget int64) (JobWire, error) {
 		return JobWire{}, fmt.Errorf("mapreduce: job %s: kind %q is not registered", j.Name, j.Kind)
 	}
 	return JobWire{
-		Name:          j.Name,
-		Kind:          j.Kind,
-		NumReducers:   j.NumReducers,
-		BinaryOutput:  j.BinaryOutput,
-		HasCombiner:   j.NewCombiner != nil,
-		Conf:          j.Conf,
-		Cache:         j.Cache,
-		ShuffleBudget: shuffleBudget,
-		CompressSpill: j.CompressSpill,
+		Name:            j.Name,
+		Kind:            j.Kind,
+		NumReducers:     j.NumReducers,
+		BinaryOutput:    j.BinaryOutput,
+		HasCombiner:     j.NewCombiner != nil,
+		Conf:            j.Conf,
+		Cache:           j.Cache,
+		MaxShuffleBytes: j.MaxShuffleBytes,
+		CompressSpill:   j.CompressSpill,
 	}, nil
 }
 
@@ -127,7 +127,7 @@ func (w JobWire) Materialize() (*Job, error) {
 		BinaryOutput:    w.BinaryOutput,
 		Conf:            w.Conf,
 		Cache:           w.Cache,
-		MaxShuffleBytes: w.ShuffleBudget,
+		MaxShuffleBytes: w.MaxShuffleBytes,
 		CompressSpill:   w.CompressSpill,
 		NewMapper:       k.NewMapper,
 		NewReducer:      k.NewReducer,

@@ -119,18 +119,17 @@ type Event struct {
 }
 
 // PartStat summarises one reduce partition's share of the shuffle: how
-// many pre-sorted map-output runs were merged into it, the record and
-// byte volume routed to it, and the merge wall time.
+// many pre-sorted map-output runs feed it, and the record and byte
+// volume routed to it. (The merge itself streams inside the reduce
+// attempt, so its time is part of that attempt's span.)
 type PartStat struct {
 	// Part is the 0-based reduce partition index.
 	Part int `json:"part"`
-	// Runs is the number of map-output runs merged.
+	// Runs is the number of map-output runs the reduce task merges.
 	Runs int64 `json:"runs"`
-	// Records and Bytes are the merged record count and byte volume.
+	// Records and Bytes are the partition's record count and byte volume.
 	Records int64 `json:"records"`
 	Bytes   int64 `json:"bytes"`
-	// DurUs is the partition's merge wall time in microseconds.
-	DurUs int64 `json:"dur_us"`
 }
 
 // Sink consumes events. Implementations must be safe for concurrent

@@ -155,12 +155,12 @@ func TestMetricsSinkPartitionCounters(t *testing.T) {
 	reg := NewRegistry()
 	s := NewMetricsSink(reg)
 	s.Emit(Event{Type: PhaseEnd, Phase: "shuffle", Value: 60, Dur: time.Millisecond, Parts: []PartStat{
-		{Part: 0, Runs: 2, Records: 3, Bytes: 10, DurUs: 5},
-		{Part: 1, Runs: 2, Records: 97, Bytes: 50, DurUs: 40},
+		{Part: 0, Runs: 2, Records: 3, Bytes: 10},
+		{Part: 1, Runs: 2, Records: 97, Bytes: 50},
 	}})
 	// A second job's shuffle accumulates into the same partition series.
 	s.Emit(Event{Type: PhaseEnd, Phase: "shuffle", Value: 4, Dur: time.Millisecond, Parts: []PartStat{
-		{Part: 0, Runs: 1, Records: 1, Bytes: 4, DurUs: 2},
+		{Part: 0, Runs: 1, Records: 1, Bytes: 4},
 	}})
 
 	var sb strings.Builder

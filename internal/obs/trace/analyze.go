@@ -36,9 +36,9 @@ type PathStep struct {
 	// Phase is "map", "shuffle", "reduce" or "driver".
 	Phase string `json:"phase"`
 	// Kind is "attempt" (a bounding task attempt ran), "wait" (inside
-	// a phase but off any bounding attempt: slot queueing, merge
-	// scheduling), "merge" (the shuffle's bounding partition merge) or
-	// "driver" (between phases: split computation, output commit).
+	// a phase but off any bounding attempt: slot queueing, shuffle
+	// planning) or "driver" (between phases: split computation, output
+	// commit).
 	Kind string `json:"kind"`
 	// Task/Attempt/Node identify the bounding attempt for attempt steps.
 	Task    string `json:"task,omitempty"`
@@ -248,7 +248,7 @@ func subKey(phase, task string, attempt int) string {
 
 // criticalPath builds the chain of segments that bounded the job's
 // wall-clock. Each phase is a barrier: it ends when its last attempt
-// (or partition merge) finishes, so the bounding chain inside a phase
+// finishes, so the bounding chain inside a phase
 // is reconstructed backwards from the phase end — the last-finishing
 // attempt, then the latest attempt finishing before it started (whose
 // completion freed the slot), and so on; residual time inside the
@@ -291,28 +291,7 @@ func phaseChain(phase *Span) []PathStep {
 	sort.SliceStable(done, func(i, j int) bool { return done[i].EndUs > done[j].EndUs })
 
 	if len(done) == 0 {
-		// No attempts: the shuffle. Attribute the bounding partition
-		// merge when recorded, otherwise the whole phase is one step.
-		if len(phase.Parts) > 0 {
-			var maxDur int64
-			var hot obs.PartStat
-			for _, p := range phase.Parts {
-				if p.DurUs >= maxDur {
-					maxDur = p.DurUs
-					hot = p
-				}
-			}
-			if maxDur > 0 && maxDur < phase.DurUs() {
-				mid := phase.EndUs - maxDur
-				return []PathStep{
-					{Phase: phase.Name, Kind: "wait", StartUs: phase.StartUs, EndUs: mid},
-					{Phase: phase.Name, Kind: "merge", Task: partName(hot.Part),
-						StartUs: mid, EndUs: phase.EndUs},
-				}
-			}
-			return []PathStep{{Phase: phase.Name, Kind: "merge",
-				Task: partName(hot.Part), StartUs: phase.StartUs, EndUs: phase.EndUs}}
-		}
+		// No attempts: the shuffle, which only plans.
 		return []PathStep{{Phase: phase.Name, Kind: "wait",
 			StartUs: phase.StartUs, EndUs: phase.EndUs}}
 	}
@@ -364,20 +343,6 @@ func phaseChain(phase *Span) []PathStep {
 // Task returns the attempt's task name (attempt spans store it in
 // Name).
 func (s *Span) Task() string { return s.Name }
-
-func partName(p int) string {
-	return "merge-p" + itoa4(p)
-}
-
-func itoa4(n int) string {
-	const digits = "0123456789"
-	buf := [4]byte{'0', '0', '0', '0'}
-	for i := 3; i >= 0 && n > 0; i-- {
-		buf[i] = digits[n%10]
-		n /= 10
-	}
-	return string(buf[:])
-}
 
 // attribute folds path steps into per-phase costs, phase order first,
 // "driver" last. Durations sum to the job wall by construction.

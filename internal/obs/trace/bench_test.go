@@ -34,7 +34,7 @@ func benchEvents(jobs, tasks int) []obs.Event {
 		mk(obs.PhaseEnd, mapEnd, obs.Event{Job: job, Phase: "map"})
 		parts := make([]obs.PartStat, 4)
 		for p := range parts {
-			parts[p] = obs.PartStat{Part: p, Runs: int64(tasks), Records: 100, Bytes: 3200, DurUs: 50}
+			parts[p] = obs.PartStat{Part: p, Runs: int64(tasks), Records: 100, Bytes: 3200}
 		}
 		mk(obs.PhaseStart, mapEnd+5, obs.Event{Job: job, Phase: "shuffle"})
 		mk(obs.PhaseEnd, mapEnd+100, obs.Event{Job: job, Phase: "shuffle", Value: 12800, Parts: parts})

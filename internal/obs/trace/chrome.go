@@ -29,13 +29,11 @@ type ChromeTrace struct {
 
 // Thread-ID layout of the export: tid 0 is the control lane (pipeline,
 // job and phase spans, which nest by time containment), node attempt
-// lanes follow from tid 1, per-partition shuffle-merge lanes start at
-// mergeTidBase, and remote-worker execution lanes (clock-corrected
-// worker-side task windows) start at execTidBase.
+// lanes follow from tid 1, and remote-worker execution lanes (clock-
+// corrected worker-side task windows) start at execTidBase.
 const (
-	controlTid   = 0
-	mergeTidBase = 1000
-	execTidBase  = 2000
+	controlTid  = 0
+	execTidBase = 2000
 )
 
 // EncodeChrome renders the tree as Chrome trace_event JSON. The output
@@ -79,7 +77,6 @@ func BuildChrome(t *Tree) *ChromeTrace {
 	var lanes []*lane
 	laneTid := make(map[*lane]int)
 	nodeLanes := make(map[string][]*lane)
-	mergeTids := make(map[int]bool)
 
 	var attempts []*Span
 	t.Root.Walk(func(s *Span) {
@@ -179,10 +176,7 @@ func BuildChrome(t *Tree) *ChromeTrace {
 		}
 	}
 
-	// Walk the tree: control spans on tid 0, attempts on node lanes,
-	// shuffle Parts synthesised as merge spans on partition lanes
-	// (their start is approximated at the phase start; the engine
-	// records only each merge's duration).
+	// Walk the tree: control spans on tid 0, attempts on node lanes.
 	t.Root.Walk(func(s *Span) {
 		args := map[string]any{"status": s.Status}
 		if s.Detail != "" {
@@ -199,17 +193,6 @@ func BuildChrome(t *Tree) *ChromeTrace {
 				args["bytes"] = s.Value
 			}
 			complete(s.Name, s.Kind, controlTid, s.StartUs, s.DurUs(), args)
-			for _, p := range s.Parts {
-				mt := mergeTidBase + p.Part
-				if !mergeTids[mt] {
-					mergeTids[mt] = true
-					meta("thread_name", mt, map[string]any{
-						"name": fmt.Sprintf("merge p%d", p.Part),
-					})
-				}
-				complete(fmt.Sprintf("merge-p%04d", p.Part), "merge", mt, s.StartUs, p.DurUs,
-					map[string]any{"runs": p.Runs, "records": p.Records, "bytes": p.Bytes})
-			}
 		case KindAttempt:
 			args["attempt"] = s.Attempt
 			if s.Locality != "" {

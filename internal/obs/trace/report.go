@@ -24,8 +24,6 @@ func WriteReport(w io.Writer, t *Tree, a *Analysis) {
 			case "attempt":
 				fmt.Fprintf(w, "    -> %-8s %8s  %s/%d on %s\n",
 					st.Phase, usDur(st.DurUs()), st.Task, st.Attempt, st.Node)
-			case "merge":
-				fmt.Fprintf(w, "    -> %-8s %8s  %s\n", st.Phase, usDur(st.DurUs()), st.Task)
 			default:
 				fmt.Fprintf(w, "    -> %-8s %8s  (%s)\n", st.Phase, usDur(st.DurUs()), st.Kind)
 			}
@@ -55,9 +53,8 @@ func WriteReport(w io.Writer, t *Tree, a *Analysis) {
 			sk := ja.Skew
 			fmt.Fprintf(w, "  shuffle skew: %d partition(s), %d records, %d bytes, imbalance %.2fx\n",
 				sk.Partitions, sk.TotalRecords, sk.TotalBytes, sk.Imbalance)
-			fmt.Fprintf(w, "    hottest: p%04d  runs=%d records=%d bytes=%d merge=%s\n",
-				sk.MaxPart.Part, sk.MaxPart.Runs, sk.MaxPart.Records, sk.MaxPart.Bytes,
-				usDur(sk.MaxPart.DurUs))
+			fmt.Fprintf(w, "    hottest: p%04d  runs=%d records=%d bytes=%d\n",
+				sk.MaxPart.Part, sk.MaxPart.Runs, sk.MaxPart.Records, sk.MaxPart.Bytes)
 			for _, p := range sk.Hot {
 				fmt.Fprintf(w, "    HOT p%04d: records=%d bytes=%d (imbalanced partition)\n",
 					p.Part, p.Records, p.Bytes)

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -54,9 +55,9 @@ func fixtureEvents() []obs.Event {
 		mk(obs.PhaseEnd, 5000, obs.Event{Job: "job-a", Phase: "map"}),
 		mk(obs.PhaseStart, 5100, obs.Event{Job: "job-a", Phase: "shuffle"}),
 		mk(obs.PhaseEnd, 6000, obs.Event{Job: "job-a", Phase: "shuffle", Value: 6000, Parts: []obs.PartStat{
-			{Part: 0, Runs: 1, Records: 2, Bytes: 100, DurUs: 50},
-			{Part: 1, Runs: 1, Records: 4, Bytes: 200, DurUs: 60},
-			{Part: 2, Runs: 3, Records: 94, Bytes: 5700, DurUs: 700},
+			{Part: 0, Runs: 1, Records: 2, Bytes: 100},
+			{Part: 1, Runs: 1, Records: 4, Bytes: 200},
+			{Part: 2, Runs: 3, Records: 94, Bytes: 5700},
 		}}),
 		mk(obs.PhaseStart, 6100, obs.Event{Job: "job-a", Phase: "reduce"}),
 		mk(obs.AttemptStarted, 6200, obs.Event{Job: "job-a", Phase: "reduce", Task: "reduce-0000", Node: "n2"}),
@@ -105,7 +106,7 @@ func TestAssembleBuildsCausalTree(t *testing.T) {
 	}
 	statuses := map[string]string{}
 	for _, a := range mapPhase.Children {
-		statuses[a.Name+"/"+itoa4(a.Attempt)] = a.Status
+		statuses[fmt.Sprintf("%s/%04d", a.Name, a.Attempt)] = a.Status
 	}
 	for key, want := range map[string]string{
 		"map-0000/0000": StatusSucceeded,
@@ -281,26 +282,20 @@ func TestChromeExportRoundTripsAgainstSchema(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exported trace does not validate: %v", err)
 	}
-	var complete, meta, merges int
+	var complete, meta int
 	threads := map[int]bool{}
 	for _, e := range ct.TraceEvents {
 		switch e.Ph {
 		case "X":
 			complete++
 			threads[e.Tid] = true
-			if e.Cat == "merge" {
-				merges++
-			}
 		case "M":
 			meta++
 		}
 	}
-	// 1 pipeline + 1 sub-span + 1 job + 3 phases + 7 attempts + 3 merges.
-	if complete != 16 {
-		t.Errorf("complete events: %d, want 16", complete)
-	}
-	if merges != 3 {
-		t.Errorf("merge events: %d, want 3", merges)
+	// 1 pipeline + 1 sub-span + 1 job + 3 phases + 7 attempts.
+	if complete != 13 {
+		t.Errorf("complete events: %d, want 13", complete)
 	}
 	// Every referenced thread carries a thread_name metadata record.
 	named := map[int]bool{}
@@ -366,15 +361,16 @@ func TestAnalyzeCriticalPathTilesJobWall(t *testing.T) {
 	if pct < 99.9 || pct > 100.1 {
 		t.Errorf("percentages sum to %.2f", pct)
 	}
-	// The shuffle chain names the slowest partition merge.
-	var mergeStep *PathStep
-	for i := range ja.Path {
-		if ja.Path[i].Kind == "merge" {
-			mergeStep = &ja.Path[i]
+	// The shuffle only plans: no attempt bounds it, so it is one wait
+	// step.
+	var shuffleSteps []PathStep
+	for _, st := range ja.Path {
+		if st.Phase == "shuffle" {
+			shuffleSteps = append(shuffleSteps, st)
 		}
 	}
-	if mergeStep == nil || mergeStep.Task != "merge-p0002" {
-		t.Errorf("shuffle critical step: %+v", mergeStep)
+	if len(shuffleSteps) != 1 || shuffleSteps[0].Kind != "wait" {
+		t.Errorf("shuffle critical steps: %+v", shuffleSteps)
 	}
 
 	// Straggler pass: the killed original of map-0001 ran 2400µs against
