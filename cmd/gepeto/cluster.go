@@ -1,18 +1,17 @@
-// The multi-process cluster commands: `gepeto jobtracker` drives a
-// k-means job through the RPC backend over real TCP, and `gepeto
-// worker` is one tasktracker process. Together they form a local
-// Hadoop-style deployment: one jobtracker process owning the namenode
-// (DFS) and scheduler, N worker processes executing tasks, all task
+// The two cluster-specific commands: `gepeto worker` is one
+// tasktracker process, `gepeto cluster` renders a deployment's live
+// worker table. Any pipeline command run with -workers N is the
+// jobtracker (see deploy): one process owning the namenode (DFS) and
+// scheduler, N worker processes executing tasks, all task
 // input/intermediate/output bytes crossing process boundaries.
 //
-//	gepeto jobtracker -in data -workers 3 -addr-file jt.addr &
+//	gepeto attack -in data -workers 3 -addr-file jt.addr &
 //	gepeto worker -node node-00 -addr-file jt.addr &
 //	gepeto worker -node node-01 -addr-file jt.addr &
 //	gepeto worker -node node-02 -addr-file jt.addr &
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -20,20 +19,11 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/cluster/rpc"
-	"repro/internal/dfs"
-	"repro/internal/geo"
-	"repro/internal/geolife"
-	"repro/internal/gepeto"
-	"repro/internal/mapreduce"
 	"repro/internal/obs"
-	obstrace "repro/internal/obs/trace"
 )
 
 // resolveJTAddr returns the jobtracker address from -jobtracker or,
@@ -65,7 +55,7 @@ func cmdWorker(args []string) error {
 	node := fs.String("node", "", "cluster node ID this worker serves (e.g. node-00); required")
 	slots := fs.Int("slots", 4, "concurrent task slots")
 	jtAddr := fs.String("jobtracker", "", "jobtracker address (host:port)")
-	addrFile := fs.String("addr-file", "", "file to read the jobtracker address from (written by `gepeto jobtracker -addr-file`)")
+	addrFile := fs.String("addr-file", "", "file to read the jobtracker address from (written by the command run with `-workers -addr-file`)")
 	listen := fs.String("listen", "127.0.0.1:0", "address to listen on for task assignments")
 	heartbeat := fs.Duration("heartbeat", 250*time.Millisecond, "heartbeat period")
 	overhead := fs.Duration("task-overhead", 0, "artificial per-task startup sleep (fault-drill pacing)")
@@ -114,190 +104,13 @@ func cmdWorker(args []string) error {
 	return nil
 }
 
-func cmdJobtracker(args []string) error {
-	fs := flag.NewFlagSet("jobtracker", flag.ExitOnError)
-	in := fs.String("in", "data", "input path: directory containing the input files")
-	k := fs.Int("k", 11, "number of clusters outputted by the algorithm")
-	distName := fs.String("distance", "squaredeuclidean",
-		"name of the metric used for measuring distance between points (squaredeuclidean|euclidean|haversine|manhattan)")
-	delta := fs.Float64("convergencedelta", 1e-4, "value used for determining the convergence after each iteration (degrees)")
-	maxIter := fs.Int("maxiter", 150, "maximum number of iterations")
-	combiner := fs.Bool("combiner", false, "enable the map-side partial-sum combiner")
-	seed := fs.Int64("seed", 1, "initial-centroid seed")
-	nodes := fs.Int("nodes", 3, "cluster nodes (each needs a registered worker)")
-	racks := fs.Int("racks", 2, "racks the nodes spread over")
-	slots := fs.Int("slots", 4, "task slots per node (must match the workers')")
-	chunkMB := fs.Int64("chunk", 64, "DFS chunk size in MB")
-	listen := fs.String("listen", "127.0.0.1:0", "address to listen on")
-	addrFile := fs.String("addr-file", "", "write the bound address to this file (workers poll it)")
-	workers := fs.Int("workers", 3, "worker processes to wait for before submitting the job")
-	wait := fs.Duration("wait", 30*time.Second, "how long to wait for workers")
-	grace := fs.Duration("grace", 2*time.Second, "heartbeat grace before a silent worker is declared lost")
-	centroidsOut := fs.String("centroids-out", "", "also write the final centroid lines to this file")
-	status := fs.String("status", "",
-		`serve live cluster status (/cluster, federated /metrics, /trace/, /analyze/) on this address (":0" picks a port)`)
-	statusFile := fs.String("status-file", "", "write the status server's bound address to this file")
-	historyDir := fs.String("historydir", defaultHistoryDir,
-		`local directory mirroring job history and traces ("" disables the mirror)`)
-	linger := fs.Duration("linger", 0,
-		"keep the status server (and jobtracker) up this long after the job finishes; SIGINT/SIGTERM ends early")
-	logLevel := fs.String("log-level", "warn", "structured log level (debug|info|warn|error|off)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	metric, err := geo.ParseMetric(*distName)
-	if err != nil {
-		return err
-	}
-	logger, err := obs.NewLevelLogger(*logLevel)
-	if err != nil {
-		return err
-	}
-	c, err := cluster.NewUniform(*nodes, *racks, *slots)
-	if err != nil {
-		return err
-	}
-	filesystem, err := dfs.New(c, dfs.Config{ChunkSize: *chunkMB << 20})
-	if err != nil {
-		return err
-	}
-
-	// Observability plane: one registry shared by the jobtracker's own
-	// telemetry and the event-derived cluster counters (MetricsSink),
-	// plus the causal-trace collector persisted beside job history.
-	tracker := obs.NewTracker()
-	reg := obs.NewRegistry()
-	var store *obstrace.Store
-	var hist *obs.History
-	if *historyDir != "" {
-		store = obstrace.NewStore(obs.NewDirFS(*historyDir))
-		hist = obs.NewHistory(obs.NewDirFS(*historyDir))
-	}
-	collector := obstrace.NewCollector(store, 0)
-	bus := obs.NewBus(tracker, obs.NewMetricsSink(reg), collector)
-
-	tcp := &rpc.TCPNetwork{}
-	jt := rpc.NewJobtracker(rpc.JobtrackerConfig{
-		Cluster: c, FS: filesystem, Transport: tcp, HeartbeatGrace: *grace,
-		Obs: bus, Registry: reg, Logger: logger,
-	})
-	defer jt.Stop()
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		return err
-	}
-	defer ln.Close()
-	go func() {
-		if serr := rpc.Serve(ln, jt.Server()); serr != nil {
-			return // listener closed at teardown
-		}
-	}()
-	fmt.Fprintf(os.Stderr, "jobtracker listening on %s\n", ln.Addr())
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
-			return err
-		}
-	}
-
-	var srv *obs.StatusServer
-	if *status != "" {
-		// The registry is deliberately NOT handed to the server: the
-		// jobtracker's merged snapshot (own registry + synthesized
-		// cluster gauges + federated per-worker series) is the single
-		// source, so no family is rendered twice.
-		srv, err = obs.NewStatusServer(*status, tracker, nil, hist)
-		if err != nil {
-			return err
-		}
-		srv.Extra = func() string {
-			var sb strings.Builder
-			obs.WriteMetricPoints(&sb, jt.MetricsSnapshot())
-			return sb.String()
-		}
-		srv.ExtraJSON = jt.MetricsSnapshot
-		srv.Handle("/cluster", jt.ClusterHandler())
-		srv.Handle("/cluster.json", jt.ClusterHandler())
-		src := obstrace.Multi(collector, store)
-		srv.Handle("/trace/", obstrace.TraceHandler("/trace/", src))
-		srv.Handle("/analyze/", obstrace.AnalyzeHandler("/analyze/", src, obstrace.Options{}))
-		fmt.Fprintf(os.Stderr, "status server listening on %s\n", srv.URL())
-		if *statusFile != "" {
-			if err := os.WriteFile(*statusFile, []byte(srv.Addr()+"\n"), 0o644); err != nil {
-				return err
-			}
-		}
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			if err := srv.Shutdown(ctx); err != nil {
-				fmt.Fprintf(os.Stderr, "status server shutdown: %v\n", err)
-			}
-		}()
-	}
-
-	if err := jt.WaitForWorkers(*workers, *wait); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "%d workers registered: %s\n", *workers, strings.Join(jt.Workers(), " "))
-
-	ds, err := geolife.ReadRecordsLocal(*in)
-	if err != nil {
-		return err
-	}
-	if err := geolife.WriteRecords(filesystem, "input", ds); err != nil {
-		return err
-	}
-	engine := mapreduce.NewEngine(c, filesystem, mapreduce.Options{
-		Executor: jt.Executor(), Obs: bus, History: hist,
-	})
-	fmt.Printf("k-means on %d traces (%d worker processes)\n", ds.NumTraces(), *workers)
-	res, err := gepeto.KMeansMR(engine, []string{"input"}, "input-kmeans-work", gepeto.KMeansOptions{
-		K: *k, Distance: metric, ConvergenceDelta: *delta,
-		MaxIter: *maxIter, UseCombiner: *combiner, Seed: *seed,
-	})
-	if err != nil {
-		return err
-	}
-	var total time.Duration
-	for _, ir := range res.IterationResults {
-		total += ir.Wall
-	}
-	fmt.Printf("iterations=%d converged=%v mean-iter=%v total=%v\n",
-		res.Iterations, res.Converged,
-		(total / time.Duration(res.Iterations)).Round(time.Millisecond),
-		total.Round(time.Millisecond))
-	fmt.Print(centroidLines(res))
-	if *centroidsOut != "" {
-		if err := os.WriteFile(*centroidsOut, []byte(centroidLines(res)), 0o644); err != nil {
-			return err
-		}
-	}
-	if *linger > 0 && srv != nil {
-		// Workers keep heartbeating (and federating metrics) while the
-		// status server lingers, so /cluster and /metrics can be
-		// scraped after the job — a smoke test's observation window.
-		fmt.Fprintf(os.Stderr, "job done; status server lingering %v on %s (SIGINT/SIGTERM to exit)\n",
-			*linger, srv.URL())
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		select {
-		case <-sig:
-			fmt.Fprintln(os.Stderr, "interrupted; shutting down")
-		case <-time.After(*linger):
-		}
-		signal.Stop(sig)
-	}
-	jt.ShutdownWorkers()
-	return nil
-}
-
 // cmdCluster renders a live jobtracker's /cluster.json as the worker
 // table — heartbeat ages, busy slots, in-flight attempts, per-worker
 // task and RPC tallies, clock offsets, and lost workers.
 func cmdCluster(args []string) error {
 	fs := flag.NewFlagSet("cluster", flag.ExitOnError)
 	status := fs.String("status", "", "jobtracker status server address (host:port)")
-	statusFile := fs.String("status-file", "", "file to read the status address from (written by `gepeto jobtracker -status-file`)")
+	statusFile := fs.String("status-file", "", "file to read the status address from (written by `-status-file`)")
 	asJSON := fs.Bool("json", false, "print the raw cluster state JSON instead of the table")
 	timeout := fs.Duration("timeout", 5*time.Second, "HTTP request timeout")
 	if err := fs.Parse(args); err != nil {
@@ -330,14 +143,4 @@ func cmdCluster(args []string) error {
 	}
 	fmt.Print(rpc.RenderClusterTable(st))
 	return nil
-}
-
-// centroidLines renders the final clustering in the exact format
-// cmdKMeans prints, so in-process and multi-process runs diff cleanly.
-func centroidLines(res *gepeto.KMeansResult) string {
-	var sb strings.Builder
-	for i, c := range res.Centroids {
-		fmt.Fprintf(&sb, "  centroid %2d at %s (%d traces)\n", i, c, res.Sizes[i])
-	}
-	return sb.String()
 }

@@ -1,8 +1,8 @@
 // Command gepeto is the command-line front end of the MapReduced
 // GEPETO toolkit. It operates on local directories of .rec trace files
-// (one file per user, "user TAB lat,lon,alt,unix" lines), spins up an
-// in-process simulated Hadoop cluster, and runs the paper's
-// algorithms:
+// (one file per user, "user TAB lat,lon,alt,unix" lines), spins up a
+// simulated Hadoop cluster — in-process, or with -workers N over real
+// `gepeto worker` processes — and runs the paper's algorithms:
 //
 //	gepeto generate   synthesize a GeoLife-like dataset (+ ground truth)
 //	gepeto sample     down-sampling (§V)
@@ -23,12 +23,18 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"os/signal"
 	"sort"
+	"strings"
+	"syscall"
 	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/cluster/rpc"
 	"repro/internal/core"
+	"repro/internal/dfs"
 	"repro/internal/geo"
 	"repro/internal/geolife"
 	"repro/internal/gepeto"
@@ -75,8 +81,6 @@ func main() {
 		err = cmdSocial(args)
 	case "mmc":
 		err = cmdMMC(args)
-	case "jobtracker":
-		err = cmdJobtracker(args)
 	case "worker":
 		err = cmdWorker(args)
 	case "cluster":
@@ -116,16 +120,18 @@ commands:
   stats      summarise a dataset (users, sessions, density, extent)
   social     co-location social-link discovery (two chained MR jobs)
   mmc        build Mobility Markov Chains per user and evaluate prediction
-  jobtracker run a k-means job on out-of-process workers over TCP
-  worker     one tasktracker process serving a jobtracker
-  cluster    live worker table from a jobtracker's status server
+  worker     one tasktracker process serving a command run with -workers
+  cluster    live worker table from such a command's status server
   history    list stored job runs and render per-node attempt timelines
   analyze    critical-path / straggler / shuffle-skew report from traces
 
-cluster commands also accept -status ADDR (live jobtracker status +
-/metrics + /trace/ + /analyze/ + pprof over HTTP) and -historydir DIR
+cluster commands (synth, sample, kmeans, djcluster, rtree, attack,
+sanitize, social, mmc) also accept -status ADDR (live jobtracker status
++ /metrics + /trace/ + /analyze/ + pprof over HTTP), -historydir DIR
 (job-history and trace mirror, read back by "gepeto history" and
-"gepeto analyze").
+"gepeto analyze") and -workers N: run every task on N "gepeto worker"
+processes over TCP instead of in-process (-addr-file tells the workers
+where; -listen -wait -grace -status-file -linger -log-level tune it).
 
 run "gepeto <command> -h" for flags`)
 }
@@ -134,36 +140,46 @@ run "gepeto <command> -h" for flags`)
 // where `gepeto history` looks by default.
 const defaultHistoryDir = ".gepeto/history"
 
-// clusterFlags adds the shared simulated-deployment flags plus the
-// observability flags (-status, -historydir).
-func clusterFlags(fs *flag.FlagSet) (nodes, racks, slots *int, chunkMB *int64) {
-	nodes = fs.Int("nodes", 7, "worker nodes in the simulated cluster")
-	racks = fs.Int("racks", 2, "racks the nodes spread over")
-	slots = fs.Int("slots", 4, "task slots per node")
-	chunkMB = fs.Int64("chunk", 64, "DFS chunk size in MB (paper uses 64 and 32)")
-	fs.StringVar(&obsCfg.status, "status", "",
-		`serve live jobtracker status, /metrics and pprof on this address (e.g. ":8042"; ":0" picks a port)`)
-	fs.StringVar(&obsCfg.historyDir, "historydir", defaultHistoryDir,
-		`local directory mirroring job history for "gepeto history" ("" disables the mirror)`)
-	return
+// deployFlags are the flags every cluster command shares: the shape of
+// the deployment, its observability surfaces, and — with -workers —
+// the out-of-process backend.
+type deployFlags struct {
+	nodes, racks, slots *int
+	chunkMB             *int64
+	status, historyDir  *string
+
+	workers                      *int
+	listen, addrFile, statusFile *string
+	wait, grace, linger          *time.Duration
+	logLevel                     *string
 }
 
-// obsCfg carries the parsed observability flags into deployAndLoad
-// (package-level because clusterFlags' return signature predates it).
-var obsCfg struct {
-	status     string
-	historyDir string
+func clusterFlags(fs *flag.FlagSet) *deployFlags {
+	return &deployFlags{
+		nodes:   fs.Int("nodes", 7, "worker nodes in the simulated cluster"),
+		racks:   fs.Int("racks", 2, "racks the nodes spread over"),
+		slots:   fs.Int("slots", 4, "task slots per node (with -workers: must match the workers')"),
+		chunkMB: fs.Int64("chunk", 64, "DFS chunk size in MB (paper uses 64 and 32)"),
+		status: fs.String("status", "",
+			`serve live jobtracker status, /metrics and pprof (with -workers also /cluster and federated worker metrics) on this address (e.g. ":8042"; ":0" picks a port)`),
+		historyDir: fs.String("historydir", defaultHistoryDir,
+			`local directory mirroring job history and traces for "gepeto history" / "gepeto analyze" ("" disables the mirror)`),
+		workers: fs.Int("workers", 0,
+			"run every task on this many `gepeto worker` processes over TCP, one per node (overrides -nodes); 0 runs tasks in-process"),
+		listen:     fs.String("listen", "127.0.0.1:0", "with -workers: address the jobtracker listens on"),
+		addrFile:   fs.String("addr-file", "", "with -workers: write the jobtracker's bound address to this file (workers poll it)"),
+		wait:       fs.Duration("wait", 30*time.Second, "with -workers: how long to wait for the workers to register"),
+		grace:      fs.Duration("grace", 2*time.Second, "with -workers: heartbeat grace before a silent worker is declared lost"),
+		statusFile: fs.String("status-file", "", "write the status server's bound address to this file"),
+		linger: fs.Duration("linger", 0,
+			"keep the status server (and workers) up this long after the command's work ends, successfully or not; SIGINT/SIGTERM ends early"),
+		logLevel: fs.String("log-level", "warn", "with -workers: jobtracker log level (debug|info|warn|error|off)"),
+	}
 }
 
-// deployAndLoad builds a toolkit and uploads the local dataset dir.
-// When -status or -historydir is set it attaches the observability
-// bus: a causal-trace collector (persisted beside the job history so
-// "gepeto analyze" works post-mortem) and, under -status, the live
-// status server with /trace/ + /analyze/ endpoints, a runtime sampler,
-// and graceful shutdown on SIGINT. The returned closer tears all of it
-// down (always safe to call).
-func deployAndLoad(nodes, racks, slots int, chunkMB int64, inDir string) (*core.Toolkit, *trace.Dataset, func(), error) {
-	tk, closer, err := deploy(nodes, racks, slots, chunkMB)
+// deployAndLoad deploys (see deploy) and uploads the local dataset dir.
+func deployAndLoad(df *deployFlags, inDir string) (*core.Toolkit, *trace.Dataset, func(), error) {
+	tk, closer, err := deploy(df)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -179,48 +195,117 @@ func deployAndLoad(nodes, racks, slots int, chunkMB int64, inDir string) (*core.
 	return tk, ds, closer, nil
 }
 
-// deploy builds the simulated cluster and observability wiring without
-// loading any dataset — commands that generate their input directly in
-// DFS (gepeto synth) use it to skip the in-memory local load.
-func deploy(nodes, racks, slots int, chunkMB int64) (*core.Toolkit, func(), error) {
+// deploy builds the cluster, file system and engine without loading
+// any dataset. When -status or -historydir is set it attaches the
+// observability bus: a causal-trace collector (persisted beside the job
+// history so "gepeto analyze" works post-mortem) and, under -status,
+// the live status server with /trace/ + /analyze/ endpoints and a
+// runtime sampler. With -workers N the engine's executor is a
+// jobtracker serving N `gepeto worker` processes over TCP, and the
+// status server grows the /cluster table and the federated metrics;
+// nothing else about the command changes. The returned closer lingers
+// if asked to, then tears everything down (always safe to call).
+func deploy(df *deployFlags) (*core.Toolkit, func(), error) {
 	cfg := core.ClusterConfig{
-		Nodes: nodes, Racks: racks, SlotsPerNode: slots, ChunkSize: chunkMB << 20,
-		HistoryDir: obsCfg.historyDir,
+		Nodes: *df.nodes, Racks: *df.racks, SlotsPerNode: *df.slots, ChunkSize: *df.chunkMB << 20,
+		HistoryDir: *df.historyDir,
 	}
 	var tracker *obs.Tracker
 	var reg *obs.Registry
 	var collector *obstrace.Collector
 	var store *obstrace.Store
-	if obsCfg.status != "" || obsCfg.historyDir != "" {
+	if *df.status != "" || *df.historyDir != "" {
 		tracker = obs.NewTracker()
 		reg = obs.NewRegistry()
-		if obsCfg.historyDir != "" {
-			store = obstrace.NewStore(obs.NewDirFS(obsCfg.historyDir))
+		if *df.historyDir != "" {
+			store = obstrace.NewStore(obs.NewDirFS(*df.historyDir))
 		}
 		collector = obstrace.NewCollector(store, 0)
 		cfg.Obs = obs.NewBus(tracker, obs.NewMetricsSink(reg), collector)
+	}
+	var jt *rpc.Jobtracker
+	if *df.workers > 0 {
+		logger, err := obs.NewLevelLogger(*df.logLevel)
+		if err != nil {
+			return nil, nil, err
+		}
+		// Every node is a worker process: a node nobody serves would
+		// only hold replicas no task can read locally.
+		cfg.Nodes = *df.workers
+		cfg.Executor = func(c *cluster.Cluster, fs *dfs.FileSystem) mapreduce.Executor {
+			jt = rpc.NewJobtracker(rpc.JobtrackerConfig{
+				Cluster: c, FS: fs, Transport: &rpc.TCPNetwork{}, HeartbeatGrace: *df.grace,
+				Obs: cfg.Obs, Registry: reg, Logger: logger,
+			})
+			return jt.Executor()
+		}
 	}
 	tk, err := core.NewToolkit(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	closer := func() {}
-	if obsCfg.status != "" {
-		srv, err := obs.NewStatusServer(obsCfg.status, tracker, reg, tk.History())
+	// teardown grows as pieces come up, so an error half-way releases
+	// exactly what exists.
+	teardown := func() {}
+	if jt != nil {
+		ln, err := net.Listen("tcp", *df.listen)
 		if err != nil {
+			jt.Stop()
 			return nil, nil, err
 		}
-		srv.Extra = dfsGauges(tk)
+		go func() {
+			if serr := rpc.Serve(ln, jt.Server()); serr != nil {
+				return // listener closed at teardown
+			}
+		}()
+		teardown = func() {
+			jt.ShutdownWorkers()
+			jt.Stop()
+			ln.Close()
+		}
+		fmt.Fprintf(os.Stderr, "jobtracker listening on %s\n", ln.Addr())
+		if *df.addrFile != "" {
+			if err := os.WriteFile(*df.addrFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
+				teardown()
+				return nil, nil, err
+			}
+		}
+	}
+	var srv *obs.StatusServer
+	if *df.status != "" {
+		extra := dfsGauges(tk)
+		srvReg := reg
+		if jt != nil {
+			// The jobtracker's merged snapshot (its registry — this one —
+			// plus synthesized cluster gauges plus federated per-worker
+			// series) is the single source, so the registry is not handed
+			// to the server and no family is rendered twice.
+			srvReg = nil
+		}
+		srv, err = obs.NewStatusServer(*df.status, tracker, srvReg, tk.History())
+		if err != nil {
+			teardown()
+			return nil, nil, err
+		}
+		srv.Extra = extra
+		if jt != nil {
+			srv.Extra = func() string {
+				var sb strings.Builder
+				obs.WriteMetricPoints(&sb, jt.MetricsSnapshot())
+				return sb.String() + extra()
+			}
+			srv.ExtraJSON = jt.MetricsSnapshot
+			srv.Handle("/cluster", jt.ClusterHandler())
+			srv.Handle("/cluster.json", jt.ClusterHandler())
+		}
 		src := obstrace.Multi(collector, store)
 		srv.Handle("/trace/", obstrace.TraceHandler("/trace/", src))
 		srv.Handle("/analyze/", obstrace.AnalyzeHandler("/analyze/", src, obstrace.Options{}))
 		stopSampler := obs.StartRuntimeSampler(reg, time.Second)
 		fmt.Fprintf(os.Stderr, "status server listening on %s\n", srv.URL())
-		// Drain the server gracefully both on normal teardown and on
-		// SIGINT, so the listener never outlives the process's work.
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt)
-		shutdown := func() {
+		stopBackend := teardown
+		teardown = func() {
+			stopBackend()
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
 			if err := srv.Shutdown(ctx); err != nil {
@@ -228,20 +313,60 @@ func deploy(nodes, racks, slots int, chunkMB int64) (*core.Toolkit, func(), erro
 			}
 			stopSampler()
 		}
-		go func() {
-			if _, ok := <-sig; ok {
-				fmt.Fprintln(os.Stderr, "interrupted; shutting down status server")
-				shutdown()
-				os.Exit(130)
+		if *df.statusFile != "" {
+			if err := os.WriteFile(*df.statusFile, []byte(srv.Addr()+"\n"), 0o644); err != nil {
+				teardown()
+				return nil, nil, err
 			}
-		}()
-		closer = func() {
-			signal.Stop(sig)
-			close(sig)
-			shutdown()
 		}
 	}
-	return tk, closer, nil
+	if jt == nil && srv == nil {
+		return tk, teardown, nil
+	}
+	// While the command works, an interrupt tears the deployment down
+	// and exits, so neither the listener nor a worker outlives the
+	// process's work.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		if _, ok := <-sig; ok {
+			fmt.Fprintln(os.Stderr, "interrupted; shutting down")
+			teardown()
+			os.Exit(130)
+		}
+	}()
+	stopSignals := func() {
+		signal.Stop(sig)
+		close(sig)
+	}
+	if jt != nil {
+		if err := jt.WaitForWorkers(*df.workers, *df.wait); err != nil {
+			stopSignals()
+			teardown()
+			return nil, nil, err
+		}
+		fmt.Fprintf(os.Stderr, "%d workers registered: %s\n", *df.workers, strings.Join(jt.Workers(), " "))
+	}
+	return tk, func() {
+		stopSignals()
+		if *df.linger > 0 && srv != nil {
+			// Workers keep heartbeating (and federating metrics) while the
+			// status server lingers, so /cluster and /metrics can be
+			// scraped after the work — a smoke test's observation window.
+			// An interrupt now only ends the wait.
+			fmt.Fprintf(os.Stderr, "job done; status server lingering %v on %s (SIGINT/SIGTERM to exit)\n",
+				*df.linger, srv.URL())
+			end := make(chan os.Signal, 1)
+			signal.Notify(end, os.Interrupt, syscall.SIGTERM)
+			select {
+			case <-end:
+				fmt.Fprintln(os.Stderr, "interrupted; shutting down")
+			case <-time.After(*df.linger):
+			}
+			signal.Stop(end)
+		}
+		teardown()
+	}, nil
 }
 
 // dfsGauges appends the file system's storage and I/O state to each
@@ -336,11 +461,11 @@ func cmdSynth(args []string) error {
 		"MaxShuffleBytes per map task in MiB (0 = unbounded: runs stay in memory)")
 	compress := fs.Bool("compress-spill", true, "DEFLATE-compress spill run files")
 	combiner := fs.Bool("combiner", true, "enable the k-means combiner (applied in-spill too)")
-	nodes, racks, slots, chunkMB := clusterFlags(fs)
+	df := clusterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	tk, closeObs, err := deploy(*nodes, *racks, *slots, *chunkMB)
+	tk, closeObs, err := deploy(df)
 	if err != nil {
 		return err
 	}
@@ -394,7 +519,7 @@ func cmdSample(args []string) error {
 	window := fs.Duration("window", time.Minute, "sampling window")
 	techName := fs.String("technique", "upper", `representative choice: "upper" or "middle"`)
 	reportPath := fs.String("report", "", "write the job report (counters, tasks, timings) as JSON to this file")
-	nodes, racks, slots, chunkMB := clusterFlags(fs)
+	df := clusterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -402,7 +527,7 @@ func cmdSample(args []string) error {
 	if err != nil {
 		return err
 	}
-	tk, ds, closeObs, err := deployAndLoad(*nodes, *racks, *slots, *chunkMB, *in)
+	tk, ds, closeObs, err := deployAndLoad(df, *in)
 	if err != nil {
 		return err
 	}
@@ -443,7 +568,7 @@ func cmdKMeans(args []string) error {
 	plusplus := fs.Bool("plusplus", false, "use k-means++ seeding instead of uniform random")
 	seed := fs.Int64("seed", 1, "initial-centroid seed")
 	centroidsOut := fs.String("centroids-out", "", "also write the final centroid lines to this file")
-	nodes, racks, slots, chunkMB := clusterFlags(fs)
+	df := clusterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -451,7 +576,7 @@ func cmdKMeans(args []string) error {
 	if err != nil {
 		return err
 	}
-	tk, ds, closeObs, err := deployAndLoad(*nodes, *racks, *slots, *chunkMB, *in)
+	tk, ds, closeObs, err := deployAndLoad(df, *in)
 	if err != nil {
 		return err
 	}
@@ -481,6 +606,16 @@ func cmdKMeans(args []string) error {
 	return nil
 }
 
+// centroidLines renders the final clustering, for the terminal and for
+// -centroids-out alike, so runs on different backends diff cleanly.
+func centroidLines(res *gepeto.KMeansResult) string {
+	var sb strings.Builder
+	for i, c := range res.Centroids {
+		fmt.Fprintf(&sb, "  centroid %2d at %s (%d traces)\n", i, c, res.Sizes[i])
+	}
+	return sb.String()
+}
+
 func cmdDJCluster(args []string) error {
 	fs := flag.NewFlagSet("djcluster", flag.ExitOnError)
 	in := fs.String("in", "data", "input directory")
@@ -491,11 +626,11 @@ func cmdDJCluster(args []string) error {
 	global := fs.Bool("global", false, "cluster across users (default: per-user POIs)")
 	curve := fs.String("curve", "zorder", "space-filling curve for the R-tree build (zorder|hilbert)")
 	topN := fs.Int("top", 10, "clusters to print")
-	nodes, racks, slots, chunkMB := clusterFlags(fs)
+	df := clusterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	tk, ds, closeObs, err := deployAndLoad(*nodes, *racks, *slots, *chunkMB, *in)
+	tk, ds, closeObs, err := deployAndLoad(df, *in)
 	if err != nil {
 		return err
 	}
@@ -528,11 +663,11 @@ func cmdRTree(args []string) error {
 	curve := fs.String("curve", "zorder", "space-filling curve (zorder|hilbert)")
 	partitions := fs.Int("partitions", 0, "number of partitions (default: cluster slots)")
 	sample := fs.Int("sample", 200, "objects sampled per chunk in phase 1")
-	nodes, racks, slots, chunkMB := clusterFlags(fs)
+	df := clusterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	tk, ds, closeObs, err := deployAndLoad(*nodes, *racks, *slots, *chunkMB, *in)
+	tk, ds, closeObs, err := deployAndLoad(df, *in)
 	if err != nil {
 		return err
 	}
@@ -560,11 +695,11 @@ func cmdAttack(args []string) error {
 	radius := fs.Float64("r", 25, "DJ-Cluster neighborhood radius (meters)")
 	minPts := fs.Int("minpts", 4, "DJ-Cluster MinPts")
 	matchRadius := fs.Float64("match", 50, "POI match radius for scoring (meters)")
-	nodes, racks, slots, chunkMB := clusterFlags(fs)
+	df := clusterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	tk, ds, closeObs, err := deployAndLoad(*nodes, *racks, *slots, *chunkMB, *in)
+	tk, ds, closeObs, err := deployAndLoad(df, *in)
 	if err != nil {
 		return err
 	}
@@ -614,11 +749,11 @@ func cmdSanitize(args []string) error {
 	sigma := fs.Float64("sigma", 100, "gaussian noise scale (meters)")
 	cell := fs.Float64("cell", 200, "cloaking grid cell (meters)")
 	seed := fs.Int64("seed", 1, "noise seed")
-	nodes, racks, slots, chunkMB := clusterFlags(fs)
+	df := clusterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	tk, ds, closeObs, err := deployAndLoad(*nodes, *racks, *slots, *chunkMB, *in)
+	tk, ds, closeObs, err := deployAndLoad(df, *in)
 	if err != nil {
 		return err
 	}
@@ -773,11 +908,11 @@ func cmdSocial(args []string) error {
 	cell := fs.Float64("cell", 50, "co-location cell size (meters)")
 	window := fs.Int64("window", 600, "co-location window (seconds)")
 	minShared := fs.Int("minshared", 3, "minimum shared windows to report a link")
-	nodes, racks, slots, chunkMB := clusterFlags(fs)
+	df := clusterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	tk, ds, closeObs, err := deployAndLoad(*nodes, *racks, *slots, *chunkMB, *in)
+	tk, ds, closeObs, err := deployAndLoad(df, *in)
 	if err != nil {
 		return err
 	}
@@ -800,11 +935,11 @@ func cmdMMC(args []string) error {
 	in := fs.String("in", "data", "input directory (preprocessed traces work best)")
 	window := fs.Duration("window", time.Minute, "down-sampling window before clustering")
 	radius := fs.Float64("attach", 50, "POI attach radius (meters)")
-	nodes, racks, slots, chunkMB := clusterFlags(fs)
+	df := clusterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	tk, _, closeObs, err := deployAndLoad(*nodes, *racks, *slots, *chunkMB, *in)
+	tk, _, closeObs, err := deployAndLoad(df, *in)
 	if err != nil {
 		return err
 	}

@@ -8,7 +8,6 @@ package rpc_test
 import (
 	"bytes"
 	"fmt"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -16,73 +15,80 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/cluster/rpc"
 	"repro/internal/dfs"
-	"repro/internal/geo"
-	"repro/internal/geolife"
-	"repro/internal/gepeto"
 	"repro/internal/mapreduce"
+	"repro/internal/recordio"
 )
 
-// Test job kinds, registered once per binary — the worker goroutines
-// share this registry with the driver, exactly as a worker binary
+// Test job families, declared once per binary — the worker goroutines
+// share the kind table with the driver, exactly as a worker binary
 // importing the same package would.
-const (
-	kindWordCount = "rpctest/wordcount"
-	kindUpper     = "rpctest/upper-maponly"
+type (
+	wordCountShape = mapreduce.TypedJob[string, string, string, int64, string, int64]
+	upperShape     = mapreduce.TypedJob[string, string, string, string, string, string]
+	sumReducer     = mapreduce.TypedReducer[string, int64, string, int64]
 )
 
-func wcMap(ctx *mapreduce.TaskContext, _, value string, emit mapreduce.Emit) error {
+func wcMap(ctx *mapreduce.TaskContext, _, value string, emit mapreduce.TypedEmit[string, int64]) error {
 	for _, w := range strings.Fields(value) {
 		ctx.Counter("rpctest", "words").Inc(1)
-		emit(w, "1")
+		emit(w, 1)
 	}
 	return nil
 }
 
-func sumReduce(_ *mapreduce.TaskContext, key string, values []string, emit mapreduce.Emit) error {
-	total := 0
+func sumReduce(_ *mapreduce.TaskContext, key string, values []int64, emit mapreduce.TypedEmit[string, int64]) error {
+	var total int64
 	for _, v := range values {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return err
-		}
-		total += n
+		total += v
 	}
-	emit(key, strconv.Itoa(total))
+	emit(key, total)
 	return nil
 }
 
-func upperMap(_ *mapreduce.TaskContext, _, value string, emit mapreduce.Emit) error {
-	emit(strings.ToUpper(value), value)
-	return nil
+func newSumReducer() sumReducer {
+	return mapreduce.TypedReduceFunc[string, int64, string, int64](sumReduce)
 }
 
-func init() {
-	mapreduce.RegisterKind(kindWordCount, mapreduce.JobKind{
-		NewMapper:   func() mapreduce.Mapper { return mapreduce.MapFunc(wcMap) },
-		NewReducer:  func() mapreduce.Reducer { return mapreduce.ReduceFunc(sumReduce) },
-		NewCombiner: func() mapreduce.Reducer { return mapreduce.ReduceFunc(sumReduce) },
-	})
-	mapreduce.RegisterKind(kindUpper, mapreduce.JobKind{
-		NewMapper: func() mapreduce.Mapper { return mapreduce.MapFunc(upperMap) },
-	})
-}
+var wordCountKind = mapreduce.Declare(wordCountShape{
+	Kind: "rpctest/wordcount",
+	Mapper: func() mapreduce.TypedMapper[string, string, string, int64] {
+		return mapreduce.TypedMapFunc[string, string, string, int64](wcMap)
+	},
+	Reducer:     newSumReducer,
+	Combiner:    newSumReducer,
+	InputKey:    recordio.RawString{},
+	InputValue:  recordio.RawString{},
+	MapKey:      recordio.RawString{},
+	MapValue:    recordio.Int64{},
+	OutputKey:   recordio.RawString{},
+	OutputValue: recordio.Int64{},
+})
 
-// wordCountJob builds the job both backends run. The function fields
-// matter only to the in-process run; the RPC run ships the Kind.
+var upperKind = mapreduce.Declare(upperShape{
+	Kind: "rpctest/upper-maponly",
+	Mapper: func() mapreduce.TypedMapper[string, string, string, string] {
+		return mapreduce.TypedMapFunc[string, string, string, string](
+			func(_ *mapreduce.TaskContext, _, value string, emit mapreduce.TypedEmit[string, string]) error {
+				emit(strings.ToUpper(value), value)
+				return nil
+			})
+	},
+	InputKey:   recordio.RawString{},
+	InputValue: recordio.RawString{},
+	MapKey:     recordio.RawString{},
+	MapValue:   recordio.RawString{},
+})
+
+// wordCountJob builds the job both backends run: the in-process run
+// uses its function fields, the RPC run ships the Kind, and both come
+// from the one declaration above.
 func wordCountJob(withCombiner bool) *mapreduce.Job {
-	j := &mapreduce.Job{
-		Name:        "rpc-wordcount",
-		Kind:        kindWordCount,
-		InputPaths:  []string{"in"},
-		OutputPath:  "out",
-		NewMapper:   func() mapreduce.Mapper { return mapreduce.MapFunc(wcMap) },
-		NewReducer:  func() mapreduce.Reducer { return mapreduce.ReduceFunc(sumReduce) },
-		NumReducers: 3,
+	tj := wordCountKind
+	tj.Name, tj.InputPaths, tj.OutputPath, tj.NumReducers = "rpc-wordcount", []string{"in"}, "out", 3
+	if !withCombiner {
+		tj.Combiner = nil
 	}
-	if withCombiner {
-		j.NewCombiner = func() mapreduce.Reducer { return mapreduce.ReduceFunc(sumReduce) }
-	}
-	return j
+	return tj.Build()
 }
 
 // newTopology builds one 3-node cluster + DFS; calling it twice yields
@@ -290,13 +296,9 @@ func TestRPCBackendMatchesInProcess(t *testing.T) {
 
 func TestRPCBackendMapOnly(t *testing.T) {
 	job := func() *mapreduce.Job {
-		return &mapreduce.Job{
-			Name:       "rpc-upper",
-			Kind:       kindUpper,
-			InputPaths: []string{"in"},
-			OutputPath: "out",
-			NewMapper:  func() mapreduce.Mapper { return mapreduce.MapFunc(upperMap) },
-		}
+		tj := upperKind
+		tj.Name, tj.InputPaths, tj.OutputPath = "rpc-upper", []string{"in"}, "out"
+		return tj.Build()
 	}
 	_, _, localOut, remoteOut, _ := runBoth(t, job,
 		func(t *testing.T, fs *dfs.FileSystem) { seedWordInput(t, fs, 40) },
@@ -329,48 +331,5 @@ func TestRPCBackendUnregisteredKindFailsAtSubmit(t *testing.T) {
 	j.Kind = "rpctest/never-registered"
 	if _, err := b.engine(c, fs).Run(j); err == nil || !strings.Contains(err.Error(), "not registered") {
 		t.Fatalf("err = %v, want kind-not-registered at submission", err)
-	}
-}
-
-func TestKMeansRPCMatchesInProcess(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-iteration k-means over the gob transport")
-	}
-	ds := geolife.Generate(geolife.Config{Users: 4, TotalTraces: 1500, Seed: 5})
-	opts := gepeto.KMeansOptions{
-		K: 4, Distance: geo.MetricSquaredEuclidean, ConvergenceDelta: 1e-4,
-		MaxIter: 3, UseCombiner: true, Seed: 1,
-	}
-
-	chunk := int64(64 << 10)
-	cA, fsA := newTopology(t, chunk)
-	if err := geolife.WriteRecords(fsA, "input", ds); err != nil {
-		t.Fatal(err)
-	}
-	engA := mapreduce.NewEngine(cA, fsA, mapreduce.Options{})
-	resA, err := gepeto.KMeansMR(engA, []string{"input"}, "work", opts)
-	if err != nil {
-		t.Fatalf("in-process k-means: %v", err)
-	}
-
-	cB, fsB := newTopology(t, chunk)
-	if err := geolife.WriteRecords(fsB, "input", ds); err != nil {
-		t.Fatal(err)
-	}
-	b := startBackend(t, cB, fsB, backendOpts{})
-	resB, err := gepeto.KMeansMR(b.engine(cB, fsB), []string{"input"}, "work", opts)
-	if err != nil {
-		t.Fatalf("rpc k-means: %v", err)
-	}
-
-	if resA.Iterations != resB.Iterations || resA.Converged != resB.Converged {
-		t.Fatalf("iterations: in-process %d/%v, rpc %d/%v",
-			resA.Iterations, resA.Converged, resB.Iterations, resB.Converged)
-	}
-	if fmt.Sprint(resA.Centroids) != fmt.Sprint(resB.Centroids) {
-		t.Fatalf("centroids differ:\n in-process %v\n rpc        %v", resA.Centroids, resB.Centroids)
-	}
-	if fmt.Sprint(resA.Sizes) != fmt.Sprint(resB.Sizes) {
-		t.Fatalf("cluster sizes differ: in-process %v, rpc %v", resA.Sizes, resB.Sizes)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/cluster/rpc"
 	"repro/internal/dfs"
 	"repro/internal/mapreduce"
@@ -147,13 +148,31 @@ func TestFaultMixStillByteIdentical(t *testing.T) {
 			return u
 		}
 	}
-	_, _, localOut, remoteOut, _ := runBoth(t, job, slowSeed, backendOpts{
+	mix := backendOpts{
 		jtTransport: lossy(1),
 		workerTransport: func(node string, inner rpc.Transport) rpc.Transport {
 			return lossy(int64(len(node)) + int64(node[len(node)-1]))(inner)
 		},
-	})
+	}
+	_, _, localOut, remoteOut, _ := runBoth(t, job, slowSeed, mix)
 	assertSameOutput(t, localOut, remoteOut)
+	// The same network under a six-job pipeline whose jobs keep the
+	// default three attempts.
+	assertSameOutcome(t, runPipeline(t, attackPOI, nil),
+		runPipeline(t, attackPOI, onRPCBackend(t, mix)).withoutScratch())
+}
+
+// TestWorkerKillMidPipeline loses a tasktracker while the POI attack's
+// jobs are in flight: later jobs run on the two survivors, and nothing
+// any job committed may differ from the in-process run.
+func TestWorkerKillMidPipeline(t *testing.T) {
+	got := runPipeline(t, attackPOI, func(c *cluster.Cluster, fs *dfs.FileSystem) mapreduce.Executor {
+		b := startBackend(t, c, fs, backendOpts{taskOverhead: 25 * time.Millisecond})
+		timer := time.AfterFunc(200*time.Millisecond, func() { c.Kill("node-01") })
+		t.Cleanup(func() { timer.Stop() })
+		return b.jt.Executor()
+	})
+	assertSameOutcome(t, runPipeline(t, attackPOI, nil), got.withoutScratch())
 }
 
 func TestRegisterRejectsUnknownNode(t *testing.T) {

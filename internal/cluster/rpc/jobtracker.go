@@ -44,6 +44,9 @@ type heartbeatArgs struct {
 	Epoch      int64
 	MetricsSeq uint64
 	Metrics    []obs.MetricPoint
+	// Runs lists the runs (mapreduce.TaskSpec.Run) this worker holds
+	// assignment-dedup keys for; the reply names those it can forget.
+	Runs []uint64
 }
 
 type heartbeatReply struct {
@@ -55,10 +58,16 @@ type heartbeatReply struct {
 	// ServerUnixNano is the jobtracker-clock handling time of the beat —
 	// the raw material of the worker's RTT-midpoint offset estimate.
 	ServerUnixNano int64
+	// EndedRuns is the subset of the beat's Runs with no attempt in
+	// flight anywhere: nothing of theirs can be delivered twice any
+	// more, so the worker drops their dedup keys and a long-lived
+	// worker's state stays bounded by the work in flight.
+	EndedRuns []uint64
 }
 
 type completeArgs struct {
 	Job     string
+	Run     uint64
 	TaskID  string
 	Attempt int
 	Node    string
@@ -208,7 +217,7 @@ type Jobtracker struct {
 	workers map[string]*remoteWorker // by node ID
 	lost    []lostRecord             // departed workers, for the cluster view
 	offsets map[string]int64         // worker clock offsets (nanos), kept past loss
-	pending map[string]*pendingCall  // by job|task|attempt
+	pending map[attemptID]*pendingCall
 	stopped bool
 
 	dupCompletions atomic.Int64
@@ -243,7 +252,7 @@ func NewJobtracker(cfg JobtrackerConfig) *Jobtracker {
 		started: time.Now(),
 		workers: make(map[string]*remoteWorker),
 		offsets: make(map[string]int64),
-		pending: make(map[string]*pendingCall),
+		pending: make(map[attemptID]*pendingCall),
 		stop:    make(chan struct{}),
 	}
 	jt.srv.Instrument(reg)
@@ -523,15 +532,28 @@ func (jt *Jobtracker) handleHeartbeat(a *heartbeatArgs) (*heartbeatReply, error)
 		// dying worker still deserve correction.
 		jt.offsets[a.Node] = a.OffsetNanos
 	}
+	var ended []uint64
+	for _, run := range a.Runs {
+		live := false
+		for id := range jt.pending {
+			if id.run == run {
+				live = true
+				break
+			}
+		}
+		if !live {
+			ended = append(ended, run)
+		}
+	}
 	jt.mu.Unlock()
 	if a.Epoch != 0 {
 		jt.fed.Apply(a.Node, a.Epoch, a.MetricsSeq, a.Metrics)
 	}
-	return &heartbeatReply{Registered: ok, ServerUnixNano: now.UnixNano()}, nil
+	return &heartbeatReply{Registered: ok, ServerUnixNano: now.UnixNano(), EndedRuns: ended}, nil
 }
 
 func (jt *Jobtracker) handleComplete(a *completeArgs) (*completeReply, error) {
-	key := attemptKey(a.Job, a.TaskID, a.Attempt)
+	key := attemptID{a.Run, a.TaskID, a.Attempt}
 	jt.mu.Lock()
 	p, ok := jt.pending[key]
 	if ok {
@@ -610,8 +632,13 @@ func (jt *Jobtracker) handleDFSSize(a *dfsSizeArgs) (*dfsSizeReply, error) {
 	return &dfsSizeReply{Size: size}, nil
 }
 
-func attemptKey(job, task string, attempt int) string {
-	return fmt.Sprintf("%s|%s|%d", job, task, attempt)
+// attemptID names one task attempt of one Engine.Run call; both ends
+// key their idempotency state on it. The run, not the job name, tells
+// submissions apart: see mapreduce.TaskSpec.Run.
+type attemptID struct {
+	run     uint64
+	task    string
+	attempt int
 }
 
 // rpcExecutor bridges the scheduler to remote workers: RunTask ships
@@ -638,7 +665,7 @@ func (x *rpcExecutor) RunTask(ctx context.Context, spec mapreduce.TaskSpec) (map
 	if err != nil {
 		return mapreduce.TaskResult{}, err
 	}
-	key := attemptKey(spec.Job.Name, spec.TaskID, spec.Attempt)
+	key := attemptID{spec.Run, spec.TaskID, spec.Attempt}
 	p := &pendingCall{ch: make(chan completion, 1), node: spec.Node}
 	jt.mu.Lock()
 	jt.pending[key] = p
@@ -652,7 +679,7 @@ func (x *rpcExecutor) RunTask(ctx context.Context, spec mapreduce.TaskSpec) (map
 	}()
 
 	args := assignArgs{
-		Job: wire, Phase: spec.Phase, TaskID: spec.TaskID, Index: spec.Index,
+		Job: wire, Run: spec.Run, Phase: spec.Phase, TaskID: spec.TaskID, Index: spec.Index,
 		Attempt: spec.Attempt, Node: spec.Node, MapOnly: spec.MapOnly,
 		NumReducers: spec.NumReducers, Split: spec.Split,
 		Partition: spec.Partition, Runs: runDescs(spec.Runs),

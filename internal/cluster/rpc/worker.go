@@ -3,6 +3,7 @@ package rpc
 import (
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,6 +17,7 @@ import (
 // function fields and cannot gob) and the runs to their RunDesc face.
 type assignArgs struct {
 	Job         mapreduce.JobWire
+	Run         uint64
 	Phase       string
 	TaskID      string
 	Index       int
@@ -86,7 +88,7 @@ type Worker struct {
 	queue chan assignArgs
 
 	mu   sync.Mutex
-	seen map[string]bool // assigned attempt keys, for duplicate-delivery dedup
+	seen map[attemptID]bool // assigned attempts, for duplicate-delivery dedup
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -126,7 +128,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		epoch: time.Now().UnixNano(),
 		busy:  reg.Gauge("worker_busy_slots", "Slots currently executing a task.", nil),
 		queue: make(chan assignArgs, 1024),
-		seen:  make(map[string]bool),
+		seen:  make(map[attemptID]bool),
 		stop:  make(chan struct{}),
 	}
 	w.store.Instrument(reg)
@@ -197,7 +199,7 @@ func (w *Worker) Stop() {
 }
 
 func (w *Worker) handleAssign(a *assignArgs) (*assignReply, error) {
-	key := attemptKey(a.Job.Name, a.TaskID, a.Attempt)
+	key := attemptID{a.Run, a.TaskID, a.Attempt}
 	w.mu.Lock()
 	if w.seen[key] {
 		// Duplicate delivery of an assignment already queued or run:
@@ -219,6 +221,34 @@ func (w *Worker) handleAssign(a *assignArgs) (*assignReply, error) {
 		delete(w.seen, key)
 		w.mu.Unlock()
 		return nil, fmt.Errorf("rpc: worker %s: task queue full", w.cfg.Node)
+	}
+}
+
+// seenRuns lists the distinct runs with dedup keys held.
+func (w *Worker) seenRuns() []uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	var runs []uint64
+	for id := range w.seen {
+		if !slices.Contains(runs, id.run) {
+			runs = append(runs, id.run)
+		}
+	}
+	return runs
+}
+
+// forgetRuns drops the dedup keys of runs the jobtracker reported as
+// having nothing in flight.
+func (w *Worker) forgetRuns(ended []uint64) {
+	if len(ended) == 0 {
+		return
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for id := range w.seen {
+		if slices.Contains(ended, id.run) {
+			delete(w.seen, id)
+		}
 	}
 }
 
@@ -257,7 +287,7 @@ func (w *Worker) runTask(a assignArgs) {
 	}
 	w.reg.Counter("worker_tasks_total", "Task attempts executed by this worker, by status.", obs.Labels{"status": status}).Inc()
 	comp := completeArgs{
-		Job: a.Job.Name, TaskID: a.TaskID, Attempt: a.Attempt, Node: w.cfg.Node,
+		Job: a.Job.Name, Run: a.Run, TaskID: a.TaskID, Attempt: a.Attempt, Node: w.cfg.Node,
 		Res: toResultWire(res),
 	}
 	// Time is stamped on this worker's (possibly skewed) clock and Job
@@ -308,7 +338,7 @@ func (w *Worker) execute(a assignArgs) (mapreduce.TaskResult, error) {
 		return mapreduce.TaskResult{}, err
 	}
 	spec := mapreduce.TaskSpec{
-		Job: job, Phase: a.Phase, TaskID: a.TaskID, Index: a.Index,
+		Job: job, Run: a.Run, Phase: a.Phase, TaskID: a.TaskID, Index: a.Index,
 		Attempt: a.Attempt, Node: a.Node, MapOnly: a.MapOnly,
 		NumReducers: a.NumReducers, Split: a.Split,
 		Partition: a.Partition, Runs: fileRuns(a.Runs),
@@ -337,6 +367,7 @@ func (w *Worker) heartbeatLoop() {
 				Epoch:      w.epoch,
 				MetricsSeq: seq,
 				Metrics:    w.reg.Snapshot(),
+				Runs:       w.seenRuns(),
 			}
 			if w.offOK.Load() {
 				args.OffsetNanos = w.offNanos.Load()
@@ -366,6 +397,7 @@ func (w *Worker) heartbeatLoop() {
 					w.offNanos.Store(prev + (sample-prev)/5)
 				}
 			}
+			w.forgetRuns(reply.EndedRuns)
 			if !reply.Registered {
 				w.log.Warn("disowned by jobtracker, fence-stopping", "worker", w.cfg.Node)
 				w.Stop()

@@ -51,6 +51,10 @@ type ClusterConfig struct {
 	// later `gepeto history` invocation (a separate process) can read
 	// them after the in-process DFS is gone.
 	HistoryDir string
+	// Executor, if set, is called once the cluster and file system
+	// exist and returns the executor task attempts run on (the CLI
+	// hosts an rpc.Jobtracker here). Nil keeps tasks in-process.
+	Executor func(*cluster.Cluster, *dfs.FileSystem) mapreduce.Executor
 }
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
@@ -109,11 +113,11 @@ func NewToolkit(cfg ClusterConfig) (*Toolkit, error) {
 		histFS = obs.Tee(fs, obs.NewDirFS(cfg.HistoryDir))
 	}
 	hist := obs.NewHistory(histFS)
-	e := mapreduce.NewEngine(c, fs, mapreduce.Options{
-		TaskOverhead: cfg.TaskOverhead,
-		Obs:          cfg.Obs,
-		History:      hist,
-	})
+	opts := mapreduce.Options{TaskOverhead: cfg.TaskOverhead, Obs: cfg.Obs, History: hist}
+	if cfg.Executor != nil {
+		opts.Executor = cfg.Executor(c, fs)
+	}
+	e := mapreduce.NewEngine(c, fs, opts)
 	return &Toolkit{
 		cfg:        cfg,
 		cluster:    c,

@@ -150,34 +150,21 @@ func DJClusterMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts 
 
 	// Phase 3: neighborhood map + merging reduce.
 	clusterOut := workDir + "/clusters"
-	ntj := &neighborhoodJob{
-		Name:       "djcluster-neighborhood",
-		Parent:     spanID,
-		InputPaths: []string{dedupOut},
-		OutputPath: clusterOut,
-		Mapper: func() mapreduce.TypedMapper[string, trace.Trace, string, []string] {
-			return &neighborhoodMapper{}
-		},
-		Reducer: func() mapreduce.TypedReducer[string, []string, string, string] {
-			return &mergeReducer{}
-		},
-		InputKey:    recordio.RawString{},
-		InputValue:  recordio.TraceValue{},
-		MapKey:      recordio.RawString{},
-		MapValue:    recordio.StringList{},
-		OutputKey:   recordio.RawString{},
-		OutputValue: recordio.RawString{},
-		// "A single reducer implements the last phase of the
-		// algorithm as the merging of joinable neighborhoods must be
-		// done by a centralized entity."
-		NumReducers: 1,
-		Conf: map[string]string{
-			confRadius:  strconv.FormatFloat(opts.RadiusMeters, 'f', -1, 64),
-			confMinPts:  strconv.Itoa(opts.MinPts),
-			confPerUser: strconv.FormatBool(opts.PerUser),
-		},
-		Cache: map[string][]byte{cacheRTree: treeBlob.Bytes()},
+	ntj := neighborhoodKind
+	ntj.Name = "djcluster-neighborhood"
+	ntj.Parent = spanID
+	ntj.InputPaths = []string{dedupOut}
+	ntj.OutputPath = clusterOut
+	// "A single reducer implements the last phase of the algorithm as
+	// the merging of joinable neighborhoods must be done by a
+	// centralized entity."
+	ntj.NumReducers = 1
+	ntj.Conf = map[string]string{
+		confRadius:  strconv.FormatFloat(opts.RadiusMeters, 'f', -1, 64),
+		confMinPts:  strconv.Itoa(opts.MinPts),
+		confPerUser: strconv.FormatBool(opts.PerUser),
 	}
+	ntj.Cache = map[string][]byte{cacheRTree: treeBlob.Bytes()}
 	jr, err := e.Run(ntj.Build())
 	if err != nil {
 		return res, err
@@ -223,21 +210,11 @@ func DJClusterMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts 
 // corresponding time difference — and outputs only the traces whose
 // speed is at most maxSpeedKmh.
 func SpeedFilterJob(name string, inputPaths []string, outputPath string, maxSpeedKmh float64) *mapreduce.Job {
-	tj := &traceFilterJob{
-		Name:       name,
-		InputPaths: inputPaths,
-		OutputPath: outputPath,
-		Mapper: func() mapreduce.TypedMapper[string, trace.Trace, string, trace.Trace] {
-			return &speedFilterMapper{}
-		},
-		InputKey:   recordio.RawString{},
-		InputValue: recordio.TraceValue{},
-		MapKey:     recordio.RawString{},
-		MapValue:   recordio.TraceValue{},
-		Conf:       map[string]string{confMaxSpeed: strconv.FormatFloat(maxSpeedKmh, 'f', -1, 64)},
-	}
-	return tj.Build()
+	return BuildTraceFilter(speedFilterKind, name, inputPaths, outputPath,
+		map[string]string{confMaxSpeed: strconv.FormatFloat(maxSpeedKmh, 'f', -1, 64)})
 }
+
+var speedFilterKind = DeclareTraceFilter("gepeto/speedfilter", func() TraceMapper { return &speedFilterMapper{} })
 
 // speedFilterMapper keeps a two-trace lookbehind per user so each
 // interior trace's speed uses the centered difference; the first and
@@ -319,21 +296,11 @@ func (m *speedFilterMapper) filter(ctx *mapreduce.TaskContext, prev, cur, next t
 // the same spatial coordinate but different timestamps — keeping the
 // first of each redundant sequence.
 func DedupJob(name string, inputPaths []string, outputPath string, dupRadiusMeters float64) *mapreduce.Job {
-	tj := &traceFilterJob{
-		Name:       name,
-		InputPaths: inputPaths,
-		OutputPath: outputPath,
-		Mapper: func() mapreduce.TypedMapper[string, trace.Trace, string, trace.Trace] {
-			return &dedupMapper{}
-		},
-		InputKey:   recordio.RawString{},
-		InputValue: recordio.TraceValue{},
-		MapKey:     recordio.RawString{},
-		MapValue:   recordio.TraceValue{},
-		Conf:       map[string]string{confDupRadius: strconv.FormatFloat(dupRadiusMeters, 'f', -1, 64)},
-	}
-	return tj.Build()
+	return BuildTraceFilter(dedupKind, name, inputPaths, outputPath,
+		map[string]string{confDupRadius: strconv.FormatFloat(dupRadiusMeters, 'f', -1, 64)})
 }
+
+var dedupKind = DeclareTraceFilter("gepeto/dedup", func() TraceMapper { return &dedupMapper{} })
 
 type dedupMapper struct {
 	mapreduce.TypedMapperBase[string, trace.Trace]
@@ -367,6 +334,22 @@ func (m *dedupMapper) Map(ctx *mapreduce.TaskContext, _ string, t trace.Trace, e
 // lists travel as length-prefixed binary string lists instead of
 // "center|id,id"-formatted strings.
 type neighborhoodJob = mapreduce.TypedJob[string, trace.Trace, string, []string, string, string]
+
+var neighborhoodKind = mapreduce.Declare(neighborhoodJob{
+	Kind: "gepeto/djcluster-neighborhood",
+	Mapper: func() mapreduce.TypedMapper[string, trace.Trace, string, []string] {
+		return &neighborhoodMapper{}
+	},
+	Reducer: func() mapreduce.TypedReducer[string, []string, string, string] {
+		return &mergeReducer{}
+	},
+	InputKey:    recordio.RawString{},
+	InputValue:  recordio.TraceValue{},
+	MapKey:      recordio.RawString{},
+	MapValue:    recordio.StringList{},
+	OutputKey:   recordio.RawString{},
+	OutputValue: recordio.RawString{},
+})
 
 // neighborhoodMapper is Algorithm 4: it loads the R-tree from the
 // distributed cache in setup, computes the neighborhood of each trace

@@ -116,34 +116,18 @@ func KMeansMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts KMe
 	}
 	res = &KMeansResult{}
 	for iter := 0; iter < opts.MaxIter; iter++ {
-		tj := &kmeansIterJob{
-			Name:       fmt.Sprintf("kmeans-iter-%03d", iter),
-			Kind:       KindKMeansIter,
-			Parent:     spanID,
-			InputPaths: inputPaths,
-			OutputPath: fmt.Sprintf("%s/clusters-%03d", workDir, iter),
-			Mapper: func() mapreduce.TypedMapper[string, trace.Trace, int64, recordio.PointSum] {
-				return &kmeansMapper{}
-			},
-			Reducer: func() mapreduce.TypedReducer[int64, recordio.PointSum, int64, recordio.PointSum] {
-				return kmeansReducer{}
-			},
-			InputKey:        recordio.RawString{},
-			InputValue:      recordio.TraceValue{},
-			MapKey:          recordio.Int64{},
-			MapValue:        recordio.PointSumCodec{},
-			OutputKey:       recordio.Int64{},
-			OutputValue:     recordio.PointSumCodec{},
-			NumReducers:     reducersFor(e, opts.K),
-			Conf:            map[string]string{confKMeansDistance: opts.Distance.String()},
-			Cache:           map[string][]byte{cacheCentroids: marshalCentroids(centroids)},
-			MaxShuffleBytes: opts.MaxShuffleBytes,
-			CompressSpill:   opts.CompressSpill,
-		}
-		if opts.UseCombiner {
-			tj.Combiner = func() mapreduce.TypedReducer[int64, recordio.PointSum, int64, recordio.PointSum] {
-				return kmeansReducer{}
-			}
+		tj := kmeansIterKind
+		tj.Name = fmt.Sprintf("kmeans-iter-%03d", iter)
+		tj.Parent = spanID
+		tj.InputPaths = inputPaths
+		tj.OutputPath = fmt.Sprintf("%s/clusters-%03d", workDir, iter)
+		tj.NumReducers = reducersFor(e, opts.K)
+		tj.Conf = map[string]string{confKMeansDistance: opts.Distance.String()}
+		tj.Cache = map[string][]byte{cacheCentroids: marshalCentroids(centroids)}
+		tj.MaxShuffleBytes = opts.MaxShuffleBytes
+		tj.CompressSpill = opts.CompressSpill
+		if !opts.UseCombiner {
+			tj.Combiner = nil
 		}
 		job := tj.Build()
 		jr, err := e.Run(job)
@@ -178,6 +162,27 @@ func KMeansMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts KMe
 // order-preserving int64 encodings and partial sums as raw float64
 // bits — the combiner no longer loses precision to decimal rendering.
 type kmeansIterJob = mapreduce.TypedJob[string, trace.Trace, int64, recordio.PointSum, int64, recordio.PointSum]
+
+// kmeansIterKind is the iteration family: one job per Lloyd iteration,
+// each differing only in its data (name, cache blob, paths). The
+// combiner is always declared; KMeansOptions.UseCombiner decides per
+// job whether it stays, and that choice travels as JobWire.HasCombiner.
+var kmeansIterKind = mapreduce.Declare(kmeansIterJob{
+	Kind: "gepeto/kmeans-iter",
+	Mapper: func() mapreduce.TypedMapper[string, trace.Trace, int64, recordio.PointSum] {
+		return &kmeansMapper{}
+	},
+	Reducer:     func() kmeansSumReducer { return kmeansReducer{} },
+	Combiner:    func() kmeansSumReducer { return kmeansReducer{} },
+	InputKey:    recordio.RawString{},
+	InputValue:  recordio.TraceValue{},
+	MapKey:      recordio.Int64{},
+	MapValue:    recordio.PointSumCodec{},
+	OutputKey:   recordio.Int64{},
+	OutputValue: recordio.PointSumCodec{},
+})
+
+type kmeansSumReducer = mapreduce.TypedReducer[int64, recordio.PointSum, int64, recordio.PointSum]
 
 // kmeansMapper is Algorithm 1: load the centroids from the distributed
 // cache in setup, then assign each trace to its closest centroid.
@@ -421,26 +426,29 @@ func reducersFor(e *mapreduce.Engine, k int) int {
 // with its final centroid: output key = centroid index, value = the
 // trace record. Used to materialise cluster membership for inference.
 func KMeansAssignments(e *mapreduce.Engine, inputPaths []string, outputPath string, centroids []geo.Point, metric geo.Metric) (*mapreduce.Result, error) {
-	tj := &assignJob{
-		Name:       "kmeans-assign",
-		InputPaths: inputPaths,
-		OutputPath: outputPath,
-		Mapper: func() mapreduce.TypedMapper[string, trace.Trace, int64, trace.Trace] {
-			return &assignMapper{}
-		},
-		InputKey:   recordio.RawString{},
-		InputValue: recordio.TraceValue{},
-		MapKey:     recordio.Int64{},
-		MapValue:   recordio.TraceValue{},
-		Conf:       map[string]string{confKMeansDistance: metric.String()},
-		Cache:      map[string][]byte{cacheCentroids: marshalCentroids(centroids)},
-	}
+	tj := assignKind
+	tj.Name = "kmeans-assign"
+	tj.InputPaths = inputPaths
+	tj.OutputPath = outputPath
+	tj.Conf = map[string]string{confKMeansDistance: metric.String()}
+	tj.Cache = map[string][]byte{cacheCentroids: marshalCentroids(centroids)}
 	return e.Run(tj.Build())
 }
 
 // assignJob is the map-only labeling pass: trace records in, (centroid
 // index, full trace record) out.
 type assignJob = mapreduce.TypedJob[string, trace.Trace, int64, trace.Trace, int64, trace.Trace]
+
+var assignKind = mapreduce.Declare(assignJob{
+	Kind: "gepeto/kmeans-assign",
+	Mapper: func() mapreduce.TypedMapper[string, trace.Trace, int64, trace.Trace] {
+		return &assignMapper{}
+	},
+	InputKey:   recordio.RawString{},
+	InputValue: recordio.TraceValue{},
+	MapKey:     recordio.Int64{},
+	MapValue:   recordio.TraceValue{},
+})
 
 // assignMapper emits (centroid index, full trace record). It reuses
 // the kmeansMapper centroid-cache setup but keeps the whole trace as

@@ -97,26 +97,13 @@ func BuildRTreeMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts
 
 	// Phase 1: sample scalars, pick partitioning points.
 	phase1Out := workDir + "/phase1"
-	p1 := &rtreePhase1Job{
-		Name:       "rtree-phase1-sample",
-		Parent:     spanID,
-		InputPaths: inputPaths,
-		OutputPath: phase1Out,
-		Mapper: func() mapreduce.TypedMapper[string, trace.Trace, string, uint64] {
-			return &sampleMapper{}
-		},
-		Reducer: func() mapreduce.TypedReducer[string, uint64, string, []uint64] {
-			return &partitionPointsReducer{}
-		},
-		InputKey:    recordio.RawString{},
-		InputValue:  recordio.TraceValue{},
-		MapKey:      recordio.RawString{},
-		MapValue:    recordio.Uint64{},
-		OutputKey:   recordio.RawString{},
-		OutputValue: recordio.Uint64List{},
-		NumReducers: 1,
-		Conf:        conf,
-	}
+	p1 := rtreePhase1Kind
+	p1.Name = "rtree-phase1-sample"
+	p1.Parent = spanID
+	p1.InputPaths = inputPaths
+	p1.OutputPath = phase1Out
+	p1.NumReducers = 1
+	p1.Conf = conf
 	r1, err := e.Run(p1.Build())
 	if err != nil {
 		return nil, results, err
@@ -135,34 +122,14 @@ func BuildRTreeMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts
 
 	// Phase 2: partition objects and build small R-trees.
 	phase2Out := workDir + "/phase2"
-	p2 := &rtreePhase2Job{
-		Name:       "rtree-phase2-build",
-		Parent:     spanID,
-		InputPaths: inputPaths,
-		OutputPath: phase2Out,
-		Mapper: func() mapreduce.TypedMapper[string, trace.Trace, int64, recordio.IDPoint] {
-			return &partitionMapper{}
-		},
-		Reducer: func() mapreduce.TypedReducer[int64, recordio.IDPoint, int64, []recordio.IDPoint] {
-			return &subtreeReducer{}
-		},
-		InputKey:    recordio.RawString{},
-		InputValue:  recordio.TraceValue{},
-		MapKey:      recordio.Int64{},
-		MapValue:    recordio.IDPointCodec{},
-		OutputKey:   recordio.Int64{},
-		OutputValue: recordio.IDPointList{},
-		NumReducers: opts.Partitions,
-		// Partition i goes to reducer i: keys are partition indices.
-		Partition: func(idx int64, n int) int {
-			if idx < 0 {
-				return 0
-			}
-			return int(idx % int64(n))
-		},
-		Conf:  conf,
-		Cache: map[string][]byte{cachePartitions: []byte(partitionPoints)},
-	}
+	p2 := rtreePhase2Kind
+	p2.Name = "rtree-phase2-build"
+	p2.Parent = spanID
+	p2.InputPaths = inputPaths
+	p2.OutputPath = phase2Out
+	p2.NumReducers = opts.Partitions
+	p2.Conf = conf
+	p2.Cache = map[string][]byte{cachePartitions: []byte(partitionPoints)}
 	r2, err := e.Run(p2.Build())
 	if err != nil {
 		return nil, results, err
@@ -201,10 +168,49 @@ func BuildRTreeMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts
 // big-endian values rather than decimal strings.
 type rtreePhase1Job = mapreduce.TypedJob[string, trace.Trace, string, uint64, string, []uint64]
 
+var rtreePhase1Kind = mapreduce.Declare(rtreePhase1Job{
+	Kind: "gepeto/rtree-phase1",
+	Mapper: func() mapreduce.TypedMapper[string, trace.Trace, string, uint64] {
+		return &sampleMapper{}
+	},
+	Reducer: func() mapreduce.TypedReducer[string, uint64, string, []uint64] {
+		return &partitionPointsReducer{}
+	},
+	InputKey:    recordio.RawString{},
+	InputValue:  recordio.TraceValue{},
+	MapKey:      recordio.RawString{},
+	MapValue:    recordio.Uint64{},
+	OutputKey:   recordio.RawString{},
+	OutputValue: recordio.Uint64List{},
+})
+
 // rtreePhase2Job is the typed shape of the build phase: trace records
 // in, (partition index, ID+point) intermediates, one (partition index,
 // serialized entry list) record per partition out.
 type rtreePhase2Job = mapreduce.TypedJob[string, trace.Trace, int64, recordio.IDPoint, int64, []recordio.IDPoint]
+
+var rtreePhase2Kind = mapreduce.Declare(rtreePhase2Job{
+	Kind: "gepeto/rtree-phase2",
+	Mapper: func() mapreduce.TypedMapper[string, trace.Trace, int64, recordio.IDPoint] {
+		return &partitionMapper{}
+	},
+	Reducer: func() mapreduce.TypedReducer[int64, recordio.IDPoint, int64, []recordio.IDPoint] {
+		return &subtreeReducer{}
+	},
+	InputKey:    recordio.RawString{},
+	InputValue:  recordio.TraceValue{},
+	MapKey:      recordio.Int64{},
+	MapValue:    recordio.IDPointCodec{},
+	OutputKey:   recordio.Int64{},
+	OutputValue: recordio.IDPointList{},
+	// Partition i goes to reducer i: keys are partition indices.
+	Partition: func(idx int64, n int) int {
+		if idx < 0 {
+			return 0
+		}
+		return int(idx % int64(n))
+	},
+})
 
 // sampleMapper is Algorithm 6: it reservoir-samples a predefined
 // number of objects from its chunk and outputs the corresponding

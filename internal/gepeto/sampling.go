@@ -58,29 +58,41 @@ const (
 // input codec reads text uploads and binary part files alike, and its
 // output is binary recordio records keyed by user.
 func SamplingJob(name string, inputPaths []string, outputPath string, window time.Duration, tech SamplingTechnique) *mapreduce.Job {
-	tj := &traceFilterJob{
-		Name:       name,
-		InputPaths: inputPaths,
-		OutputPath: outputPath,
-		Mapper: func() mapreduce.TypedMapper[string, trace.Trace, string, trace.Trace] {
-			return &samplingMapper{}
-		},
+	return BuildTraceFilter(samplingKind, name, inputPaths, outputPath, map[string]string{
+		confSamplingWindow:    strconv.Itoa(int(window.Seconds())),
+		confSamplingTechnique: tech.String(),
+	})
+}
+
+var samplingKind = DeclareTraceFilter("gepeto/sampling", func() TraceMapper { return &samplingMapper{} })
+
+// TraceFilterJob is the common shape of the map-only trace→trace jobs
+// (sampling, speed filter, dedup, the sanitizers): text-or-binary
+// trace records in, binary trace records keyed by user out.
+type TraceFilterJob = mapreduce.TypedJob[string, trace.Trace, string, trace.Trace, string, trace.Trace]
+
+// TraceMapper is the mapper of a TraceFilterJob.
+type TraceMapper = mapreduce.TypedMapper[string, trace.Trace, string, trace.Trace]
+
+// DeclareTraceFilter declares one trace-filter job family (see
+// mapreduce.Declare); the families differ only in name and mapper.
+func DeclareTraceFilter(kind string, mapper func() TraceMapper) TraceFilterJob {
+	return mapreduce.Declare(TraceFilterJob{
+		Kind:       kind,
+		Mapper:     mapper,
 		InputKey:   recordio.RawString{},
 		InputValue: recordio.TraceValue{},
 		MapKey:     recordio.RawString{},
 		MapValue:   recordio.TraceValue{},
-		Conf: map[string]string{
-			confSamplingWindow:    strconv.Itoa(int(window.Seconds())),
-			confSamplingTechnique: tech.String(),
-		},
-	}
-	return tj.Build()
+	})
 }
 
-// traceFilterJob is the common shape of the map-only trace→trace jobs
-// (sampling, speed filter, dedup, the sanitizers): text-or-binary
-// trace records in, binary trace records keyed by user out.
-type traceFilterJob = mapreduce.TypedJob[string, trace.Trace, string, trace.Trace, string, trace.Trace]
+// BuildTraceFilter fills a copy of the family's template with one
+// run's data and lowers it.
+func BuildTraceFilter(tj TraceFilterJob, name string, inputPaths []string, outputPath string, conf map[string]string) *mapreduce.Job {
+	tj.Name, tj.InputPaths, tj.OutputPath, tj.Conf = name, inputPaths, outputPath, conf
+	return tj.Build()
+}
 
 // samplingMapper implements the paper's sampling as a pure map phase
 // ("the reduce phase is not necessary as sampling represents a

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -96,9 +97,13 @@ func (l *attemptLog) snapshot() []obs.AttemptRecord {
 	return append([]obs.AttemptRecord(nil), l.recs...)
 }
 
+// runSeq numbers Engine.Run calls process-wide; see TaskSpec.Run.
+var runSeq atomic.Uint64
+
 // Run executes one job to completion and returns its result.
 func (e *Engine) Run(job *Job) (*Result, error) {
 	start := time.Now()
+	run := runSeq.Add(1)
 	if err := validate(job); err != nil {
 		return nil, err
 	}
@@ -116,7 +121,7 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 	mapOnly := job.NewReducer == nil
 
 	// Select the executor. An external one additionally requires the
-	// job to wire — a missing kind registration should fail the job at
+	// job to wire — a missing kind declaration should fail the job at
 	// submission, not every task attempt on the workers.
 	exec := e.opts.Executor
 	if exec == nil {
@@ -236,7 +241,7 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 	mapSpecs := make([]TaskSpec, len(splits))
 	for i, sp := range splits {
 		mapSpecs[i] = TaskSpec{
-			Job: job, Phase: "map", TaskID: fmt.Sprintf("map-%04d", i), Index: i,
+			Job: job, Run: run, Phase: "map", TaskID: fmt.Sprintf("map-%04d", i), Index: i,
 			MapOnly: mapOnly, NumReducers: numReducers, Split: sp,
 		}
 	}
@@ -280,7 +285,7 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 	reduceSpecs := make([]TaskSpec, numReducers) // no locality: reducers read from all mappers
 	for r := range reduceSpecs {
 		reduceSpecs[r] = TaskSpec{
-			Job: job, Phase: "reduce", TaskID: fmt.Sprintf("reduce-%04d", r), Index: r,
+			Job: job, Run: run, Phase: "reduce", TaskID: fmt.Sprintf("reduce-%04d", r), Index: r,
 			NumReducers: numReducers, Partition: r,
 		}
 	}

@@ -20,8 +20,14 @@ import (
 type TaskSpec struct {
 	// Job is the full job description. In-process executors use its
 	// function fields directly; remote executors ship it as a JobWire
-	// and re-materialise the functions from the kind registry.
+	// and re-materialise the functions from the kind's template.
 	Job *Job
+	// Run identifies the Engine.Run call the attempt belongs to, unique
+	// within the driver process. Job names repeat (every k-means call
+	// submits "kmeans-iter-000"), so a remote executor that must tell a
+	// duplicate delivery from a new submission keys on this, not on the
+	// name.
+	Run uint64
 	// Phase is "map" or "reduce".
 	Phase string
 	// TaskID is the task identifier ("map-0007", "reduce-0000").
@@ -88,7 +94,7 @@ type Executor interface {
 	// remote completion (losing speculative attempts are abandoned).
 	RunTask(ctx context.Context, spec TaskSpec) (TaskResult, error)
 	// External reports whether attempts run outside the driver
-	// process: the job must then wire (a registered kind), and an
+	// process: the job must then wire (a declared kind), and an
 	// abandoned attempt may outlive its phase.
 	External() bool
 }

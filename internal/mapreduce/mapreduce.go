@@ -113,8 +113,8 @@ func (ReduceFunc) Cleanup(*TaskContext, Emit) error { return nil }
 type Job struct {
 	// Name labels the job in results and task IDs.
 	Name string
-	// Kind names the job's registered kind (see RegisterKind), which
-	// stands in for the function fields when the job is shipped to an
+	// Kind names the job's declared kind (see Declare), which stands in
+	// for the function fields when the job is shipped to an
 	// out-of-process worker. Optional for in-process execution.
 	Kind string
 	// InputPaths are DFS files or directories to read.

@@ -62,7 +62,7 @@ func (x storeExecutor) RunTask(_ context.Context, spec TaskSpec) (TaskResult, er
 const kindShuffleTest = "test-ext-shuffle"
 
 func init() {
-	RegisterKind(kindShuffleTest, JobKind{NewMapper: func() Mapper { return wordMapper{} }})
+	registerKind(kindShuffleTest, &Job{NewMapper: func() Mapper { return wordMapper{} }})
 }
 
 // shuffleJob is one wordcount-shaped job over text. budget=0 keeps

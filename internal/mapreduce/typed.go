@@ -85,8 +85,7 @@ func (TypedReduceFunc[K, V, KO, VO]) Cleanup(*TaskContext, TypedEmit[KO, VO]) er
 // as output codecs and OutputKey/OutputValue stay nil).
 type TypedJob[KI, VI, KM, VM, KO, VO any] struct {
 	Name string
-	// Kind names the job's registered kind for remote execution; see
-	// Job.Kind.
+	// Kind names the job family for remote execution; see Declare.
 	Kind       string
 	InputPaths []string
 	OutputPath string
@@ -122,9 +121,6 @@ type TypedJob[KI, VI, KM, VM, KO, VO any] struct {
 	// KeyCompare overrides the intermediate key order; defaults to
 	// MapKey's RawCompare when implemented, else plain byte order.
 	KeyCompare func(a, b string) int
-	// TextOutput writes classic "key\tvalue" part files instead of
-	// binary record files — for outputs meant to be read as text.
-	TextOutput bool
 
 	Conf        map[string]string
 	Cache       map[string][]byte
@@ -149,7 +145,7 @@ func (tj *TypedJob[KI, VI, KM, VM, KO, VO]) Build() *Job {
 		MaxAttempts:     tj.MaxAttempts,
 		Parent:          tj.Parent,
 		KeyCompare:      tj.KeyCompare,
-		BinaryOutput:    !tj.TextOutput,
+		BinaryOutput:    true,
 		MaxShuffleBytes: tj.MaxShuffleBytes,
 		CompressSpill:   tj.CompressSpill,
 	}

@@ -1,11 +1,11 @@
 // Job serialization for out-of-process executors. A Job carries
 // function fields (mapper/reducer factories, partitioner, comparator)
-// that cannot cross a process boundary, so remote execution uses a
-// kind registry: the driver names the job's kind, the wire form
-// carries the name plus the job's plain data, and the worker binary —
-// which registered the same kind at init — re-materialises the
-// functions on its side. The same pattern as Hadoop shipping class
-// names in the JobConf and instantiating them tasktracker-side.
+// that cannot cross a process boundary, so remote execution ships the
+// job's plain data plus the name of its kind, and the worker binary —
+// which declared the same kind when its packages initialised —
+// re-materialises the functions on its side. The same pattern as
+// Hadoop shipping class names in the JobConf and instantiating them
+// tasktracker-side.
 
 package mapreduce
 
@@ -14,61 +14,58 @@ import (
 	"sync"
 )
 
-// JobKind is the functional surface of a job family: everything a
-// worker needs beyond the per-job data in JobWire.
-type JobKind struct {
-	NewMapper   func() Mapper
-	NewReducer  func() Reducer
-	NewCombiner func() Reducer
-	Partitioner func(key string, numReducers int) int
-	KeyCompare  func(a, b string) int
-}
-
+// kinds maps a kind name to the lowered template declared under it;
+// only the template's function fields are read. It is filled while
+// packages initialise and read-only in practice afterwards.
 var (
 	kindMu sync.RWMutex
-	kinds  = make(map[string]JobKind)
+	kinds  = make(map[string]*Job)
 )
 
-// RegisterKind makes a job kind available for remote execution under
-// the given name. Call it from an init function (or other
-// start-of-world code) in a package both the driver and the worker
-// binary import; registering a duplicate name panics, like
-// gob.Register.
-func RegisterKind(name string, k JobKind) {
+// Declare registers a job family and returns its template: the typed
+// job with its functional surface (Kind, mapper, reducer, combiner,
+// partitioner, codecs) filled in and no per-run data. Assign the result
+// to a package-level variable, so that every binary importing the
+// package — driver and worker alike — knows the kind, and have the
+// driver build each job from a copy of it:
+//
+//	var wordCount = mapreduce.Declare(wordCountJob{Kind: "app/wordcount", Mapper: ...})
+//
+//	tj := wordCount // a copy: the template itself is never mutated
+//	tj.Name, tj.InputPaths, tj.OutputPath = ...
+//	engine.Run(tj.Build())
+//
+// The driver's job and the worker's then run the same functions by
+// construction, because there is one declaration to run. The template
+// carries no data on purpose: whatever a run adds (name, paths, reducer
+// count, Conf, Cache, spill settings) travels in JobWire, and a
+// template with data in it would be a second, silent source for it.
+// Declaring a name twice panics, like gob.Register.
+func Declare[KI, VI, KM, VM, KO, VO any](tj TypedJob[KI, VI, KM, VM, KO, VO]) TypedJob[KI, VI, KM, VM, KO, VO] {
+	registerKind(tj.Kind, tj.Build())
+	return tj
+}
+
+func registerKind(name string, template *Job) {
 	if name == "" {
-		panic("mapreduce: RegisterKind with empty name")
+		panic("mapreduce: job kind declared with an empty name")
 	}
-	if k.NewMapper == nil {
-		panic(fmt.Sprintf("mapreduce: RegisterKind %q without NewMapper", name))
+	if template.NewMapper == nil {
+		panic(fmt.Sprintf("mapreduce: job kind %q declared without a mapper", name))
 	}
 	kindMu.Lock()
 	defer kindMu.Unlock()
 	if _, dup := kinds[name]; dup {
-		panic(fmt.Sprintf("mapreduce: RegisterKind %q registered twice", name))
+		panic(fmt.Sprintf("mapreduce: job kind %q declared twice", name))
 	}
-	kinds[name] = k
+	kinds[name] = template
 }
 
-// LookupKind returns the registered kind for name.
-func LookupKind(name string) (JobKind, bool) {
+func lookupKind(name string) (*Job, bool) {
 	kindMu.RLock()
 	defer kindMu.RUnlock()
 	k, ok := kinds[name]
 	return k, ok
-}
-
-// KindOf extracts a job's functional surface as a registrable kind —
-// the usual way a driver registers a typed job template:
-//
-//	mapreduce.RegisterKind("myjob", mapreduce.KindOf(template.Build()))
-func KindOf(job *Job) JobKind {
-	return JobKind{
-		NewMapper:   job.NewMapper,
-		NewReducer:  job.NewReducer,
-		NewCombiner: job.NewCombiner,
-		Partitioner: job.Partitioner,
-		KeyCompare:  job.KeyCompare,
-	}
 }
 
 // JobWire is the process-crossing form of a Job: its plain data plus
@@ -79,8 +76,8 @@ type JobWire struct {
 	Kind         string
 	NumReducers  int
 	BinaryOutput bool
-	// HasCombiner records whether the driver's job enabled the kind's
-	// combiner (a kind may register one that individual jobs turn off,
+	// HasCombiner records whether the driver's job kept the kind's
+	// combiner (a template may declare one that individual jobs drop,
 	// as k-means does behind KMeansOptions.UseCombiner).
 	HasCombiner bool
 	Conf        map[string]string
@@ -92,13 +89,13 @@ type JobWire struct {
 }
 
 // Wire converts the job for shipping to a worker. It fails when the
-// job has no kind, or the kind is not registered in this binary —
+// job has no kind, or the kind is not declared in this binary —
 // catching a typo driver-side beats a per-task failure worker-side.
 func (j *Job) Wire() (JobWire, error) {
 	if j.Kind == "" {
-		return JobWire{}, fmt.Errorf("mapreduce: job %s has no Kind; remote execution needs a registered kind", j.Name)
+		return JobWire{}, fmt.Errorf("mapreduce: job %s has no Kind; remote execution needs a declared kind", j.Name)
 	}
-	if _, ok := LookupKind(j.Kind); !ok {
+	if _, ok := lookupKind(j.Kind); !ok {
 		return JobWire{}, fmt.Errorf("mapreduce: job %s: kind %q is not registered", j.Name, j.Kind)
 	}
 	return JobWire{
@@ -114,9 +111,10 @@ func (j *Job) Wire() (JobWire, error) {
 	}, nil
 }
 
-// Materialize rebuilds a runnable Job worker-side from the registry.
+// Materialize rebuilds a runnable Job worker-side from the kind's
+// template.
 func (w JobWire) Materialize() (*Job, error) {
-	k, ok := LookupKind(w.Kind)
+	k, ok := lookupKind(w.Kind)
 	if !ok {
 		return nil, fmt.Errorf("mapreduce: job kind %q is not registered in this binary", w.Kind)
 	}
@@ -136,7 +134,7 @@ func (w JobWire) Materialize() (*Job, error) {
 	}
 	if w.HasCombiner {
 		if k.NewCombiner == nil {
-			return nil, fmt.Errorf("mapreduce: job %s uses a combiner but kind %q registered none", w.Name, w.Kind)
+			return nil, fmt.Errorf("mapreduce: job %s uses a combiner but kind %q declared none", w.Name, w.Kind)
 		}
 		job.NewCombiner = k.NewCombiner
 	}

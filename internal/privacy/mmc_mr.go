@@ -164,28 +164,13 @@ func BuildMMCsMR(e *mapreduce.Engine, inputPaths []string, outputPath string, us
 	if attachRadius <= 0 {
 		attachRadius = 50
 	}
-	tj := &mmcBuildJob{
-		Name:       "mmc-build",
-		InputPaths: inputPaths,
-		OutputPath: outputPath,
-		Mapper: func() mapreduce.TypedMapper[string, trace.Trace, string, recordio.TimedPoint] {
-			return mmcRouteMapper{}
-		},
-		Reducer: func() mapreduce.TypedReducer[string, recordio.TimedPoint, string, string] {
-			return &mmcBuildReducer{}
-		},
-		InputKey:    recordio.RawString{},
-		InputValue:  recordio.TraceValue{},
-		MapKey:      recordio.RawString{},
-		MapValue:    recordio.TimedPointCodec{},
-		OutputKey:   recordio.RawString{},
-		OutputValue: recordio.RawString{},
-		NumReducers: e.Cluster().TotalSlots(),
-		Conf: map[string]string{
-			confAttachRadiu: strconv.FormatFloat(attachRadius, 'f', -1, 64),
-		},
-		Cache: map[string][]byte{cachePOIs: MarshalUserPOIs(userPOIs)},
-	}
+	tj := mmcBuildKind
+	tj.Name = "mmc-build"
+	tj.InputPaths = inputPaths
+	tj.OutputPath = outputPath
+	tj.NumReducers = e.Cluster().TotalSlots()
+	tj.Conf = map[string]string{confAttachRadiu: strconv.FormatFloat(attachRadius, 'f', -1, 64)}
+	tj.Cache = map[string][]byte{cachePOIs: MarshalUserPOIs(userPOIs)}
 	res, err := e.Run(tj.Build())
 	if err != nil {
 		return nil, nil, err
@@ -209,6 +194,22 @@ func BuildMMCsMR(e *mapreduce.Engine, inputPaths []string, outputPath string, us
 // in, (user, timestamped position) intermediates, one (user,
 // serialized chain) record per user out.
 type mmcBuildJob = mapreduce.TypedJob[string, trace.Trace, string, recordio.TimedPoint, string, string]
+
+var mmcBuildKind = mapreduce.Declare(mmcBuildJob{
+	Kind: "privacy/mmc-build",
+	Mapper: func() mapreduce.TypedMapper[string, trace.Trace, string, recordio.TimedPoint] {
+		return mmcRouteMapper{}
+	},
+	Reducer: func() mapreduce.TypedReducer[string, recordio.TimedPoint, string, string] {
+		return &mmcBuildReducer{}
+	},
+	InputKey:    recordio.RawString{},
+	InputValue:  recordio.TraceValue{},
+	MapKey:      recordio.RawString{},
+	MapValue:    recordio.TimedPointCodec{},
+	OutputKey:   recordio.RawString{},
+	OutputValue: recordio.RawString{},
+})
 
 // mmcRouteMapper routes each trace to its user's reducer as a
 // timestamped position.

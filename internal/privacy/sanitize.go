@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"repro/internal/geo"
+	"repro/internal/gepeto"
 	"repro/internal/mapreduce"
-	"repro/internal/recordio"
 	"repro/internal/trace"
 )
 
@@ -241,31 +241,16 @@ const (
 	confCloakCell = "sanitize.cloak.cell"
 )
 
-// sanitizeJob is the typed shape of the map-only sanitizers: trace
-// records (text or binary) in, binary trace records keyed by user out.
-type sanitizeJob = mapreduce.TypedJob[string, trace.Trace, string, trace.Trace, string, trace.Trace]
-
 // GaussianMaskJob builds a map-only job applying GaussianMask to
 // record files — the MapReduced geographical mask of §VIII.
 func GaussianMaskJob(name string, inputPaths []string, outputPath string, sigmaMeters float64, seed int64) *mapreduce.Job {
-	tj := &sanitizeJob{
-		Name:       name,
-		InputPaths: inputPaths,
-		OutputPath: outputPath,
-		Mapper: func() mapreduce.TypedMapper[string, trace.Trace, string, trace.Trace] {
-			return &maskMapper{}
-		},
-		InputKey:   recordio.RawString{},
-		InputValue: recordio.TraceValue{},
-		MapKey:     recordio.RawString{},
-		MapValue:   recordio.TraceValue{},
-		Conf: map[string]string{
-			confMaskSigma: strconv.FormatFloat(sigmaMeters, 'f', -1, 64),
-			confMaskSeed:  strconv.FormatInt(seed, 10),
-		},
-	}
-	return tj.Build()
+	return gepeto.BuildTraceFilter(maskKind, name, inputPaths, outputPath, map[string]string{
+		confMaskSigma: strconv.FormatFloat(sigmaMeters, 'f', -1, 64),
+		confMaskSeed:  strconv.FormatInt(seed, 10),
+	})
 }
+
+var maskKind = gepeto.DeclareTraceFilter("privacy/gaussian-mask", func() gepeto.TraceMapper { return &maskMapper{} })
 
 type maskMapper struct {
 	mapreduce.TypedMapperBase[string, trace.Trace]
@@ -299,21 +284,11 @@ func (m *maskMapper) Map(_ *mapreduce.TaskContext, _ string, t trace.Trace, emit
 // CloakingJob builds a map-only job applying SpatialCloaking to record
 // files.
 func CloakingJob(name string, inputPaths []string, outputPath string, cellMeters float64) *mapreduce.Job {
-	tj := &sanitizeJob{
-		Name:       name,
-		InputPaths: inputPaths,
-		OutputPath: outputPath,
-		Mapper: func() mapreduce.TypedMapper[string, trace.Trace, string, trace.Trace] {
-			return &cloakMapper{}
-		},
-		InputKey:   recordio.RawString{},
-		InputValue: recordio.TraceValue{},
-		MapKey:     recordio.RawString{},
-		MapValue:   recordio.TraceValue{},
-		Conf:       map[string]string{confCloakCell: strconv.FormatFloat(cellMeters, 'f', -1, 64)},
-	}
-	return tj.Build()
+	return gepeto.BuildTraceFilter(cloakKind, name, inputPaths, outputPath,
+		map[string]string{confCloakCell: strconv.FormatFloat(cellMeters, 'f', -1, 64)})
 }
+
+var cloakKind = gepeto.DeclareTraceFilter("privacy/cloaking", func() gepeto.TraceMapper { return &cloakMapper{} })
 
 type cloakMapper struct {
 	mapreduce.TypedMapperBase[string, trace.Trace]

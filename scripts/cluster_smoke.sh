@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
-# Multi-process cluster smoke test: run the same k-means job once
-# in-process and once as a real deployment — one jobtracker process,
-# three worker processes over TCP — kill one worker mid-run, and
-# require the final centroids to match byte for byte.
+# Multi-process cluster smoke test: run the same command once
+# in-process and once with -workers 3 — the command's own process as
+# jobtracker, three worker processes over TCP — and require the same
+# answer byte for byte. Leg 1 is k-means with one worker SIGKILLed
+# mid-run; leg 2 is the six-job POI attack.
 #
 # This is the end-to-end proof behind the executor split: the scheduler
-# cannot tell the two backends apart, and losing a tasktracker costs
-# retries, never answers.
+# cannot tell the two backends apart, losing a tasktracker costs
+# retries, never answers, and every pipeline — not only k-means —
+# crosses the process boundary.
 #
-# The run also exercises the observability plane: the jobtracker serves
+# Leg 1 also exercises the observability plane: the jobtracker serves
 # its status server with -linger, and the script scrapes /cluster,
 # /metrics (federated per-worker series) and the live worker table,
 # then renders the clock-aligned Chrome trace via `gepeto analyze`.
@@ -38,8 +40,8 @@ echo "== in-process reference run"
     -centroids-out "$workdir/expected.txt" >/dev/null
 
 echo "== multi-process run (3 workers, one killed mid-run)"
-"$workdir/gepeto" jobtracker -in "$workdir/data" -k 5 -maxiter 5 -seed 1 -combiner \
-    -nodes 3 -racks 2 -slots 4 -workers 3 -grace 1s \
+"$workdir/gepeto" kmeans -in "$workdir/data" -k 5 -maxiter 5 -seed 1 -combiner \
+    -racks 2 -slots 4 -workers 3 -grace 1s \
     -addr-file "$workdir/jt.addr" \
     -status :0 -status-file "$workdir/status.addr" \
     -historydir "$workdir/history" -linger 60s -log-level info \
@@ -66,7 +68,7 @@ sleep 1
 echo "== killing worker node-01 (pid ${worker_pids[1]})"
 kill -9 "${worker_pids[1]}" 2>/dev/null || true
 
-echo "== waiting for the job (jobtracker lingers for scraping)"
+echo "== waiting for the job (the kmeans process lingers for scraping)"
 deadline=$((SECONDS + 120))
 while [ ! -s "$workdir/actual.txt" ]; do
     if ! kill -0 "$jt_pid" 2>/dev/null; then
@@ -167,4 +169,31 @@ if ! diff -u "$workdir/expected.txt" "$workdir/actual.txt"; then
     echo "FAIL: multi-process centroids differ from in-process run" >&2
     exit 1
 fi
-echo "PASS: centroids byte-identical across backends, cluster view + federated metrics + clock-aligned trace verified"
+
+echo "== POI attack: in-process reference run"
+"$workdir/gepeto" attack -in "$workdir/data" -nodes 3 -racks 2 -slots 4 \
+    -historydir "" >"$workdir/pois_expected.txt"
+
+echo "== POI attack: multi-process run (3 workers)"
+rm -f "$workdir/jt.addr"
+"$workdir/gepeto" attack -in "$workdir/data" -racks 2 -slots 4 -workers 3 \
+    -addr-file "$workdir/jt.addr" -historydir "" >"$workdir/pois_actual.txt" &
+attack_pid=$!
+pids+=("$attack_pid")
+for i in 0 1 2; do
+    "$workdir/gepeto" worker -node "node-0$i" -slots 4 -addr-file "$workdir/jt.addr" &
+    pids+=("$!")
+done
+if ! wait "$attack_pid"; then
+    echo "FAIL: multi-process attack exited nonzero" >&2
+    exit 1
+fi
+if ! grep -q "^user " "$workdir/pois_expected.txt"; then
+    echo "FAIL: the reference attack found no POIs to compare" >&2
+    exit 1
+fi
+if ! diff -u "$workdir/pois_expected.txt" "$workdir/pois_actual.txt"; then
+    echo "FAIL: multi-process POIs differ from in-process run" >&2
+    exit 1
+fi
+echo "PASS: centroids and POIs byte-identical across backends, cluster view + federated metrics + clock-aligned trace verified"
