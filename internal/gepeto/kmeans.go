@@ -46,9 +46,11 @@ type KMeansOptions struct {
 	// Parent is the enclosing observability span, when the clustering
 	// runs inside a larger pipeline ("" for a standalone run).
 	Parent string
-	// MaxShuffleBytes bounds each map task's in-memory shuffle buffer;
-	// over budget, sorted runs spill to DFS (see
-	// mapreduce.Job.MaxShuffleBytes). 0 keeps every run in memory.
+	// MaxShuffleBytes bounds each map task's in-memory shuffle buffer
+	// (see mapreduce.Job.MaxShuffleBytes). With UseCombiner it binds on
+	// post-combine bytes: a full buffer is combined down to k partial
+	// sums per partition, and a task whose buffer ever filled hands its
+	// runs over as DFS files. 0 keeps every run in memory.
 	MaxShuffleBytes int64
 	// CompressSpill DEFLATE-compresses spill run files.
 	CompressSpill bool

@@ -335,37 +335,35 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 }
 
 // runReduce feeds each distinct-key group of a sorted record stream to
-// the reducer (used for both real reducers and combiners). The input
-// iterator must yield records in non-decreasing key order; grouping is
-// streaming, so the whole input is never copied or re-sorted. If
-// groupCount is non-nil it receives the number of distinct keys.
+// the reducer (used for both real reducers and combiners), whose
+// emissions go to ctx.out. The input iterator must yield records in
+// non-decreasing key order; grouping is streaming, so the whole input is
+// never copied or re-sorted. It returns the number of distinct keys.
 // Counters are the caller's responsibility (only winning attempts
 // commit them).
-func runReduce(ctx *TaskContext, red Reducer, it kvIter, groupCount *int64, cmp func(a, b string) int) ([]KV, error) {
-	var out []KV
-	emit := func(k, v string) { out = append(out, KV{k, v}) }
+func runReduce(ctx *TaskContext, red Reducer, it cursor, cmp func(a, b string) int) (groups int64, err error) {
+	emit := stringEmit(ctx.out)
 	if err := red.Setup(ctx); err != nil {
-		return nil, fmt.Errorf("setup: %v", err)
+		return 0, fmt.Errorf("setup: %v", err)
 	}
 	g := newGroupIter(it, cmp)
-	var groups int64
 	for {
-		key, values, ok := g.next()
+		key, values, ok, err := g.next()
+		if err != nil {
+			return 0, err
+		}
 		if !ok {
 			break
 		}
 		if err := red.Reduce(ctx, key, values, emit); err != nil {
-			return nil, err
+			return 0, err
 		}
 		groups++
 	}
 	if err := red.Cleanup(ctx, emit); err != nil {
-		return nil, fmt.Errorf("cleanup: %v", err)
+		return 0, fmt.Errorf("cleanup: %v", err)
 	}
-	if groupCount != nil {
-		*groupCount = groups
-	}
-	return out, nil
+	return groups, nil
 }
 
 // shuffleDetail renders the per-partition summary carried on the
@@ -385,26 +383,6 @@ func shuffleDetail(parts []obs.PartStat) string {
 		fmt.Fprintf(&sb, "p%d:runs=%d,records=%d,bytes=%d", p.Part, p.Runs, p.Records, p.Bytes)
 	}
 	return sb.String()
-}
-
-// encodePartFile renders records in the part-file format — recordio
-// binary records, or "key\tvalue" text lines.
-func encodePartFile(kvs []KV, binary bool) []byte {
-	if binary {
-		w := recordio.NewWriter()
-		for _, kv := range kvs {
-			w.Add(kv.Key, kv.Value)
-		}
-		return w.Bytes()
-	}
-	var sb strings.Builder
-	for _, kv := range kvs {
-		sb.WriteString(kv.Key)
-		sb.WriteByte('\t')
-		sb.WriteString(kv.Value)
-		sb.WriteByte('\n')
-	}
-	return []byte(sb.String())
 }
 
 // ReadOutput reads back all part files of a completed job's output

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"strconv"
 	"strings"
 	"sync"
@@ -694,6 +695,24 @@ func TestHashPartitionStableAndInRange(t *testing.T) {
 		}
 		if p2 := HashPartition(key, 7); p2 != p {
 			t.Fatal("partitioner not deterministic")
+		}
+	}
+}
+
+// TestHashPartitionMatchesFNV pins the inlined hash to hash/fnv's
+// 32-bit FNV-1a, which the default partitioner has always been: were a
+// value to change, records would change reducer and part files differ.
+func TestHashPartitionMatchesFNV(t *testing.T) {
+	for _, key := range []string{
+		"", "a", "key-1", "中文", "\x00", "\x00\x00\x00\x00\x00\x00\x00\x07", "\xff\xfe\x80\x01",
+		strings.Repeat("long key ", 500),
+	} {
+		h := fnv.New32a()
+		h.Write([]byte(key))
+		for _, n := range []int{1, 2, 7, 64, 1 << 20} {
+			if got, want := HashPartition(key, n), int(h.Sum32()%uint32(n)); got != want {
+				t.Errorf("HashPartition(%q, %d) = %d, hash/fnv gives %d", key, n, got, want)
+			}
 		}
 	}
 }

@@ -15,7 +15,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -155,11 +154,12 @@ type Job struct {
 	// another node before the job fails (default 3).
 	MaxAttempts int
 	// MaxShuffleBytes bounds the raw key+value bytes a map task
-	// buffers in memory before sorting, combining and spilling the
-	// buffer to DFS as file-backed runs. 0 (the default) never trips:
+	// buffers. A full buffer is sorted and, by the job's combiner if it
+	// has one, combined in memory; what then still fills over half the
+	// budget is spilled to DFS as file-backed runs — with a combiner the
+	// budget binds on post-combine bytes. 0 (the default) never spills:
 	// in-process, each partition then leaves the task as one in-memory
-	// run. Either way the reduce attempt streams the k-way merge over
-	// whatever runs it is handed. Ignored by map-only jobs.
+	// run. Ignored by map-only jobs.
 	MaxShuffleBytes int64
 	// CompressSpill writes run files in the DEFLATE-compressed
 	// recordio block format (version 2) instead of plain record
@@ -171,12 +171,15 @@ type Job struct {
 	Parent string
 }
 
-// HashPartition is the default partitioner: FNV-1a hash of the key
-// modulo the reducer count.
+// HashPartition is the default partitioner: the 32-bit FNV-1a hash of
+// the key (hash/fnv's New32a, inlined: it runs once per map-output
+// record) modulo the reducer count.
 func HashPartition(key string, numReducers int) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(numReducers))
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return int(h % uint32(numReducers))
 }
 
 // TaskContext is passed to every Mapper/Reducer method, carrying task
@@ -194,6 +197,7 @@ type TaskContext struct {
 	conf     map[string]string
 	cache    map[string][]byte
 	counters *Counters
+	out      recordSink // where this attempt's emissions go
 }
 
 // Conf returns the job configuration value for key ("" if unset).

@@ -1,9 +1,6 @@
 package mapreduce
 
-import (
-	"container/heap"
-	"sort"
-)
+import "container/heap"
 
 // This file implements the sort-based shuffle's merge machinery,
 // mirroring Hadoop's intermediate-data path: each map task sorts every
@@ -21,52 +18,24 @@ import (
 // encodings also pass nil (byte order IS their key order); only
 // custom sort orders need a function.
 
-// sortRun stable-sorts one map-output partition by key, preserving
-// emission order among equal keys (the property the merge's tie-break
-// relies on for end-to-end determinism).
-func sortRun(kvs []KV, cmp func(a, b string) int) {
-	if cmp == nil {
-		sort.SliceStable(kvs, func(i, j int) bool { return kvs[i].Key < kvs[j].Key })
-		return
+// cursor yields the successive records of one sorted stream — a run, or
+// the merge of several — in non-decreasing key order. ok=false ends it
+// cleanly; an error (a failed run-file read) aborts whatever consumes
+// it. The strings may be views of memory the cursor reads (kvbuffer.go).
+type cursor interface {
+	next() (KV, bool, error)
+}
+
+// sliceCursor is the cursor over a run given as records (MergeRuns).
+type sliceCursor []KV
+
+func (s *sliceCursor) next() (KV, bool, error) {
+	if len(*s) == 0 {
+		return KV{}, false, nil
 	}
-	sort.SliceStable(kvs, func(i, j int) bool { return cmp(kvs[i].Key, kvs[j].Key) < 0 })
-}
-
-// kvIter yields key-value records in non-decreasing key order.
-type kvIter interface {
-	next() (KV, bool)
-}
-
-// sliceIter iterates an already-sorted slice.
-type sliceIter struct {
-	kvs []KV
-	pos int
-}
-
-func (s *sliceIter) next() (KV, bool) {
-	if s.pos >= len(s.kvs) {
-		return KV{}, false
-	}
-	kv := s.kvs[s.pos]
-	s.pos++
-	return kv, true
-}
-
-// cursor yields the successive records of one sorted run. ok=false
-// ends the run cleanly; an error (a failed run-file read) aborts the
-// merge.
-type cursor func() (KV, bool, error)
-
-// sliceCursor is the cursor over an in-memory run.
-func sliceCursor(kvs []KV) cursor {
-	pos := 0
-	return func() (KV, bool, error) {
-		if pos >= len(kvs) {
-			return KV{}, false, nil
-		}
-		pos++
-		return kvs[pos-1], true, nil
-	}
+	kv := (*s)[0]
+	*s = (*s)[1:]
+	return kv, true, nil
 }
 
 // mergeSource is one run's position inside the merge heap: its cursor
@@ -75,9 +44,9 @@ func sliceCursor(kvs []KV) cursor {
 // (records of equal keys come out in map-task order, exactly as the
 // seed's concat-then-stable-sort shuffle produced them).
 type mergeSource struct {
-	next cursor
-	cur  KV
-	ord  int
+	cursor
+	cur KV
+	ord int
 }
 
 // mergeHeap is a min-heap of merge sources ordered by (current key,
@@ -115,57 +84,47 @@ func (h *mergeHeap) Pop() any {
 	return x
 }
 
-// mergeIter streams the k-way merge of sorted runs. kvIter.next has no
-// error channel, so a run read error stops the stream immediately and
-// is surfaced through Err; callers must check Err after draining and
-// before committing any result derived from the stream.
+// mergeIter streams the k-way merge of sorted runs; a run's read error
+// ends the stream with that error.
 type mergeIter struct {
-	h   mergeHeap
-	err error
+	h mergeHeap
 }
 
 // newMergeIter primes one record from every run. Runs must already be
 // sorted under cmp; empty runs are skipped.
-func newMergeIter(runs []cursor, cmp func(a, b string) int) *mergeIter {
+func newMergeIter(runs []cursor, cmp func(a, b string) int) (*mergeIter, error) {
 	m := &mergeIter{h: mergeHeap{srcs: make([]*mergeSource, 0, len(runs)), cmp: cmp}}
-	for ord, next := range runs {
-		kv, ok, err := next()
+	for ord, run := range runs {
+		kv, ok, err := run.next()
 		if err != nil {
-			m.err = err
-			m.h.srcs = nil
-			return m
+			return nil, err
 		}
 		if ok {
-			m.h.srcs = append(m.h.srcs, &mergeSource{next: next, cur: kv, ord: ord})
+			m.h.srcs = append(m.h.srcs, &mergeSource{cursor: run, cur: kv, ord: ord})
 		}
 	}
 	heap.Init(&m.h)
-	return m
+	return m, nil
 }
 
-func (m *mergeIter) next() (KV, bool) {
+func (m *mergeIter) next() (KV, bool, error) {
 	if len(m.h.srcs) == 0 {
-		return KV{}, false
+		return KV{}, false, nil
 	}
 	s := m.h.srcs[0]
 	kv := s.cur
 	nkv, ok, err := s.next()
 	switch {
 	case err != nil:
-		m.err = err
-		m.h.srcs = nil
+		return KV{}, false, err
 	case ok:
 		s.cur = nkv
 		heap.Fix(&m.h, 0)
 	default:
 		heap.Pop(&m.h)
 	}
-	return kv, true
+	return kv, true, nil
 }
-
-// Err reports the first run read error, if any. A non-nil Err means
-// the stream ended early and everything consumed from it is suspect.
-func (m *mergeIter) Err() error { return m.err }
 
 // MergeRuns merges pre-sorted runs into one sorted slice under plain
 // byte order — a drain of the merge the reduce attempts stream.
@@ -178,15 +137,15 @@ func MergeRuns(runs [][]KV) []KV {
 	cursors := make([]cursor, len(runs))
 	total := 0
 	for i, r := range runs {
-		cursors[i] = sliceCursor(r)
+		cursors[i] = (*sliceCursor)(&r)
 		total += len(r)
 	}
 	if total == 0 {
 		return nil
 	}
 	out := make([]KV, 0, total)
-	it := newMergeIter(cursors, nil) // slice cursors cannot fail
-	for kv, ok := it.next(); ok; kv, ok = it.next() {
+	it, _ := newMergeIter(cursors, nil) // slice cursors cannot fail
+	for kv, ok, _ := it.next(); ok; kv, ok, _ = it.next() {
 		out = append(out, kv)
 	}
 	return out
@@ -197,32 +156,34 @@ func MergeRuns(runs [][]KV) []KV {
 // boundaries fall where the comparator (nil = byte equality) says two
 // adjacent keys differ.
 type groupIter struct {
-	it  kvIter
-	cmp func(a, b string) int
-	cur KV
-	ok  bool
+	it   cursor
+	cmp  func(a, b string) int
+	cur  KV
+	ok   bool
+	err  error    // from reading ahead; ends the stream once reached
+	vals []string // the one values slice, refilled per group
 }
 
-func newGroupIter(it kvIter, cmp func(a, b string) int) *groupIter {
+func newGroupIter(it cursor, cmp func(a, b string) int) *groupIter {
 	g := &groupIter{it: it, cmp: cmp}
-	g.cur, g.ok = it.next()
+	g.cur, g.ok, g.err = it.next()
 	return g
 }
 
-// next returns the next key and all its values. ok is false when the
-// stream is exhausted.
-func (g *groupIter) next() (key string, values []string, ok bool) {
+// next returns the next key and all its values, in a slice the next
+// call overwrites. ok is false when the stream is exhausted.
+func (g *groupIter) next() (key string, values []string, ok bool, err error) {
 	if !g.ok {
-		return "", nil, false
+		return "", nil, false, g.err
 	}
 	key = g.cur.Key
-	values = append(values, g.cur.Value)
+	g.vals = append(g.vals[:0], g.cur.Value)
 	for {
-		g.cur, g.ok = g.it.next()
+		g.cur, g.ok, g.err = g.it.next()
 		if !g.ok || g.keyChanged(key) {
-			return key, values, true
+			return key, g.vals, g.err == nil, g.err
 		}
-		values = append(values, g.cur.Value)
+		g.vals = append(g.vals, g.cur.Value)
 	}
 }
 

@@ -4,9 +4,27 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
+	"strings"
 	"testing"
 )
+
+// sortKVs stable-sorts records by key in byte order — what sealing a
+// map task's buffer does to one partition — for tests that feed
+// MergeRuns or compare output sets.
+func sortKVs(kvs []KV) {
+	slices.SortStableFunc(kvs, func(a, b KV) int { return strings.Compare(a.Key, b.Key) })
+}
+
+// runOf is the in-memory run holding the given records of partition 0,
+// in the order given.
+func runOf(kvs ...KV) *kvRun {
+	var b kvBuffer
+	for _, kv := range kvs {
+		b.add(append(append(b.tail(), kv.Key...), kv.Value...), len(kv.Key))
+	}
+	return &kvRun{b.blocks, b.index}
+}
 
 func TestMergeRunsEmptyAndSingle(t *testing.T) {
 	if got := MergeRuns(nil); got != nil {
@@ -48,18 +66,18 @@ func TestMergeRunsStableAcrossRuns(t *testing.T) {
 
 func TestGroupIterGroupsSortedStream(t *testing.T) {
 	in := []KV{{"a", "1"}, {"a", "2"}, {"b", "3"}, {"c", "4"}, {"c", "5"}, {"c", "6"}}
-	g := newGroupIter(&sliceIter{kvs: in}, nil)
+	g := newGroupIter(runOf(in...), nil)
 	type group struct {
 		key    string
 		values []string
 	}
 	var got []group
 	for {
-		k, vs, ok := g.next()
+		k, vs, ok, _ := g.next()
 		if !ok {
 			break
 		}
-		got = append(got, group{k, vs})
+		got = append(got, group{k, slices.Clone(vs)}) // the iterator refills vs
 	}
 	want := []group{{"a", []string{"1", "2"}}, {"b", []string{"3"}}, {"c", []string{"4", "5", "6"}}}
 	if !reflect.DeepEqual(got, want) {
@@ -68,8 +86,8 @@ func TestGroupIterGroupsSortedStream(t *testing.T) {
 }
 
 func TestGroupIterEmpty(t *testing.T) {
-	g := newGroupIter(&sliceIter{}, nil)
-	if _, _, ok := g.next(); ok {
+	g := newGroupIter(runOf(), nil)
+	if _, _, ok, _ := g.next(); ok {
 		t.Fatal("empty stream yielded a group")
 	}
 }
@@ -100,7 +118,7 @@ func seedShuffle(runs [][]KV) []KV {
 	for _, r := range runs {
 		all = append(all, r...)
 	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Key < all[j].Key })
+	sortKVs(all)
 	return all
 }
 
@@ -112,7 +130,7 @@ func TestMergeRunsMatchesSeedShuffle(t *testing.T) {
 		sorted := make([][]KV, len(runs))
 		for i, r := range runs {
 			sorted[i] = append([]KV(nil), r...)
-			sortRun(sorted[i], nil)
+			sortKVs(sorted[i])
 		}
 		got := MergeRuns(sorted)
 		if len(want) == 0 {

@@ -230,7 +230,7 @@ func TestPropertyMergeShuffleEqualsSeedShuffle(t *testing.T) {
 		sorted := make([][]KV, len(runs))
 		for i, r := range runs {
 			sorted[i] = append([]KV(nil), r...)
-			sortRun(sorted[i], nil)
+			sortKVs(sorted[i])
 		}
 		got := MergeRuns(sorted)
 		if len(got) != len(want) {

@@ -1,13 +1,14 @@
 // Sorted runs and the map-side spiller. A run is the only thing a map
 // attempt produces and a reduce attempt consumes: one partition's
 // records, sorted (and combined, if the job has a combiner), either
-// held in memory or written to DFS as a recordio file — optionally
-// DEFLATE-compressed. A map task buffers emitted records per reduce
-// partition and tracks the raw key+value bytes; whenever
-// Job.MaxShuffleBytes trips, every non-empty partition buffer is
-// sealed into a file-backed run and released. At the end of the task
-// the remaining buffers are sealed too — to files if the task already
-// spilled or runs on an out-of-process worker, in memory otherwise.
+// held in memory — a sorted slice of the attempt's kvbuffer — or
+// written to DFS as a recordio file, optionally DEFLATE-compressed. A
+// map task appends what it emits to one kvbuffer; when that fills it is
+// sorted and, given a combiner, combined where it is, and only what
+// then still fills over half the budget is sealed into run files. The
+// schedule depends on nothing but the bytes emitted, so it is the same
+// on every executor; it does decide how often a combiner runs, and over
+// how much of its own output: zero, one or many times, as in Hadoop.
 
 package mapreduce
 
@@ -33,11 +34,10 @@ type RunDesc struct {
 
 // Run is one sorted run of a single reduce partition. Only its RunDesc
 // crosses the wire, which loses nothing: out-of-process workers force
-// every run to a file, so only the in-process executor ever holds one
-// in memory.
+// every run to a file; only the in-process executor holds one in memory.
 type Run struct {
 	RunDesc
-	mem []KV
+	mem kvRun
 }
 
 // open returns a fresh cursor over the run. Each reduce attempt opens
@@ -45,13 +45,19 @@ type Run struct {
 // speculative attempts never share read state.
 func (r Run) open(store dfs.Store) (cursor, error) {
 	if r.Path == "" {
-		return sliceCursor(r.mem), nil
+		it := r.mem // a copy: the cursor consumes its index
+		return &it, nil
 	}
 	return openRunFile(store, r.Path)
 }
 
-// openRunFile opens one run file as a cursor streaming through ranged
-// DFS reads, holding one fetch window rather than the file.
+// fileCursor streams one run file through ranged DFS reads, holding one
+// fetch window, not the file. Records are views of the reader's memory.
+type fileCursor struct {
+	r    *recordio.FileReader
+	path string
+}
+
 func openRunFile(store dfs.Store, path string) (cursor, error) {
 	size, err := store.Size(path)
 	if err != nil {
@@ -63,148 +69,154 @@ func openRunFile(store dfs.Store, path string) (cursor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("spill run %s: %v", path, err)
 	}
-	return func() (KV, bool, error) {
-		k, v, ok, err := r.Next()
-		if err != nil {
-			return KV{}, false, fmt.Errorf("spill run %s: %v", path, err)
-		}
-		return KV{Key: k, Value: v}, ok, nil
-	}, nil
+	return &fileCursor{r, path}, nil
 }
 
-// mapSpiller owns one map attempt's partitioned output buffer and
-// turns it into runs.
+func (c *fileCursor) next() (KV, bool, error) {
+	k, v, ok, err := c.r.NextBytes()
+	if err != nil {
+		return KV{}, false, fmt.Errorf("spill run %s: %v", c.path, err)
+	}
+	return KV{Key: view(k), Value: view(v)}, ok, nil
+}
+
+const (
+	// combineBufferBytes is when a job with a combiner and no
+	// MaxShuffleBytes combines its buffer.
+	combineBufferBytes = 1 << 20
+	// spillFraction: a combined buffer still over 1/spillFraction of the
+	// budget is spilled — the next combine would come too soon to pay.
+	spillFraction = 2
+)
+
+// mapSpiller owns one map attempt's kvbuffer and turns it into runs.
+// It is the recordSink the mapper's emissions go to.
 type mapSpiller struct {
-	store     dfs.Store
-	ctx       *TaskContext
-	spec      TaskSpec
-	partition func(key string, numReducers int) int
-	budget    int64
-	// forceFiles makes finish seal every run to a file even when
-	// nothing tripped the budget — out-of-process map tasks have no
-	// other way to hand their output to the reducers.
+	store dfs.Store
+	ctx   *TaskContext
+	spec  TaskSpec
+	// forceFiles seals every run to a file even if the budget never
+	// bound: an out-of-process task cannot hand its runs over otherwise.
 	forceFiles bool
 
-	parts    [][]KV
-	bufBytes int64
+	buf      kvBuffer
+	spare    []kvEntry // the index the last combine read, for the next to fill
+	limit    int64     // arena size at which the buffer is full; 0: never
+	bound    bool      // the budget was reached at least once
 	spillSeq int
-	err      error // first spill failure; emit becomes a no-op after
+	err      error // first failure; add becomes a no-op after
 
-	runs [][]Run // per partition, spill order
-
-	added      int64 // records emitted by the mapper
-	sorted     int64 // records sorted into runs (Hadoop's "Spilled Records")
-	combineIn  int64
-	combineOut int64
-	files      int64 // run files written
-	fileBytes  int64 // on-DFS bytes of those files
+	runs  [][]Run   // per partition, spill order
+	stats TaskStats // the attempt's counter deltas, committed winner-only
 }
 
 func newMapSpiller(store dfs.Store, ctx *TaskContext, spec TaskSpec, forceFiles bool) *mapSpiller {
+	job := spec.Job
 	sp := &mapSpiller{
-		store: store, ctx: ctx, spec: spec, partition: spec.Job.Partitioner,
-		budget: spec.Job.MaxShuffleBytes, forceFiles: forceFiles,
+		store: store, ctx: ctx, spec: spec, forceFiles: forceFiles,
+		limit: job.MaxShuffleBytes, runs: make([][]Run, spec.NumReducers),
 	}
-	if sp.partition == nil {
-		sp.partition = HashPartition
+	if sp.limit == 0 && job.NewCombiner != nil {
+		sp.limit = combineBufferBytes
 	}
-	nParts := spec.NumReducers
-	if spec.MapOnly {
-		// Map-only output skips the shuffle: one unsorted buffer that
-		// goes straight to the task's part file.
-		nParts, sp.budget = 1, 0
-	}
-	sp.parts = make([][]KV, nParts)
-	sp.runs = make([][]Run, nParts)
 	return sp
 }
 
-// stats packages the attempt's counter deltas for the TaskResult; the
-// driver commits them only for the winning attempt.
-func (sp *mapSpiller) stats(inputRecords int64) TaskStats {
-	return TaskStats{
-		MapInputRecords:      inputRecords,
-		MapOutputRecords:     sp.added,
-		CombineInputRecords:  sp.combineIn,
-		CombineOutputRecords: sp.combineOut,
-		SpilledRecords:       sp.sorted,
-		SpillFiles:           sp.files,
-		SpillBytes:           sp.fileBytes,
-	}
-}
+func (sp *mapSpiller) tail() []byte { return sp.buf.tail() }
 
-// emit is the Emit the mapper sees. The Emit signature has no error
-// channel, so a spill failure is latched and re-raised by finish.
-func (sp *mapSpiller) emit(k, v string) {
+// add takes one emitted record into the buffer. Emit has no error
+// channel, so a failure is latched: the map loop stops at the record
+// that raised it and finish reports it.
+func (sp *mapSpiller) add(buf []byte, klen int) {
 	if sp.err != nil {
 		return
 	}
-	p := 0
-	if !sp.spec.MapOnly {
-		p = sp.partition(k, sp.spec.NumReducers)
+	cur := sp.buf.blocks[len(sp.buf.blocks)-1]
+	key := view(buf[len(cur):][:klen])
+	if part := sp.spec.Job.Partitioner; part != nil {
+		sp.buf.part = part(key, sp.spec.NumReducers)
+	} else {
+		sp.buf.part = HashPartition(key, sp.spec.NumReducers)
 	}
-	sp.parts[p] = append(sp.parts[p], KV{k, v})
-	sp.added++
-	if sp.budget > 0 {
-		sp.bufBytes += int64(len(k) + len(v))
-		if sp.bufBytes >= sp.budget {
-			sp.err = sp.seal(true)
-			sp.spillSeq++
-			sp.bufBytes = 0
+	sp.buf.add(buf, klen)
+	sp.stats.MapOutputRecords++
+	if sp.limit > 0 && sp.buf.bytes >= sp.limit {
+		sp.err = sp.full()
+	}
+}
+
+// full makes room: a spill, unless a combiner shrinks the buffer to
+// 1/spillFraction of the budget or less. Without a budget the buffer is
+// never spilled, and is next full when it has doubled.
+func (sp *mapSpiller) full() error {
+	budget := sp.spec.Job.MaxShuffleBytes
+	sp.bound = budget > 0
+	if err := sp.sortCombine(); err != nil {
+		return err
+	}
+	if sp.spec.Job.NewCombiner != nil {
+		left := sp.buf.bytes
+		if budget == 0 {
+			sp.limit = max(combineBufferBytes, spillFraction*left)
+			return nil
+		}
+		if left <= budget/spillFraction {
+			return nil
 		}
 	}
+	return sp.seal(true)
 }
 
-// sortCombine prepares one partition buffer as a run: stable sort,
-// optional combine over the sorted groups, and a re-sort of the
-// combined output (a combiner Cleanup may emit out of order).
-func (sp *mapSpiller) sortCombine(run []KV) ([]KV, error) {
+// sortCombine sorts the buffer and, if the job has a combiner, replaces
+// it by the combiner's output over each partition's sorted groups,
+// sorted again (a combiner's Cleanup may emit out of order).
+func (sp *mapSpiller) sortCombine() error {
 	job := sp.spec.Job
-	sortRun(run, job.KeyCompare)
-	if job.NewCombiner == nil {
-		return run, nil
+	sp.buf.sort(job.KeyCompare)
+	if job.NewCombiner == nil || len(sp.buf.index) == 0 {
+		return nil
 	}
-	combined, err := runReduce(sp.ctx, job.NewCombiner(), &sliceIter{kvs: run}, nil, job.KeyCompare)
+	// The combiner reads views of the arena, so it writes to a new one
+	// (whose first block will hold as much as this one did).
+	in := sp.buf
+	out := kvBuffer{index: sp.spare[:0], next: int(in.bytes) + 4*in.maxRec}
+	ctx := *sp.ctx
+	ctx.out = &out
+	err := in.eachPart(func(p int, run kvRun) error {
+		out.part = p
+		_, err := runReduce(&ctx, job.NewCombiner(), &run, job.KeyCompare)
+		return err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("combiner: %v", err)
+		return fmt.Errorf("combiner: %v", err)
 	}
-	sp.combineIn += int64(len(run))
-	sp.combineOut += int64(len(combined))
-	sortRun(combined, job.KeyCompare)
-	return combined, nil
+	sp.stats.CombineInputRecords += int64(len(in.index))
+	sp.stats.CombineOutputRecords += int64(len(out.index))
+	out.sort(job.KeyCompare)
+	sp.buf, sp.spare = out, in.index
+	return nil
 }
 
-// seal turns every non-empty partition buffer into one sorted (and
-// combined) run — written to DFS when toFile is set, kept in memory
-// otherwise — and releases the buffer.
+// seal turns each partition's stretch of the sorted (and combined)
+// buffer into one run — written to DFS when toFile is set, a slice of
+// the buffer otherwise — and starts an empty buffer.
 func (sp *mapSpiller) seal(toFile bool) error {
 	job := sp.spec.Job
-	for p, buf := range sp.parts {
-		if len(buf) == 0 {
-			continue
-		}
-		kvs, err := sp.sortCombine(buf)
-		if err != nil {
-			return err
-		}
-		sp.parts[p] = nil
-		if len(kvs) == 0 {
-			continue
-		}
-		run := Run{RunDesc: RunDesc{Records: int64(len(kvs))}, mem: kvs}
-		for _, kv := range kvs {
-			run.Bytes += int64(len(kv.Key) + len(kv.Value))
+	err := sp.buf.eachPart(func(p int, mem kvRun) error {
+		run := Run{RunDesc: RunDesc{Records: int64(len(mem.index))}, mem: mem}
+		for _, e := range mem.index {
+			run.Bytes += int64(e.klen + e.vlen)
 		}
 		if toFile {
 			var w interface {
-				Add(key, value string)
+				AddBytes(key, value []byte)
 				Bytes() []byte
 			} = recordio.NewWriter()
 			if job.CompressSpill {
 				w = recordio.NewCompressedWriter(0)
 			}
-			for _, kv := range kvs {
-				w.Add(kv.Key, kv.Value)
+			for _, e := range mem.index {
+				w.AddBytes(mem.record(e))
 			}
 			data := w.Bytes()
 			run.Path = fmt.Sprintf("%s/%s-a%04d-spill-%04d-p%05d",
@@ -212,22 +224,33 @@ func (sp *mapSpiller) seal(toFile bool) error {
 			if err := sp.store.Create(run.Path, data, sp.spec.Node); err != nil {
 				return fmt.Errorf("spill %s: %v", run.Path, err)
 			}
-			run.mem = nil
-			sp.files++
-			sp.fileBytes += int64(len(data))
+			run.mem = kvRun{}
+			sp.stats.SpillFiles++
+			sp.stats.SpillBytes += int64(len(data))
 		}
 		sp.runs[p] = append(sp.runs[p], run)
-		sp.sorted += run.Records
+		sp.stats.SpilledRecords += run.Records
+		return nil
+	})
+	sp.spillSeq++
+	next := kvBuffer{}
+	if toFile { // the records were copied out and more may follow
+		next.index, next.next = sp.buf.index[:0], int(sp.buf.bytes)+4*sp.buf.maxRec
 	}
-	return nil
+	sp.buf = next
+	return err
 }
 
-// finish seals the attempt's remaining buffers after mapper cleanup
-// and returns its runs per partition. Once anything spilled the tail
-// goes to files too, so an attempt's runs are all of one kind.
+// finish seals what is left after mapper cleanup and returns the
+// attempt's runs per partition. Once the budget has bound the tail goes
+// to files too, spilled or not: an attempt's runs are all of one kind,
+// and one that outgrew its budget leaves nothing in driver memory.
 func (sp *mapSpiller) finish() ([][]Run, error) {
 	if sp.err == nil {
-		sp.err = sp.seal(sp.spillSeq > 0 || sp.forceFiles)
+		sp.err = sp.sortCombine()
+	}
+	if sp.err == nil {
+		sp.err = sp.seal(sp.bound || sp.forceFiles)
 	}
 	return sp.runs, sp.err
 }

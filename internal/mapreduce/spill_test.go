@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -71,6 +72,7 @@ func init() {
 type shuffleJob struct {
 	seed     int64
 	text     string
+	chunk    int64 // DFS chunk size, i.e. input bytes per map task; 0 = 120
 	reducers int
 	budget   int64
 	compress bool
@@ -86,6 +88,7 @@ type shuffleJob struct {
 // (sorted), its part files byte for byte, the shuffle-relevant counter
 // groups, and whatever the job forgot under _tmp/ and _shuffle/.
 type shuffleOut struct {
+	mapTasks  int
 	kvs       []KV
 	parts     map[string]string
 	counters  map[string]map[string]int64
@@ -98,7 +101,10 @@ func (c shuffleJob) run() (shuffleOut, error) {
 	if err != nil {
 		return out, err
 	}
-	fs, err := dfs.New(cl, dfs.Config{ChunkSize: 120, Replication: 3, Seed: c.seed})
+	if c.chunk == 0 {
+		c.chunk = 120
+	}
+	fs, err := dfs.New(cl, dfs.Config{ChunkSize: c.chunk, Replication: 3, Seed: c.seed})
 	if err != nil {
 		return out, err
 	}
@@ -148,12 +154,13 @@ func (c shuffleJob) run() (shuffleOut, error) {
 	if runErr != nil {
 		return out, runErr
 	}
+	out.mapTasks = res.MapTasks
 	snap := res.Counters.Snapshot()
 	out.counters = map[string]map[string]int64{
 		CounterGroupTask: snap[CounterGroupTask], CounterGroupShuffle: snap[CounterGroupShuffle], "user": snap["user"],
 	}
 	out.kvs, err = e.ReadOutput("out")
-	sortRun(out.kvs, nil)
+	sortKVs(out.kvs)
 	return out, err
 }
 
@@ -207,13 +214,19 @@ func sameAcrossExecutors(t *testing.T, c shuffleJob, wantFiles bool) (shuffleOut
 // budget the all-file executor produces byte-for-byte the part files
 // and counters of the in-process one. With the combiner off the
 // joined-values reducer makes the comparison cover the complete grouped
-// kv stream, not just aggregates.
+// kv stream, not just aggregates. Half the cases draw their words from a
+// large vocabulary: with near-distinct keys a combiner frees nothing, so
+// a combining task must still spill, again and again.
 func TestPropertyExternalShuffleEqualsInMemory(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 30}
-	f := func(seed int64, reducersRaw, budgetRaw uint8, combiner, compress, reverse bool) bool {
+	f := func(seed int64, reducersRaw, budgetRaw uint8, combiner, compress, reverse, distinct bool) bool {
 		rng := rand.New(rand.NewSource(seed))
+		text := randText(rng)
+		if distinct {
+			text = distinctText(rng)
+		}
 		inMem := shuffleJob{
-			seed: seed, text: randText(rng), reducers: int(reducersRaw)%4 + 1,
+			seed: seed, text: text, reducers: int(reducersRaw)%4 + 1,
 			combiner: combiner, reverse: reverse,
 			joined: !combiner, // full-stream comparison needs an uncombined stream
 		}
@@ -237,8 +250,9 @@ func TestPropertyExternalShuffleEqualsInMemory(t *testing.T) {
 			}
 		}
 		// Whether a given task actually spilled depends on its split
-		// size vs the budget; TestExternalShuffleSpillsAndCleansUp pins
-		// that spills do engage. Here only equivalence matters.
+		// size vs the budget; TestExternalShuffleSpillsAndCleansUp and
+		// TestExternalShuffleCombinesInTheBuffer pin that spills do
+		// engage. Here only equivalence matters.
 		return true
 	}
 	if err := quick.Check(f, cfg); err != nil {
@@ -257,11 +271,16 @@ func TestExternalShuffleExecutorsAgree(t *testing.T) {
 		seed: 11, text: strings.Repeat("delta alpha gamma beta alpha x yy\nzzz beta\n", 40),
 		reducers: 3, combiner: true, reverse: true,
 	}
-	tiny, compressed, mapOnly, failing := base, base, base, base
+	tiny, compressed, mapOnly, failing, fewKeys, distinct := base, base, base, base, base, base
 	tiny.budget = 1
 	compressed.budget, compressed.compress = 1, true
 	mapOnly.mapOnly, mapOnly.combiner = true, false
 	failing.failKey, failing.budget = "gamma", 64
+	// Every map task emits 120 bytes under a 64-byte budget, and four
+	// keys combine to 23: the budget binds in every task (so both
+	// executors write files) and combining avoids every spill.
+	fewKeys.text, fewKeys.budget = strings.Repeat(fewKeysLine, 30), 64
+	distinct.text, distinct.budget = distinctText(rand.New(rand.NewSource(5))), 32
 	for _, tc := range []struct {
 		name      string
 		job       shuffleJob
@@ -272,10 +291,143 @@ func TestExternalShuffleExecutorsAgree(t *testing.T) {
 		{"compressed", compressed, true},
 		{"map-only", mapOnly, true},
 		{"failing reducer", failing, false},
+		{"combiner, few keys", fewKeys, true},
+		{"combiner, near-distinct keys", distinct, true},
 	} {
 		if _, ok := sameAcrossExecutors(t, tc.job, tc.wantFiles); !ok {
 			t.Errorf("%s: executors disagree", tc.name)
 		}
+	}
+}
+
+// fewKeysLine is 40 bytes of text that map to 40 bytes of (word, "1")
+// records, so a 120-byte chunk is exactly three lines and 120 bytes of
+// map output.
+const fewKeysLine = "alpha beta gamma delta alpha beta gamma\n"
+
+// distinctText is text whose words hardly ever repeat, in 40-byte lines
+// of five words: like fewKeysLine, 120 bytes of map output per chunk.
+func distinctText(rng *rand.Rand) string {
+	var sb strings.Builder
+	for line := 0; line < 3*(10+rng.Intn(10)); line++ {
+		for w := 0; w < 5; w++ {
+			fmt.Fprintf(&sb, "w%06d%c", rng.Intn(1000000), " \n"[w/4])
+		}
+	}
+	return sb.String()
+}
+
+// TestExternalShuffleCombinesInTheBuffer pins the compaction rule from
+// both sides. With few keys the combiner keeps the buffer under half
+// the budget: nothing spills mid-task, and a task whose budget bound
+// hands over at most one file per partition. With near-distinct keys
+// combining frees nothing and the task spills run after run.
+func TestExternalShuffleCombinesInTheBuffer(t *testing.T) {
+	files := func(o shuffleOut) int64 { return o.counters[CounterGroupShuffle][CounterShuffleSpillFiles] }
+	few := shuffleJob{seed: 3, text: strings.Repeat(fewKeysLine, 30), reducers: 3, combiner: true, budget: 64}
+	out, ok := sameAcrossExecutors(t, few, true)
+	if !ok {
+		t.Fatal("few keys: executors disagree")
+	}
+	if n, most := files(out), int64(few.reducers*out.mapTasks); n == 0 || n > most {
+		t.Fatalf("few keys: %d run files from %d map tasks x %d partitions, want 1..%d", n, out.mapTasks, few.reducers, most)
+	}
+	task := out.counters[CounterGroupTask]
+	if in, emitted := task[CounterCombineInput], task[CounterMapOutputRecords]; in <= emitted {
+		t.Fatalf("few keys: combiner read %d records of %d emitted: it never ran over its own output", in, emitted)
+	}
+	if got := out.counters[CounterGroupShuffle][CounterShuffleSpilledRecords]; got > int64(4*out.mapTasks) {
+		t.Fatalf("few keys: %d records reached the shuffle, want at most 4 per map task", got)
+	}
+
+	distinct := few
+	distinct.text, distinct.budget = distinctText(rand.New(rand.NewSource(9))), 32
+	out, ok = sameAcrossExecutors(t, distinct, true)
+	if !ok {
+		t.Fatal("near-distinct keys: executors disagree")
+	}
+	if n, once := files(out), int64(distinct.reducers*out.mapTasks); n <= once {
+		t.Fatalf("near-distinct keys: %d run files, want more than one per map task and partition (%d)", n, once)
+	}
+}
+
+// TestExternalShuffleCombinesWithoutABudget runs one map task whose
+// output is several times the internal combine size, over keys that
+// mostly differ (so the buffer has to grow) with a combiner and no
+// budget: the buffer is combined on the way — the combiner reads more
+// records than the mapper emitted — nothing is spilled, and the sums
+// equal the run without a combiner.
+func TestExternalShuffleCombinesWithoutABudget(t *testing.T) {
+	var sb strings.Builder
+	for i := 0; sb.Len() < 3*combineBufferBytes; i++ {
+		fmt.Fprintf(&sb, "w%06d w%06d\n", i%150000, i%7)
+	}
+	plain := shuffleJob{seed: 1, text: sb.String(), chunk: 8 * combineBufferBytes, reducers: 2}
+	combined := plain
+	combined.combiner = true
+	want, err := plain.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := combined.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.mapTasks != 1 {
+		t.Fatalf("%d map tasks, want 1", got.mapTasks)
+	}
+	if !reflect.DeepEqual(got.kvs, want.kvs) {
+		t.Fatalf("combined output (%d records) differs from the uncombined (%d records)", len(got.kvs), len(want.kvs))
+	}
+	task := got.counters[CounterGroupTask]
+	if in, emitted := task[CounterCombineInput], task[CounterMapOutputRecords]; in <= emitted {
+		t.Fatalf("combiner read %d records of %d emitted: the buffer was never combined before the end", in, emitted)
+	}
+	if n := got.counters[CounterGroupShuffle][CounterShuffleSpillFiles]; n != 0 {
+		t.Fatalf("%d run files without a budget", n)
+	}
+}
+
+// failingStore refuses to create run files.
+type failingStore struct{ dfs.Store }
+
+func (s failingStore) Create(path string, data []byte, node string) error {
+	if strings.HasPrefix(path, "_shuffle/") {
+		return errors.New("disk full")
+	}
+	return s.Store.Create(path, data, node)
+}
+
+// TestSpillRunFailureStopsTheMapTask: a run file that cannot be written
+// fails the attempt at the record that filled the buffer — the mapper
+// is not fed the rest of the split first — and the error names the run.
+func TestSpillRunFailureStopsTheMapTask(t *testing.T) {
+	e := newTestEngine(t, 1<<20)
+	const lines = 500
+	writeInput(t, e, "in/f", strings.Repeat("alpha beta gamma delta\n", lines))
+	splits, err := splitsFor(e.fs, []string{"in/f"})
+	if err != nil || len(splits) != 1 {
+		t.Fatalf("splits = %v, %v", splits, err)
+	}
+	seen := 0
+	job := &Job{
+		Name: "spill-fails", MaxShuffleBytes: 64,
+		NewMapper: func() Mapper {
+			return MapFunc(func(_ *TaskContext, _, line string, emit Emit) error {
+				seen++
+				return wordMapper{}.Map(nil, "", line, emit)
+			})
+		},
+		NewReducer: func() Reducer { return sumReducer{} },
+	}
+	_, err = ExecuteTask(failingStore{e.fs}, TaskSpec{
+		Job: job, Phase: "map", TaskID: "map-0000", NumReducers: 2, Split: splits[0],
+	})
+	if err == nil || !strings.Contains(err.Error(), "_shuffle/spill-fails/map-0000-a0000-spill-0000-p") {
+		t.Fatalf("error = %v, want the failed run's path", err)
+	}
+	if seen == 0 || seen > lines/10 {
+		t.Fatalf("mapper saw %d of %d records after a spill failed on the first few", seen, lines)
 	}
 }
 
@@ -419,8 +571,9 @@ func TestSpillRunTruncationIsAnError(t *testing.T) {
 	e := NewEngine(c, fs, Options{})
 	job := &Job{Name: "trunc", MaxShuffleBytes: 1}
 	sp := newMapSpiller(e.fs, &TaskContext{}, TaskSpec{Job: job, TaskID: "m0", NumReducers: 1}, false)
+	emit := stringEmit(sp)
 	for i := 0; i < 50; i++ {
-		sp.emit(fmt.Sprintf("key-%02d", i), "value-payload")
+		emit(fmt.Sprintf("key-%02d", i), "value-payload")
 	}
 	out, err := sp.finish()
 	if err != nil {
@@ -443,7 +596,7 @@ func TestSpillRunTruncationIsAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	for {
-		_, ok, err := pull()
+		_, ok, err := pull.next()
 		if err != nil {
 			return // truncation surfaced as an explicit error
 		}

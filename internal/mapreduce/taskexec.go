@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"repro/internal/dfs"
+	"repro/internal/recordio"
 )
 
 // tmpDir is the DFS directory holding a job's uncommitted task
@@ -59,11 +60,77 @@ func executeTask(store dfs.Store, spec TaskSpec, forceFiles bool) (TaskResult, e
 	return res, nil
 }
 
-// executeMapTask feeds the split through the mapper into a spiller and
-// seals the output: sorted runs for the shuffle, or — map-only — the
-// emitted records, in emission order, as the task's part file.
+// recordSink is where an attempt's emissions go, as bytes: the map
+// side's kvbuffer, the one a combiner refills, or a part file. A record
+// is added by appending its key's and then its value's encoding to
+// tail() and handing the grown slice back with the key's length.
+type recordSink interface {
+	tail() []byte
+	add(buf []byte, klen int)
+}
+
+// stringEmit is the Emit a string mapper or reducer sees: the record is
+// copied into the sink once.
+func stringEmit(s recordSink) Emit {
+	return func(key, value string) { s.add(append(append(s.tail(), key...), value...), len(key)) }
+}
+
+// partWriter is the sink of a reduce or map-only attempt: each record
+// is framed into the part file's bytes as it is emitted.
+type partWriter struct {
+	rec     *recordio.Writer // recordio part file; nil: "key\tvalue" text lines
+	text    []byte
+	scratch []byte // the record being encoded
+	records int64
+}
+
+func newPartWriter(binary bool) *partWriter {
+	w := &partWriter{}
+	if binary {
+		w.rec = recordio.NewWriter()
+	}
+	return w
+}
+
+func (w *partWriter) tail() []byte { return w.scratch[:0] }
+
+func (w *partWriter) add(buf []byte, klen int) {
+	w.scratch = buf
+	w.records++
+	if w.rec != nil {
+		w.rec.AddBytes(buf[:klen], buf[klen:])
+		return
+	}
+	w.text = append(append(w.text, buf[:klen]...), '\t')
+	w.text = append(append(w.text, buf[klen:]...), '\n')
+}
+
+// commit stores the part file at its attempt-unique temp path:
+// concurrent speculative attempts of one task never collide, and a
+// retry never collides with the debris of a failed earlier attempt.
+func (w *partWriter) commit(store dfs.Store, spec TaskSpec) (string, error) {
+	data := w.text
+	if w.rec != nil {
+		data = w.rec.Bytes()
+	}
+	tmp := fmt.Sprintf("%s/%s-a%04d", tmpDir(spec.Job.Name), spec.TaskID, spec.Attempt)
+	return tmp, store.Create(tmp, data, spec.Node)
+}
+
+// executeMapTask feeds the split through the mapper and seals what it
+// emitted: into a spiller and out as sorted runs for the shuffle, or —
+// map-only — straight into the task's part file, in emission order.
 func executeMapTask(store dfs.Store, ctx *TaskContext, spec TaskSpec, forceFiles bool) (TaskResult, error) {
-	sp := newMapSpiller(store, ctx, spec, forceFiles)
+	var sp *mapSpiller
+	var out *partWriter
+	if spec.MapOnly {
+		out = newPartWriter(spec.Job.BinaryOutput)
+		ctx.out = out
+	} else {
+		sp = newMapSpiller(store, ctx, spec, forceFiles)
+		ctx.out = sp
+	}
+	emit := stringEmit(ctx.out)
 	m := spec.Job.NewMapper()
 	if err := m.Setup(ctx); err != nil {
 		return TaskResult{}, fmt.Errorf("setup: %v", err)
@@ -71,28 +138,34 @@ func executeMapTask(store dfs.Store, ctx *TaskContext, spec TaskSpec, forceFiles
 	var records int64
 	err := readSplit(store, spec.Split, func(key, value string) error {
 		records++
-		return m.Map(ctx, key, value, sp.emit)
+		if err := m.Map(ctx, key, value, emit); err != nil || sp == nil {
+			return err
+		}
+		return sp.err // a record that could not be spilled ends the attempt
 	})
 	if err != nil {
 		return TaskResult{}, err
 	}
-	if err := m.Cleanup(ctx, sp.emit); err != nil {
+	if err := m.Cleanup(ctx, emit); err != nil {
 		return TaskResult{}, fmt.Errorf("cleanup: %v", err)
 	}
 	res := TaskResult{Records: records}
 	if spec.MapOnly {
-		res.OutFile, err = writeTaskOutput(store, spec, sp.parts[0])
-	} else {
-		res.MapRuns, err = sp.finish()
+		res.Stats = TaskStats{MapInputRecords: records, MapOutputRecords: out.records}
+		res.OutFile, err = out.commit(store, spec)
+		return res, err
 	}
-	res.Stats = sp.stats(records)
+	res.MapRuns, err = sp.finish()
+	res.Stats = sp.stats
+	res.Stats.MapInputRecords = records
 	return res, err
 }
 
 // executeReduceTask streams the k-way merge of the partition's runs
-// through the group iterator into the reducer. Each attempt opens its
-// own cursors, so concurrent speculative attempts need no defensive
-// copy and nobody re-sorts.
+// through the group iterator into the reducer, whose emissions go
+// straight into the part file. Each attempt opens its own cursors, so
+// concurrent speculative attempts need no defensive copy and nobody
+// re-sorts.
 func executeReduceTask(store dfs.Store, ctx *TaskContext, spec TaskSpec) (TaskResult, error) {
 	job := spec.Job
 	cursors := make([]cursor, len(spec.Runs))
@@ -105,34 +178,24 @@ func executeReduceTask(store dfs.Store, ctx *TaskContext, spec TaskSpec) (TaskRe
 		cursors[i] = c
 		inRecords += r.Records
 	}
-	it := newMergeIter(cursors, job.KeyCompare)
-	var groups int64
-	out, err := runReduce(ctx, job.NewReducer(), it, &groups, job.KeyCompare)
-	if err == nil {
-		// The merge stream has no error channel; a run-file read
-		// failure ends it early and surfaces here.
-		err = it.Err()
-	}
+	it, err := newMergeIter(cursors, job.KeyCompare)
 	if err != nil {
 		return TaskResult{}, err
 	}
-	tmp, err := writeTaskOutput(store, spec, out)
+	out := newPartWriter(job.BinaryOutput)
+	ctx.out = out
+	groups, err := runReduce(ctx, job.NewReducer(), it, job.KeyCompare)
+	if err != nil {
+		return TaskResult{}, err
+	}
+	tmp, err := out.commit(store, spec)
 	return TaskResult{
 		Records: inRecords,
 		OutFile: tmp,
 		Stats: TaskStats{
 			ReduceInputRecords:  inRecords,
-			ReduceOutputRecords: int64(len(out)),
+			ReduceOutputRecords: out.records,
 			ReduceInputGroups:   groups,
 		},
 	}, err
-}
-
-// writeTaskOutput stores a reduce or map-only attempt's part file at
-// its attempt-unique temp path: concurrent speculative attempts of one
-// task never collide, and a retry never collides with the debris of a
-// failed earlier attempt.
-func writeTaskOutput(store dfs.Store, spec TaskSpec, kvs []KV) (string, error) {
-	tmp := fmt.Sprintf("%s/%s-a%04d", tmpDir(spec.Job.Name), spec.TaskID, spec.Attempt)
-	return tmp, store.Create(tmp, encodePartFile(kvs, spec.Job.BinaryOutput), spec.Node)
 }

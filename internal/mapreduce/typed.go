@@ -6,7 +6,7 @@ import "fmt"
 // A TypedJob carries codecs for every position in the dataflow
 // (input, intermediate, output) and lowers itself onto a plain *Job:
 // the lowered mapper decodes each input record, runs the typed user
-// code, and encodes emissions through reusable scratch buffers; the
+// code, and encodes emissions straight into the attempt's record sink; the
 // lowered reducer decodes a group's key and values back into typed
 // form. Keys travel as order-preserving encodings, so the engine's
 // spill sort and shuffle merge compare raw bytes and never decode —
@@ -126,8 +126,8 @@ type TypedJob[KI, VI, KM, VM, KO, VO any] struct {
 	Cache       map[string][]byte
 	MaxAttempts int
 	Parent      string
-	// MaxShuffleBytes and CompressSpill configure the map-side spill;
-	// see the Job fields of the same names.
+	// MaxShuffleBytes (binding on post-combine bytes when Combiner is
+	// set) and CompressSpill: see the Job fields of the same names.
 	MaxShuffleBytes int64
 	CompressSpill   bool
 }
@@ -189,27 +189,25 @@ func (tj *TypedJob[KI, VI, KM, VM, KO, VO]) Build() *Job {
 	return job
 }
 
-// typedEmit wraps an untyped emit with codec encoding through shared
-// scratch buffers. The engine hands every mapper (and reducer) method
-// of one task attempt the same emit closure, so caching one wrapper
-// per lowered instance is sound.
+// typedEmit is the typed emit of one lowered mapper or reducer: it
+// appends the key's and the value's encoding straight onto the
+// attempt's record sink, so a record costs no string and no allocation
+// of its own. One instance runs under one TaskContext, so one closure
+// serves all its methods; the string Emit the engine passes alongside
+// goes to the same sink and is not used.
 type typedEmit[K, V any] struct {
-	raw  Emit
 	emit TypedEmit[K, V]
 }
 
-func (te *typedEmit[K, V]) get(raw Emit, key Codec[K], val Codec[V]) TypedEmit[K, V] {
+func (te *typedEmit[K, V]) get(ctx *TaskContext, key Codec[K], val Codec[V]) TypedEmit[K, V] {
 	if te.emit == nil {
-		var kbuf, vbuf []byte
-		te.raw = raw
+		out := ctx.out
 		te.emit = func(k K, v V) {
-			kbuf = key.Append(kbuf[:0], k)
-			vbuf = val.Append(vbuf[:0], v)
-			te.raw(string(kbuf), string(vbuf))
+			buf := out.tail()
+			n := len(buf)
+			buf = key.Append(buf, k)
+			out.add(val.Append(buf, v), len(buf)-n)
 		}
-	} else {
-		// Defensive: follow the engine if it ever passes a fresh closure.
-		te.raw = raw
 	}
 	return te.emit
 }
@@ -225,7 +223,7 @@ func (lm *loweredMapper[KI, VI, KM, VM, KO, VO]) Setup(ctx *TaskContext) error {
 	return lm.m.Setup(ctx)
 }
 
-func (lm *loweredMapper[KI, VI, KM, VM, KO, VO]) Map(ctx *TaskContext, key, value string, emit Emit) error {
+func (lm *loweredMapper[KI, VI, KM, VM, KO, VO]) Map(ctx *TaskContext, key, value string, _ Emit) error {
 	k, err := lm.tj.InputKey.Decode(key)
 	if err != nil {
 		return fmt.Errorf("decode input key: %v", err)
@@ -234,11 +232,11 @@ func (lm *loweredMapper[KI, VI, KM, VM, KO, VO]) Map(ctx *TaskContext, key, valu
 	if err != nil {
 		return fmt.Errorf("decode input value: %v", err)
 	}
-	return lm.m.Map(ctx, k, v, lm.te.get(emit, lm.tj.MapKey, lm.tj.MapValue))
+	return lm.m.Map(ctx, k, v, lm.te.get(ctx, lm.tj.MapKey, lm.tj.MapValue))
 }
 
-func (lm *loweredMapper[KI, VI, KM, VM, KO, VO]) Cleanup(ctx *TaskContext, emit Emit) error {
-	return lm.m.Cleanup(ctx, lm.te.get(emit, lm.tj.MapKey, lm.tj.MapValue))
+func (lm *loweredMapper[KI, VI, KM, VM, KO, VO]) Cleanup(ctx *TaskContext, _ Emit) error {
+	return lm.m.Cleanup(ctx, lm.te.get(ctx, lm.tj.MapKey, lm.tj.MapValue))
 }
 
 // loweredReducer adapts a TypedReducer to the untyped Reducer
@@ -257,7 +255,7 @@ func (lr *loweredReducer[K, V, KO, VO]) Setup(ctx *TaskContext) error {
 	return lr.r.Setup(ctx)
 }
 
-func (lr *loweredReducer[K, V, KO, VO]) Reduce(ctx *TaskContext, key string, values []string, emit Emit) error {
+func (lr *loweredReducer[K, V, KO, VO]) Reduce(ctx *TaskContext, key string, values []string, _ Emit) error {
 	k, err := lr.key.Decode(key)
 	if err != nil {
 		return fmt.Errorf("decode key: %v", err)
@@ -270,11 +268,11 @@ func (lr *loweredReducer[K, V, KO, VO]) Reduce(ctx *TaskContext, key string, val
 		}
 		lr.vals = append(lr.vals, v)
 	}
-	return lr.r.Reduce(ctx, k, lr.vals, lr.te.get(emit, lr.outKey, lr.outVal))
+	return lr.r.Reduce(ctx, k, lr.vals, lr.te.get(ctx, lr.outKey, lr.outVal))
 }
 
-func (lr *loweredReducer[K, V, KO, VO]) Cleanup(ctx *TaskContext, emit Emit) error {
-	return lr.r.Cleanup(ctx, lr.te.get(emit, lr.outKey, lr.outVal))
+func (lr *loweredReducer[K, V, KO, VO]) Cleanup(ctx *TaskContext, _ Emit) error {
+	return lr.r.Cleanup(ctx, lr.te.get(ctx, lr.outKey, lr.outVal))
 }
 
 // RunTyped builds and runs a typed job on the engine.

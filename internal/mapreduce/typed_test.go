@@ -468,3 +468,41 @@ func TestTypedCleanupEmission(t *testing.T) {
 		t.Fatalf("reducer Cleanup emission: got %d groups, want 3", got["~groups"])
 	}
 }
+
+// TestTypedEmitAllocatesNothingPerRecord drives a lowered mapper into a
+// map task's buffer: input decode, typed emit, partition and index
+// entry together cost no allocation of their own — only the buffer's
+// rare growth, which rounds to nothing per record.
+func TestTypedEmitAllocatesNothingPerRecord(t *testing.T) {
+	tj := &TypedJob[string, string, int64, int64, int64, int64]{
+		Mapper: func() TypedMapper[string, string, int64, int64] {
+			return TypedMapFunc[string, string, int64, int64](
+				func(_ *TaskContext, _ string, line string, emit TypedEmit[int64, int64]) error {
+					emit(int64(len(line)%11), 1)
+					return nil
+				})
+		},
+		InputKey: recordio.RawString{}, InputValue: recordio.RawString{},
+		MapKey: recordio.Int64{}, MapValue: recordio.Int64{},
+	}
+	job := tj.Build()
+	ctx := &TaskContext{}
+	sp := newMapSpiller(nil, ctx, TaskSpec{Job: job, NumReducers: 4}, false)
+	ctx.out = sp
+	m := job.NewMapper()
+	const records = 1000
+	lines := []string{"a", "bb", "a longer line", ""}
+	perRun := testing.AllocsPerRun(200, func() {
+		for i := 0; i < records; i++ {
+			if err := m.Map(ctx, "0", lines[i%len(lines)], nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if perRun/records >= 0.001 {
+		t.Fatalf("%.1f allocations per %d records", perRun, records)
+	}
+	if got := sp.stats.MapOutputRecords; got != 201*records {
+		t.Fatalf("buffer holds %d records, want %d", got, 201*records)
+	}
+}

@@ -24,6 +24,7 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
+	"sync"
 )
 
 const (
@@ -48,7 +49,21 @@ type CompressedWriter struct {
 	buf       []byte // encoded file
 	block     []byte // pending raw payload
 	blockSize int
+	comp      bytes.Buffer  // the block being compressed
+	zw        *flate.Writer // borrowed from flateWriters until Bytes
 }
+
+// flateWriters recycles DEFLATE compressors across blocks and files: a
+// map task writes many small run files, and a fresh flate.Writer costs
+// far more than compressing a few records. A Reset writer produces the
+// same bytes as a new one, so file contents do not depend on the pool.
+var flateWriters = sync.Pool{New: func() any {
+	zw, err := flate.NewWriter(nil, flate.BestSpeed)
+	if err != nil {
+		panic(err) // flate.NewWriter only fails on an invalid level constant
+	}
+	return zw
+}}
 
 // NewCompressedWriter returns a writer with the header already
 // emitted. blockSize ≤ 0 selects DefaultCompressBlock.
@@ -63,11 +78,13 @@ func NewCompressedWriter(blockSize int) *CompressedWriter {
 
 // Add appends one key/value record. The record lands wholly inside the
 // current block; the block is flushed once it reaches the block size.
-func (w *CompressedWriter) Add(key, value string) {
-	w.block = appendUvarint(w.block, uint64(len(key)))
-	w.block = appendUvarint(w.block, uint64(len(value)))
-	w.block = append(w.block, key...)
-	w.block = append(w.block, value...)
+func (w *CompressedWriter) Add(key, value string) { addCompressed(w, key, value) }
+
+// AddBytes is Add for a record held as bytes; the bytes are copied.
+func (w *CompressedWriter) AddBytes(key, value []byte) { addCompressed(w, key, value) }
+
+func addCompressed[T ~string | ~[]byte](w *CompressedWriter, key, value T) {
+	w.block = appendFrame(w.block, key, value)
 	if len(w.block) >= w.blockSize {
 		w.flushBlock()
 	}
@@ -78,21 +95,20 @@ func (w *CompressedWriter) flushBlock() {
 	if len(w.block) == 0 {
 		return
 	}
-	var comp bytes.Buffer
-	zw, err := flate.NewWriter(&comp, flate.BestSpeed)
-	if err != nil {
-		// flate.NewWriter only fails on an invalid level constant.
-		panic(err)
+	if w.zw == nil {
+		w.zw = flateWriters.Get().(*flate.Writer)
 	}
-	if _, err := zw.Write(w.block); err != nil {
+	w.comp.Reset()
+	w.zw.Reset(&w.comp)
+	if _, err := w.zw.Write(w.block); err != nil {
 		panic(err) // bytes.Buffer writes cannot fail
 	}
-	if err := zw.Close(); err != nil {
+	if err := w.zw.Close(); err != nil {
 		panic(err)
 	}
 	w.buf = appendUvarint(w.buf, uint64(len(w.block)))
-	w.buf = appendUvarint(w.buf, uint64(comp.Len()))
-	w.buf = append(w.buf, comp.Bytes()...)
+	w.buf = appendUvarint(w.buf, uint64(w.comp.Len()))
+	w.buf = append(w.buf, w.comp.Bytes()...)
 	w.block = w.block[:0]
 }
 
@@ -103,12 +119,18 @@ func (w *CompressedWriter) Len() int { return len(w.buf) }
 // writer must not be reused after.
 func (w *CompressedWriter) Bytes() []byte {
 	w.flushBlock()
+	if w.zw != nil {
+		flateWriters.Put(w.zw)
+		w.zw = nil
+	}
 	return w.buf
 }
 
 // FetchFunc reads n bytes of a file starting at off. A fetch may
 // return fewer bytes only because the file ends (dfs.ReadRange
-// semantics); any other shortfall must surface as an error.
+// semantics); any other shortfall must surface as an error. The
+// returned bytes must never change afterwards: the reader hands out
+// views of them.
 type FetchFunc func(off, n int64) ([]byte, error)
 
 // FileReader streams the records of a version-1 or version-2 record
@@ -125,6 +147,8 @@ type FileReader struct {
 
 	block    []byte // v2: current decompressed payload
 	blockPos int
+	src      bytes.Reader  // v2: the compressed block being read
+	zr       io.ReadCloser // v2: one decompressor, Reset per block
 }
 
 // NewFileReader opens a record file of the given total size, sniffing
@@ -152,7 +176,9 @@ func NewFileReader(size int64, fetch FetchFunc) (*FileReader, error) {
 
 // ensure returns at least n unconsumed bytes starting at the cursor,
 // fetching more of the file as needed. It returns fewer than n bytes
-// without error only at end of file.
+// without error only at end of file. A window that has to grow is
+// rebuilt in a new slice, never shifted in place: records already
+// returned are views of the old one.
 func (r *FileReader) ensure(n int) ([]byte, error) {
 	for len(r.buf)-r.pos < n {
 		fetchAt := r.off + int64(len(r.buf))
@@ -173,20 +199,27 @@ func (r *FileReader) ensure(n int) ([]byte, error) {
 		if int64(len(chunk)) < want {
 			return nil, fmt.Errorf("recordio: short fetch at offset %d: got %d of %d bytes", fetchAt, len(chunk), want)
 		}
-		// Drop the consumed prefix before growing the window.
-		if r.pos > 0 {
-			r.buf = append(r.buf[:0], r.buf[r.pos:]...)
-			r.off += int64(r.pos)
-			r.pos = 0
+		if rest := r.buf[r.pos:]; len(rest) > 0 {
+			chunk = append(append(make([]byte, 0, len(rest)+len(chunk)), rest...), chunk...)
 		}
-		r.buf = append(r.buf, chunk...)
+		r.off += int64(r.pos)
+		r.buf, r.pos = chunk, 0
 	}
 	return r.buf[r.pos:], nil
 }
 
-// Next returns the next record. ok is false at a clean end of file;
-// a truncated or corrupt file returns an error, never a silent stop.
+// Next returns a copy of the next record. ok is false at a clean end
+// of file; a truncated or corrupt file returns an error, never a
+// silent stop.
 func (r *FileReader) Next() (key, value string, ok bool, err error) {
+	k, v, ok, err := r.NextBytes()
+	return string(k), string(v), ok, err
+}
+
+// NextBytes is Next without the copy: key and value are views of the
+// reader's window or decompressed block. They stay valid (and
+// unchanged) for as long as the caller holds them.
+func (r *FileReader) NextBytes() (key, value []byte, ok bool, err error) {
 	if r.version == 2 {
 		return r.nextCompressed()
 	}
@@ -194,14 +227,14 @@ func (r *FileReader) Next() (key, value string, ok bool, err error) {
 }
 
 // nextPlain advances through a v1 file, skipping sync markers.
-func (r *FileReader) nextPlain() (string, string, bool, error) {
+func (r *FileReader) nextPlain() ([]byte, []byte, bool, error) {
 	for {
 		rest, err := r.ensure(syncLen + 2*maxUvarintLen)
 		if err != nil {
-			return "", "", false, err
+			return nil, nil, false, err
 		}
 		if len(rest) == 0 {
-			return "", "", false, nil // clean end of file
+			return nil, nil, false, nil // clean end of file
 		}
 		if len(rest) >= syncLen && bytes.Equal(rest[:syncLen], syncMarker[:]) {
 			r.pos += syncLen
@@ -210,44 +243,50 @@ func (r *FileReader) nextPlain() (string, string, bool, error) {
 		klen, kn := buvarint(rest)
 		vlen, vn := buvarint(rest[kn:])
 		if kn == 0 || vn == 0 || klen > maxFrameLen || vlen > maxFrameLen {
-			return "", "", false, fmt.Errorf("recordio: corrupt record frame at offset %d", r.off+int64(r.pos))
+			return nil, nil, false, fmt.Errorf("recordio: corrupt record frame at offset %d", r.off+int64(r.pos))
 		}
 		frame := kn + vn + int(klen) + int(vlen)
 		if rest, err = r.ensure(frame); err != nil {
-			return "", "", false, err
+			return nil, nil, false, err
 		}
 		if len(rest) < frame {
-			return "", "", false, fmt.Errorf("recordio: truncated record at offset %d", r.off+int64(r.pos))
+			return nil, nil, false, fmt.Errorf("recordio: truncated record at offset %d", r.off+int64(r.pos))
 		}
-		body := rest[kn+vn : frame]
+		body := rest[kn+vn : frame : frame]
 		r.pos += frame
-		return string(body[:klen]), string(body[klen:]), true, nil
+		return body[:klen:klen], body[klen:], true, nil
 	}
 }
 
 // nextCompressed advances through a v2 file, decompressing a block at
 // a time.
-func (r *FileReader) nextCompressed() (string, string, bool, error) {
+func (r *FileReader) nextCompressed() ([]byte, []byte, bool, error) {
 	if r.blockPos >= len(r.block) {
 		ok, err := r.loadBlock()
 		if err != nil || !ok {
-			return "", "", false, err
+			return nil, nil, false, err
 		}
 	}
 	rest := r.block[r.blockPos:]
 	klen, kn := buvarint(rest)
 	vlen, vn := buvarint(rest[kn:])
 	if kn == 0 || vn == 0 || klen > maxFrameLen || vlen > maxFrameLen {
-		return "", "", false, fmt.Errorf("recordio: corrupt record frame in block at offset %d", r.off+int64(r.pos))
+		return nil, nil, false, fmt.Errorf("recordio: corrupt record frame in block at offset %d", r.off+int64(r.pos))
 	}
 	frame := kn + vn + int(klen) + int(vlen)
 	if frame > len(rest) {
-		return "", "", false, fmt.Errorf("recordio: record extends past its compressed block at offset %d", r.off+int64(r.pos))
+		return nil, nil, false, fmt.Errorf("recordio: record extends past its compressed block at offset %d", r.off+int64(r.pos))
 	}
-	body := rest[kn+vn : frame]
+	body := rest[kn+vn : frame : frame]
 	r.blockPos += frame
-	return string(body[:klen]), string(body[klen:]), true, nil
+	return body[:klen:klen], body[klen:], true, nil
 }
+
+// maxInflation is DEFLATE's best possible compression ratio (a run of
+// 258-byte matches at two bits apiece). A block header claiming more
+// is corrupt, and refusing it bounds what a hostile file can make the
+// reader allocate by the bytes the file really holds.
+const maxInflation = 1032
 
 // loadBlock fetches and decompresses the next block. ok is false at a
 // clean end of file.
@@ -261,7 +300,7 @@ func (r *FileReader) loadBlock() (bool, error) {
 	}
 	rawLen, rn := buvarint(hdr)
 	compLen, cn := buvarint(hdr[rn:])
-	if rn == 0 || cn == 0 || rawLen == 0 || rawLen > maxFrameLen || compLen > maxFrameLen {
+	if rn == 0 || cn == 0 || rawLen == 0 || rawLen > maxFrameLen || compLen > maxFrameLen || rawLen > maxInflation*compLen {
 		return false, fmt.Errorf("recordio: corrupt block header at offset %d", r.off+int64(r.pos))
 	}
 	need := rn + cn + int(compLen)
@@ -271,13 +310,16 @@ func (r *FileReader) loadBlock() (bool, error) {
 	if len(hdr) < need {
 		return false, fmt.Errorf("recordio: truncated block at offset %d", r.off+int64(r.pos))
 	}
-	zr := flate.NewReader(bytes.NewReader(hdr[rn+cn : need]))
-	raw := make([]byte, rawLen)
-	if _, err := io.ReadFull(zr, raw); err != nil {
-		return false, fmt.Errorf("recordio: block at offset %d does not decompress to %d bytes: %v", r.off+int64(r.pos), rawLen, err)
+	r.src.Reset(hdr[rn+cn : need])
+	if r.zr == nil {
+		r.zr = flate.NewReader(&r.src)
+	} else if err := r.zr.(flate.Resetter).Reset(&r.src, nil); err != nil {
+		return false, err
 	}
-	if err := zr.Close(); err != nil {
-		return false, fmt.Errorf("recordio: corrupt compressed block at offset %d: %v", r.off+int64(r.pos), err)
+	// A fresh payload per block: its records are handed out as views.
+	raw := make([]byte, rawLen)
+	if _, err := io.ReadFull(r.zr, raw); err != nil {
+		return false, fmt.Errorf("recordio: block at offset %d does not decompress to %d bytes: %v", r.off+int64(r.pos), rawLen, err)
 	}
 	r.pos += need
 	r.block, r.blockPos = raw, 0

@@ -1,6 +1,7 @@
 package recordio
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -194,5 +195,85 @@ func TestFileReaderMatchesSliceReader(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("record %d: streaming %v, slice %v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestFileReaderViewsStayValid reads both formats through NextBytes
+// across many fetch windows and blocks, keeps every view, and compares
+// them all at the end: what the reader has handed out it never
+// rewrites.
+func TestFileReaderViewsStayValid(t *testing.T) {
+	plain, comp := NewWriter(), NewCompressedWriter(512)
+	var want []kv
+	for i := 0; i < 40000; i++ {
+		r := kv{Key: fmt.Sprintf("key-%06d", i), Value: strings.Repeat("v", i%29)}
+		want = append(want, r)
+		plain.AddBytes([]byte(r.Key), []byte(r.Value))
+		comp.AddBytes([]byte(r.Key), []byte(r.Value))
+	}
+	for name, data := range map[string][]byte{"v1": plain.Bytes(), "v2": comp.Bytes()} {
+		if name == "v1" && len(data) < 3*fetchWindow {
+			t.Fatalf("fixture of %d bytes does not span several fetch windows", len(data))
+		}
+		r, err := NewFileReader(int64(len(data)), BytesFetcher(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys, values [][]byte
+		for {
+			k, v, ok, err := r.NextBytes()
+			if err != nil {
+				t.Fatalf("%s: record %d: %v", name, len(keys), err)
+			}
+			if !ok {
+				break
+			}
+			keys, values = append(keys, k), append(values, v)
+		}
+		if len(keys) != len(want) {
+			t.Fatalf("%s: read %d records, want %d", name, len(keys), len(want))
+		}
+		for i, w := range want {
+			if string(keys[i]) != w.Key || string(values[i]) != w.Value {
+				t.Fatalf("%s: record %d reads (%q, %q) after the file was drained, want %v", name, i, keys[i], values[i], w)
+			}
+		}
+	}
+}
+
+// TestCompressedWriterReuseIsByteIdentical: compressors are recycled
+// across blocks and files, and what a recycled one writes must not
+// depend on what it wrote before — run-file sizes are job counters.
+func TestCompressedWriterReuseIsByteIdentical(t *testing.T) {
+	file := func(seed, n int) []byte {
+		w := NewCompressedWriter(256)
+		for i := 0; i < n; i++ {
+			w.Add(fmt.Sprintf("key-%d-%04d", seed, i), strings.Repeat(string(rune('a'+seed)), i%41))
+		}
+		return w.Bytes()
+	}
+	first := file(1, 300)
+	for i := 0; i < 5; i++ {
+		file(2+i, 10+100*i) // other contents through the pooled compressor
+		if again := file(1, 300); !bytes.Equal(again, first) {
+			t.Fatalf("round %d: the same records compressed to different bytes", i)
+		}
+	}
+}
+
+// TestFileReaderRefusesImpossibleInflation: a block header claiming
+// more raw bytes than DEFLATE could ever pack into the block is
+// rejected before anything of that size is allocated.
+func TestFileReaderRefusesImpossibleInflation(t *testing.T) {
+	data := append([]byte(nil), compressedHeader[:]...)
+	data = appendUvarint(data, maxFrameLen) // rawLen: 64 MiB
+	data = appendUvarint(data, 4)           // compLen
+	data = append(data, 1, 2, 3, 4)
+	r, err := NewFileReader(int64(len(data)), BytesFetcher(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := r.Next(); err == nil || !strings.Contains(err.Error(), "corrupt block header") {
+		t.Fatalf("err = %v, want a corrupt block header", err)
 	}
 }

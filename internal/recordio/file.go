@@ -67,18 +67,29 @@ func NewWriter() *Writer {
 	return w
 }
 
+// appendFrame appends one uvarint-framed key/value record to dst.
+func appendFrame[T ~string | ~[]byte](dst []byte, key, value T) []byte {
+	dst = appendUvarint(dst, uint64(len(key)))
+	dst = appendUvarint(dst, uint64(len(value)))
+	dst = append(dst, key...)
+	return append(dst, value...)
+}
+
 // Add appends one key/value record, preceded by a sync marker when
 // the current block has reached the sync interval.
-func (w *Writer) Add(key, value string) {
+func (w *Writer) Add(key, value string) { addRecord(w, key, value) }
+
+// AddBytes is Add for a record held as bytes (a view of a map task's
+// buffer, an encoding in a scratch slice); the bytes are copied.
+func (w *Writer) AddBytes(key, value []byte) { addRecord(w, key, value) }
+
+func addRecord[T ~string | ~[]byte](w *Writer, key, value T) {
 	if w.sinceSync >= syncInterval {
 		w.buf = append(w.buf, syncMarker[:]...)
 		w.sinceSync = 0
 	}
 	n := len(w.buf)
-	w.buf = appendUvarint(w.buf, uint64(len(key)))
-	w.buf = appendUvarint(w.buf, uint64(len(value)))
-	w.buf = append(w.buf, key...)
-	w.buf = append(w.buf, value...)
+	w.buf = appendFrame(w.buf, key, value)
 	w.sinceSync += len(w.buf) - n
 }
 

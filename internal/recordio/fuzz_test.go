@@ -1,7 +1,9 @@
 package recordio
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -132,5 +134,49 @@ func FuzzScanAll(f *testing.F) {
 		}
 		n := 0
 		_ = ScanAll(data, func(k, v string) error { n++; return nil })
+	})
+}
+
+// FuzzFileReader throws arbitrary bytes, behind either header, at the
+// streaming reader run files are read through: hostile input must end
+// in an error or a clean stop — never a panic, and never an allocation
+// out of proportion to the input (a v2 block header may claim at most
+// DEFLATE's best ratio). Whatever it does yield must also be what
+// Next's copying form yields.
+func FuzzFileReader(f *testing.F) {
+	plain, comp := NewWriter(), NewCompressedWriter(64)
+	for i := 0; i < 40; i++ {
+		plain.Add(fmt.Sprintf("key-%02d", i), strings.Repeat("v", i))
+		comp.Add(fmt.Sprintf("key-%02d", i), strings.Repeat("v", i))
+	}
+	for _, file := range [][]byte{plain.Bytes(), comp.Bytes()} {
+		f.Add(file)
+		for _, cut := range []int{1, 3, 7, len(file) / 2} {
+			f.Add(file[:len(file)-cut])
+		}
+	}
+	f.Add([]byte("RCIO\x02"))
+	f.Add([]byte("RCIO\x02\xff\xff\xff\x1f\x01\x00"))
+	f.Add([]byte("RCIO\x01\x03\x02abcde"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		views, err := NewFileReader(int64(len(data)), BytesFetcher(data))
+		if err != nil {
+			return
+		}
+		copies, _ := NewFileReader(int64(len(data)), BytesFetcher(data))
+		for n := 0; ; n++ {
+			k, v, ok, err := views.NextBytes()
+			ck, cv, cok, cerr := copies.Next()
+			if ok != cok || (err == nil) != (cerr == nil) || string(k) != ck || string(v) != cv {
+				t.Fatalf("record %d: NextBytes = (%q, %q, %v, %v), Next = (%q, %q, %v, %v)", n, k, v, ok, err, ck, cv, cok, cerr)
+			}
+			if err != nil || !ok {
+				return
+			}
+			if len(k)+len(v) > maxInflation*len(data) {
+				t.Fatalf("record %d: %d bytes out of a %d-byte file", n, len(k)+len(v), len(data))
+			}
+		}
 	})
 }

@@ -23,9 +23,11 @@ package rtree
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -265,7 +267,7 @@ func BulkLoad(entries []Entry, maxEntries int) *Tree {
 	// Leaf level: sort by lon, tile into vertical slabs, sort each slab
 	// by lat, pack runs of maxEntries.
 	m := t.maxEntries
-	sort.Slice(es, func(i, j int) bool { return es[i].Point.Lon < es[j].Point.Lon })
+	slices.SortFunc(es, func(a, b Entry) int { return cmp.Compare(a.Point.Lon, b.Point.Lon) })
 	nLeaves := (len(es) + m - 1) / m
 	slabs := int(math.Ceil(math.Sqrt(float64(nLeaves))))
 	slabSize := slabs * m
@@ -277,7 +279,7 @@ func BulkLoad(entries []Entry, maxEntries int) *Tree {
 			end = len(es)
 		}
 		slab := es[start:end]
-		sort.Slice(slab, func(i, j int) bool { return slab[i].Point.Lat < slab[j].Point.Lat })
+		slices.SortFunc(slab, func(a, b Entry) int { return cmp.Compare(a.Point.Lat, b.Point.Lat) })
 		for ls := 0; ls < len(slab); ls += m {
 			le := ls + m
 			if le > len(slab) {
