@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/geo"
 	"repro/internal/mapreduce"
@@ -177,13 +176,9 @@ func DJClusterMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts 
 	for _, entry := range tree.All() {
 		id2pt[entry.ID] = entry.Point
 	}
-	kvs, err := e.ReadOutput(clusterOut)
-	if err != nil {
-		return res, err
-	}
-	for _, kv := range kvs {
-		members := strings.Split(kv.Value, ",")
-		c := Cluster{ID: kv.Key, Members: members}
+	var clusters []Cluster
+	err = mapreduce.ReadOutput(e, clusterOut, recordio.RawString{}, recordio.StringList{}, func(id string, members []string) error {
+		c := Cluster{ID: id, Members: members}
 		if opts.PerUser && len(members) > 0 {
 			c.User = UserOfTraceID(members[0])
 		}
@@ -191,15 +186,20 @@ func DJClusterMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts 
 		for _, m := range members {
 			p, ok := id2pt[m]
 			if !ok {
-				return res, fmt.Errorf("djcluster: member %q missing from index", m)
+				return fmt.Errorf("djcluster: member %q missing from index", m)
 			}
 			lat += p.Lat
 			lon += p.Lon
 		}
 		n := float64(len(members))
 		c.Centroid = geo.Point{Lat: lat / n, Lon: lon / n}
-		res.Clusters = append(res.Clusters, c)
+		clusters = append(clusters, c)
+		return nil
+	})
+	if err != nil {
+		return res, err
 	}
+	res.Clusters = clusters
 	sortClusters(res.Clusters)
 	return res, nil
 }
@@ -330,17 +330,16 @@ func (m *dedupMapper) Map(ctx *mapreduce.TaskContext, _ string, t trace.Trace, e
 
 // neighborhoodJob is the typed shape of the neighborhood+merge job:
 // trace records in, (constant key, [center, neighbor...] ID list)
-// intermediates, and text cluster-membership records out. The member
-// lists travel as length-prefixed binary string lists instead of
-// "center|id,id"-formatted strings.
-type neighborhoodJob = mapreduce.TypedJob[string, trace.Trace, string, []string, string, string]
+// intermediates, and one (cluster ID, member IDs) record per cluster
+// out. Both ID lists travel as length-prefixed binary string lists.
+type neighborhoodJob = mapreduce.TypedJob[string, trace.Trace, string, []string, string, []string]
 
 var neighborhoodKind = mapreduce.Declare(neighborhoodJob{
 	Kind: "gepeto/djcluster-neighborhood",
 	Mapper: func() mapreduce.TypedMapper[string, trace.Trace, string, []string] {
 		return &neighborhoodMapper{}
 	},
-	Reducer: func() mapreduce.TypedReducer[string, []string, string, string] {
+	Reducer: func() mapreduce.TypedReducer[string, []string, string, []string] {
 		return &mergeReducer{}
 	},
 	InputKey:    recordio.RawString{},
@@ -348,7 +347,7 @@ var neighborhoodKind = mapreduce.Declare(neighborhoodJob{
 	MapKey:      recordio.RawString{},
 	MapValue:    recordio.StringList{},
 	OutputKey:   recordio.RawString{},
-	OutputValue: recordio.RawString{},
+	OutputValue: recordio.StringList{},
 })
 
 // neighborhoodMapper is Algorithm 4: it loads the R-tree from the
@@ -408,12 +407,12 @@ func (m *neighborhoodMapper) Map(ctx *mapreduce.TaskContext, _ string, t trace.T
 // the mappers and merges every pair of joinable neighborhoods — two
 // neighborhoods are joinable if at least one trace belongs to both —
 // using a union-find over trace IDs. Each output record is one final
-// cluster: key "cluster-N", value the comma-joined member IDs.
+// cluster: key "cluster-N", value the sorted member IDs.
 type mergeReducer struct {
-	mapreduce.TypedReducerBase[string, string]
+	mapreduce.TypedReducerBase[string, []string]
 }
 
-func (r *mergeReducer) Reduce(_ *mapreduce.TaskContext, _ string, values [][]string, emit mapreduce.TypedEmit[string, string]) error {
+func (r *mergeReducer) Reduce(_ *mapreduce.TaskContext, _ string, values [][]string, emit mapreduce.TypedEmit[string, []string]) error {
 	parent := make(map[string]string)
 	var find func(string) string
 	find = func(x string) string {
@@ -458,7 +457,7 @@ func (r *mergeReducer) Reduce(_ *mapreduce.TaskContext, _ string, values [][]str
 	for i, root := range roots {
 		members := groups[root]
 		sort.Strings(members)
-		emit(fmt.Sprintf("cluster-%04d", i), strings.Join(members, ","))
+		emit(fmt.Sprintf("cluster-%04d", i), members)
 	}
 	return nil
 }

@@ -345,29 +345,23 @@ func KMeansPlusPlusSequential(points []geo.Point, opts KMeansOptions) *KMeansRes
 // happens here, driver-side, on full-precision sums; the result is
 // quantised to record precision so MR and sequential runs agree.
 func readCentroids(e *mapreduce.Engine, outputPath string, prev []geo.Point) ([]geo.Point, []int, error) {
-	kvs, err := e.ReadOutput(outputPath)
-	if err != nil {
-		return nil, nil, err
-	}
 	next := append([]geo.Point(nil), prev...)
 	sizes := make([]int, len(prev))
-	for _, kv := range kvs {
-		idx, err := (recordio.Int64{}).Decode(kv.Key)
-		if err != nil || idx < 0 || idx >= int64(len(prev)) {
-			return nil, nil, fmt.Errorf("kmeans: bad centroid key %q", kv.Key)
+	err := mapreduce.ReadOutput(e, outputPath, recordio.Int64{}, recordio.PointSumCodec{}, func(idx int64, sum recordio.PointSum) error {
+		if idx < 0 || idx >= int64(len(prev)) {
+			return fmt.Errorf("kmeans: bad centroid index %d", idx)
 		}
-		sum, err := (recordio.PointSumCodec{}).Decode(kv.Value)
-		if err != nil {
-			return nil, nil, fmt.Errorf("kmeans: bad centroid value: %v", err)
+		if sum.N > 0 {
+			next[idx] = geo.Point{
+				Lat: quantize(sum.LatSum / float64(sum.N)),
+				Lon: quantize(sum.LonSum / float64(sum.N)),
+			}
+			sizes[idx] = int(sum.N)
 		}
-		if sum.N <= 0 {
-			continue
-		}
-		next[idx] = geo.Point{
-			Lat: quantize(sum.LatSum / float64(sum.N)),
-			Lon: quantize(sum.LonSum / float64(sum.N)),
-		}
-		sizes[idx] = int(sum.N)
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return next, sizes, nil
 }

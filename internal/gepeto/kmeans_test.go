@@ -248,20 +248,18 @@ func TestKMeansAssignments(t *testing.T) {
 	if _, err := KMeansAssignments(h.e, []string{h.input}, "assign", res.Centroids, opts.Distance); err != nil {
 		t.Fatal(err)
 	}
-	kvs, err := h.e.ReadOutput("assign")
+	counts := map[int64]int{}
+	assigned := 0
+	err = mapreduce.ReadOutput(h.e, "assign", recordio.Int64{}, recordio.RawString{}, func(idx int64, _ string) error {
+		counts[idx]++
+		assigned++
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(kvs) != h.ds.NumTraces() {
-		t.Fatalf("assignments = %d, want %d", len(kvs), h.ds.NumTraces())
-	}
-	counts := map[int64]int{}
-	for _, kv := range kvs {
-		idx, err := (recordio.Int64{}).Decode(kv.Key)
-		if err != nil {
-			t.Fatalf("bad assignment key %q: %v", kv.Key, err)
-		}
-		counts[idx]++
+	if assigned != h.ds.NumTraces() {
+		t.Fatalf("assignments = %d, want %d", assigned, h.ds.NumTraces())
 	}
 	// Sizes report the assignment of the last iteration's input
 	// centroids, while KMeansAssignments uses the post-update ones;

@@ -109,16 +109,18 @@ func BuildRTreeMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts
 		return nil, results, err
 	}
 	results = append(results, r1)
-	kvs, err := e.ReadOutput(phase1Out)
+	var keys []string
+	var partitionPoints []uint64
+	err = mapreduce.ReadOutput(e, phase1Out, recordio.RawString{}, recordio.Uint64List{}, func(key string, points []uint64) error {
+		keys, partitionPoints = append(keys, key), points
+		return nil
+	})
 	if err != nil {
 		return nil, results, err
 	}
-	if len(kvs) != 1 || kvs[0].Key != "bounds" {
-		return nil, results, fmt.Errorf("rtree: phase 1 produced %d records, want 1 bounds record", len(kvs))
+	if len(keys) != 1 || keys[0] != "bounds" {
+		return nil, results, fmt.Errorf("rtree: phase 1 produced records %q, want 1 bounds record", keys)
 	}
-	// The encoded scalar list goes into the distributed cache verbatim;
-	// phase-2 mappers decode it with the same codec.
-	partitionPoints := kvs[0].Value
 
 	// Phase 2: partition objects and build small R-trees.
 	phase2Out := workDir + "/phase2"
@@ -129,7 +131,8 @@ func BuildRTreeMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts
 	p2.OutputPath = phase2Out
 	p2.NumReducers = opts.Partitions
 	p2.Conf = conf
-	p2.Cache = map[string][]byte{cachePartitions: []byte(partitionPoints)}
+	// Phase-2 mappers decode the points with the same codec.
+	p2.Cache = map[string][]byte{cachePartitions: recordio.Uint64List{}.Append(nil, partitionPoints)}
 	r2, err := e.Run(p2.Build())
 	if err != nil {
 		return nil, results, err
@@ -141,22 +144,9 @@ func BuildRTreeMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts
 	// are merged in partition order, which follows the curve, so
 	// adjacent subtrees are spatially close.
 	defer span(e, spanID+"/merge", spanID, "sequential subtree merge", &err)()
-	kvs, err = e.ReadOutput(phase2Out)
+	subtrees, err := readSubtrees(e, phase2Out, opts.FanOut)
 	if err != nil {
 		return nil, results, err
-	}
-	sort.Slice(kvs, func(i, j int) bool {
-		a, _ := (recordio.Int64{}).Decode(kvs[i].Key)
-		b, _ := (recordio.Int64{}).Decode(kvs[j].Key)
-		return a < b
-	})
-	subtrees := make([]*rtree.Tree, 0, len(kvs))
-	for _, kv := range kvs {
-		st, err := parseSubtree(kv.Value, opts.FanOut)
-		if err != nil {
-			return nil, results, err
-		}
-		subtrees = append(subtrees, st)
 	}
 	tree = rtree.Merge(opts.FanOut, subtrees...)
 	return tree, results, nil
@@ -350,21 +340,24 @@ func (r *subtreeReducer) Reduce(ctx *mapreduce.TaskContext, key int64, values []
 	return nil
 }
 
-// parseSubtree reconstructs a partition R-tree from its serialized
-// entry list (a recordio.IDPointList encoding).
-func parseSubtree(s string, fanOut int) (*rtree.Tree, error) {
-	if s == "" {
-		return rtree.New(fanOut), nil
-	}
-	pts, err := (recordio.IDPointList{}).Decode(s)
+// readSubtrees reconstructs the partition R-trees from phase 2's
+// output, bulk-loading each serialized entry list. Partition i is the
+// one key of reducer i (phase 2 runs a reducer per partition), so
+// part-file order is partition order.
+func readSubtrees(e *mapreduce.Engine, dir string, fanOut int) ([]*rtree.Tree, error) {
+	var trees []*rtree.Tree
+	err := mapreduce.ReadOutput(e, dir, recordio.Int64{}, recordio.IDPointList{}, func(_ int64, pts []recordio.IDPoint) error {
+		entries := make([]rtree.Entry, len(pts))
+		for i, v := range pts {
+			entries[i] = rtree.Entry{ID: v.ID, Point: v.P}
+		}
+		trees = append(trees, rtree.BulkLoad(entries, fanOut))
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("rtree: bad serialized subtree: %v", err)
+		return nil, fmt.Errorf("rtree: reading subtrees: %v", err)
 	}
-	entries := make([]rtree.Entry, 0, len(pts))
-	for _, v := range pts {
-		entries = append(entries, rtree.Entry{ID: v.ID, Point: v.P})
-	}
-	return rtree.BulkLoad(entries, fanOut), nil
+	return trees, nil
 }
 
 func curveFromConf(ctx *mapreduce.TaskContext) (sfc.Curve, error) {

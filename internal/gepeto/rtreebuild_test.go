@@ -1,6 +1,7 @@
 package gepeto
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -125,23 +126,37 @@ func TestBuildRTreeMRDefaultOptions(t *testing.T) {
 	}
 }
 
+// TestParseSubtreeErrors plants one phase-2 part file per case and
+// reads it back the way phase 3 does.
 func TestParseSubtreeErrors(t *testing.T) {
+	h := newHarness(t, 1, 10, 64)
 	enc := string((recordio.IDPointList{}).Append(nil, []recordio.IDPoint{
 		{ID: "u1:100", P: geo.Point{Lat: 39.9, Lon: 116.4}},
 		{ID: "u2:200", P: geo.Point{Lat: 40.0, Lon: 116.5}},
 	}))
-	if _, err := parseSubtree(enc[:len(enc)-1], 8); err == nil {
-		t.Fatal("want error for truncated encoding")
-	}
-	if _, err := parseSubtree(enc+"\x00", 8); err == nil {
-		t.Fatal("want error for trailing bytes")
-	}
-	tr, err := parseSubtree(enc, 8)
-	if err != nil || tr.Len() != 2 {
-		t.Fatalf("valid subtree: len=%d, %v", tr.Len(), err)
-	}
-	tr, err = parseSubtree("", 8)
-	if err != nil || tr.Len() != 0 {
-		t.Fatalf("empty subtree: %v, %v", tr, err)
+	empty := string((recordio.IDPointList{}).Append(nil, nil))
+	for i, tc := range []struct {
+		name  string
+		value string
+		size  int // -1: the read must fail
+	}{
+		{"truncated encoding", enc[:len(enc)-1], -1},
+		{"trailing bytes", enc + "\x00", -1},
+		{"valid subtree", enc, 2},
+		{"empty subtree", empty, 0},
+	} {
+		dir := fmt.Sprintf("phase2-%d", i)
+		w := recordio.NewWriter()
+		w.Add(string((recordio.Int64{}).Append(nil, 0)), tc.value)
+		if err := h.e.FS().Create(dir+"/part-r-00000", w.Bytes(), ""); err != nil {
+			t.Fatal(err)
+		}
+		trees, err := readSubtrees(h.e, dir, 8)
+		switch {
+		case tc.size < 0 && err == nil:
+			t.Errorf("%s: want an error", tc.name)
+		case tc.size >= 0 && (err != nil || len(trees) != 1 || trees[0].Len() != tc.size):
+			t.Errorf("%s: trees=%d err=%v, want one of %d entries", tc.name, len(trees), err, tc.size)
+		}
 	}
 }

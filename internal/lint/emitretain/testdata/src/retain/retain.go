@@ -10,21 +10,21 @@ import (
 )
 
 type retainingReducer struct {
-	mapreduce.ReducerBase
+	mapreduce.TypedReducerBase[string, string]
 	last []string
 }
 
-func (r *retainingReducer) Reduce(ctx *mapreduce.TaskContext, key string, values []string, emit mapreduce.Emit) error {
+func (r *retainingReducer) Reduce(ctx *mapreduce.TaskContext, key string, values []string, emit mapreduce.TypedEmit[string, string]) error {
 	r.last = values // want `values slice passed to Reduce is reused`
 	return nil
 }
 
 type subsliceReducer struct {
-	mapreduce.ReducerBase
+	mapreduce.TypedReducerBase[string, string]
 	head []string
 }
 
-func (r *subsliceReducer) Reduce(ctx *mapreduce.TaskContext, key string, values []string, emit mapreduce.Emit) error {
+func (r *subsliceReducer) Reduce(ctx *mapreduce.TaskContext, key string, values []string, emit mapreduce.TypedEmit[string, string]) error {
 	r.head = values[:1] // want `values slice passed to Reduce is reused`
 	return nil
 }
@@ -32,23 +32,23 @@ func (r *subsliceReducer) Reduce(ctx *mapreduce.TaskContext, key string, values 
 var lastValues []string
 
 type appendingReducer struct {
-	mapreduce.ReducerBase
+	mapreduce.TypedReducerBase[string, string]
 	batches [][]string
 }
 
-func (r *appendingReducer) Reduce(ctx *mapreduce.TaskContext, key string, values []string, emit mapreduce.Emit) error {
+func (r *appendingReducer) Reduce(ctx *mapreduce.TaskContext, key string, values []string, emit mapreduce.TypedEmit[string, string]) error {
 	lastValues = values                   // want `values slice passed to Reduce is reused`
 	r.batches = append(r.batches, values) // want `append stores values as an element`
 	return nil
 }
 
 type copyingReducer struct {
-	mapreduce.ReducerBase
+	mapreduce.TypedReducerBase[string, string]
 	all []string
 }
 
 // Reduce copies the elements out: accepted.
-func (r *copyingReducer) Reduce(ctx *mapreduce.TaskContext, key string, values []string, emit mapreduce.Emit) error {
+func (r *copyingReducer) Reduce(ctx *mapreduce.TaskContext, key string, values []string, emit mapreduce.TypedEmit[string, string]) error {
 	r.all = append(r.all, values...)
 	own := make([]string, len(values))
 	copy(own, values)
@@ -64,11 +64,11 @@ type batch struct {
 }
 
 type literalReducer struct {
-	mapreduce.ReducerBase
+	mapreduce.TypedReducerBase[string, string]
 	batches []batch
 }
 
-func (r *literalReducer) Reduce(ctx *mapreduce.TaskContext, key string, values []string, emit mapreduce.Emit) error {
+func (r *literalReducer) Reduce(ctx *mapreduce.TaskContext, key string, values []string, emit mapreduce.TypedEmit[string, string]) error {
 	r.batches = append(r.batches, batch{
 		key:    key,
 		values: values, // want `composite literal captures values`

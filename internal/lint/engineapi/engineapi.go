@@ -78,20 +78,19 @@ func IsTaskContextPtr(t types.Type) bool {
 	return NamedFrom(p.Elem(), "TaskContext", MapreducePath) != nil
 }
 
-// IsEmitType reports whether t is mapreduce.Emit or an instance of
-// mapreduce.TypedEmit — the callbacks task code emits records through.
+// IsEmitType reports whether t is an instance of mapreduce.TypedEmit —
+// the callback task code emits records through.
 func IsEmitType(t types.Type) bool {
-	return NamedFrom(t, "Emit", MapreducePath) != nil ||
-		NamedFrom(t, "TypedEmit", MapreducePath) != nil
+	return NamedFrom(t, "TypedEmit", MapreducePath) != nil
 }
 
 // TaskFunc is one function or method whose body runs inside a task
 // attempt (its first parameter is a *mapreduce.TaskContext), or a
-// function literal adapted into one via the MapFunc/ReduceFunc/
-// TypedMapFunc/TypedReduceFunc conversions.
+// function literal adapted into one via the TypedMapFunc/
+// TypedReduceFunc conversions.
 type TaskFunc struct {
 	// Name labels the function in diagnostics ("(*m).Cleanup",
-	// "MapFunc literal").
+	// "TypedMapFunc literal").
 	Name string
 	// Body is the function body to inspect.
 	Body *ast.BlockStmt
@@ -101,10 +100,7 @@ type TaskFunc struct {
 
 // funcAdapters are the named function types that lift plain funcs into
 // task interfaces.
-var funcAdapters = map[string]bool{
-	"MapFunc": true, "ReduceFunc": true,
-	"TypedMapFunc": true, "TypedReduceFunc": true,
-}
+var funcAdapters = map[string]bool{"TypedMapFunc": true, "TypedReduceFunc": true}
 
 // TaskFuncs finds every task-code body in the files: declared
 // functions and methods whose first parameter is *TaskContext, plus

@@ -27,9 +27,9 @@ import (
 // map-iteration-ordered emission inside task code.
 var Analyzer = &analysis.Analyzer{
 	Name: "taskdeterminism",
-	Doc: "task code (Mapper/Reducer/Combiner bodies and their typed forms) must be " +
+	Doc: "task code (TypedMapper/TypedReducer bodies, combiners included) must be " +
 		"deterministic so retried and speculative attempts produce identical output; " +
-		"flags time.Now/Since/Until, package-level math/rand calls, and Emit inside " +
+		"flags time.Now/Since/Until, package-level math/rand calls, and emit inside " +
 		"range-over-map",
 	Run: run,
 }
@@ -109,7 +109,7 @@ func checkCall(pass *analysis.Pass, tf engineapi.TaskFunc, call *ast.CallExpr) {
 	}
 }
 
-// checkRange flags Emit/TypedEmit calls lexically inside the body of a
+// checkRange flags TypedEmit calls lexically inside the body of a
 // range over a map: emission order then follows Go's randomized map
 // iteration order, so two attempts shuffle different byte streams.
 func checkRange(pass *analysis.Pass, tf engineapi.TaskFunc, rng *ast.RangeStmt) {

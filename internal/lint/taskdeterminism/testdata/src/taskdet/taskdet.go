@@ -13,20 +13,20 @@ import (
 )
 
 type clockMapper struct {
-	mapreduce.MapperBase
+	mapreduce.TypedMapperBase[string, string]
 }
 
-func (m *clockMapper) Map(ctx *mapreduce.TaskContext, key, value string, emit mapreduce.Emit) error {
+func (m *clockMapper) Map(ctx *mapreduce.TaskContext, key, value string, emit mapreduce.TypedEmit[string, string]) error {
 	t := time.Now() // want `time\.Now`
 	emit(key, t.String())
 	return nil
 }
 
 type globalRandMapper struct {
-	mapreduce.MapperBase
+	mapreduce.TypedMapperBase[string, string]
 }
 
-func (m *globalRandMapper) Map(ctx *mapreduce.TaskContext, key, value string, emit mapreduce.Emit) error {
+func (m *globalRandMapper) Map(ctx *mapreduce.TaskContext, key, value string, emit mapreduce.TypedEmit[string, string]) error {
 	if rand.Float64() < 0.5 { // want `shared generator`
 		emit(key, value)
 	}
@@ -34,7 +34,7 @@ func (m *globalRandMapper) Map(ctx *mapreduce.TaskContext, key, value string, em
 }
 
 type seededMapper struct {
-	mapreduce.MapperBase
+	mapreduce.TypedMapperBase[string, string]
 	rng *rand.Rand
 }
 
@@ -45,7 +45,7 @@ func (m *seededMapper) Setup(ctx *mapreduce.TaskContext) error {
 	return nil
 }
 
-func (m *seededMapper) Map(ctx *mapreduce.TaskContext, key, value string, emit mapreduce.Emit) error {
+func (m *seededMapper) Map(ctx *mapreduce.TaskContext, key, value string, emit mapreduce.TypedEmit[string, string]) error {
 	if m.rng.Float64() < 0.5 {
 		emit(key, value)
 	}
@@ -53,17 +53,17 @@ func (m *seededMapper) Map(ctx *mapreduce.TaskContext, key, value string, emit m
 }
 
 type stateMapper struct {
-	mapreduce.MapperBase
+	mapreduce.TypedMapperBase[string, string]
 	state map[string]int
 }
 
-func (m *stateMapper) Map(ctx *mapreduce.TaskContext, key, value string, emit mapreduce.Emit) error {
+func (m *stateMapper) Map(ctx *mapreduce.TaskContext, key, value string, emit mapreduce.TypedEmit[string, string]) error {
 	m.state[key]++
 	return nil
 }
 
 // Cleanup emits straight out of map iteration: flagged.
-func (m *stateMapper) Cleanup(ctx *mapreduce.TaskContext, emit mapreduce.Emit) error {
+func (m *stateMapper) Cleanup(ctx *mapreduce.TaskContext, emit mapreduce.TypedEmit[string, string]) error {
 	for k := range m.state {
 		emit(k, "1") // want `map iteration order`
 	}
@@ -71,17 +71,17 @@ func (m *stateMapper) Cleanup(ctx *mapreduce.TaskContext, emit mapreduce.Emit) e
 }
 
 type sortedMapper struct {
-	mapreduce.MapperBase
+	mapreduce.TypedMapperBase[string, string]
 	state map[string]int
 }
 
-func (m *sortedMapper) Map(ctx *mapreduce.TaskContext, key, value string, emit mapreduce.Emit) error {
+func (m *sortedMapper) Map(ctx *mapreduce.TaskContext, key, value string, emit mapreduce.TypedEmit[string, string]) error {
 	m.state[key]++
 	return nil
 }
 
 // Cleanup sorts keys before emitting: accepted.
-func (m *sortedMapper) Cleanup(ctx *mapreduce.TaskContext, emit mapreduce.Emit) error {
+func (m *sortedMapper) Cleanup(ctx *mapreduce.TaskContext, emit mapreduce.TypedEmit[string, string]) error {
 	keys := make([]string, 0, len(m.state))
 	for k := range m.state {
 		keys = append(keys, k)
@@ -95,16 +95,18 @@ func (m *sortedMapper) Cleanup(ctx *mapreduce.TaskContext, emit mapreduce.Emit) 
 
 // helper is task code by shape (first param *TaskContext) even though
 // it is not an interface method.
-func helper(ctx *mapreduce.TaskContext, emit mapreduce.Emit) {
+func helper(ctx *mapreduce.TaskContext, emit mapreduce.TypedEmit[string, string]) {
 	d := time.Since(time.Time{}) // want `time\.Since`
 	emit("d", d.String())
 }
 
-// adapted is a function literal lifted into a Mapper via MapFunc.
-var adapted = mapreduce.MapFunc(func(ctx *mapreduce.TaskContext, key, value string, emit mapreduce.Emit) error {
-	emit(key, time.Now().String()) // want `time\.Now`
-	return nil
-})
+// adapted is a function literal lifted into a TypedMapper via
+// TypedMapFunc.
+var adapted = mapreduce.TypedMapFunc[string, string, string, string](
+	func(ctx *mapreduce.TaskContext, key, value string, emit mapreduce.TypedEmit[string, string]) error {
+		emit(key, time.Now().String()) // want `time\.Now`
+		return nil
+	})
 
 // driver is not task code: the clock is fine here.
 func driver() time.Time {

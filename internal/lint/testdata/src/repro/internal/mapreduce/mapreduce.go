@@ -30,78 +30,11 @@ func (c *TaskContext) Counter(group, name string) *Counter { return &Counter{} }
 // KV is one record.
 type KV struct{ Key, Value string }
 
-// Emit is the untyped emission callback.
-type Emit func(key, value string)
-
-// Mapper mirrors the untyped mapper interface.
-type Mapper interface {
-	Setup(ctx *TaskContext) error
-	Map(ctx *TaskContext, key, value string, emit Emit) error
-	Cleanup(ctx *TaskContext, emit Emit) error
-}
-
-// Reducer mirrors the untyped reducer interface.
-type Reducer interface {
-	Setup(ctx *TaskContext) error
-	Reduce(ctx *TaskContext, key string, values []string, emit Emit) error
-	Cleanup(ctx *TaskContext, emit Emit) error
-}
-
-// MapperBase provides no-op Setup/Cleanup.
-type MapperBase struct{}
-
-// Setup implements Mapper.
-func (MapperBase) Setup(*TaskContext) error { return nil }
-
-// Cleanup implements Mapper.
-func (MapperBase) Cleanup(*TaskContext, Emit) error { return nil }
-
-// ReducerBase provides no-op Setup/Cleanup.
-type ReducerBase struct{}
-
-// Setup implements Reducer.
-func (ReducerBase) Setup(*TaskContext) error { return nil }
-
-// Cleanup implements Reducer.
-func (ReducerBase) Cleanup(*TaskContext, Emit) error { return nil }
-
-// MapFunc adapts a function to Mapper.
-type MapFunc func(ctx *TaskContext, key, value string, emit Emit) error
-
-// Setup implements Mapper.
-func (MapFunc) Setup(*TaskContext) error { return nil }
-
-// Map implements Mapper.
-func (f MapFunc) Map(ctx *TaskContext, key, value string, emit Emit) error {
-	return f(ctx, key, value, emit)
-}
-
-// Cleanup implements Mapper.
-func (MapFunc) Cleanup(*TaskContext, Emit) error { return nil }
-
-// ReduceFunc adapts a function to Reducer.
-type ReduceFunc func(ctx *TaskContext, key string, values []string, emit Emit) error
-
-// Setup implements Reducer.
-func (ReduceFunc) Setup(*TaskContext) error { return nil }
-
-// Reduce implements Reducer.
-func (f ReduceFunc) Reduce(ctx *TaskContext, key string, values []string, emit Emit) error {
-	return f(ctx, key, values, emit)
-}
-
-// Cleanup implements Reducer.
-func (ReduceFunc) Cleanup(*TaskContext, Emit) error { return nil }
-
-// Job mirrors the untyped job description.
+// Job mirrors the job description's data fields.
 type Job struct {
 	Name        string
 	InputPaths  []string
 	OutputPath  string
-	NewMapper   func() Mapper
-	NewReducer  func() Reducer
-	NewCombiner func() Reducer
 	NumReducers int
-	KeyCompare  func(a, b string) int
 	Conf        map[string]string
 }

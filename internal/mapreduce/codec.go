@@ -19,8 +19,8 @@ type Codec[T any] interface {
 // RawComparer is the optional fast path of a key codec (Hadoop's
 // RawComparator): ordering two keys directly on their encoded bytes,
 // without decoding. Key codecs whose encodings are order-preserving
-// implement it as a plain byte compare; TypedJob wires it into
-// Job.KeyCompare automatically.
+// implement it as a plain byte compare; TypedJob.Build makes it the
+// job's key order unless TypedJob.KeyCompare overrides it.
 type RawComparer interface {
 	RawCompare(a, b string) int
 }

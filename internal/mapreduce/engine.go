@@ -118,7 +118,7 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 	if existing := e.fs.List(job.OutputPath); len(existing) > 0 {
 		return nil, fmt.Errorf("mapreduce: output path %q already exists", job.OutputPath)
 	}
-	mapOnly := job.NewReducer == nil
+	mapOnly := job.newReducer == nil
 
 	// Select the executor. An external one additionally requires the
 	// job to wire — a missing kind declaration should fail the job at
@@ -249,7 +249,7 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 		st := tr.Stats
 		res.Counters.Get(CounterGroupTask, CounterMapInputRecords).Inc(st.MapInputRecords)
 		res.Counters.Get(CounterGroupTask, CounterMapOutputRecords).Inc(st.MapOutputRecords)
-		if job.NewCombiner != nil && !mapOnly {
+		if job.newCombiner != nil && !mapOnly {
 			res.Counters.Get(CounterGroupTask, CounterCombineInput).Inc(st.CombineInputRecords)
 			res.Counters.Get(CounterGroupTask, CounterCombineOutput).Inc(st.CombineOutputRecords)
 		}
@@ -341,8 +341,7 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 // never copied or re-sorted. It returns the number of distinct keys.
 // Counters are the caller's responsibility (only winning attempts
 // commit them).
-func runReduce(ctx *TaskContext, red Reducer, it cursor, cmp func(a, b string) int) (groups int64, err error) {
-	emit := stringEmit(ctx.out)
+func runReduce(ctx *TaskContext, red reducer, it cursor, cmp func(a, b string) int) (groups int64, err error) {
 	if err := red.Setup(ctx); err != nil {
 		return 0, fmt.Errorf("setup: %v", err)
 	}
@@ -355,12 +354,12 @@ func runReduce(ctx *TaskContext, red Reducer, it cursor, cmp func(a, b string) i
 		if !ok {
 			break
 		}
-		if err := red.Reduce(ctx, key, values, emit); err != nil {
+		if err := red.Reduce(ctx, key, values); err != nil {
 			return 0, err
 		}
 		groups++
 	}
-	if err := red.Cleanup(ctx, emit); err != nil {
+	if err := red.Cleanup(ctx); err != nil {
 		return 0, fmt.Errorf("cleanup: %v", err)
 	}
 	return groups, nil
@@ -385,40 +384,55 @@ func shuffleDetail(parts []obs.PartStat) string {
 	return sb.String()
 }
 
-// ReadOutput reads back all part files of a completed job's output
-// directory as KV records, in part-file order. Each file's format —
-// binary record file or text lines — is sniffed from its header, so
-// mixed outputs read uniformly.
-func (e *Engine) ReadOutput(outputPath string) ([]KV, error) {
+// ReadOutput streams the records of a completed job's output
+// directory into fn, decoded by the given codecs, in part-file order.
+// Every part file is a record file, so anything else under the
+// directory is an error, as is a truncated file or a record a codec
+// rejects; each error names the file. fn may keep what it is handed:
+// records are decoded from a file's own freshly read bytes, which
+// nothing overwrites. The read stops at the first error, fn's included,
+// and the records fn has already seen belong to a failed read.
+func ReadOutput[K, V any](e *Engine, outputPath string, key Codec[K], val Codec[V], fn func(K, V) error) error {
 	files := e.fs.List(outputPath)
 	if len(files) == 0 {
-		return nil, fmt.Errorf("mapreduce: no output files under %q", outputPath)
+		return fmt.Errorf("mapreduce: no output files under %q", outputPath)
 	}
-	var out []KV
 	for _, f := range files {
-		data, err := e.fs.ReadAll(f)
-		if err != nil {
-			return nil, err
-		}
-		if recordio.IsRecordData(data) {
-			err := recordio.ScanAll(data, func(k, v string) error {
-				out = append(out, KV{Key: k, Value: v})
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			continue
-		}
-		for _, line := range strings.Split(string(data), "\n") {
-			if line == "" {
-				continue
-			}
-			k, v, _ := strings.Cut(line, "\t")
-			out = append(out, KV{k, v})
+		if err := readPart(e.fs, f, key, val, fn); err != nil {
+			return fmt.Errorf("mapreduce: output %s: %v", f, err)
 		}
 	}
-	return out, nil
+	return nil
+}
+
+func readPart[K, V any](fs *dfs.FileSystem, path string, key Codec[K], val Codec[V], fn func(K, V) error) error {
+	data, err := fs.ReadAll(path)
+	if err != nil {
+		return err
+	}
+	r, err := recordio.NewFileReader(int64(len(data)), func(off, n int64) ([]byte, error) {
+		return data[off:min(off+n, int64(len(data)))], nil
+	})
+	if err != nil {
+		return err
+	}
+	for {
+		kb, vb, ok, err := r.NextBytes()
+		if err != nil || !ok {
+			return err
+		}
+		k, err := key.Decode(view(kb))
+		if err != nil {
+			return fmt.Errorf("decode key: %v", err)
+		}
+		v, err := val.Decode(view(vb))
+		if err != nil {
+			return fmt.Errorf("decode value of key %q: %v", kb, err)
+		}
+		if err := fn(k, v); err != nil {
+			return err
+		}
+	}
 }
 
 // RunPipeline runs jobs in sequence, failing fast; the caller wires
@@ -441,8 +455,8 @@ func validate(job *Job) error {
 	if job.Name == "" {
 		return fmt.Errorf("mapreduce: job needs a name")
 	}
-	if job.NewMapper == nil {
-		return fmt.Errorf("mapreduce: job %s: NewMapper is required", job.Name)
+	if job.newMapper == nil {
+		return fmt.Errorf("mapreduce: job %s: a mapper is required", job.Name)
 	}
 	if len(job.InputPaths) == 0 {
 		return fmt.Errorf("mapreduce: job %s: no input paths", job.Name)
@@ -450,7 +464,7 @@ func validate(job *Job) error {
 	if job.OutputPath == "" {
 		return fmt.Errorf("mapreduce: job %s: no output path", job.Name)
 	}
-	if job.NewCombiner != nil && job.NewReducer == nil {
+	if job.newCombiner != nil && job.newReducer == nil {
 		return fmt.Errorf("mapreduce: job %s: combiner without reducer", job.Name)
 	}
 	return nil

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dfs"
+	"repro/internal/recordio"
 )
 
 // newTestEngine builds an engine over a small cluster with a small
@@ -31,9 +32,9 @@ func newTestEngine(t *testing.T, chunkSize int64) *Engine {
 }
 
 // wordMapper tokenizes lines into (word, 1) pairs.
-type wordMapper struct{ MapperBase }
+type wordMapper struct{ strMapperBase }
 
-func (wordMapper) Map(_ *TaskContext, _, value string, emit Emit) error {
+func (wordMapper) Map(_ *TaskContext, _, value string, emit strEmit) error {
 	for _, w := range strings.Fields(value) {
 		emit(w, "1")
 	}
@@ -41,9 +42,9 @@ func (wordMapper) Map(_ *TaskContext, _, value string, emit Emit) error {
 }
 
 // sumReducer sums integer values per key.
-type sumReducer struct{ ReducerBase }
+type sumReducer struct{ strReducerBase }
 
-func (sumReducer) Reduce(_ *TaskContext, key string, values []string, emit Emit) error {
+func (sumReducer) Reduce(_ *TaskContext, key string, values []string, emit strEmit) error {
 	total := 0
 	for _, v := range values {
 		n, err := strconv.Atoi(v)
@@ -68,14 +69,14 @@ func TestWordCountEndToEnd(t *testing.T) {
 	text := strings.Repeat("the quick brown fox jumps over the lazy dog\n", 50)
 	writeInput(t, e, "in/text", text)
 
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:        "wordcount",
 		InputPaths:  []string{"in"},
 		OutputPath:  "out",
-		NewMapper:   func() Mapper { return wordMapper{} },
-		NewReducer:  func() Reducer { return sumReducer{} },
+		Mapper:      func() strMapper { return wordMapper{} },
+		Reducer:     func() strReducer { return sumReducer{} },
 		NumReducers: 3,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestWordCountEndToEnd(t *testing.T) {
 	if res.ReduceTasks != 3 {
 		t.Fatalf("ReduceTasks = %d", res.ReduceTasks)
 	}
-	kvs, err := e.ReadOutput("out")
+	kvs, err := readKVs(e, "out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,27 +129,27 @@ func TestNoRecordLossAcrossChunkBoundaries(t *testing.T) {
 			fmt.Fprintf(&sb, "rec%04d\n", i)
 		}
 		writeInput(t, e, "in/f", sb.String())
-		_, err := e.Run(&Job{
+		_, err := e.Run(build(strJob{
 			Name:       "identity",
 			InputPaths: []string{"in/f"},
 			OutputPath: "out",
-			NewMapper: func() Mapper {
-				return MapFunc(func(_ *TaskContext, _, v string, emit Emit) error {
+			Mapper: func() strMapper {
+				return strMapFunc(func(_ *TaskContext, _, v string, emit strEmit) error {
 					emit(v, "x")
 					return nil
 				})
 			},
-			NewReducer: func() Reducer {
-				return ReduceFunc(func(_ *TaskContext, k string, vs []string, emit Emit) error {
+			Reducer: func() strReducer {
+				return strReduceFunc(func(_ *TaskContext, k string, vs []string, emit strEmit) error {
 					emit(k, strconv.Itoa(len(vs)))
 					return nil
 				})
 			},
-		})
+		}))
 		if err != nil {
 			t.Fatalf("chunk=%d: %v", chunk, err)
 		}
-		kvs, err := e.ReadOutput("out")
+		kvs, err := readKVs(e, "out")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,19 +169,19 @@ func TestRecordOffsetsAreFileOffsets(t *testing.T) {
 	writeInput(t, e, "in/f", "aaaa\nbbbb\ncccc\ndddd\n")
 	var mu sync.Mutex
 	offsets := map[string]string{}
-	_, err := e.Run(&Job{
+	_, err := e.Run(build(strJob{
 		Name:       "offsets",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper: func() Mapper {
-			return MapFunc(func(_ *TaskContext, k, v string, _ Emit) error {
+		Mapper: func() strMapper {
+			return strMapFunc(func(_ *TaskContext, k, v string, _ strEmit) error {
 				mu.Lock()
 				offsets[v] = k
 				mu.Unlock()
 				return nil
 			})
 		},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,19 +196,19 @@ func TestRecordOffsetsAreFileOffsets(t *testing.T) {
 func TestMapOnlyJob(t *testing.T) {
 	e := newTestEngine(t, 64)
 	writeInput(t, e, "in/f", "keep 1\ndrop 2\nkeep 3\n")
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:       "filter",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper: func() Mapper {
-			return MapFunc(func(_ *TaskContext, _, v string, emit Emit) error {
+		Mapper: func() strMapper {
+			return strMapFunc(func(_ *TaskContext, _, v string, emit strEmit) error {
 				if strings.HasPrefix(v, "keep") {
 					emit("k", v)
 				}
 				return nil
 			})
 		},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestMapOnlyJob(t *testing.T) {
 			t.Fatalf("map-only output file %s should be part-m", f)
 		}
 	}
-	kvs, err := e.ReadOutput("out")
+	kvs, err := readKVs(e, "out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,28 +236,28 @@ func TestCombinerReducesShuffleVolume(t *testing.T) {
 	writeInput(t, e1, "in/f", text)
 	writeInput(t, e2, "in/f", text)
 
-	base := &Job{
+	base := strJob{
 		Name:       "nocombine",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return wordMapper{} },
-		NewReducer: func() Reducer { return sumReducer{} },
+		Mapper:     func() strMapper { return wordMapper{} },
+		Reducer:    func() strReducer { return sumReducer{} },
 	}
-	r1, err := e1.Run(base)
+	r1, err := e1.Run(build(base))
 	if err != nil {
 		t.Fatal(err)
 	}
-	withComb := *base
+	withComb := base
 	withComb.Name = "combine"
-	withComb.NewCombiner = func() Reducer { return sumReducer{} }
-	r2, err := e2.Run(&withComb)
+	withComb.Combiner = func() strReducer { return sumReducer{} }
+	r2, err := e2.Run(build(withComb))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Same final answer.
-	o1, _ := e1.ReadOutput("out")
-	o2, _ := e2.ReadOutput("out")
+	o1, _ := readKVs(e1, "out")
+	o2, _ := readKVs(e2, "out")
 	if fmt.Sprint(o1) != fmt.Sprint(o2) {
 		t.Fatalf("combiner changed results:\n%v\n%v", o1, o2)
 	}
@@ -276,27 +277,27 @@ func TestMapperStateAcrossRecordsAndCleanup(t *testing.T) {
 	// its split in order and be able to flush in Cleanup.
 	e := newTestEngine(t, 1<<20) // single chunk: one mapper
 	writeInput(t, e, "in/f", "1\n2\n3\n4\n5\n")
-	_, err := e.Run(&Job{
+	_, err := e.Run(build(strJob{
 		Name:       "stateful",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return &statefulSum{} },
-	})
+		Mapper:     func() strMapper { return &statefulSum{} },
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	kvs, _ := e.ReadOutput("out")
+	kvs, _ := readKVs(e, "out")
 	if len(kvs) != 1 || kvs[0].Key != "sum" || kvs[0].Value != "15" {
 		t.Fatalf("got %v, want [sum 15]", kvs)
 	}
 }
 
 type statefulSum struct {
-	MapperBase
+	strMapperBase
 	sum int
 }
 
-func (m *statefulSum) Map(_ *TaskContext, _, v string, _ Emit) error {
+func (m *statefulSum) Map(_ *TaskContext, _, v string, _ strEmit) error {
 	n, err := strconv.Atoi(v)
 	if err != nil {
 		return err
@@ -305,7 +306,7 @@ func (m *statefulSum) Map(_ *TaskContext, _, v string, _ Emit) error {
 	return nil
 }
 
-func (m *statefulSum) Cleanup(_ *TaskContext, emit Emit) error {
+func (m *statefulSum) Cleanup(_ *TaskContext, emit strEmit) error {
 	emit("sum", strconv.Itoa(m.sum))
 	return nil
 }
@@ -316,14 +317,14 @@ func TestDistributedCacheAndConf(t *testing.T) {
 	var gotCache string
 	var gotConf, gotDefault string
 	var mu sync.Mutex
-	_, err := e.Run(&Job{
+	_, err := e.Run(build(strJob{
 		Name:       "cache",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
 		Conf:       map[string]string{"window": "60"},
 		Cache:      map[string][]byte{"centroids": []byte("c1,c2")},
-		NewMapper: func() Mapper {
-			return MapFunc(func(ctx *TaskContext, _, _ string, _ Emit) error {
+		Mapper: func() strMapper {
+			return strMapFunc(func(ctx *TaskContext, _, _ string, _ strEmit) error {
 				b, ok := ctx.CacheFile("centroids")
 				if !ok {
 					return fmt.Errorf("cache file missing")
@@ -339,7 +340,7 @@ func TestDistributedCacheAndConf(t *testing.T) {
 				return nil
 			})
 		},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,13 +367,13 @@ func TestTaskRetryOnInjectedFailure(t *testing.T) {
 		},
 	})
 	writeInput(t, e, "in/f", strings.Repeat("hello world\n", 20))
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:       "retry",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return wordMapper{} },
-		NewReducer: func() Reducer { return sumReducer{} },
-	})
+		Mapper:     func() strMapper { return wordMapper{} },
+		Reducer:    func() strReducer { return sumReducer{} },
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +386,7 @@ func TestTaskRetryOnInjectedFailure(t *testing.T) {
 			t.Fatalf("task %s: %d attempts, want 2", tr.ID, tr.Attempts)
 		}
 	}
-	kvs, _ := e.ReadOutput("out")
+	kvs, _ := readKVs(e, "out")
 	got := map[string]string{}
 	for _, kv := range kvs {
 		got[kv.Key] = kv.Value
@@ -416,13 +417,13 @@ func TestRetryAvoidsFailingNode(t *testing.T) {
 		},
 	})
 	writeInput(t, e, "in/f", "x\n")
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:        "avoid",
 		InputPaths:  []string{"in/f"},
 		OutputPath:  "out",
-		NewMapper:   func() Mapper { return wordMapper{} },
+		Mapper:      func() strMapper { return wordMapper{} },
 		MaxAttempts: 5,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,13 +450,13 @@ func TestJobFailsAfterMaxAttempts(t *testing.T) {
 		},
 	})
 	writeInput(t, e, "in/f", "x\n")
-	_, err := e.Run(&Job{
+	_, err := e.Run(build(strJob{
 		Name:        "doomed",
 		InputPaths:  []string{"in/f"},
 		OutputPath:  "out",
-		NewMapper:   func() Mapper { return wordMapper{} },
+		Mapper:      func() strMapper { return wordMapper{} },
 		MaxAttempts: 2,
-	})
+	}))
 	if err == nil || !strings.Contains(err.Error(), "after 2 attempts") {
 		t.Fatalf("err = %v, want max-attempts failure", err)
 	}
@@ -464,17 +465,17 @@ func TestJobFailsAfterMaxAttempts(t *testing.T) {
 func TestMapperErrorFailsJob(t *testing.T) {
 	e := newTestEngine(t, 64)
 	writeInput(t, e, "in/f", "boom\n")
-	_, err := e.Run(&Job{
+	_, err := e.Run(build(strJob{
 		Name:       "maperr",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper: func() Mapper {
-			return MapFunc(func(_ *TaskContext, _, v string, _ Emit) error {
+		Mapper: func() strMapper {
+			return strMapFunc(func(_ *TaskContext, _, v string, _ strEmit) error {
 				return fmt.Errorf("cannot handle %q", v)
 			})
 		},
 		MaxAttempts: 1,
-	})
+	}))
 	if err == nil {
 		t.Fatal("want error from failing mapper")
 	}
@@ -483,18 +484,18 @@ func TestMapperErrorFailsJob(t *testing.T) {
 func TestReducerErrorFailsJob(t *testing.T) {
 	e := newTestEngine(t, 64)
 	writeInput(t, e, "in/f", "a\n")
-	_, err := e.Run(&Job{
+	_, err := e.Run(build(strJob{
 		Name:       "rederr",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return wordMapper{} },
-		NewReducer: func() Reducer {
-			return ReduceFunc(func(_ *TaskContext, _ string, _ []string, _ Emit) error {
+		Mapper:     func() strMapper { return wordMapper{} },
+		Reducer: func() strReducer {
+			return strReduceFunc(func(_ *TaskContext, _ string, _ []string, _ strEmit) error {
 				return fmt.Errorf("reduce boom")
 			})
 		},
 		MaxAttempts: 1,
-	})
+	}))
 	if err == nil || !strings.Contains(err.Error(), "reduce boom") {
 		t.Fatalf("err = %v", err)
 	}
@@ -503,16 +504,16 @@ func TestReducerErrorFailsJob(t *testing.T) {
 func TestValidationErrors(t *testing.T) {
 	e := newTestEngine(t, 64)
 	writeInput(t, e, "in/f", "x\n")
-	mapper := func() Mapper { return wordMapper{} }
-	cases := []*Job{
-		{InputPaths: []string{"in/f"}, OutputPath: "o", NewMapper: mapper},                                                                 // no name
-		{Name: "j", OutputPath: "o", NewMapper: mapper},                                                                                    // no input
-		{Name: "j", InputPaths: []string{"in/f"}, NewMapper: mapper},                                                                       // no output
-		{Name: "j", InputPaths: []string{"in/f"}, OutputPath: "o"},                                                                         // no mapper
-		{Name: "j", InputPaths: []string{"in/f"}, OutputPath: "o", NewMapper: mapper, NewCombiner: func() Reducer { return sumReducer{} }}, // combiner w/o reducer
+	mapper := func() strMapper { return wordMapper{} }
+	cases := []strJob{
+		{InputPaths: []string{"in/f"}, OutputPath: "o", Mapper: mapper},                                                                 // no name
+		{Name: "j", OutputPath: "o", Mapper: mapper},                                                                                    // no input
+		{Name: "j", InputPaths: []string{"in/f"}, Mapper: mapper},                                                                       // no output
+		{Name: "j", InputPaths: []string{"in/f"}, OutputPath: "o"},                                                                      // no mapper
+		{Name: "j", InputPaths: []string{"in/f"}, OutputPath: "o", Mapper: mapper, Combiner: func() strReducer { return sumReducer{} }}, // combiner w/o reducer
 	}
 	for i, j := range cases {
-		if _, err := e.Run(j); err == nil {
+		if _, err := e.Run(build(j)); err == nil {
 			t.Errorf("case %d: want validation error", i)
 		}
 	}
@@ -520,12 +521,12 @@ func TestValidationErrors(t *testing.T) {
 
 func TestMissingInputErrors(t *testing.T) {
 	e := newTestEngine(t, 64)
-	_, err := e.Run(&Job{
+	_, err := e.Run(build(strJob{
 		Name:       "noin",
 		InputPaths: []string{"does/not/exist"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return wordMapper{} },
-	})
+		Mapper:     func() strMapper { return wordMapper{} },
+	}))
 	if err == nil {
 		t.Fatal("want error for missing input")
 	}
@@ -535,12 +536,12 @@ func TestOutputExistsError(t *testing.T) {
 	e := newTestEngine(t, 64)
 	writeInput(t, e, "in/f", "x\n")
 	writeInput(t, e, "out/part-m-00000", "old\n")
-	_, err := e.Run(&Job{
+	_, err := e.Run(build(strJob{
 		Name:       "clobber",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return wordMapper{} },
-	})
+		Mapper:     func() strMapper { return wordMapper{} },
+	}))
 	if err == nil || !strings.Contains(err.Error(), "already exists") {
 		t.Fatalf("err = %v, want output-exists error", err)
 	}
@@ -549,35 +550,31 @@ func TestOutputExistsError(t *testing.T) {
 func TestPipeline(t *testing.T) {
 	e := newTestEngine(t, 64)
 	writeInput(t, e, "in/f", "a b a\nc a b\n")
-	count := &Job{
+	count := build(strJob{
 		Name:       "count",
 		InputPaths: []string{"in/f"},
 		OutputPath: "stage1",
-		NewMapper:  func() Mapper { return wordMapper{} },
-		NewReducer: func() Reducer { return sumReducer{} },
-	}
+		Mapper:     func() strMapper { return wordMapper{} },
+		Reducer:    func() strReducer { return sumReducer{} },
+	})
 	// Second job: swap (word,count) -> (count,word) and count words per frequency.
-	invert := &Job{
+	invert := build(strJob{
 		Name:       "invert",
 		InputPaths: []string{"stage1"},
 		OutputPath: "stage2",
-		NewMapper: func() Mapper {
-			return MapFunc(func(_ *TaskContext, _, v string, emit Emit) error {
-				word, cnt, ok := strings.Cut(v, "\t")
-				if !ok {
-					return fmt.Errorf("bad record %q", v)
-				}
+		Mapper: func() strMapper {
+			return strMapFunc(func(_ *TaskContext, word, cnt string, emit strEmit) error {
 				emit(cnt, word)
 				return nil
 			})
 		},
-		NewReducer: func() Reducer {
-			return ReduceFunc(func(_ *TaskContext, k string, vs []string, emit Emit) error {
+		Reducer: func() strReducer {
+			return strReduceFunc(func(_ *TaskContext, k string, vs []string, emit strEmit) error {
 				emit(k, strconv.Itoa(len(vs)))
 				return nil
 			})
 		},
-	}
+	})
 	results, err := e.RunPipeline(count, invert)
 	if err != nil {
 		t.Fatal(err)
@@ -585,7 +582,7 @@ func TestPipeline(t *testing.T) {
 	if len(results) != 2 {
 		t.Fatalf("results = %d", len(results))
 	}
-	kvs, _ := e.ReadOutput("stage2")
+	kvs, _ := readKVs(e, "stage2")
 	got := map[string]string{}
 	for _, kv := range kvs {
 		got[kv.Key] = kv.Value
@@ -599,10 +596,10 @@ func TestPipeline(t *testing.T) {
 func TestPipelineFailsFast(t *testing.T) {
 	e := newTestEngine(t, 64)
 	writeInput(t, e, "in/f", "x\n")
-	bad := &Job{Name: "bad", InputPaths: []string{"missing"}, OutputPath: "o1",
-		NewMapper: func() Mapper { return wordMapper{} }}
-	never := &Job{Name: "never", InputPaths: []string{"o1"}, OutputPath: "o2",
-		NewMapper: func() Mapper { return wordMapper{} }}
+	bad := build(strJob{Name: "bad", InputPaths: []string{"missing"}, OutputPath: "o1",
+		Mapper: func() strMapper { return wordMapper{} }})
+	never := build(strJob{Name: "never", InputPaths: []string{"o1"}, OutputPath: "o2",
+		Mapper: func() strMapper { return wordMapper{} }})
 	results, err := e.RunPipeline(bad, never)
 	if err == nil || len(results) != 0 {
 		t.Fatalf("results=%d err=%v", len(results), err)
@@ -618,12 +615,12 @@ func TestLocalityScheduling(t *testing.T) {
 		fmt.Fprintf(&sb, "line %d with some padding text\n", i)
 	}
 	writeInput(t, e, "in/f", sb.String())
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:       "locality",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return wordMapper{} },
-	})
+		Mapper:     func() strMapper { return wordMapper{} },
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -649,41 +646,43 @@ func TestLocalityScheduling(t *testing.T) {
 func TestCustomPartitioner(t *testing.T) {
 	e := newTestEngine(t, 1<<20)
 	writeInput(t, e, "in/f", "a 1\nb 2\na 3\nb 4\n")
-	_, err := e.Run(&Job{
+	_, err := e.Run(build(strJob{
 		Name:        "partition",
 		InputPaths:  []string{"in/f"},
 		OutputPath:  "out",
 		NumReducers: 2,
-		Partitioner: func(key string, n int) int {
+		Partition: func(key string, n int) int {
 			if key == "a" {
 				return 0
 			}
 			return 1
 		},
-		NewMapper: func() Mapper {
-			return MapFunc(func(_ *TaskContext, _, v string, emit Emit) error {
+		Mapper: func() strMapper {
+			return strMapFunc(func(_ *TaskContext, _, v string, emit strEmit) error {
 				k, val, _ := strings.Cut(v, " ")
 				emit(k, val)
 				return nil
 			})
 		},
-		NewReducer: func() Reducer {
-			return ReduceFunc(func(_ *TaskContext, k string, vs []string, emit Emit) error {
+		Reducer: func() strReducer {
+			return strReduceFunc(func(_ *TaskContext, k string, vs []string, emit strEmit) error {
 				emit(k, strings.Join(vs, "+"))
 				return nil
 			})
 		},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p0, _ := e.FS().ReadAll("out/part-r-00000")
-	p1, _ := e.FS().ReadAll("out/part-r-00001")
-	if !strings.HasPrefix(string(p0), "a\t") {
-		t.Fatalf("part 0 = %q, want key a", p0)
-	}
-	if !strings.HasPrefix(string(p1), "b\t") {
-		t.Fatalf("part 1 = %q, want key b", p1)
+	for part, want := range []string{"a", "b"} {
+		data, _ := e.FS().ReadAll(fmt.Sprintf("out/part-r-%05d", part))
+		var keys []string
+		if err := recordio.ScanAll(data, func(k, _ string) error {
+			keys = append(keys, k)
+			return nil
+		}); err != nil || len(keys) != 1 || keys[0] != want {
+			t.Fatalf("part %d keys = %q (%v), want [%s]", part, keys, err, want)
+		}
 	}
 }
 
@@ -723,19 +722,19 @@ func TestReduceValuesGrouped(t *testing.T) {
 	writeInput(t, e, "in/f", strings.Repeat("k v\n", 50))
 	calls := map[string]int{}
 	var mu sync.Mutex
-	_, err := e.Run(&Job{
+	_, err := e.Run(build(strJob{
 		Name:       "grouping",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper: func() Mapper {
-			return MapFunc(func(_ *TaskContext, _, v string, emit Emit) error {
+		Mapper: func() strMapper {
+			return strMapFunc(func(_ *TaskContext, _, v string, emit strEmit) error {
 				k, val, _ := strings.Cut(v, " ")
 				emit(k, val)
 				return nil
 			})
 		},
-		NewReducer: func() Reducer {
-			return ReduceFunc(func(_ *TaskContext, k string, vs []string, emit Emit) error {
+		Reducer: func() strReducer {
+			return strReduceFunc(func(_ *TaskContext, k string, vs []string, emit strEmit) error {
 				mu.Lock()
 				calls[k]++
 				mu.Unlock()
@@ -743,14 +742,14 @@ func TestReduceValuesGrouped(t *testing.T) {
 				return nil
 			})
 		},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if calls["k"] != 1 {
 		t.Fatalf("Reduce called %d times for key k, want 1", calls["k"])
 	}
-	kvs, _ := e.ReadOutput("out")
+	kvs, _ := readKVs(e, "out")
 	if len(kvs) != 1 || kvs[0].Value != "50" {
 		t.Fatalf("got %v", kvs)
 	}
@@ -779,20 +778,20 @@ func TestCountersSnapshotAndString(t *testing.T) {
 func TestEmptyInputFile(t *testing.T) {
 	e := newTestEngine(t, 64)
 	writeInput(t, e, "in/f", "")
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:       "empty",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return wordMapper{} },
-		NewReducer: func() Reducer { return sumReducer{} },
-	})
+		Mapper:     func() strMapper { return wordMapper{} },
+		Reducer:    func() strReducer { return sumReducer{} },
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := res.Counters.Value(CounterGroupTask, CounterMapInputRecords); n != 0 {
 		t.Fatalf("records = %d", n)
 	}
-	kvs, err := e.ReadOutput("out")
+	kvs, err := readKVs(e, "out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -806,19 +805,19 @@ func TestFileWithoutTrailingNewline(t *testing.T) {
 	writeInput(t, e, "in/f", "aa\nbb\ncc") // no trailing \n
 	var mu sync.Mutex
 	var lines []string
-	_, err := e.Run(&Job{
+	_, err := e.Run(build(strJob{
 		Name:       "notrail",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper: func() Mapper {
-			return MapFunc(func(_ *TaskContext, _, v string, _ Emit) error {
+		Mapper: func() strMapper {
+			return strMapFunc(func(_ *TaskContext, _, v string, _ strEmit) error {
 				mu.Lock()
 				lines = append(lines, v)
 				mu.Unlock()
 				return nil
 			})
 		},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -832,19 +831,19 @@ func TestCRLFInput(t *testing.T) {
 	writeInput(t, e, "in/f", "aa\r\nbb\r\n")
 	var mu sync.Mutex
 	var lines []string
-	_, err := e.Run(&Job{
+	_, err := e.Run(build(strJob{
 		Name:       "crlf",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper: func() Mapper {
-			return MapFunc(func(_ *TaskContext, _, v string, _ Emit) error {
+		Mapper: func() strMapper {
+			return strMapFunc(func(_ *TaskContext, _, v string, _ strEmit) error {
 				mu.Lock()
 				lines = append(lines, v)
 				mu.Unlock()
 				return nil
 			})
 		},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -874,13 +873,13 @@ func TestSpeculativeExecutionRescuesStraggler(t *testing.T) {
 	})
 	writeInput(t, e, "in/f", strings.Repeat("hello world\n", 50))
 	start := time.Now()
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:       "speculate",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return wordMapper{} },
-		NewReducer: func() Reducer { return sumReducer{} },
-	})
+		Mapper:     func() strMapper { return wordMapper{} },
+		Reducer:    func() strReducer { return sumReducer{} },
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -896,7 +895,7 @@ func TestSpeculativeExecutionRescuesStraggler(t *testing.T) {
 		t.Errorf("wall %v suggests speculation did not help", wall)
 	}
 	// Output must still be correct exactly once.
-	kvs, _ := e.ReadOutput("out")
+	kvs, _ := readKVs(e, "out")
 	got := map[string]string{}
 	for _, kv := range kvs {
 		got[kv.Key] = kv.Value
@@ -912,12 +911,12 @@ func TestSpeculativeExecutionRescuesStraggler(t *testing.T) {
 func TestSpeculationDisabledByDefault(t *testing.T) {
 	e := newTestEngine(t, 1<<20)
 	writeInput(t, e, "in/f", "a b c\n")
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:       "nospec",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return wordMapper{} },
-	})
+		Mapper:     func() strMapper { return wordMapper{} },
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -942,12 +941,12 @@ func TestSpeculativeWastedCounted(t *testing.T) {
 		},
 	})
 	writeInput(t, e, "in/f", "x\n")
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:       "wasted",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return wordMapper{} },
-	})
+		Mapper:     func() strMapper { return wordMapper{} },
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -955,7 +954,7 @@ func TestSpeculativeWastedCounted(t *testing.T) {
 	// totals must be consistent.
 	launched := res.Counters.Value(CounterGroupScheduler, CounterSpeculativeLaunched)
 	if launched > 0 {
-		kvs, _ := e.ReadOutput("out")
+		kvs, _ := readKVs(e, "out")
 		if len(kvs) != 1 {
 			t.Fatalf("duplicate output records: %v", kvs)
 		}
@@ -970,8 +969,8 @@ func TestFailedJobCleansPartialOutputAndRerunSucceeds(t *testing.T) {
 	writeInput(t, e, "in/f", "aaaa bbbb\ncccc dddd\neeee ffff\n")
 	var sabotage sync.Once
 	fs := e.FS()
-	mapper := func() Mapper {
-		return MapFunc(func(_ *TaskContext, _, v string, emit Emit) error {
+	mapper := func() strMapper {
+		return strMapFunc(func(_ *TaskContext, _, v string, emit strEmit) error {
 			// First run only: plant a file where the engine will write
 			// its second part file, making that commit fail after the
 			// first part file has already been written.
@@ -982,12 +981,12 @@ func TestFailedJobCleansPartialOutputAndRerunSucceeds(t *testing.T) {
 			return nil
 		})
 	}
-	job := &Job{
+	job := build(strJob{
 		Name:       "partial",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  mapper,
-	}
+		Mapper:     mapper,
+	})
 	if _, err := e.Run(job); err == nil {
 		t.Fatal("first run should fail on the planted part file")
 	}
@@ -997,7 +996,7 @@ func TestFailedJobCleansPartialOutputAndRerunSucceeds(t *testing.T) {
 	if _, err := e.Run(job); err != nil {
 		t.Fatalf("rerun on the same output path: %v", err)
 	}
-	kvs, err := e.ReadOutput("out")
+	kvs, err := readKVs(e, "out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1024,14 +1023,14 @@ func TestFailedReduceJobCleansOutputForRerun(t *testing.T) {
 		},
 	})
 	writeInput(t, e, "in/f", "a b a\n")
-	job := &Job{
+	job := build(strJob{
 		Name:        "redfail",
 		InputPaths:  []string{"in/f"},
 		OutputPath:  "out",
-		NewMapper:   func() Mapper { return wordMapper{} },
-		NewReducer:  func() Reducer { return sumReducer{} },
+		Mapper:      func() strMapper { return wordMapper{} },
+		Reducer:     func() strReducer { return sumReducer{} },
 		MaxAttempts: 1,
-	}
+	})
 	if _, err := e.Run(job); err == nil {
 		t.Fatal("first run should fail in reduce")
 	}
@@ -1065,12 +1064,12 @@ func TestSecondBackupAfterFailedBackup(t *testing.T) {
 		},
 	})
 	writeInput(t, e, "in/f", "x y z\n")
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:       "rebackup",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return wordMapper{} },
-	})
+		Mapper:     func() strMapper { return wordMapper{} },
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1088,7 +1087,7 @@ func TestSecondBackupAfterFailedBackup(t *testing.T) {
 		}
 		seen[a.Task][a.Attempt] = true
 	}
-	kvs, _ := e.ReadOutput("out")
+	kvs, _ := readKVs(e, "out")
 	if len(kvs) != 3 {
 		t.Fatalf("output = %v, want 3 records exactly once", kvs)
 	}
@@ -1112,12 +1111,12 @@ func TestAttemptRecordsStableAfterRunReturns(t *testing.T) {
 	// split is already read, so the loser touches no shared lock
 	// between the job's return and its own late attempt-record append.
 	var attempts atomic.Int32
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:       "snapshot",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper: func() Mapper {
-			return MapFunc(func(_ *TaskContext, _, v string, emit Emit) error {
+		Mapper: func() strMapper {
+			return strMapFunc(func(_ *TaskContext, _, v string, emit strEmit) error {
 				if attempts.Add(1) == 1 {
 					time.Sleep(120 * time.Millisecond)
 				}
@@ -1125,7 +1124,7 @@ func TestAttemptRecordsStableAfterRunReturns(t *testing.T) {
 				return nil
 			})
 		},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1147,14 +1146,14 @@ func TestAttemptRecordsStableAfterRunReturns(t *testing.T) {
 func TestShuffleCountersAndPartitionDetail(t *testing.T) {
 	e := newTestEngine(t, 32)
 	writeInput(t, e, "in/f", strings.Repeat("alpha beta gamma delta\n", 25))
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:        "shufcount",
 		InputPaths:  []string{"in/f"},
 		OutputPath:  "out",
-		NewMapper:   func() Mapper { return wordMapper{} },
-		NewReducer:  func() Reducer { return sumReducer{} },
+		Mapper:      func() strMapper { return wordMapper{} },
+		Reducer:     func() strReducer { return sumReducer{} },
 		NumReducers: 3,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1180,13 +1179,13 @@ func TestShuffleCountersAndPartitionDetail(t *testing.T) {
 func TestResultReportJSON(t *testing.T) {
 	e := newTestEngine(t, 64)
 	writeInput(t, e, "in/f", "a b a\n")
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:       "report",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return wordMapper{} },
-		NewReducer: func() Reducer { return sumReducer{} },
-	})
+		Mapper:     func() strMapper { return wordMapper{} },
+		Reducer:    func() strReducer { return sumReducer{} },
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1217,12 +1216,12 @@ func TestTaskOverheadSlowsJobs(t *testing.T) {
 		if err := fs.Create("in/f", []byte("x\n"), ""); err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Run(&Job{
+		res, err := e.Run(build(strJob{
 			Name:       "overhead",
 			InputPaths: []string{"in/f"},
 			OutputPath: "out",
-			NewMapper:  func() Mapper { return wordMapper{} },
-		})
+			Mapper:     func() strMapper { return wordMapper{} },
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1241,9 +1240,9 @@ func TestTaskOverheadSlowsJobs(t *testing.T) {
 // tickMapper ticks a user counter once per input record. The record
 // "slow" also stalls its task, holding the map phase open while a
 // straggler's losing attempt runs to completion inside it.
-type tickMapper struct{ MapperBase }
+type tickMapper struct{ strMapperBase }
 
-func (tickMapper) Map(ctx *TaskContext, _, value string, emit Emit) error {
+func (tickMapper) Map(ctx *TaskContext, _, value string, emit strEmit) error {
 	ctx.Counter("user", "records").Inc(1)
 	if value == "slow" {
 		time.Sleep(200 * time.Millisecond)
@@ -1272,13 +1271,13 @@ func TestUserCountersAreWinnerOnly(t *testing.T) {
 	})
 	const lines = 41
 	writeInput(t, e, "in/f", "slow\n"+strings.Repeat("hello world\n", lines-1))
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:       "winner-only",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return tickMapper{} },
-		NewReducer: func() Reducer { return sumReducer{} },
-	})
+		Mapper:     func() strMapper { return tickMapper{} },
+		Reducer:    func() strReducer { return sumReducer{} },
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

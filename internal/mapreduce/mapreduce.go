@@ -6,11 +6,13 @@
 // groups values by key — the only communication step — and reducers
 // aggregate each group into the final output.
 //
-// Applications supply a Mapper and optionally a Reducer and Combiner
-// (mirroring the three classes a Hadoop developer defines: Mapper,
-// Reducer, Driver — the Driver role is played by a Job description
-// passed to Engine.Run). Jobs can be chained into pipelines, as the
-// DJ-Cluster preprocessing phase does (§VII-A).
+// Applications declare each job once as a TypedJob: a mapper and
+// optionally a reducer and combiner over typed keys and values, with a
+// codec for every position (the three classes a Hadoop developer
+// defines are Mapper, Reducer and Driver; the Driver role is played by
+// the code that builds the job, passes it to Engine.Run and reads the
+// output back with ReadOutput). Jobs can be chained into pipelines, as
+// the DJ-Cluster preprocessing phase does (§VII-A).
 package mapreduce
 
 import (
@@ -30,82 +32,21 @@ type KV struct {
 	Value string
 }
 
-// Emit is the callback mappers, combiners and reducers use to output
-// records (Hadoop's context.write / emitIntermediate).
-type Emit func(key, value string)
-
-// Mapper processes one input split record-by-record. A fresh instance
-// is created per map task (via Job.NewMapper), so implementations may
-// keep per-task state across Map calls and flush it in Cleanup — the
-// sampling mapper does exactly that with its current time window.
-type Mapper interface {
-	// Setup runs once before the first record (Hadoop setup()); the
-	// k-means and DJ-Cluster mappers load centroids / the R-tree from
-	// the distributed cache here.
+// mapper and reducer are what the engine runs: a TypedMapper or
+// TypedReducer lowered onto encoded records by TypedJob.Build
+// (typed.go). A fresh instance serves one task, or one combine pass, and
+// what it emits leaves through the TaskContext's record sink.
+type mapper interface {
 	Setup(ctx *TaskContext) error
-	// Map processes one record. For line-oriented input the key is
-	// the byte offset of the line within the file and the value is
-	// the line text (Hadoop TextInputFormat).
-	Map(ctx *TaskContext, key, value string, emit Emit) error
-	// Cleanup runs after the last record (Hadoop cleanup()).
-	Cleanup(ctx *TaskContext, emit Emit) error
+	Map(ctx *TaskContext, key, value string) error
+	Cleanup(ctx *TaskContext) error
 }
 
-// Reducer aggregates all values sharing a key. A fresh instance is
-// created per reduce task. The same interface serves for combiners,
-// which pre-aggregate map output on the map side to cut shuffle volume
-// (§VI, Related work: the combiner optimisation for k-means).
-type Reducer interface {
+type reducer interface {
 	Setup(ctx *TaskContext) error
-	Reduce(ctx *TaskContext, key string, values []string, emit Emit) error
-	Cleanup(ctx *TaskContext, emit Emit) error
+	Reduce(ctx *TaskContext, key string, values []string) error
+	Cleanup(ctx *TaskContext) error
 }
-
-// MapperBase is a convenience embedding providing no-op Setup/Cleanup.
-type MapperBase struct{}
-
-// Setup implements Mapper.
-func (MapperBase) Setup(*TaskContext) error { return nil }
-
-// Cleanup implements Mapper.
-func (MapperBase) Cleanup(*TaskContext, Emit) error { return nil }
-
-// ReducerBase is a convenience embedding providing no-op Setup/Cleanup.
-type ReducerBase struct{}
-
-// Setup implements Reducer.
-func (ReducerBase) Setup(*TaskContext) error { return nil }
-
-// Cleanup implements Reducer.
-func (ReducerBase) Cleanup(*TaskContext, Emit) error { return nil }
-
-// MapFunc adapts a plain function to the Mapper interface.
-type MapFunc func(ctx *TaskContext, key, value string, emit Emit) error
-
-// Setup implements Mapper.
-func (MapFunc) Setup(*TaskContext) error { return nil }
-
-// Map implements Mapper.
-func (f MapFunc) Map(ctx *TaskContext, key, value string, emit Emit) error {
-	return f(ctx, key, value, emit)
-}
-
-// Cleanup implements Mapper.
-func (MapFunc) Cleanup(*TaskContext, Emit) error { return nil }
-
-// ReduceFunc adapts a plain function to the Reducer interface.
-type ReduceFunc func(ctx *TaskContext, key string, values []string, emit Emit) error
-
-// Setup implements Reducer.
-func (ReduceFunc) Setup(*TaskContext) error { return nil }
-
-// Reduce implements Reducer.
-func (f ReduceFunc) Reduce(ctx *TaskContext, key string, values []string, emit Emit) error {
-	return f(ctx, key, values, emit)
-}
-
-// Cleanup implements Reducer.
-func (ReduceFunc) Cleanup(*TaskContext, Emit) error { return nil }
 
 // Job describes one MapReduce job — the information a Hadoop Driver
 // class supplies to the framework.
@@ -121,29 +62,8 @@ type Job struct {
 	// OutputPath is the DFS directory for part files. It must not
 	// already contain files (Hadoop refuses to overwrite output).
 	OutputPath string
-	// NewMapper creates a Mapper per map task. Required.
-	NewMapper func() Mapper
-	// NewReducer creates a Reducer per reduce task. If nil the job is
-	// map-only (like the sampling jobs, §V) and mappers write their
-	// output directly as part-m files.
-	NewReducer func() Reducer
-	// NewCombiner optionally creates a map-side combiner.
-	NewCombiner func() Reducer
 	// NumReducers is the number of reduce tasks (default 1).
 	NumReducers int
-	// Partitioner routes keys to reducers; defaults to hash
-	// partitioning (Hadoop's HashPartitioner).
-	Partitioner func(key string, numReducers int) int
-	// KeyCompare orders intermediate keys in the spill sort, shuffle
-	// merge and reduce grouping (Hadoop's RawComparator). Nil means
-	// plain byte order — correct for text keys and for the
-	// order-preserving binary key encodings in internal/recordio.
-	KeyCompare func(a, b string) int
-	// BinaryOutput writes part files in the recordio binary record
-	// format instead of "key\tvalue" text lines. Readers sniff the
-	// format per file, so binary and text outputs interoperate in
-	// pipelines. Typed jobs set this by default.
-	BinaryOutput bool
 	// Conf carries job configuration strings read by tasks (Hadoop's
 	// Configuration), e.g. the sampling window size.
 	Conf map[string]string
@@ -169,6 +89,16 @@ type Job struct {
 	// into a pipeline trace (set by the k-means, DJ-Cluster and R-tree
 	// drivers); it is carried on the job's lifecycle events.
 	Parent string
+
+	// The functions are set only by TypedJob.Build and, worker-side, by
+	// JobWire.Materialize from the kind's declared template.
+	newMapper   func() mapper                         // required
+	newReducer  func() reducer                        // nil: map-only, mappers write part-m files
+	newCombiner func() reducer                        // optional map-side combiner
+	partitioner func(key string, numReducers int) int // nil: HashPartition
+	// keyCompare orders intermediate keys in the spill sort, shuffle merge
+	// and reduce grouping (Hadoop's RawComparator); nil is byte order.
+	keyCompare func(a, b string) int
 }
 
 // HashPartition is the default partitioner: the 32-bit FNV-1a hash of
@@ -182,7 +112,7 @@ func HashPartition(key string, numReducers int) int {
 	return int(h % uint32(numReducers))
 }
 
-// TaskContext is passed to every Mapper/Reducer method, carrying task
+// TaskContext is passed to every mapper and reducer method, carrying task
 // identity, job configuration, the distributed cache, and counters.
 type TaskContext struct {
 	// JobName is the owning job's name.

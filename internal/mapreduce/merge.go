@@ -11,12 +11,10 @@ import "container/heap"
 // reduce side, and concurrent speculative attempts each open their own
 // cursors over the shared read-only runs.
 //
-// Every stage takes an optional key comparator (Job.KeyCompare,
+// Every stage takes an optional key comparator (the job's keyCompare,
 // Hadoop's RawComparator). A nil comparator means plain byte order on
-// the key strings — the legacy text path, kept branch-cheap so string
-// jobs pay nothing for the hook. Typed jobs with order-preserving key
-// encodings also pass nil (byte order IS their key order); only
-// custom sort orders need a function.
+// the key strings, kept branch-cheap; TypedJob.Build installs the
+// MapKey codec's RawCompare or the job's own KeyCompare.
 
 // cursor yields the successive records of one sorted stream — a run, or
 // the merge of several — in non-decreasing key order. ok=false ends it

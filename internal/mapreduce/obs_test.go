@@ -35,15 +35,15 @@ func newObservedEngine(t *testing.T, chunkSize int64, opts Options) (*Engine, *o
 func TestEngineEventLifecycle(t *testing.T) {
 	e, rec, hist := newObservedEngine(t, 32, Options{})
 	writeInput(t, e, "in/text", strings.Repeat("the quick brown fox\n", 20))
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:        "lifecycle",
 		InputPaths:  []string{"in"},
 		OutputPath:  "out",
 		Parent:      "pipeline-x",
-		NewMapper:   func() Mapper { return wordMapper{} },
-		NewReducer:  func() Reducer { return sumReducer{} },
+		Mapper:      func() strMapper { return wordMapper{} },
+		Reducer:     func() strReducer { return sumReducer{} },
 		NumReducers: 2,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,12 +159,12 @@ func TestEngineEmitsNothingWithoutSinks(t *testing.T) {
 	// allocate event machinery or fail — the pre-observability path.
 	e := newTestEngine(t, 64)
 	writeInput(t, e, "in/f", "a b\n")
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:       "quiet",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return wordMapper{} },
-	})
+		Mapper:     func() strMapper { return wordMapper{} },
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,12 +185,12 @@ func TestRetryPopulatesFailureEventsAndReport(t *testing.T) {
 		},
 	})
 	writeInput(t, e, "in/f", "a b c\n")
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:       "retry",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return wordMapper{} },
-	})
+		Mapper:     func() strMapper { return wordMapper{} },
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,12 +246,12 @@ func TestSpeculativeKillEventsFireOncePerLoser(t *testing.T) {
 		Obs: obs.NewBus(rec),
 	})
 	writeInput(t, e, "in/f", "x\n")
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:       "spec-kill",
 		InputPaths: []string{"in/f"},
 		OutputPath: "out",
-		NewMapper:  func() Mapper { return wordMapper{} },
-	})
+		Mapper:     func() strMapper { return wordMapper{} },
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,13 +324,13 @@ func TestFailingJobEmitsJobFinishedWithError(t *testing.T) {
 		},
 	})
 	writeInput(t, e, "in/f", "a\n")
-	_, err := e.Run(&Job{
+	_, err := e.Run(build(strJob{
 		Name:        "doomed",
 		InputPaths:  []string{"in/f"},
 		OutputPath:  "out",
 		MaxAttempts: 2,
-		NewMapper:   func() Mapper { return wordMapper{} },
-	})
+		Mapper:      func() strMapper { return wordMapper{} },
+	}))
 	if err == nil {
 		t.Fatal("job unexpectedly succeeded")
 	}

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -65,20 +66,20 @@ func TestPropertyMapReduceEqualsSequential(t *testing.T) {
 		if err := fs.Create("in/f", []byte(text), ""); err != nil {
 			return false
 		}
-		_, err = e.Run(&Job{
+		_, err = e.Run(build(strJob{
 			Name:        "prop-wordcount",
 			InputPaths:  []string{"in/f"},
 			OutputPath:  "out",
-			NewMapper:   func() Mapper { return wordMapper{} },
-			NewReducer:  func() Reducer { return sumReducer{} },
-			NewCombiner: func() Reducer { return sumReducer{} },
+			Mapper:      func() strMapper { return wordMapper{} },
+			Reducer:     func() strReducer { return sumReducer{} },
+			Combiner:    func() strReducer { return sumReducer{} },
 			NumReducers: reducers,
-		})
+		}))
 		if err != nil {
 			t.Logf("seed=%d chunk=%d reducers=%d: %v", seed, chunk, reducers, err)
 			return false
 		}
-		kvs, err := e.ReadOutput("out")
+		kvs, err := readKVs(e, "out")
 		if err != nil {
 			return false
 		}
@@ -123,13 +124,13 @@ func TestConcurrentJobsOnOneEngine(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := e.Run(&Job{
+			_, err := e.Run(build(strJob{
 				Name:       fmt.Sprintf("job-%d", i),
 				InputPaths: []string{fmt.Sprintf("in%d/f", i)},
 				OutputPath: fmt.Sprintf("out%d", i),
-				NewMapper:  func() Mapper { return wordMapper{} },
-				NewReducer: func() Reducer { return sumReducer{} },
-			})
+				Mapper:     func() strMapper { return wordMapper{} },
+				Reducer:    func() strReducer { return sumReducer{} },
+			}))
 			errs[i] = err
 		}(i)
 	}
@@ -138,7 +139,7 @@ func TestConcurrentJobsOnOneEngine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
-		kvs, err := e.ReadOutput(fmt.Sprintf("out%d", i))
+		kvs, err := readKVs(e, fmt.Sprintf("out%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,35 +168,35 @@ func TestPropertySamplingPipelineComposition(t *testing.T) {
 		if err := e.FS().Create("in/f", []byte(text), ""); err != nil {
 			return false
 		}
-		identity := func() Mapper {
-			return MapFunc(func(_ *TaskContext, _, v string, emit Emit) error {
-				k, val, ok := strings.Cut(v, "\t")
-				if !ok {
-					// Raw input line: tokenize.
-					for _, w := range strings.Fields(v) {
-						emit(w, "1")
-					}
-					return nil
+		tokenize := func() strMapper {
+			return strMapFunc(func(_ *TaskContext, _, line string, emit strEmit) error {
+				for _, w := range strings.Fields(line) {
+					emit(w, "1")
 				}
-				emit(k, val)
+				return nil
+			})
+		}
+		identity := func() strMapper {
+			return strMapFunc(func(_ *TaskContext, k, v string, emit strEmit) error {
+				emit(k, v)
 				return nil
 			})
 		}
 		if _, err := e.RunPipeline(
-			&Job{Name: "p1", InputPaths: []string{"in/f"}, OutputPath: "s1", NewMapper: identity},
-			&Job{Name: "p2", InputPaths: []string{"s1"}, OutputPath: "s2", NewMapper: identity},
+			build(strJob{Name: "p1", InputPaths: []string{"in/f"}, OutputPath: "s1", Mapper: tokenize}),
+			build(strJob{Name: "p2", InputPaths: []string{"s1"}, OutputPath: "s2", Mapper: identity}),
 		); err != nil {
 			return false
 		}
-		k1, err := e.ReadOutput("s1")
+		k1, err := readKVs(e, "s1")
 		if err != nil {
 			return false
 		}
-		k2, err := e.ReadOutput("s2")
+		k2, err := readKVs(e, "s2")
 		if err != nil {
 			return false
 		}
-		return len(k1) == len(k2)
+		return reflect.DeepEqual(k1, k2)
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)

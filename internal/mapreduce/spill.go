@@ -116,7 +116,7 @@ func newMapSpiller(store dfs.Store, ctx *TaskContext, spec TaskSpec, forceFiles 
 		store: store, ctx: ctx, spec: spec, forceFiles: forceFiles,
 		limit: job.MaxShuffleBytes, runs: make([][]Run, spec.NumReducers),
 	}
-	if sp.limit == 0 && job.NewCombiner != nil {
+	if sp.limit == 0 && job.newCombiner != nil {
 		sp.limit = combineBufferBytes
 	}
 	return sp
@@ -124,7 +124,7 @@ func newMapSpiller(store dfs.Store, ctx *TaskContext, spec TaskSpec, forceFiles 
 
 func (sp *mapSpiller) tail() []byte { return sp.buf.tail() }
 
-// add takes one emitted record into the buffer. Emit has no error
+// add takes one emitted record into the buffer. TypedEmit has no error
 // channel, so a failure is latched: the map loop stops at the record
 // that raised it and finish reports it.
 func (sp *mapSpiller) add(buf []byte, klen int) {
@@ -133,7 +133,7 @@ func (sp *mapSpiller) add(buf []byte, klen int) {
 	}
 	cur := sp.buf.blocks[len(sp.buf.blocks)-1]
 	key := view(buf[len(cur):][:klen])
-	if part := sp.spec.Job.Partitioner; part != nil {
+	if part := sp.spec.Job.partitioner; part != nil {
 		sp.buf.part = part(key, sp.spec.NumReducers)
 	} else {
 		sp.buf.part = HashPartition(key, sp.spec.NumReducers)
@@ -154,7 +154,7 @@ func (sp *mapSpiller) full() error {
 	if err := sp.sortCombine(); err != nil {
 		return err
 	}
-	if sp.spec.Job.NewCombiner != nil {
+	if sp.spec.Job.newCombiner != nil {
 		left := sp.buf.bytes
 		if budget == 0 {
 			sp.limit = max(combineBufferBytes, spillFraction*left)
@@ -172,8 +172,8 @@ func (sp *mapSpiller) full() error {
 // sorted again (a combiner's Cleanup may emit out of order).
 func (sp *mapSpiller) sortCombine() error {
 	job := sp.spec.Job
-	sp.buf.sort(job.KeyCompare)
-	if job.NewCombiner == nil || len(sp.buf.index) == 0 {
+	sp.buf.sort(job.keyCompare)
+	if job.newCombiner == nil || len(sp.buf.index) == 0 {
 		return nil
 	}
 	// The combiner reads views of the arena, so it writes to a new one
@@ -184,7 +184,7 @@ func (sp *mapSpiller) sortCombine() error {
 	ctx.out = &out
 	err := in.eachPart(func(p int, run kvRun) error {
 		out.part = p
-		_, err := runReduce(&ctx, job.NewCombiner(), &run, job.KeyCompare)
+		_, err := runReduce(&ctx, job.newCombiner(), &run, job.keyCompare)
 		return err
 	})
 	if err != nil {
@@ -192,7 +192,7 @@ func (sp *mapSpiller) sortCombine() error {
 	}
 	sp.stats.CombineInputRecords += int64(len(in.index))
 	sp.stats.CombineOutputRecords += int64(len(out.index))
-	out.sort(job.KeyCompare)
+	out.sort(job.keyCompare)
 	sp.buf, sp.spare = out, in.index
 	return nil
 }

@@ -18,9 +18,9 @@ import (
 // joinReducer emits each key with its comma-joined value stream, so a
 // job's output captures the full grouped kv stream the shuffle fed the
 // reducer — grouping, key order and within-group value order included.
-type joinReducer struct{ ReducerBase }
+type joinReducer struct{ strReducerBase }
 
-func (joinReducer) Reduce(_ *TaskContext, key string, values []string, emit Emit) error {
+func (joinReducer) Reduce(_ *TaskContext, key string, values []string, emit strEmit) error {
 	emit(key, strings.Join(values, ","))
 	return nil
 }
@@ -29,7 +29,7 @@ func (joinReducer) Reduce(_ *TaskContext, key string, values []string, emit Emit
 // input record, so the executors' counter semantics are compared too.
 type lineCountingWordMapper struct{ wordMapper }
 
-func (m lineCountingWordMapper) Map(ctx *TaskContext, key, value string, emit Emit) error {
+func (m lineCountingWordMapper) Map(ctx *TaskContext, key, value string, emit strEmit) error {
 	ctx.Counter("user", "lines").Inc(1)
 	return m.wordMapper.Map(ctx, key, value, emit)
 }
@@ -40,7 +40,7 @@ type failOnReducer struct {
 	key string
 }
 
-func (r failOnReducer) Reduce(ctx *TaskContext, key string, values []string, emit Emit) error {
+func (r failOnReducer) Reduce(ctx *TaskContext, key string, values []string, emit strEmit) error {
 	if key == r.key {
 		return fmt.Errorf("reducer refuses %q", key)
 	}
@@ -63,7 +63,7 @@ func (x storeExecutor) RunTask(_ context.Context, spec TaskSpec) (TaskResult, er
 const kindShuffleTest = "test-ext-shuffle"
 
 func init() {
-	registerKind(kindShuffleTest, &Job{NewMapper: func() Mapper { return wordMapper{} }})
+	registerKind(kindShuffleTest, build(strJob{Mapper: func() strMapper { return wordMapper{} }}))
 }
 
 // shuffleJob is one wordcount-shaped job over text. budget=0 keeps
@@ -116,32 +116,32 @@ func (c shuffleJob) run() (shuffleOut, error) {
 	if err := fs.Create("in/f", []byte(c.text), ""); err != nil {
 		return out, err
 	}
-	job := &Job{
+	job := strJob{
 		Name:            "ext-shuffle",
 		Kind:            kindShuffleTest,
 		InputPaths:      []string{"in/f"},
 		OutputPath:      "out",
-		NewMapper:       func() Mapper { return lineCountingWordMapper{} },
-		NewReducer:      func() Reducer { return sumReducer{} },
+		Mapper:          func() strMapper { return lineCountingWordMapper{} },
+		Reducer:         func() strReducer { return sumReducer{} },
 		NumReducers:     c.reducers,
 		MaxShuffleBytes: c.budget,
 		CompressSpill:   c.compress,
 	}
 	switch {
 	case c.mapOnly:
-		job.NewReducer = nil
+		job.Reducer = nil
 	case c.failKey != "":
-		job.NewReducer = func() Reducer { return failOnReducer{key: c.failKey} }
+		job.Reducer = func() strReducer { return failOnReducer{key: c.failKey} }
 	case c.joined:
-		job.NewReducer = func() Reducer { return joinReducer{} }
+		job.Reducer = func() strReducer { return joinReducer{} }
 	}
 	if c.combiner {
-		job.NewCombiner = func() Reducer { return sumReducer{} }
+		job.Combiner = func() strReducer { return sumReducer{} }
 	}
 	if c.reverse {
 		job.KeyCompare = func(a, b string) int { return -strings.Compare(a, b) }
 	}
-	res, runErr := e.Run(job)
+	res, runErr := e.Run(build(job))
 	out.leftovers = append(fs.List("_tmp"), fs.List("_shuffle")...)
 	out.parts = map[string]string{}
 	for _, f := range fs.List("out") {
@@ -159,7 +159,7 @@ func (c shuffleJob) run() (shuffleOut, error) {
 	out.counters = map[string]map[string]int64{
 		CounterGroupTask: snap[CounterGroupTask], CounterGroupShuffle: snap[CounterGroupShuffle], "user": snap["user"],
 	}
-	out.kvs, err = e.ReadOutput("out")
+	out.kvs, err = readKVs(e, "out")
 	sortKVs(out.kvs)
 	return out, err
 }
@@ -410,16 +410,16 @@ func TestSpillRunFailureStopsTheMapTask(t *testing.T) {
 		t.Fatalf("splits = %v, %v", splits, err)
 	}
 	seen := 0
-	job := &Job{
+	job := build(strJob{
 		Name: "spill-fails", MaxShuffleBytes: 64,
-		NewMapper: func() Mapper {
-			return MapFunc(func(_ *TaskContext, _, line string, emit Emit) error {
+		Mapper: func() strMapper {
+			return strMapFunc(func(_ *TaskContext, _, line string, emit strEmit) error {
 				seen++
 				return wordMapper{}.Map(nil, "", line, emit)
 			})
 		},
-		NewReducer: func() Reducer { return sumReducer{} },
-	}
+		Reducer: func() strReducer { return sumReducer{} },
+	})
 	_, err = ExecuteTask(failingStore{e.fs}, TaskSpec{
 		Job: job, Phase: "map", TaskID: "map-0000", NumReducers: 2, Split: splits[0],
 	})
@@ -439,17 +439,17 @@ func TestExternalShuffleSpillsAndCleansUp(t *testing.T) {
 	fs, _ := dfs.New(c, dfs.Config{ChunkSize: 256, Replication: 3, Seed: 7})
 	e := NewEngine(c, fs, Options{})
 	writeInput(t, e, "in/f", strings.Repeat("alpha beta gamma delta\n", 200))
-	job := &Job{
+	job := build(strJob{
 		Name:            "spilly",
 		InputPaths:      []string{"in/f"},
 		OutputPath:      "out",
-		NewMapper:       func() Mapper { return wordMapper{} },
-		NewReducer:      func() Reducer { return sumReducer{} },
-		NewCombiner:     func() Reducer { return sumReducer{} },
+		Mapper:          func() strMapper { return wordMapper{} },
+		Reducer:         func() strReducer { return sumReducer{} },
+		Combiner:        func() strReducer { return sumReducer{} },
 		NumReducers:     3,
 		MaxShuffleBytes: 64,
 		CompressSpill:   true,
-	}
+	})
 	res, err := e.Run(job)
 	if err != nil {
 		t.Fatal(err)
@@ -465,7 +465,7 @@ func TestExternalShuffleSpillsAndCleansUp(t *testing.T) {
 	if left := fs.List(spillDir(job)); len(left) != 0 {
 		t.Fatalf("spill dir not cleaned up: %v", left)
 	}
-	kvs, err := e.ReadOutput("out")
+	kvs, err := readKVs(e, "out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,22 +498,22 @@ func TestExternalShuffleUnderSpeculation(t *testing.T) {
 		},
 	})
 	writeInput(t, e, "in/f", strings.Repeat("hello world again\n", 60))
-	res, err := e.Run(&Job{
+	res, err := e.Run(build(strJob{
 		Name:            "speculative-spill",
 		InputPaths:      []string{"in/f"},
 		OutputPath:      "out",
-		NewMapper:       func() Mapper { return wordMapper{} },
-		NewReducer:      func() Reducer { return sumReducer{} },
+		Mapper:          func() strMapper { return wordMapper{} },
+		Reducer:         func() strReducer { return sumReducer{} },
 		NumReducers:     2,
 		MaxShuffleBytes: 48,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if spills := res.Counters.Value(CounterGroupShuffle, CounterShuffleSpillFiles); spills == 0 {
 		t.Fatal("speculative run never spilled; budget too high for the fixture")
 	}
-	kvs, err := e.ReadOutput("out")
+	kvs, err := readKVs(e, "out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,13 +539,13 @@ func TestExternalShuffleUnderSpeculation(t *testing.T) {
 func TestMapOnlyJobIgnoresShuffleBudget(t *testing.T) {
 	e := newTestEngine(t, 64)
 	writeInput(t, e, "in/f", strings.Repeat("a b c\n", 50))
-	job := &Job{
+	job := build(strJob{
 		Name:            "maponly-budget",
 		InputPaths:      []string{"in/f"},
 		OutputPath:      "out",
-		NewMapper:       func() Mapper { return wordMapper{} },
+		Mapper:          func() strMapper { return wordMapper{} },
 		MaxShuffleBytes: 16,
-	}
+	})
 	res, err := e.Run(job)
 	if err != nil {
 		t.Fatal(err)
@@ -553,7 +553,7 @@ func TestMapOnlyJobIgnoresShuffleBudget(t *testing.T) {
 	if spills := res.Counters.Value(CounterGroupShuffle, CounterShuffleSpillFiles); spills != 0 {
 		t.Fatalf("map-only job wrote %d spill files", spills)
 	}
-	kvs, err := e.ReadOutput("out")
+	kvs, err := readKVs(e, "out")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,9 +571,9 @@ func TestSpillRunTruncationIsAnError(t *testing.T) {
 	e := NewEngine(c, fs, Options{})
 	job := &Job{Name: "trunc", MaxShuffleBytes: 1}
 	sp := newMapSpiller(e.fs, &TaskContext{}, TaskSpec{Job: job, TaskID: "m0", NumReducers: 1}, false)
-	emit := stringEmit(sp)
 	for i := 0; i < 50; i++ {
-		emit(fmt.Sprintf("key-%02d", i), "value-payload")
+		key := fmt.Sprintf("key-%02d", i)
+		sp.add(append(append(sp.tail(), key...), "value-payload"...), len(key))
 	}
 	out, err := sp.finish()
 	if err != nil {

@@ -69,27 +69,12 @@ type recordSink interface {
 	add(buf []byte, klen int)
 }
 
-// stringEmit is the Emit a string mapper or reducer sees: the record is
-// copied into the sink once.
-func stringEmit(s recordSink) Emit {
-	return func(key, value string) { s.add(append(append(s.tail(), key...), value...), len(key)) }
-}
-
 // partWriter is the sink of a reduce or map-only attempt: each record
-// is framed into the part file's bytes as it is emitted.
+// is framed into the part file's record-file bytes as it is emitted.
 type partWriter struct {
-	rec     *recordio.Writer // recordio part file; nil: "key\tvalue" text lines
-	text    []byte
+	rec     *recordio.Writer
 	scratch []byte // the record being encoded
 	records int64
-}
-
-func newPartWriter(binary bool) *partWriter {
-	w := &partWriter{}
-	if binary {
-		w.rec = recordio.NewWriter()
-	}
-	return w
 }
 
 func (w *partWriter) tail() []byte { return w.scratch[:0] }
@@ -97,24 +82,15 @@ func (w *partWriter) tail() []byte { return w.scratch[:0] }
 func (w *partWriter) add(buf []byte, klen int) {
 	w.scratch = buf
 	w.records++
-	if w.rec != nil {
-		w.rec.AddBytes(buf[:klen], buf[klen:])
-		return
-	}
-	w.text = append(append(w.text, buf[:klen]...), '\t')
-	w.text = append(append(w.text, buf[klen:]...), '\n')
+	w.rec.AddBytes(buf[:klen], buf[klen:])
 }
 
 // commit stores the part file at its attempt-unique temp path:
 // concurrent speculative attempts of one task never collide, and a
 // retry never collides with the debris of a failed earlier attempt.
 func (w *partWriter) commit(store dfs.Store, spec TaskSpec) (string, error) {
-	data := w.text
-	if w.rec != nil {
-		data = w.rec.Bytes()
-	}
 	tmp := fmt.Sprintf("%s/%s-a%04d", tmpDir(spec.Job.Name), spec.TaskID, spec.Attempt)
-	return tmp, store.Create(tmp, data, spec.Node)
+	return tmp, store.Create(tmp, w.rec.Bytes(), spec.Node)
 }
 
 // executeMapTask feeds the split through the mapper and seals what it
@@ -124,21 +100,20 @@ func executeMapTask(store dfs.Store, ctx *TaskContext, spec TaskSpec, forceFiles
 	var sp *mapSpiller
 	var out *partWriter
 	if spec.MapOnly {
-		out = newPartWriter(spec.Job.BinaryOutput)
+		out = &partWriter{rec: recordio.NewWriter()}
 		ctx.out = out
 	} else {
 		sp = newMapSpiller(store, ctx, spec, forceFiles)
 		ctx.out = sp
 	}
-	emit := stringEmit(ctx.out)
-	m := spec.Job.NewMapper()
+	m := spec.Job.newMapper()
 	if err := m.Setup(ctx); err != nil {
 		return TaskResult{}, fmt.Errorf("setup: %v", err)
 	}
 	var records int64
 	err := readSplit(store, spec.Split, func(key, value string) error {
 		records++
-		if err := m.Map(ctx, key, value, emit); err != nil || sp == nil {
+		if err := m.Map(ctx, key, value); err != nil || sp == nil {
 			return err
 		}
 		return sp.err // a record that could not be spilled ends the attempt
@@ -146,7 +121,7 @@ func executeMapTask(store dfs.Store, ctx *TaskContext, spec TaskSpec, forceFiles
 	if err != nil {
 		return TaskResult{}, err
 	}
-	if err := m.Cleanup(ctx, emit); err != nil {
+	if err := m.Cleanup(ctx); err != nil {
 		return TaskResult{}, fmt.Errorf("cleanup: %v", err)
 	}
 	res := TaskResult{Records: records}
@@ -178,13 +153,13 @@ func executeReduceTask(store dfs.Store, ctx *TaskContext, spec TaskSpec) (TaskRe
 		cursors[i] = c
 		inRecords += r.Records
 	}
-	it, err := newMergeIter(cursors, job.KeyCompare)
+	it, err := newMergeIter(cursors, job.keyCompare)
 	if err != nil {
 		return TaskResult{}, err
 	}
-	out := newPartWriter(job.BinaryOutput)
+	out := &partWriter{rec: recordio.NewWriter()}
 	ctx.out = out
-	groups, err := runReduce(ctx, job.NewReducer(), it, job.KeyCompare)
+	groups, err := runReduce(ctx, job.newReducer(), it, job.keyCompare)
 	if err != nil {
 		return TaskResult{}, err
 	}

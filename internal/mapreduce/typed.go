@@ -2,9 +2,9 @@ package mapreduce
 
 import "fmt"
 
-// This file is the generics-typed job API over the untyped engine.
-// A TypedJob carries codecs for every position in the dataflow
-// (input, intermediate, output) and lowers itself onto a plain *Job:
+// This file is the job API: the one way to describe a job. A TypedJob
+// carries codecs for every position in the dataflow (input,
+// intermediate, output) and lowers itself onto the engine's *Job:
 // the lowered mapper decodes each input record, runs the typed user
 // code, and encodes emissions straight into the attempt's record sink; the
 // lowered reducer decodes a group's key and values back into typed
@@ -12,20 +12,31 @@ import "fmt"
 // spill sort and shuffle merge compare raw bytes and never decode —
 // the Writable/RawComparator division of labour from Hadoop.
 
-// TypedEmit is the typed counterpart of Emit.
+// TypedEmit is the callback mappers, combiners and reducers output
+// records through (Hadoop's context.write).
 type TypedEmit[K, V any] func(key K, value V)
 
-// TypedMapper is the typed counterpart of Mapper. A fresh instance is
-// created per map task, so implementations may accumulate per-task
-// state and flush it in Cleanup.
+// TypedMapper processes one input split record by record. A fresh
+// instance is created per map task, so implementations may accumulate
+// per-task state and flush it in Cleanup — the sampling mapper does
+// exactly that with its current time window.
 type TypedMapper[KI, VI, KO, VO any] interface {
+	// Setup runs once before the first record (Hadoop setup()); the
+	// k-means and DJ-Cluster mappers load centroids / the R-tree from
+	// the distributed cache here.
 	Setup(ctx *TaskContext) error
+	// Map processes one record. For line-oriented input the key is the
+	// byte offset of the line within the file and the value is the line
+	// text (Hadoop TextInputFormat).
 	Map(ctx *TaskContext, key KI, value VI, emit TypedEmit[KO, VO]) error
 	Cleanup(ctx *TaskContext, emit TypedEmit[KO, VO]) error
 }
 
-// TypedReducer is the typed counterpart of Reducer; it also serves
-// for combiners (with KO = K and VO = V).
+// TypedReducer aggregates all values sharing a key. A fresh instance is
+// created per reduce task. The same interface serves for combiners
+// (with KO = K and VO = V), which pre-aggregate map output on the map
+// side to cut shuffle volume (§VI: the combiner optimisation for
+// k-means).
 type TypedReducer[K, V, KO, VO any] interface {
 	Setup(ctx *TaskContext) error
 	Reduce(ctx *TaskContext, key K, values []V, emit TypedEmit[KO, VO]) error
@@ -132,7 +143,7 @@ type TypedJob[KI, VI, KM, VM, KO, VO any] struct {
 	CompressSpill   bool
 }
 
-// Build lowers the typed job onto the untyped engine Job.
+// Build lowers the typed job onto the engine's Job.
 func (tj *TypedJob[KI, VI, KM, VM, KO, VO]) Build() *Job {
 	job := &Job{
 		Name:            tj.Name,
@@ -144,18 +155,17 @@ func (tj *TypedJob[KI, VI, KM, VM, KO, VO]) Build() *Job {
 		Cache:           tj.Cache,
 		MaxAttempts:     tj.MaxAttempts,
 		Parent:          tj.Parent,
-		KeyCompare:      tj.KeyCompare,
-		BinaryOutput:    true,
+		keyCompare:      tj.KeyCompare,
 		MaxShuffleBytes: tj.MaxShuffleBytes,
 		CompressSpill:   tj.CompressSpill,
 	}
 	if tj.Mapper != nil {
-		job.NewMapper = func() Mapper {
+		job.newMapper = func() mapper {
 			return &loweredMapper[KI, VI, KM, VM, KO, VO]{tj: tj, m: tj.Mapper()}
 		}
 	}
 	if tj.Reducer != nil {
-		job.NewReducer = func() Reducer {
+		job.newReducer = func() reducer {
 			return &loweredReducer[KM, VM, KO, VO]{
 				r: tj.Reducer(), key: tj.MapKey, val: tj.MapValue,
 				outKey: tj.OutputKey, outVal: tj.OutputValue,
@@ -163,7 +173,7 @@ func (tj *TypedJob[KI, VI, KM, VM, KO, VO]) Build() *Job {
 		}
 	}
 	if tj.Combiner != nil {
-		job.NewCombiner = func() Reducer {
+		job.newCombiner = func() reducer {
 			return &loweredReducer[KM, VM, KM, VM]{
 				r: tj.Combiner(), key: tj.MapKey, val: tj.MapValue,
 				outKey: tj.MapKey, outVal: tj.MapValue,
@@ -171,7 +181,7 @@ func (tj *TypedJob[KI, VI, KM, VM, KO, VO]) Build() *Job {
 		}
 	}
 	if tj.Partition != nil {
-		job.Partitioner = func(key string, numReducers int) int {
+		job.partitioner = func(key string, numReducers int) int {
 			k, err := tj.MapKey.Decode(key)
 			if err != nil {
 				// An undecodable key fails the task later anyway; route it
@@ -181,49 +191,41 @@ func (tj *TypedJob[KI, VI, KM, VM, KO, VO]) Build() *Job {
 			return tj.Partition(k, numReducers)
 		}
 	}
-	if job.KeyCompare == nil {
+	if job.keyCompare == nil {
 		if rc, ok := tj.MapKey.(RawComparer); ok {
-			job.KeyCompare = rc.RawCompare
+			job.keyCompare = rc.RawCompare
 		}
 	}
 	return job
 }
 
-// typedEmit is the typed emit of one lowered mapper or reducer: it
+// sinkEmit is the typed emit of one lowered mapper or reducer: it
 // appends the key's and the value's encoding straight onto the
 // attempt's record sink, so a record costs no string and no allocation
-// of its own. One instance runs under one TaskContext, so one closure
-// serves all its methods; the string Emit the engine passes alongside
-// goes to the same sink and is not used.
-type typedEmit[K, V any] struct {
-	emit TypedEmit[K, V]
-}
-
-func (te *typedEmit[K, V]) get(ctx *TaskContext, key Codec[K], val Codec[V]) TypedEmit[K, V] {
-	if te.emit == nil {
-		out := ctx.out
-		te.emit = func(k K, v V) {
-			buf := out.tail()
-			n := len(buf)
-			buf = key.Append(buf, k)
-			out.add(val.Append(buf, v), len(buf)-n)
-		}
+// of its own.
+func sinkEmit[K, V any](out recordSink, key Codec[K], val Codec[V]) TypedEmit[K, V] {
+	return func(k K, v V) {
+		buf := out.tail()
+		n := len(buf)
+		buf = key.Append(buf, k)
+		out.add(val.Append(buf, v), len(buf)-n)
 	}
-	return te.emit
 }
 
-// loweredMapper adapts a TypedMapper to the untyped Mapper interface.
+// loweredMapper adapts a TypedMapper to the engine's mapper. Setup
+// binds its emit to the attempt's record sink.
 type loweredMapper[KI, VI, KM, VM, KO, VO any] struct {
-	tj *TypedJob[KI, VI, KM, VM, KO, VO]
-	m  TypedMapper[KI, VI, KM, VM]
-	te typedEmit[KM, VM]
+	tj   *TypedJob[KI, VI, KM, VM, KO, VO]
+	m    TypedMapper[KI, VI, KM, VM]
+	emit TypedEmit[KM, VM]
 }
 
 func (lm *loweredMapper[KI, VI, KM, VM, KO, VO]) Setup(ctx *TaskContext) error {
+	lm.emit = sinkEmit(ctx.out, lm.tj.MapKey, lm.tj.MapValue)
 	return lm.m.Setup(ctx)
 }
 
-func (lm *loweredMapper[KI, VI, KM, VM, KO, VO]) Map(ctx *TaskContext, key, value string, _ Emit) error {
+func (lm *loweredMapper[KI, VI, KM, VM, KO, VO]) Map(ctx *TaskContext, key, value string) error {
 	k, err := lm.tj.InputKey.Decode(key)
 	if err != nil {
 		return fmt.Errorf("decode input key: %v", err)
@@ -232,30 +234,32 @@ func (lm *loweredMapper[KI, VI, KM, VM, KO, VO]) Map(ctx *TaskContext, key, valu
 	if err != nil {
 		return fmt.Errorf("decode input value: %v", err)
 	}
-	return lm.m.Map(ctx, k, v, lm.te.get(ctx, lm.tj.MapKey, lm.tj.MapValue))
+	return lm.m.Map(ctx, k, v, lm.emit)
 }
 
-func (lm *loweredMapper[KI, VI, KM, VM, KO, VO]) Cleanup(ctx *TaskContext, _ Emit) error {
-	return lm.m.Cleanup(ctx, lm.te.get(ctx, lm.tj.MapKey, lm.tj.MapValue))
+func (lm *loweredMapper[KI, VI, KM, VM, KO, VO]) Cleanup(ctx *TaskContext) error {
+	return lm.m.Cleanup(ctx, lm.emit)
 }
 
-// loweredReducer adapts a TypedReducer to the untyped Reducer
-// interface (for reducers and, with K/V output codecs, combiners).
+// loweredReducer adapts a TypedReducer to the engine's reducer (for
+// reducers and, with K/V output codecs, combiners). Setup binds its emit
+// to the attempt's record sink.
 type loweredReducer[K, V, KO, VO any] struct {
 	r      TypedReducer[K, V, KO, VO]
 	key    Codec[K]
 	val    Codec[V]
 	outKey Codec[KO]
 	outVal Codec[VO]
-	te     typedEmit[KO, VO]
+	emit   TypedEmit[KO, VO]
 	vals   []V
 }
 
 func (lr *loweredReducer[K, V, KO, VO]) Setup(ctx *TaskContext) error {
+	lr.emit = sinkEmit(ctx.out, lr.outKey, lr.outVal)
 	return lr.r.Setup(ctx)
 }
 
-func (lr *loweredReducer[K, V, KO, VO]) Reduce(ctx *TaskContext, key string, values []string, _ Emit) error {
+func (lr *loweredReducer[K, V, KO, VO]) Reduce(ctx *TaskContext, key string, values []string) error {
 	k, err := lr.key.Decode(key)
 	if err != nil {
 		return fmt.Errorf("decode key: %v", err)
@@ -268,14 +272,9 @@ func (lr *loweredReducer[K, V, KO, VO]) Reduce(ctx *TaskContext, key string, val
 		}
 		lr.vals = append(lr.vals, v)
 	}
-	return lr.r.Reduce(ctx, k, lr.vals, lr.te.get(ctx, lr.outKey, lr.outVal))
+	return lr.r.Reduce(ctx, k, lr.vals, lr.emit)
 }
 
-func (lr *loweredReducer[K, V, KO, VO]) Cleanup(ctx *TaskContext, _ Emit) error {
-	return lr.r.Cleanup(ctx, lr.te.get(ctx, lr.outKey, lr.outVal))
-}
-
-// RunTyped builds and runs a typed job on the engine.
-func RunTyped[KI, VI, KM, VM, KO, VO any](e *Engine, tj *TypedJob[KI, VI, KM, VM, KO, VO]) (*Result, error) {
-	return e.Run(tj.Build())
+func (lr *loweredReducer[K, V, KO, VO]) Cleanup(ctx *TaskContext) error {
+	return lr.r.Cleanup(ctx, lr.emit)
 }

@@ -67,19 +67,50 @@ func typedSumJob(name, in, out string, reducers int, combine bool) *Job {
 // readTypedCounts decodes a typed sum job's binary output.
 func readTypedCounts(t *testing.T, e *Engine, dir string) map[string]int64 {
 	t.Helper()
-	kvs, err := e.ReadOutput(dir)
+	out := map[string]int64{}
+	err := ReadOutput(e, dir, recordio.RawString{}, recordio.Int64{}, func(k string, n int64) error {
+		out[k] += n
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := map[string]int64{}
-	for _, kv := range kvs {
-		n, err := recordio.Int64{}.Decode(kv.Value)
-		if err != nil {
-			t.Fatalf("value of %q: %v", kv.Key, err)
-		}
-		out[kv.Key] += n
-	}
 	return out
+}
+
+// TestReadOutputRejectsBadBytes plants bytes that are not a job's
+// output in an output directory. Each must make ReadOutput fail with an
+// error naming the file, without a panic and without handing fn
+// anything from it.
+func TestReadOutputRejectsBadBytes(t *testing.T) {
+	record := func(value string) []byte {
+		w := recordio.NewWriter()
+		w.Add("k", value)
+		return w.Bytes()
+	}
+	seven := string(recordio.Int64{}.Append(nil, 7))
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"text lines", []byte("k\t7\n")},
+		{"truncated record file", record(seven)[:len(record(seven))-1]},
+		{"value the codec rejects", record("not eight bytes")},
+	} {
+		e := newTestEngine(t, 64)
+		writeInput(t, e, "out/part-r-00000", string(tc.data))
+		seen := 0
+		err := ReadOutput(e, "out", recordio.RawString{}, recordio.Int64{}, func(string, int64) error {
+			seen++
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "out/part-r-00000") {
+			t.Errorf("%s: err = %v, want an error naming out/part-r-00000", tc.name, err)
+		}
+		if seen != 0 {
+			t.Errorf("%s: fn saw %d records of a bad file", tc.name, seen)
+		}
+	}
 }
 
 // TestTypedJobEndToEnd runs a typed job over text input and checks
@@ -111,11 +142,11 @@ func TestTypedJobEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTypedJobChainsOverBinaryOutput feeds a typed job's binary
+// TestTypedJobChainsOverRecordFiles feeds a typed job's binary
 // output into a second typed job with a tiny chunk size, so the
 // second job's map splits land mid-file and exercise the sync-block
 // split reader inside the engine.
-func TestTypedJobChainsOverBinaryOutput(t *testing.T) {
+func TestTypedJobChainsOverRecordFiles(t *testing.T) {
 	c, err := cluster.NewUniform(4, 2, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -231,17 +262,13 @@ func TestTypedJobInt64KeyOrder(t *testing.T) {
 	if _, err := e.Run(tj.Build()); err != nil {
 		t.Fatal(err)
 	}
-	kvs, err := e.ReadOutput("out")
+	var got []int64
+	err := ReadOutput(e, "out", recordio.Int64{}, recordio.Int64{}, func(k, _ int64) error {
+		got = append(got, k)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	var got []int64
-	for _, kv := range kvs {
-		k, err := recordio.Int64{}.Decode(kv.Key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, k)
 	}
 	want := []int64{-77, -3, 0, 4, 5, 12, 900}
 	if len(got) != len(want) {
@@ -291,17 +318,13 @@ func TestTypedJobCustomKeyCompare(t *testing.T) {
 	if _, err := e.Run(tj.Build()); err != nil {
 		t.Fatal(err)
 	}
-	kvs, err := e.ReadOutput("out")
+	var got []int64
+	err := ReadOutput(e, "out", cdc, recordio.Int64{}, func(k, _ int64) error {
+		got = append(got, k)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	var got []int64
-	for _, kv := range kvs {
-		k, err := cdc.Decode(kv.Key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, k)
 	}
 	if len(got) != 3 || got[0] != 3 || got[1] != 2 || got[2] != 1 {
 		t.Fatalf("descending order broken: %v", got)
@@ -489,12 +512,15 @@ func TestTypedEmitAllocatesNothingPerRecord(t *testing.T) {
 	ctx := &TaskContext{}
 	sp := newMapSpiller(nil, ctx, TaskSpec{Job: job, NumReducers: 4}, false)
 	ctx.out = sp
-	m := job.NewMapper()
+	m := job.newMapper()
+	if err := m.Setup(ctx); err != nil {
+		t.Fatal(err)
+	}
 	const records = 1000
 	lines := []string{"a", "bb", "a longer line", ""}
 	perRun := testing.AllocsPerRun(200, func() {
 		for i := 0; i < records; i++ {
-			if err := m.Map(ctx, "0", lines[i%len(lines)], nil); err != nil {
+			if err := m.Map(ctx, "0", lines[i%len(lines)]); err != nil {
 				t.Fatal(err)
 			}
 		}

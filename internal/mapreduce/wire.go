@@ -50,7 +50,7 @@ func registerKind(name string, template *Job) {
 	if name == "" {
 		panic("mapreduce: job kind declared with an empty name")
 	}
-	if template.NewMapper == nil {
+	if template.newMapper == nil {
 		panic(fmt.Sprintf("mapreduce: job kind %q declared without a mapper", name))
 	}
 	kindMu.Lock()
@@ -72,10 +72,9 @@ func lookupKind(name string) (*Job, bool) {
 // the kind name standing in for the function fields. All fields gob-
 // encode.
 type JobWire struct {
-	Name         string
-	Kind         string
-	NumReducers  int
-	BinaryOutput bool
+	Name        string
+	Kind        string
+	NumReducers int
 	// HasCombiner records whether the driver's job kept the kind's
 	// combiner (a template may declare one that individual jobs drop,
 	// as k-means does behind KMeansOptions.UseCombiner).
@@ -102,8 +101,7 @@ func (j *Job) Wire() (JobWire, error) {
 		Name:            j.Name,
 		Kind:            j.Kind,
 		NumReducers:     j.NumReducers,
-		BinaryOutput:    j.BinaryOutput,
-		HasCombiner:     j.NewCombiner != nil,
+		HasCombiner:     j.newCombiner != nil,
 		Conf:            j.Conf,
 		Cache:           j.Cache,
 		MaxShuffleBytes: j.MaxShuffleBytes,
@@ -122,21 +120,20 @@ func (w JobWire) Materialize() (*Job, error) {
 		Name:            w.Name,
 		Kind:            w.Kind,
 		NumReducers:     w.NumReducers,
-		BinaryOutput:    w.BinaryOutput,
 		Conf:            w.Conf,
 		Cache:           w.Cache,
 		MaxShuffleBytes: w.MaxShuffleBytes,
 		CompressSpill:   w.CompressSpill,
-		NewMapper:       k.NewMapper,
-		NewReducer:      k.NewReducer,
-		Partitioner:     k.Partitioner,
-		KeyCompare:      k.KeyCompare,
+		newMapper:       k.newMapper,
+		newReducer:      k.newReducer,
+		partitioner:     k.partitioner,
+		keyCompare:      k.keyCompare,
 	}
 	if w.HasCombiner {
-		if k.NewCombiner == nil {
+		if k.newCombiner == nil {
 			return nil, fmt.Errorf("mapreduce: job %s uses a combiner but kind %q declared none", w.Name, w.Kind)
 		}
-		job.NewCombiner = k.NewCombiner
+		job.newCombiner = k.newCombiner
 	}
 	return job, nil
 }

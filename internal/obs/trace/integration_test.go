@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"strconv"
 	"strings"
 	"testing"
 
@@ -9,31 +8,40 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
+	"repro/internal/recordio"
 )
 
-type wordMapper struct{ mapreduce.MapperBase }
-
-func (wordMapper) Map(_ *mapreduce.TaskContext, _, value string, emit mapreduce.Emit) error {
-	for _, w := range strings.Fields(value) {
-		emit(w, "1")
-	}
-	return nil
-}
-
-type sumReducer struct{ mapreduce.ReducerBase }
-
-func (sumReducer) Reduce(_ *mapreduce.TaskContext, key string, values []string, emit mapreduce.Emit) error {
-	total := 0
-	for _, v := range values {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return err
-		}
-		total += n
-	}
-	emit(key, strconv.Itoa(total))
-	return nil
-}
+// wordCount is a declared word count: text lines in, (word, 1) pairs
+// through the shuffle, one (word, count) record per word out.
+var wordCount = mapreduce.Declare(mapreduce.TypedJob[string, string, string, int64, string, int64]{
+	Kind: "trace-test/wordcount",
+	Mapper: func() mapreduce.TypedMapper[string, string, string, int64] {
+		return mapreduce.TypedMapFunc[string, string, string, int64](
+			func(_ *mapreduce.TaskContext, _, line string, emit mapreduce.TypedEmit[string, int64]) error {
+				for _, w := range strings.Fields(line) {
+					emit(w, 1)
+				}
+				return nil
+			})
+	},
+	Reducer: func() mapreduce.TypedReducer[string, int64, string, int64] {
+		return mapreduce.TypedReduceFunc[string, int64, string, int64](
+			func(_ *mapreduce.TaskContext, word string, counts []int64, emit mapreduce.TypedEmit[string, int64]) error {
+				var n int64
+				for _, c := range counts {
+					n += c
+				}
+				emit(word, n)
+				return nil
+			})
+	},
+	InputKey:    recordio.RawString{},
+	InputValue:  recordio.RawString{},
+	MapKey:      recordio.RawString{},
+	MapValue:    recordio.Int64{},
+	OutputKey:   recordio.RawString{},
+	OutputValue: recordio.Int64{},
+})
 
 // TestEngineTracePhaseSumMatchesWall runs a real engine job through
 // the collector and checks the acceptance criterion end to end: the
@@ -55,16 +63,19 @@ func TestEngineTracePhaseSumMatchesWall(t *testing.T) {
 	if err := fs.Create("in/text", []byte(strings.Repeat("the quick brown fox jumps over the lazy dog\n", 200)), ""); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(&mapreduce.Job{
-		Name:        "wordcount",
-		InputPaths:  []string{"in"},
-		OutputPath:  "out",
-		NewMapper:   func() mapreduce.Mapper { return wordMapper{} },
-		NewReducer:  func() mapreduce.Reducer { return sumReducer{} },
-		NumReducers: 3,
-	})
+	job := wordCount
+	job.Name, job.InputPaths, job.OutputPath, job.NumReducers = "wordcount", []string{"in"}, "out", 3
+	res, err := e.Run(job.Build())
 	if err != nil {
 		t.Fatal(err)
+	}
+	counts := map[string]int64{}
+	err = mapreduce.ReadOutput(e, "out", recordio.RawString{}, recordio.Int64{}, func(w string, n int64) error {
+		counts[w] = n
+		return nil
+	})
+	if err != nil || len(counts) != 8 || counts["the"] != 400 {
+		t.Fatalf("word counts %v, %v; want 8 words, the=400", counts, err)
 	}
 
 	tr, ok := col.Find("wordcount")

@@ -175,17 +175,17 @@ func BuildMMCsMR(e *mapreduce.Engine, inputPaths []string, outputPath string, us
 	if err != nil {
 		return nil, nil, err
 	}
-	kvs, err := e.ReadOutput(outputPath)
-	if err != nil {
-		return nil, res, err
-	}
-	out := make(map[string]*MMC, len(kvs))
-	for _, kv := range kvs {
-		m, err := UnmarshalMMC(kv.Value)
+	out := make(map[string]*MMC)
+	err = mapreduce.ReadOutput(e, outputPath, recordio.RawString{}, recordio.RawString{}, func(_, chain string) error {
+		m, err := UnmarshalMMC(chain)
 		if err != nil {
-			return nil, res, err
+			return err
 		}
 		out[m.User] = m
+		return nil
+	})
+	if err != nil {
+		return nil, res, err
 	}
 	return out, res, nil
 }

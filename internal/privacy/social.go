@@ -144,23 +144,19 @@ func DiscoverSocialLinksMR(e *mapreduce.Engine, inputPaths []string, workDir str
 	if err != nil {
 		return nil, results, err
 	}
-	kvs, err := e.ReadOutput(stage2)
-	if err != nil {
-		return nil, results, err
-	}
 	var out []SocialLink
-	for _, kv := range kvs {
-		a, b, ok := strings.Cut(kv.Key, "|")
+	err = mapreduce.ReadOutput(e, stage2, recordio.RawString{}, recordio.Int64{}, func(pair string, n int64) error {
+		a, b, ok := strings.Cut(pair, "|")
 		if !ok {
-			return nil, results, fmt.Errorf("privacy: bad pair key %q", kv.Key)
-		}
-		n, err := (recordio.Int64{}).Decode(kv.Value)
-		if err != nil {
-			return nil, results, fmt.Errorf("privacy: bad pair count: %v", err)
+			return fmt.Errorf("privacy: bad pair key %q", pair)
 		}
 		if int(n) >= opts.MinSharedWindows {
 			out = append(out, SocialLink{UserA: a, UserB: b, SharedWindows: int(n)})
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, results, err
 	}
 	sortLinks(out)
 	return out, results, nil
