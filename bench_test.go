@@ -22,6 +22,7 @@ import (
 	"repro/internal/gepeto"
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
+	obstrace "repro/internal/obs/trace"
 	"repro/internal/privacy"
 	"repro/internal/recordio"
 	"repro/internal/rtree"
@@ -711,8 +712,8 @@ func BenchmarkShuffleJob(b *testing.B) {
 
 // BenchmarkEngine measures the observability layer's overhead on a
 // representative job: the same down-sampling run with no event sinks
-// attached versus the full tracker + metrics pipeline a live status
-// server would drive. The instrumented run must stay within a few
+// attached versus the full trace collector + metrics pipeline a live
+// status server would drive. The instrumented run must stay within a few
 // percent of the bare one — events are constructed only behind a
 // bus.Active() check.
 func BenchmarkEngine(b *testing.B) {
@@ -722,7 +723,7 @@ func BenchmarkEngine(b *testing.B) {
 	}{
 		{"no-sink", func() *obs.Bus { return nil }},
 		{"with-sink", func() *obs.Bus {
-			return obs.NewBus(obs.NewTracker(), obs.NewMetricsSink(obs.NewRegistry()))
+			return obs.NewBus(obstrace.NewCollector(nil, 0), obs.NewMetricsSink(obs.NewRegistry()))
 		}},
 	} {
 		b.Run(v.name, func(b *testing.B) {

@@ -85,8 +85,6 @@ func main() {
 		err = cmdWorker(args)
 	case "cluster":
 		err = cmdCluster(args)
-	case "history":
-		err = cmdHistory(args)
 	case "analyze":
 		err = cmdAnalyze(args)
 	case "-h", "--help", "help":
@@ -122,22 +120,22 @@ commands:
   mmc        build Mobility Markov Chains per user and evaluate prediction
   worker     one tasktracker process serving a command run with -workers
   cluster    live worker table from such a command's status server
-  history    list stored job runs and render per-node attempt timelines
-  analyze    critical-path / straggler / shuffle-skew report from traces
+  analyze    critical-path / straggler / shuffle-skew report and per-node
+             attempt timelines from stored traces
 
 cluster commands (synth, sample, kmeans, djcluster, rtree, attack,
-sanitize, social, mmc) also accept -status ADDR (live jobtracker status
-+ /metrics + /trace/ + /analyze/ + pprof over HTTP), -historydir DIR
-(job-history and trace mirror, read back by "gepeto history" and
-"gepeto analyze") and -workers N: run every task on N "gepeto worker"
-processes over TCP instead of in-process (-addr-file tells the workers
-where; -listen -wait -grace -status-file -linger -log-level tune it).
+sanitize, social, mmc) also accept -status ADDR (live span trees under
+/trace/ and /analyze/, /metrics and pprof over HTTP), -historydir DIR
+(trace mirror, read back by "gepeto analyze") and -workers N: run
+every task on N "gepeto worker" processes over TCP instead of
+in-process (-addr-file tells the workers where; -listen -wait -grace
+-status-file -linger -log-level tune it).
 
 run "gepeto <command> -h" for flags`)
 }
 
-// defaultHistoryDir is where cluster commands mirror job history and
-// where `gepeto history` looks by default.
+// defaultHistoryDir is where cluster commands mirror their traces and
+// where `gepeto analyze` looks by default.
 const defaultHistoryDir = ".gepeto/history"
 
 // deployFlags are the flags every cluster command shares: the shape of
@@ -161,9 +159,9 @@ func clusterFlags(fs *flag.FlagSet) *deployFlags {
 		slots:   fs.Int("slots", 4, "task slots per node (with -workers: must match the workers')"),
 		chunkMB: fs.Int64("chunk", 64, "DFS chunk size in MB (paper uses 64 and 32)"),
 		status: fs.String("status", "",
-			`serve live jobtracker status, /metrics and pprof (with -workers also /cluster and federated worker metrics) on this address (e.g. ":8042"; ":0" picks a port)`),
+			`serve live span trees (/trace/, /analyze/), /metrics and pprof (with -workers also /cluster and federated worker metrics) on this address (e.g. ":8042"; ":0" picks a port)`),
 		historyDir: fs.String("historydir", defaultHistoryDir,
-			`local directory mirroring job history and traces for "gepeto history" / "gepeto analyze" ("" disables the mirror)`),
+			`local directory mirroring the run's traces (under _trace/) for "gepeto analyze" ("" disables the mirror)`),
 		workers: fs.Int("workers", 0,
 			"run every task on this many `gepeto worker` processes over TCP, one per node (overrides -nodes); 0 runs tasks in-process"),
 		listen:     fs.String("listen", "127.0.0.1:0", "with -workers: address the jobtracker listens on"),
@@ -197,31 +195,39 @@ func deployAndLoad(df *deployFlags, inDir string) (*core.Toolkit, *trace.Dataset
 
 // deploy builds the cluster, file system and engine without loading
 // any dataset. When -status or -historydir is set it attaches the
-// observability bus: a causal-trace collector (persisted beside the job
-// history so "gepeto analyze" works post-mortem) and, under -status,
-// the live status server with /trace/ + /analyze/ endpoints and a
-// runtime sampler. With -workers N the engine's executor is a
-// jobtracker serving N `gepeto worker` processes over TCP, and the
-// status server grows the /cluster table and the federated metrics;
-// nothing else about the command changes. The returned closer lingers
-// if asked to, then tears everything down (always safe to call).
+// observability bus: a causal-trace collector (mirrored under
+// -historydir so "gepeto analyze" works post-mortem) and, under
+// -status, the live status server serving the collector's span trees
+// under /trace/ + /analyze/, and a runtime sampler. With -workers N the
+// engine's executor is a jobtracker serving N `gepeto worker` processes
+// over TCP, and the status server grows the /cluster table and the
+// federated metrics; nothing else about the command changes. The
+// returned closer lingers if asked to, then tears everything down and
+// reports any trace that could not be saved (always safe to call).
 func deploy(df *deployFlags) (*core.Toolkit, func(), error) {
 	cfg := core.ClusterConfig{
 		Nodes: *df.nodes, Racks: *df.racks, SlotsPerNode: *df.slots, ChunkSize: *df.chunkMB << 20,
-		HistoryDir: *df.historyDir,
 	}
-	var tracker *obs.Tracker
 	var reg *obs.Registry
 	var collector *obstrace.Collector
-	var store *obstrace.Store
 	if *df.status != "" || *df.historyDir != "" {
-		tracker = obs.NewTracker()
 		reg = obs.NewRegistry()
+		var store *obstrace.Store
 		if *df.historyDir != "" {
 			store = obstrace.NewStore(obs.NewDirFS(*df.historyDir))
 		}
 		collector = obstrace.NewCollector(store, 0)
-		cfg.Obs = obs.NewBus(tracker, obs.NewMetricsSink(reg), collector)
+		cfg.Obs = obs.NewBus(obs.NewMetricsSink(reg), collector)
+	}
+	// reportSaves surfaces traces the mirror failed to write: the run
+	// itself succeeded, but its one persisted record is incomplete.
+	reportSaves := func() {
+		if collector == nil {
+			return
+		}
+		if n, err := collector.SaveErrors(); n > 0 {
+			fmt.Fprintf(os.Stderr, "trace mirror: %d trace(s) not saved; last error: %v\n", n, err)
+		}
 	}
 	var jt *rpc.Jobtracker
 	if *df.workers > 0 {
@@ -282,7 +288,7 @@ func deploy(df *deployFlags) (*core.Toolkit, func(), error) {
 			// to the server and no family is rendered twice.
 			srvReg = nil
 		}
-		srv, err = obs.NewStatusServer(*df.status, tracker, srvReg, tk.History())
+		srv, err = obs.NewStatusServer(*df.status, srvReg)
 		if err != nil {
 			teardown()
 			return nil, nil, err
@@ -298,9 +304,8 @@ func deploy(df *deployFlags) (*core.Toolkit, func(), error) {
 			srv.Handle("/cluster", jt.ClusterHandler())
 			srv.Handle("/cluster.json", jt.ClusterHandler())
 		}
-		src := obstrace.Multi(collector, store)
-		srv.Handle("/trace/", obstrace.TraceHandler("/trace/", src))
-		srv.Handle("/analyze/", obstrace.AnalyzeHandler("/analyze/", src, obstrace.Options{}))
+		srv.Handle("/trace/", obstrace.TraceHandler("/trace/", collector))
+		srv.Handle("/analyze/", obstrace.AnalyzeHandler("/analyze/", collector, obstrace.Options{}))
 		stopSampler := obs.StartRuntimeSampler(reg, time.Second)
 		fmt.Fprintf(os.Stderr, "status server listening on %s\n", srv.URL())
 		stopBackend := teardown
@@ -321,7 +326,10 @@ func deploy(df *deployFlags) (*core.Toolkit, func(), error) {
 		}
 	}
 	if jt == nil && srv == nil {
-		return tk, teardown, nil
+		return tk, func() {
+			teardown()
+			reportSaves()
+		}, nil
 	}
 	// While the command works, an interrupt tears the deployment down
 	// and exits, so neither the listener nor a worker outlives the
@@ -366,6 +374,7 @@ func deploy(df *deployFlags) (*core.Toolkit, func(), error) {
 			signal.Stop(end)
 		}
 		teardown()
+		reportSaves()
 	}, nil
 }
 
@@ -518,7 +527,7 @@ func cmdSample(args []string) error {
 	out := fs.String("out", "sampled", "output directory")
 	window := fs.Duration("window", time.Minute, "sampling window")
 	techName := fs.String("technique", "upper", `representative choice: "upper" or "middle"`)
-	reportPath := fs.String("report", "", "write the job report (counters, tasks, timings) as JSON to this file")
+	reportPath := fs.String("report", "", "write the job record (counters, attempts, timings) as JSON to this file")
 	df := clusterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -540,7 +549,7 @@ func cmdSample(args []string) error {
 		return err
 	}
 	if *reportPath != "" {
-		data, err := json.MarshalIndent(res.Report(), "", "  ")
+		data, err := json.MarshalIndent(res.HistoryRecord(), "", "  ")
 		if err != nil {
 			return err
 		}
@@ -982,56 +991,11 @@ func cmdMMC(args []string) error {
 	return nil
 }
 
-func cmdHistory(args []string) error {
-	fs := flag.NewFlagSet("history", flag.ExitOnError)
-	dir := fs.String("dir", defaultHistoryDir, "history directory (as mirrored by -historydir)")
-	width := fs.Int("width", 72, "timeline width in columns")
-	asJSON := fs.Bool("json", false, "dump matching records as JSON instead of rendering")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	hist := obs.NewHistory(obs.NewDirFS(*dir))
-	if fs.NArg() == 0 {
-		recs, err := hist.List()
-		if err != nil {
-			return err
-		}
-		if len(recs) == 0 {
-			fmt.Printf("no job history under %s (run a cluster command with -historydir)\n", *dir)
-			return nil
-		}
-		fmt.Printf("%-4s %-28s %-22s %10s %5s %8s %9s\n",
-			"seq", "job", "submitted", "wall", "maps", "reduces", "attempts")
-		for _, r := range recs {
-			fmt.Printf("%-4d %-28s %-22s %10s %5d %8d %9d\n",
-				r.Seq, r.Job, r.Start().Format("2006-01-02T15:04:05"),
-				time.Duration(r.WallMs)*time.Millisecond,
-				r.MapTasks, r.ReduceTasks, len(r.Attempts))
-		}
-		return nil
-	}
-	for _, key := range fs.Args() {
-		rec, ok := hist.Find(key)
-		if !ok {
-			return fmt.Errorf("no history record matches %q in %s", key, *dir)
-		}
-		if *asJSON {
-			data, err := json.MarshalIndent(rec, "", "  ")
-			if err != nil {
-				return err
-			}
-			fmt.Println(string(data))
-			continue
-		}
-		fmt.Print(obs.RenderTimeline(rec, *width))
-	}
-	return nil
-}
-
 // cmdAnalyze reads stored causal traces (mirrored by cluster commands
 // under -historydir) and prints the bottleneck report: critical path
-// with per-phase attribution, stragglers, and shuffle skew. With no
-// arguments it lists the stored traces.
+// with per-phase attribution, stragglers, shuffle skew and each job's
+// per-node attempt timeline. With no arguments it lists the stored
+// traces.
 func cmdAnalyze(args []string) error {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
 	dir := fs.String("dir", defaultHistoryDir, "trace directory (as mirrored by -historydir)")

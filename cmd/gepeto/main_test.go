@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	obstrace "repro/internal/obs/trace"
 )
 
@@ -225,7 +226,7 @@ func TestCLIAnalyzeKMeansRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The k-means run of the acceptance criterion: cluster commands
-	// mirror causal traces next to job history by default.
+	// mirror causal traces to -historydir by default.
 	if err := cmdKMeans([]string{"-in", "sampled", "-k", "3", "-maxiter", "4", "-chunk", "1"}); err != nil {
 		t.Fatal(err)
 	}
@@ -288,11 +289,35 @@ func TestCLIAnalyzeKMeansRun(t *testing.T) {
 		}
 	}
 
-	// The default ASCII report names the critical path and attribution.
+	// The default ASCII report names the critical path and attribution,
+	// and draws each job's per-node attempt timeline: one lane or more
+	// for every node that ran an attempt.
 	report := captureStdout(t, func() error { return cmdAnalyze([]string{"2"}) })
-	for _, want := range []string{"critical path", "%"} {
+	for _, want := range []string{"critical path", "%", "legend:"} {
 		if !strings.Contains(report, want) {
 			t.Errorf("report missing %q:\n%s", want, report)
+		}
+	}
+	tr, ok := obstrace.NewStore(obs.NewDirFS(defaultHistoryDir)).Find("2")
+	if !ok {
+		t.Fatal("stored k-means trace not found")
+	}
+	nodes := map[string]bool{}
+	tr.Root.Walk(func(s *obstrace.Span) {
+		if s.Kind == obstrace.KindAttempt {
+			nodes[s.Node] = true
+		}
+	})
+	if len(nodes) == 0 {
+		t.Fatal("the k-means trace has no attempts")
+	}
+	for node := range nodes {
+		lane := false
+		for _, ln := range strings.Split(report, "\n") {
+			lane = lane || (strings.HasPrefix(ln, node+" ") && strings.Contains(ln, " | "))
+		}
+		if !lane {
+			t.Errorf("report has no timeline lane for %s:\n%s", node, report)
 		}
 	}
 
@@ -308,42 +333,5 @@ func TestCLIAnalyzeKMeansRun(t *testing.T) {
 
 	if err := cmdAnalyze([]string{"no-such-trace"}); err == nil {
 		t.Fatal("analyze of unknown key should error")
-	}
-}
-
-func TestCLIHistoryRoundTrip(t *testing.T) {
-	chdir(t)
-	// An empty store is not an error — just a hint.
-	if err := cmdHistory(nil); err != nil {
-		t.Fatalf("history over empty dir: %v", err)
-	}
-	if err := cmdGenerate([]string{"-users", "2", "-traces", "6000", "-out", "data"}); err != nil {
-		t.Fatal(err)
-	}
-	// Cluster commands mirror job history to -historydir by default.
-	if err := cmdSample([]string{"-in", "data", "-out", "sampled", "-chunk", "1"}); err != nil {
-		t.Fatal(err)
-	}
-	files, err := filepath.Glob(filepath.Join(defaultHistoryDir, "_history", "*.json"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no mirrored history records: %v %v", files, err)
-	}
-	if !strings.Contains(files[0], "sampling") {
-		t.Errorf("history file %q does not name the job", files[0])
-	}
-	if err := cmdHistory(nil); err != nil {
-		t.Fatalf("history list: %v", err)
-	}
-	for _, args := range [][]string{
-		{"sampling"},          // by job name
-		{"1"},                 // by sequence number
-		{"-json", "sampling"}, // JSON dump
-	} {
-		if err := cmdHistory(args); err != nil {
-			t.Fatalf("history %v: %v", args, err)
-		}
-	}
-	if err := cmdHistory([]string{"no-such-job"}); err == nil {
-		t.Fatal("history of unknown job should error")
 	}
 }

@@ -139,9 +139,6 @@ func runPipeline(t *testing.T, run func(*core.Toolkit) (string, error), newExec 
 		defer mu.Unlock()
 		finished++
 		for _, p := range tk.FS().List("") {
-			if strings.HasPrefix(p, "_history/") {
-				continue
-			}
 			data, err := tk.FS().ReadAll(p)
 			if err != nil {
 				t.Errorf("snapshot %s: %v", p, err)

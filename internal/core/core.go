@@ -46,11 +46,6 @@ type ClusterConfig struct {
 	// Obs, if set, receives the engine's structured lifecycle events
 	// (job/phase/attempt spans). Nil keeps the engine unobserved.
 	Obs *obs.Bus
-	// HistoryDir, if non-empty, mirrors finished-job history records to
-	// this local directory in addition to the DFS's /_history/ — so a
-	// later `gepeto history` invocation (a separate process) can read
-	// them after the in-process DFS is gone.
-	HistoryDir string
 	// Executor, if set, is called once the cluster and file system
 	// exist and returns the executor task attempts run on (the CLI
 	// hosts an rpc.Jobtracker here). Nil keeps tasks in-process.
@@ -105,14 +100,7 @@ func NewToolkit(cfg ClusterConfig) (*Toolkit, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %v", err)
 	}
-	// Job history lives in the DFS (like Hadoop's /_history/), teed to
-	// a local directory when one is configured so it outlives the
-	// in-process file system.
-	var histFS obs.FS = fs
-	if cfg.HistoryDir != "" {
-		histFS = obs.Tee(fs, obs.NewDirFS(cfg.HistoryDir))
-	}
-	hist := obs.NewHistory(histFS)
+	hist := &obs.History{}
 	opts := mapreduce.Options{TaskOverhead: cfg.TaskOverhead, Obs: cfg.Obs, History: hist}
 	if cfg.Executor != nil {
 		opts.Executor = cfg.Executor(c, fs)
@@ -137,7 +125,8 @@ func (t *Toolkit) FS() *dfs.FileSystem { return t.fs }
 // Cluster exposes the simulated cluster.
 func (t *Toolkit) Cluster() *cluster.Cluster { return t.cluster }
 
-// History exposes the job-history store fed by the engine.
+// History exposes the records of the jobs the engine finished most
+// recently.
 func (t *Toolkit) History() *obs.History { return t.history }
 
 // GenerateAndUpload generates a synthetic GeoLife-like dataset and

@@ -1,13 +1,13 @@
 // Package errdrop flags discarded errors from the storage and
 // transport layers.
 //
-// DFS operations, obs file-store/history writes, and recordio scans
-// are the engine's durability boundary: a swallowed error there means
-// committed output or job history silently missing. The RPC transport
-// under the out-of-process backend is the same kind of boundary — a
-// dropped Call error is a control-plane message (completion,
-// heartbeat, DFS write) that silently never happened. The analyzer
-// flags calls on *dfs.FileSystem, dfs.Store, obs.FS, *obs.History,
+// DFS operations, obs file-store writes, and recordio scans are the
+// engine's durability boundary: a swallowed error there means
+// committed output or a persisted trace silently missing. The RPC
+// transport under the out-of-process backend is the same kind of
+// boundary — a dropped Call error is a control-plane message
+// (completion, heartbeat, DFS write) that silently never happened. The
+// analyzer flags calls on *dfs.FileSystem, dfs.Store, obs.FS,
 // recordio.Writer, rpc.Transport (and its implementations),
 // *rpc.RemoteStore, plus recordio and rpc package functions, whose
 // error result is dropped — as a bare expression statement, assigned
@@ -25,11 +25,11 @@ import (
 	"repro/internal/lint/engineapi"
 )
 
-// Analyzer flags dropped errors from DFS, obs store/history, and
-// recordio calls.
+// Analyzer flags dropped errors from DFS, obs store, and recordio
+// calls.
 var Analyzer = &analysis.Analyzer{
 	Name: "errdrop",
-	Doc: "errors from dfs.FileSystem, obs.FS, obs.History and recordio calls are the " +
+	Doc: "errors from dfs.FileSystem, obs.FS and recordio calls are the " +
 		"engine's durability signal and must be handled or surfaced, not discarded",
 	Run: run,
 }
@@ -148,7 +148,6 @@ func flaggedCallee(info *types.Info, call *ast.CallExpr) (*types.Func, string) {
 			{"FileSystem", engineapi.DFSPath, "(*dfs.FileSystem)"},
 			{"Store", engineapi.DFSPath, "(dfs.Store)"},
 			{"FS", engineapi.ObsPath, "(obs.FS)"},
-			{"History", engineapi.ObsPath, "(*obs.History)"},
 			{"Writer", engineapi.RecordioPath, "(*recordio.Writer)"},
 			// The RPC transport layer: a dropped transport error means a
 			// lost control-plane message (a completion, a heartbeat, a

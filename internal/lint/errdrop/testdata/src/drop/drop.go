@@ -35,20 +35,13 @@ func handleDFS(fs *dfs.FileSystem, path string) error {
 	return nil
 }
 
-func dropObs(store obs.FS, hist *obs.History, rec obs.JobRecord) {
-	store.Create("p", nil, "") // want `error returned by \(obs\.FS\)\.Create is discarded`
-	_, _ = hist.Save(rec)      // want `error returned by \(\*obs\.History\)\.Save is assigned to _`
-	id, _ := hist.Save(rec)    // want `error returned by \(\*obs\.History\)\.Save is assigned to _`
-	_ = id
+func dropObs(store obs.FS) {
+	store.Create("p", nil, "")     // want `error returned by \(obs\.FS\)\.Create is discarded`
+	_ = store.Create("p", nil, "") // want `error returned by \(obs\.FS\)\.Create is assigned to _`
 }
 
-func handleObs(store obs.FS, hist *obs.History, rec obs.JobRecord) error {
-	if err := store.Create("p", nil, ""); err != nil {
-		return err
-	}
-	id, err := hist.Save(rec)
-	_ = id
-	return err
+func handleObs(store obs.FS) error {
+	return store.Create("p", nil, "")
 }
 
 func dropScan(data []byte) {

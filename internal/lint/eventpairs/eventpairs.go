@@ -2,8 +2,8 @@
 // emitted in a function is paired with the matching SpanEnd / PhaseEnd
 // on every path out of that function — including early error returns.
 //
-// The observability pipeline (tracker, timeline, trace export) treats
-// an unclosed span or phase as still running: critical-path analysis
+// The span tree (its analysis, timeline and Chrome export) treats an
+// unclosed span or phase as still running: critical-path analysis
 // then attributes the whole job tail to it and the timeline renders an
 // open interval. A Start whose End is skipped on an error return is
 // the classic leak this analyzer exists to catch.

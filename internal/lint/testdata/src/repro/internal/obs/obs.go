@@ -58,19 +58,7 @@ type FS interface {
 	Create(path string, data []byte, localNode string) error
 	List(dir string) []string
 	ReadAll(path string) ([]byte, error)
-	Delete(path string) error
 }
-
-// JobRecord mirrors a persisted job record.
-type JobRecord struct {
-	Job string
-}
-
-// History mirrors the job-history store.
-type History struct{}
-
-// Save mirrors History.Save.
-func (h *History) Save(rec JobRecord) (string, error) { return "", nil }
 
 // StatusServer mirrors the cluster status HTTP server.
 type StatusServer struct{}

@@ -42,8 +42,8 @@ type Options struct {
 	// nil/empty check per emission site, so jobs run at full speed
 	// when nothing is observing.
 	Obs *obs.Bus
-	// History, if set, persists every successful job's record (report
-	// plus per-attempt timeline) — the job-history server role.
+	// History, if set, keeps every successful job's record (counters
+	// plus per-attempt timings) in memory.
 	History *obs.History
 }
 
@@ -72,9 +72,6 @@ func (e *Engine) Cluster() *cluster.Cluster { return e.cluster }
 // Obs returns the engine's event bus (possibly nil), so algorithm
 // drivers can emit pipeline spans onto the same trace.
 func (e *Engine) Obs() *obs.Bus { return e.opts.Obs }
-
-// History returns the engine's job-history store (possibly nil).
-func (e *Engine) History() *obs.History { return e.opts.History }
 
 // attemptLog collects per-attempt records during scheduling.
 type attemptLog struct {
@@ -183,8 +180,8 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 	}
 	// runPhase schedules one phase's tasks between its PhaseStart and
 	// PhaseEnd events — the phase is closed even on failure: an
-	// unpaired PhaseStart reads as a still-running phase to the tracker
-	// and timeline. Only the winning attempt's result is committed —
+	// unpaired PhaseStart reads as a still-running phase in the span
+	// tree. Only the winning attempt's result is committed —
 	// counters, stats and output alike (speculative losers are
 	// discarded).
 	runPhase := func(phase string, specs []TaskSpec, reports []TaskReport, commit func(i int, tr TaskResult)) (time.Duration, error) {
@@ -226,11 +223,7 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 			Type: obs.JobFinished, Job: job.Name, Parent: job.Parent, Dur: res.Wall,
 		})
 		if e.opts.History != nil {
-			// History is diagnostics: a full store must not fail the
-			// job, but a failed store must not vanish either.
-			if _, herr := e.opts.History.Save(res.HistoryRecord()); herr != nil {
-				res.Counters.Get(CounterGroupEngine, CounterHistorySaveErrors).Inc(1)
-			}
+			e.opts.History.Save(res.HistoryRecord())
 		}
 		return res, nil
 	}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dfs"
+	"repro/internal/obs"
 	"repro/internal/recordio"
 )
 
@@ -1189,11 +1190,11 @@ func TestResultReportJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(res.Report())
+	data, err := json.Marshal(res.HistoryRecord())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Report
+	var back obs.JobRecord
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
@@ -1203,8 +1204,8 @@ func TestResultReportJSON(t *testing.T) {
 	if back.Counters["task"]["map_input_records"] != 1 {
 		t.Fatalf("counters not serialized: %v", back.Counters)
 	}
-	if len(back.Tasks) == 0 || back.Tasks[0].ID == "" {
-		t.Fatalf("tasks not serialized: %+v", back.Tasks)
+	if len(back.Attempts) != res.MapTasks+res.ReduceTasks || back.Attempts[0].Node == "" {
+		t.Fatalf("attempts not serialized: %+v", back.Attempts)
 	}
 }
 

@@ -277,11 +277,6 @@ const (
 	CounterSpeculativeLaunched = "speculative_launched"
 	CounterSpeculativeWasted   = "speculative_wasted"
 
-	// CounterHistorySaveErrors counts job-history stores that failed.
-	// History is diagnostics — a full store must not fail the job — but
-	// the failure has to stay visible somewhere.
-	CounterHistorySaveErrors = "history_save_errors"
-
 	CounterShuffleBytes = "shuffle_bytes"
 	// CounterShuffleRunsMerged counts the pre-sorted map-output runs
 	// fed into the shuffle's per-partition k-way merges.
@@ -355,52 +350,9 @@ type Result struct {
 	Attempts []obs.AttemptRecord
 }
 
-// Report is the JSON-friendly form of a Result, mirroring Hadoop's job
-// history records.
-type Report struct {
-	Job         string                      `json:"job"`
-	MapTasks    int                         `json:"map_tasks"`
-	ReduceTasks int                         `json:"reduce_tasks"`
-	StartUnixMs int64                       `json:"start_unix_ms"`
-	WallMillis  int64                       `json:"wall_ms"`
-	PhaseMillis map[string]int64            `json:"phase_ms"`
-	Counters    map[string]map[string]int64 `json:"counters"`
-	OutputFiles []string                    `json:"output_files"`
-	Tasks       []TaskReport                `json:"tasks,omitempty"`
-	Attempts    []obs.AttemptRecord         `json:"attempts,omitempty"`
-}
-
-// Report converts the result for serialization (encoding/json).
-// Reduce tasks have no locality preference, so their Locality renders
-// as "n/a" rather than an ambiguous empty string.
-func (r *Result) Report() Report {
-	tasks := append([]TaskReport(nil), r.Tasks...)
-	for i := range tasks {
-		if tasks[i].Locality == "" {
-			tasks[i].Locality = "n/a"
-		}
-	}
-	return Report{
-		Job:         r.Job,
-		MapTasks:    r.MapTasks,
-		ReduceTasks: r.ReduceTasks,
-		StartUnixMs: r.Start.UnixMilli(),
-		WallMillis:  r.Wall.Milliseconds(),
-		PhaseMillis: map[string]int64{
-			"map":     r.MapWall.Milliseconds(),
-			"shuffle": r.ShuffleWall.Milliseconds(),
-			"reduce":  r.ReduceWall.Milliseconds(),
-		},
-		Counters:    r.Counters.Snapshot(),
-		OutputFiles: r.OutputFiles,
-		Tasks:       tasks,
-		Attempts:    r.Attempts,
-	}
-}
-
-// HistoryRecord converts the result into the form the job-history
-// store persists (obs.JobRecord carries no sequence number yet; the
-// store assigns one on Save).
+// HistoryRecord converts the result into its JSON form, the record
+// History keeps (it carries no sequence number yet; History.Save
+// assigns one).
 func (r *Result) HistoryRecord() obs.JobRecord {
 	nodeSet := make(map[string]bool)
 	for _, a := range r.Attempts {

@@ -1,15 +1,16 @@
 // Package obs is the observability layer of the MapReduce engine: a
 // structured event bus carrying typed job/phase/task/attempt lifecycle
 // events, a metrics registry with Prometheus text-format exposition, a
-// job-history store persisting finished-job records (the Hadoop
-// job-history server role), a live jobtracker-style status tracker and
-// HTTP server, and an ASCII task-attempt timeline renderer.
+// jobtracker-style status HTTP server, and an in-memory record of the
+// most recently finished jobs. The span trees package obs/trace
+// assembles from the bus are the live view and the persisted record of
+// a run.
 //
 // The paper's entire contribution is measured — per-job wall times,
 // speedup curves and phase breakdowns on Grid'5000 (§V-§VII) — and the
 // cluster deployments it ran on expose exactly this through the Hadoop
-// jobtracker web UI and job-history server. This package provides the
-// equivalent measurement substrate for the simulated stack.
+// jobtracker web UI and job-history server. This package and obs/trace
+// provide the equivalent measurement substrate for the simulated stack.
 //
 // The package deliberately imports no other internal package so every
 // layer (dfs, mapreduce, gepeto, core) can depend on it without
@@ -203,45 +204,16 @@ func (f SinkFunc) Emit(e Event) { f(e) }
 
 // Recorder is a Sink that buffers every event, for tests and ad-hoc
 // tracing. Safe for concurrent use.
-//
-// Long-lived processes set MaxJobs to bound the buffer: once more than
-// MaxJobs jobs have finished, the oldest finished job's events are
-// dropped. Events of jobs that are still running — and events carrying
-// no job at all (pipeline spans) — are never pruned, so an in-flight
-// job's trace stays complete no matter how many jobs finish around it.
 type Recorder struct {
-	// MaxJobs, when > 0, bounds retention to the events of the most
-	// recent MaxJobs finished jobs (plus everything still running).
-	MaxJobs int
-
-	mu       sync.Mutex
-	events   []Event
-	finished []string // finished job names, oldest first
+	mu     sync.Mutex
+	events []Event
 }
 
 // Emit implements Sink.
 func (r *Recorder) Emit(e Event) {
 	r.mu.Lock()
 	r.events = append(r.events, e)
-	if r.MaxJobs > 0 && e.Type == JobFinished && e.Job != "" {
-		r.finished = append(r.finished, e.Job)
-		for len(r.finished) > r.MaxJobs {
-			r.evictLocked(r.finished[0])
-			r.finished = r.finished[1:]
-		}
-	}
 	r.mu.Unlock()
-}
-
-// evictLocked drops every buffered event of one finished job.
-func (r *Recorder) evictLocked(job string) {
-	kept := r.events[:0]
-	for _, e := range r.events {
-		if e.Job != job {
-			kept = append(kept, e)
-		}
-	}
-	r.events = kept
 }
 
 // Events returns a copy of everything recorded so far.

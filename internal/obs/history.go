@@ -1,24 +1,18 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
 
-// HistoryDir is the directory (DFS or local) job records are stored
-// under, mirroring Hadoop's job-history server layout.
-const HistoryDir = "_history"
-
-// FS is the minimal file-store surface the history needs.
+// FS is the minimal file-store surface trace persistence needs.
 // *dfs.FileSystem satisfies it structurally; DirFS adapts a local
-// directory so records survive the in-process DFS.
+// directory so traces survive the in-process DFS.
 type FS interface {
 	// Create writes a new file; it fails if path already exists.
 	// localNode is the writing datanode identity ("" for clients).
@@ -27,13 +21,11 @@ type FS interface {
 	List(dir string) []string
 	// ReadAll returns a file's full contents.
 	ReadAll(path string) ([]byte, error)
-	// Delete removes a file. Deleting a missing path is an error.
-	Delete(path string) error
 }
 
-// AttemptRecord describes one task attempt for the job history: which
+// AttemptRecord describes one task attempt of a finished job: which
 // node ran it, when (as offsets from job submission), how it ended and
-// with what data locality. It is the unit the timeline renders.
+// with what data locality.
 type AttemptRecord struct {
 	// Task is the owning task ("map-0007", "reduce-0000").
 	Task string `json:"task"`
@@ -56,11 +48,11 @@ type AttemptRecord struct {
 	Error string `json:"error,omitempty"`
 }
 
-// JobRecord is one persisted job execution — the engine's Report plus
-// submission time and the per-attempt records, i.e. what the Hadoop
-// job-history server keeps per job.
+// JobRecord is the JSON form of one finished job: task counts, phase
+// walls, counters and every attempt. It is what `gepeto sample
+// -report` writes and what History keeps.
 type JobRecord struct {
-	// Seq orders records within a history store.
+	// Seq orders records within a History.
 	Seq int `json:"seq"`
 	// Job is the job name.
 	Job string `json:"job"`
@@ -84,134 +76,51 @@ type JobRecord struct {
 // Start returns the submission time.
 func (r JobRecord) Start() time.Time { return time.UnixMilli(r.StartUnixMs) }
 
-// History persists finished-job records under HistoryDir in an FS —
-// the job-history server role. Safe for concurrent use.
+// historyKeep bounds a History to its most recent records. See
+// DESIGN §7 for why 64.
+const historyKeep = 64
+
+// History keeps the records of the most recent finished jobs in
+// memory, numbered in save order. The span tree (package obs/trace) is
+// the persisted record of a run; History is its in-process digest for
+// callers that want a job's counters and attempts by name. The zero
+// value is an empty history. Safe for concurrent use.
 type History struct {
-	mu      sync.Mutex
-	fs      FS
-	seq     int // next sequence number; 0 = not yet initialised
-	maxJobs int // 0 = unbounded
-
-	pruneErrs    int   // prune deletions that failed
-	lastPruneErr error // most recent prune failure
+	mu   sync.Mutex
+	seq  int
+	recs []JobRecord
 }
 
-// NewHistory creates a history store over the given backend.
-func NewHistory(fs FS) *History { return &History{fs: fs} }
-
-// SetMaxJobs bounds the store to the n most recent records: each Save
-// beyond the bound deletes the oldest stored record. n <= 0 means
-// unbounded. Only finished jobs ever reach Save, so pruning can never
-// touch a running job.
-func (h *History) SetMaxJobs(n int) {
+// Save numbers the record and keeps it, dropping the oldest record
+// beyond the bound.
+func (h *History) Save(rec JobRecord) {
 	h.mu.Lock()
-	h.maxJobs = n
-	h.mu.Unlock()
-}
-
-// recPath builds "_history/000042-jobname.json". Slashes in job names
-// are flattened so every record stays directly under HistoryDir.
-func recPath(seq int, job string) string {
-	return fmt.Sprintf("%s/%06d-%s.json", HistoryDir, seq, strings.ReplaceAll(job, "/", "_"))
-}
-
-// nextSeqLocked scans existing records once to continue numbering
-// across processes (the local-dir backend outlives the process).
-func (h *History) nextSeqLocked() int {
-	if h.seq == 0 {
-		max := 0
-		for _, p := range h.fs.List(HistoryDir) {
-			base := filepath.Base(p)
-			if i := strings.IndexByte(base, '-'); i > 0 {
-				if n, err := strconv.Atoi(base[:i]); err == nil && n > max {
-					max = n
-				}
-			}
-		}
-		h.seq = max + 1
-	}
-	s := h.seq
+	defer h.mu.Unlock()
 	h.seq++
-	return s
-}
-
-// Save assigns the record a sequence number and persists it, returning
-// the path written.
-func (h *History) Save(rec JobRecord) (string, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	rec.Seq = h.nextSeqLocked()
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	path := recPath(rec.Seq, rec.Job)
-	if err := h.fs.Create(path, data, ""); err != nil {
-		return "", fmt.Errorf("obs: saving history record: %v", err)
-	}
-	h.pruneLocked()
-	return path, nil
-}
-
-// pruneLocked enforces maxJobs by deleting the lowest-sequence records.
-// Mirror backends may miss some paths; a failed deletion must not fail
-// the Save that triggered it (the next prune retries), so failures are
-// recorded for PruneErrors instead.
-func (h *History) pruneLocked() {
-	if h.maxJobs <= 0 {
-		return
-	}
-	paths := h.fs.List(HistoryDir)
-	// List is sorted and names embed a zero-padded sequence number, so
-	// lexical order is sequence order.
-	for len(paths) > h.maxJobs {
-		if err := h.fs.Delete(paths[0]); err != nil {
-			h.pruneErrs++
-			h.lastPruneErr = err
-		}
-		paths = paths[1:]
+	rec.Seq = h.seq
+	h.recs = append(h.recs, rec)
+	if len(h.recs) > historyKeep {
+		h.recs = h.recs[1:]
 	}
 }
 
-// PruneErrors reports how many prune deletions have failed so far and
-// the most recent failure, so operators can notice a store that is no
-// longer honouring its maxJobs bound.
-func (h *History) PruneErrors() (int, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.pruneErrs, h.lastPruneErr
-}
-
-// List returns every stored record ordered by sequence number.
-// Unparseable files are skipped rather than failing the listing.
+// List returns the kept records ordered by sequence number. The error
+// is always nil.
 func (h *History) List() ([]JobRecord, error) {
-	var out []JobRecord
-	for _, p := range h.fs.List(HistoryDir) {
-		data, err := h.fs.ReadAll(p)
-		if err != nil {
-			continue
-		}
-		var rec JobRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
-			continue
-		}
-		out = append(out, rec)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out, nil
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return append([]JobRecord(nil), h.recs...), nil
 }
 
 // Find returns the most recent record whose job name matches, or whose
 // sequence number equals the numeric form of key.
 func (h *History) Find(key string) (JobRecord, bool) {
-	recs, err := h.List()
-	if err != nil {
-		return JobRecord{}, false
-	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	wantSeq, seqErr := strconv.Atoi(key)
-	for i := len(recs) - 1; i >= 0; i-- {
-		if recs[i].Job == key || (seqErr == nil && recs[i].Seq == wantSeq) {
-			return recs[i], true
+	for i := len(h.recs) - 1; i >= 0; i-- {
+		if h.recs[i].Job == key || (seqErr == nil && h.recs[i].Seq == wantSeq) {
+			return h.recs[i], true
 		}
 	}
 	return JobRecord{}, false
@@ -224,8 +133,8 @@ type dirFS struct {
 }
 
 // NewDirFS returns an FS persisting into the local directory root
-// (created on demand). It lets job history survive the in-process DFS,
-// so `gepeto history` can inspect runs after the cluster is gone.
+// (created on demand). It lets traces survive the in-process DFS, so
+// `gepeto analyze` can inspect runs after the cluster is gone.
 func NewDirFS(root string) FS { return dirFS{root: root} }
 
 func (d dirFS) local(path string) string {
@@ -262,91 +171,4 @@ func (d dirFS) List(dir string) []string {
 
 func (d dirFS) ReadAll(path string) ([]byte, error) {
 	return os.ReadFile(d.local(path))
-}
-
-func (d dirFS) Delete(path string) error {
-	return os.Remove(d.local(path))
-}
-
-// TeeFS writes to both backends and reads from their union (primary
-// wins), so records live in the simulated DFS for in-process diffing
-// and in a local directory for post-mortem inspection. Mirror (the
-// secondary backend) failures never fail the caller but are recorded
-// for MirrorErrors.
-type TeeFS struct {
-	primary, secondary FS
-
-	mu            sync.Mutex
-	mirrorErrs    int
-	lastMirrorErr error
-}
-
-// Tee combines two backends: Create writes to both, List merges, and
-// ReadAll falls back from primary to secondary.
-func Tee(primary, secondary FS) *TeeFS {
-	return &TeeFS{primary: primary, secondary: secondary}
-}
-
-// noteMirrorErr records a secondary-backend failure.
-func (t *TeeFS) noteMirrorErr(err error) {
-	t.mu.Lock()
-	t.mirrorErrs++
-	t.lastMirrorErr = err
-	t.mu.Unlock()
-}
-
-// MirrorErrors reports how many secondary-backend operations have
-// failed and the most recent failure, so a silently broken mirror is
-// still observable.
-func (t *TeeFS) MirrorErrors() (int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.mirrorErrs, t.lastMirrorErr
-}
-
-// Create implements FS.
-func (t *TeeFS) Create(path string, data []byte, localNode string) error {
-	if err := t.primary.Create(path, data, localNode); err != nil {
-		return err
-	}
-	// The secondary may already hold the path from an earlier process;
-	// renumbering via List makes that rare, but don't fail the job on
-	// a mirror collision.
-	if err := t.secondary.Create(path, data, localNode); err != nil {
-		t.noteMirrorErr(err)
-	}
-	return nil
-}
-
-// List implements FS.
-func (t *TeeFS) List(dir string) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, p := range append(t.primary.List(dir), t.secondary.List(dir)...) {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ReadAll implements FS.
-func (t *TeeFS) ReadAll(path string) ([]byte, error) {
-	if data, err := t.primary.ReadAll(path); err == nil {
-		return data, nil
-	}
-	return t.secondary.ReadAll(path)
-}
-
-// Delete implements FS.
-func (t *TeeFS) Delete(path string) error {
-	err := t.primary.Delete(path)
-	// The mirror may legitimately lack the path (or hold extras from an
-	// earlier process); deleting there is best-effort but recorded.
-	if serr := t.secondary.Delete(path); serr != nil {
-		t.noteMirrorErr(serr)
-	}
-	return err
 }

@@ -15,17 +15,15 @@ import (
 // StatusServer is the live jobtracker status endpoint, modelled on the
 // Hadoop jobtracker web UI the paper's Grid'5000 deployments exposed:
 //
-//	/jobs         all jobs and pipeline spans (JSON)
-//	/jobs/<name>  one job with its full attempt list (JSON)
 //	/metrics      Prometheus text-format metrics
 //	/metrics.json the same registry as a JSON snapshot
-//	/history      persisted job records (when a History is attached)
 //	/debug/pprof  the standard Go profiling endpoints
+//
+// plus the handlers mounted with Handle (cmd/gepeto mounts the span
+// trees of package obs/trace under /trace/ and /analyze/).
 type StatusServer struct {
-	ln      net.Listener
-	tracker *Tracker
-	reg     *Registry
-	hist    *History
+	ln  net.Listener
+	reg *Registry
 	// Extra, if set, is invoked at each /metrics scrape to append
 	// additional exposition lines (e.g. DFS storage gauges).
 	Extra func() string
@@ -42,20 +40,17 @@ type StatusServer struct {
 }
 
 // NewStatusServer starts serving on addr (":0" picks a free port).
-// tracker, reg and hist may each be nil, disabling their endpoints.
-func NewStatusServer(addr string, tracker *Tracker, reg *Registry, hist *History) (*StatusServer, error) {
+// reg may be nil, leaving /metrics to Extra alone.
+func NewStatusServer(addr string, reg *Registry) (*StatusServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: status server: %v", err)
 	}
-	s := &StatusServer{ln: ln, tracker: tracker, reg: reg, hist: hist}
+	s := &StatusServer{ln: ln, reg: reg}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleIndex)
-	mux.HandleFunc("/jobs", s.handleJobs)
-	mux.HandleFunc("/jobs/", s.handleJob)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/metrics.json", s.handleMetricsJSON)
-	mux.HandleFunc("/history", s.handleHistory)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -123,34 +118,7 @@ func (s *StatusServer) handleIndex(w http.ResponseWriter, r *http.Request) {
 	if extra != "" {
 		extra = " " + extra
 	}
-	fmt.Fprintln(w, "endpoints: /jobs /jobs/<name> /metrics /metrics.json /history /debug/pprof/"+extra)
-	if s.tracker != nil {
-		for _, js := range s.tracker.Jobs() {
-			fmt.Fprintf(w, "%-8s %-10s %s\n", js.Kind, js.State, js.Name)
-		}
-	}
-}
-
-func (s *StatusServer) handleJobs(w http.ResponseWriter, _ *http.Request) {
-	if s.tracker == nil {
-		http.Error(w, "no tracker attached", http.StatusNotFound)
-		return
-	}
-	writeJSON(w, map[string]any{"jobs": s.tracker.Jobs()})
-}
-
-func (s *StatusServer) handleJob(w http.ResponseWriter, r *http.Request) {
-	if s.tracker == nil {
-		http.Error(w, "no tracker attached", http.StatusNotFound)
-		return
-	}
-	name := strings.TrimPrefix(r.URL.Path, "/jobs/")
-	js, attempts, ok := s.tracker.Job(name)
-	if !ok {
-		http.NotFound(w, r)
-		return
-	}
-	writeJSON(w, map[string]any{"job": js, "attempts": attempts})
+	fmt.Fprintln(w, "endpoints: /metrics /metrics.json /debug/pprof/"+extra)
 }
 
 func (s *StatusServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -176,17 +144,4 @@ func (s *StatusServer) handleMetricsJSON(w http.ResponseWriter, _ *http.Request)
 		points = append(points, s.ExtraJSON()...)
 	}
 	writeJSON(w, map[string]any{"metrics": points})
-}
-
-func (s *StatusServer) handleHistory(w http.ResponseWriter, _ *http.Request) {
-	if s.hist == nil {
-		http.Error(w, "no history attached", http.StatusNotFound)
-		return
-	}
-	recs, err := s.hist.List()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, map[string]any{"history": recs})
 }

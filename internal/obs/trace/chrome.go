@@ -3,7 +3,6 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 )
 
 // ChromeEvent is the subset of the Chrome trace_event schema the
@@ -68,113 +67,39 @@ func BuildChrome(t *Tree) *ChromeTrace {
 	meta("thread_name", controlTid, map[string]any{"name": "control"})
 
 	// Lane-pack attempts per node so concurrent attempts on one node
-	// (multiple task slots) get separate, stable thread IDs.
-	type lane struct {
-		node string
-		idx  int
-		end  int64
-	}
-	var lanes []*lane
-	laneTid := make(map[*lane]int)
-	nodeLanes := make(map[string][]*lane)
-
-	var attempts []*Span
+	// (multiple task slots) get separate, stable thread IDs — nodes
+	// sorted, lanes in creation order — and the exec spans of remote
+	// workers (clock-corrected worker-side task windows) likewise from
+	// execTidBase, so the aligned worker timelines sit under the
+	// driver's view.
+	var attempts, execs []*Span
 	t.Root.Walk(func(s *Span) {
-		if s.Kind == KindAttempt {
+		switch s.Kind {
+		case KindAttempt:
 			attempts = append(attempts, s)
-		}
-	})
-	sort.SliceStable(attempts, func(i, j int) bool {
-		if attempts[i].StartUs != attempts[j].StartUs {
-			return attempts[i].StartUs < attempts[j].StartUs
-		}
-		return attempts[i].Name < attempts[j].Name
-	})
-	attemptLane := make(map[*Span]*lane)
-	for _, a := range attempts {
-		var l *lane
-		for _, cand := range nodeLanes[a.Node] {
-			if cand.end <= a.StartUs {
-				l = cand
-				break
-			}
-		}
-		if l == nil {
-			l = &lane{node: a.Node, idx: len(nodeLanes[a.Node])}
-			nodeLanes[a.Node] = append(nodeLanes[a.Node], l)
-			lanes = append(lanes, l)
-		}
-		l.end = a.EndUs
-		attemptLane[a] = l
-	}
-	// Stable tid assignment: nodes sorted, lanes in creation order.
-	var nodes []string
-	for n := range nodeLanes {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	tid := 1
-	for _, n := range nodes {
-		for _, l := range nodeLanes[n] {
-			laneTid[l] = tid
-			name := l.node
-			if l.idx > 0 {
-				name = fmt.Sprintf("%s #%d", l.node, l.idx+1)
-			}
-			meta("thread_name", tid, map[string]any{"name": name})
-			tid++
-		}
-	}
-
-	// Remote-worker execution lanes: exec spans (clock-corrected
-	// worker-side task windows) lane-packed per node from execTidBase,
-	// so the aligned worker timelines sit under the driver's view.
-	var execs []*Span
-	t.Root.Walk(func(s *Span) {
-		if s.Kind == KindExec {
+		case KindExec:
 			execs = append(execs, s)
 		}
 	})
-	sort.SliceStable(execs, func(i, j int) bool {
-		if execs[i].StartUs != execs[j].StartUs {
-			return execs[i].StartUs < execs[j].StartUs
-		}
-		return execs[i].Name < execs[j].Name
-	})
-	execLanes := make(map[string][]*lane)
-	execLane := make(map[*Span]*lane)
-	for _, s := range execs {
-		var l *lane
-		for _, cand := range execLanes[s.Node] {
-			if cand.end <= s.StartUs {
-				l = cand
-				break
+	laneTid := make(map[*Span]int)
+	assignLanes := func(spans []*Span, tid int, suffix string) {
+		nodes, lanes := packLanes(spans)
+		for _, n := range nodes {
+			for i, lane := range lanes[n] {
+				name := n + suffix
+				if i > 0 {
+					name = fmt.Sprintf("%s #%d", name, i+1)
+				}
+				meta("thread_name", tid, map[string]any{"name": name})
+				for _, s := range lane {
+					laneTid[s] = tid
+				}
+				tid++
 			}
 		}
-		if l == nil {
-			l = &lane{node: s.Node, idx: len(execLanes[s.Node])}
-			execLanes[s.Node] = append(execLanes[s.Node], l)
-		}
-		l.end = s.EndUs
-		execLane[s] = l
 	}
-	var execNodes []string
-	for n := range execLanes {
-		execNodes = append(execNodes, n)
-	}
-	sort.Strings(execNodes)
-	execTid := execTidBase
-	for _, n := range execNodes {
-		for _, l := range execLanes[n] {
-			laneTid[l] = execTid
-			name := fmt.Sprintf("%s (worker)", l.node)
-			if l.idx > 0 {
-				name = fmt.Sprintf("%s (worker) #%d", l.node, l.idx+1)
-			}
-			meta("thread_name", execTid, map[string]any{"name": name})
-			execTid++
-		}
-	}
+	assignLanes(attempts, 1, "")
+	assignLanes(execs, execTidBase, " (worker)")
 
 	// Walk the tree: control spans on tid 0, attempts on node lanes.
 	t.Root.Walk(func(s *Span) {
@@ -202,17 +127,17 @@ func BuildChrome(t *Tree) *ChromeTrace {
 				args["backup"] = true
 			}
 			name := fmt.Sprintf("%s/%d", s.Name, s.Attempt)
-			complete(name, s.Kind, laneTid[attemptLane[s]], s.StartUs, s.DurUs(), args)
+			complete(name, s.Kind, laneTid[s], s.StartUs, s.DurUs(), args)
 		case KindRPC:
 			// Nested inside the attempt on the same lane: assign→complete
 			// as seen from the driver, contained in the attempt span.
 			st, dur := clampSpan(s)
 			complete(fmt.Sprintf("rpc %s/%d", s.Name, s.Attempt), s.Kind,
-				laneTid[attemptLane[parentAttempt(attempts, s)]], st, dur, args)
+				laneTid[parentAttempt(attempts, s)], st, dur, args)
 		case KindExec:
 			st, dur := clampSpan(s)
 			complete(fmt.Sprintf("exec %s/%d", s.Name, s.Attempt), s.Kind,
-				laneTid[execLane[s]], st, dur, args)
+				laneTid[s], st, dur, args)
 		}
 	})
 	return ct

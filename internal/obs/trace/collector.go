@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"sort"
 	"sync"
 
 	"repro/internal/obs"
@@ -8,9 +9,10 @@ import (
 
 // Collector is an obs.Sink that groups the live event stream by root
 // (an outermost pipeline span, or a standalone job) and finalises each
-// group into a Tree when its root closes. Finished trees are kept in a
-// bounded in-memory ring and, when a Store is attached, persisted
-// alongside the job history so `gepeto analyze` works post-mortem.
+// group into a Tree when its root closes. A root still open is
+// assembled on demand, so a run can be read while it executes.
+// Finished trees are kept in a bounded in-memory ring and, when a
+// Store is attached, persisted so `gepeto analyze` works post-mortem.
 //
 // Events that arrive after their root closed — the engine emits
 // AttemptKilled for abandoned speculative losers after JobFinished —
@@ -25,6 +27,9 @@ type Collector struct {
 	jobRoot  map[string]string // job name → root key
 	finished []*Tree
 	seq      int
+
+	saveErrs    int   // finished trees the store failed to persist
+	lastSaveErr error // the most recent such failure
 }
 
 // jobRootPrefix keys roots that are standalone jobs rather than spans.
@@ -104,8 +109,11 @@ func (c *Collector) finalizeLocked(root string) {
 		c.seq++
 		t.Seq = c.seq
 		if c.store != nil {
-			if _, err := c.store.Save(t); err == nil {
-				// Store.Save assigned the persistent sequence number.
+			// Store.Save assigns the persistent sequence number. A tree it
+			// fails to write stays in the ring; the failure is counted.
+			if _, err := c.store.Save(t); err != nil {
+				c.saveErrs++
+				c.lastSaveErr = err
 			}
 		}
 		c.finished = append(c.finished, t)
@@ -115,6 +123,14 @@ func (c *Collector) finalizeLocked(root string) {
 	}
 }
 
+// SaveErrors reports how many finished trees the store failed to
+// persist, and the most recent failure.
+func (c *Collector) SaveErrors() (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.saveErrs, c.lastSaveErr
+}
+
 // Finished returns the in-memory finished trees, oldest first.
 func (c *Collector) Finished() []*Tree {
 	c.mu.Lock()
@@ -122,11 +138,43 @@ func (c *Collector) Finished() []*Tree {
 	return append([]*Tree(nil), c.finished...)
 }
 
-// Find returns the most recent finished tree whose root name matches
-// key, that contains a job named key, or whose sequence number equals
-// the numeric form of key.
-func (c *Collector) Find(key string) (*Tree, bool) {
+// Live assembles the trees of the roots still open, oldest first.
+// Their unclosed spans end at the last event seen beneath them and
+// keep status running.
+func (c *Collector) Live() []*Tree {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return findIn(c.finished, key)
+	groups := make([][]obs.Event, 0, len(c.groups))
+	for _, evs := range c.groups {
+		// Emit only ever appends, so the events below len stay as they
+		// are after the lock is released.
+		groups = append(groups, evs)
+	}
+	c.mu.Unlock()
+	var out []*Tree
+	for _, evs := range groups {
+		out = append(out, Assemble(evs)...)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].StartUnixMs != out[j].StartUnixMs {
+			return out[i].StartUnixMs < out[j].StartUnixMs
+		}
+		return out[i].Root.Name < out[j].Root.Name
+	})
+	return out
+}
+
+// Find returns the tree key names — by root name, by the name of a job
+// inside it, or by sequence number — looking at the open roots first,
+// then the finished ring newest first, then the store.
+func (c *Collector) Find(key string) (*Tree, bool) {
+	if t, ok := findIn(c.Live(), key); ok {
+		return t, true
+	}
+	c.mu.Lock()
+	t, ok := findIn(c.finished, key)
+	c.mu.Unlock()
+	if ok || c.store == nil {
+		return t, ok
+	}
+	return c.store.Find(key)
 }

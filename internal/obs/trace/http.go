@@ -7,72 +7,69 @@ import (
 	"strings"
 )
 
-// Source finds trees by key. *Collector and *Store both implement it;
-// Multi chains them so the status server consults live traces first
-// and the persistent store second.
-type Source interface {
-	Find(key string) (*Tree, bool)
+// rootSummary is one entry of the /trace/ listing.
+type rootSummary struct {
+	Seq         int      `json:"seq,omitempty"`
+	Root        string   `json:"root"`
+	Kind        string   `json:"kind"`
+	Status      string   `json:"status"`
+	StartUnixMs int64    `json:"start_unix_ms"`
+	WallUs      int64    `json:"wall_us"`
+	Jobs        []string `json:"jobs,omitempty"`
 }
 
-// Multi returns a Source consulting each non-nil source in order.
-func Multi(srcs ...Source) Source { return multiSource(srcs) }
-
-type multiSource []Source
-
-func (m multiSource) Find(key string) (*Tree, bool) {
-	for _, s := range m {
-		if s == nil {
-			continue
-		}
-		if t, ok := s.Find(key); ok {
-			return t, true
-		}
-	}
-	return nil, false
-}
-
-// TraceHandler serves assembled trees under prefix (e.g. "/trace/"):
-// the span tree as JSON by default, or Chrome trace_event JSON with
-// ?format=chrome — ready to load into Perfetto or chrome://tracing.
-func TraceHandler(prefix string, src Source) http.Handler {
+// TraceHandler serves the collector's trees under prefix (e.g.
+// "/trace/"): the span tree of a running or finished root as JSON by
+// default, or Chrome trace_event JSON with ?format=chrome — ready to
+// load into Perfetto or chrome://tracing. The bare prefix lists the
+// recently finished roots and then the live ones.
+func TraceHandler(prefix string, c *Collector) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		key := strings.TrimPrefix(r.URL.Path, prefix)
 		if key == "" {
-			http.Error(w, "usage: "+prefix+"<jobID|pipeline|seq>[?format=chrome]", http.StatusBadRequest)
+			list := []rootSummary{}
+			for _, t := range append(c.Finished(), c.Live()...) {
+				s := rootSummary{Seq: t.Seq, Root: t.Root.Name, Kind: t.Root.Kind, Status: t.Root.Status,
+					StartUnixMs: t.StartUnixMs, WallUs: t.WallUs()}
+				for _, j := range t.Root.Jobs() {
+					s.Jobs = append(s.Jobs, j.Name)
+				}
+				list = append(list, s)
+			}
+			writeJSON(w, map[string]any{"traces": list})
 			return
 		}
-		t, ok := src.Find(key)
+		t, ok := c.Find(key)
 		if !ok {
 			http.NotFound(w, r)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
 		if r.URL.Query().Get("format") == "chrome" {
 			data, err := EncodeChrome(t)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
 			}
+			w.Header().Set("Content-Type", "application/json")
 			_, _ = w.Write(data)
 			return
 		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(t)
+		writeJSON(w, t)
 	})
 }
 
-// AnalyzeHandler serves the bottleneck analysis under prefix (e.g.
-// "/analyze/"): JSON by default, the ASCII report with ?format=text.
-// ?slow= and ?skew= override the straggler and skew factors.
-func AnalyzeHandler(prefix string, src Source, opts Options) http.Handler {
+// AnalyzeHandler serves the bottleneck analysis of the collector's
+// trees under prefix (e.g. "/analyze/"): JSON by default, the ASCII
+// report with ?format=text. ?slow= and ?skew= override the straggler
+// and skew factors.
+func AnalyzeHandler(prefix string, c *Collector, opts Options) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		key := strings.TrimPrefix(r.URL.Path, prefix)
 		if key == "" {
 			http.Error(w, "usage: "+prefix+"<jobID|pipeline|seq>[?format=text&slow=1.5&skew=2]", http.StatusBadRequest)
 			return
 		}
-		t, ok := src.Find(key)
+		t, ok := c.Find(key)
 		if !ok {
 			http.NotFound(w, r)
 			return
@@ -90,9 +87,13 @@ func AnalyzeHandler(prefix string, src Source, opts Options) http.Handler {
 			WriteReport(w, t, a)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(a)
+		writeJSON(w, a)
 	})
+}
+
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
 }

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cluster"
@@ -126,4 +128,87 @@ func TestEngineTracePhaseSumMatchesWall(t *testing.T) {
 	if _, err := DecodeChrome(data); err != nil {
 		t.Errorf("persisted tree's chrome export invalid: %v", err)
 	}
+}
+
+// TestLiveTraceWhileJobRuns holds a job in its mapper and reads the
+// collector through the /trace/ handler: while the job runs its tree is
+// served with status running and its attempt span, and the listing
+// names it; once it finishes both read succeeded.
+func TestLiveTraceWhileJobRuns(t *testing.T) {
+	c, err := cluster.NewUniform(2, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := dfs.New(c, dfs.Config{ChunkSize: 1 << 20, Replication: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := NewCollector(nil, 0)
+	e := mapreduce.NewEngine(c, fs, mapreduce.Options{Obs: obs.NewBus(col)})
+	if err := fs.Create("in/text", []byte("hold the line\n"), ""); err != nil {
+		t.Fatal(err)
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	job := wordCount
+	job.Name, job.InputPaths, job.OutputPath = "held", []string{"in"}, "out"
+	job.Mapper = func() mapreduce.TypedMapper[string, string, string, int64] {
+		return mapreduce.TypedMapFunc[string, string, string, int64](
+			func(_ *mapreduce.TaskContext, _, line string, emit mapreduce.TypedEmit[string, int64]) error {
+				once.Do(func() { close(started) })
+				<-release
+				emit(line, 1)
+				return nil
+			})
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.Run(job.Build())
+		done <- err
+	}()
+	select {
+	case <-started:
+	case err := <-done:
+		t.Fatalf("job ended before its mapper ran: %v", err)
+	}
+
+	h := TraceHandler("/trace/", col)
+	check := func(want string) {
+		t.Helper()
+		body, code := serve(t, h, "/trace/held")
+		var tr Tree
+		if err := json.Unmarshal([]byte(body), &tr); code != 200 || err != nil || tr.Root == nil {
+			t.Errorf("/trace/held -> %d %v: %.200s", code, err, body)
+			return
+		}
+		var att *Span
+		tr.Root.Walk(func(s *Span) {
+			if s.Kind == KindAttempt {
+				att = s
+			}
+		})
+		if tr.Root.Status != want || att == nil || att.Status != want {
+			t.Errorf("/trace/held: root %s, attempt %+v; want both %s", tr.Root.Status, att, want)
+		}
+		body, code = serve(t, h, "/trace/")
+		var list struct {
+			Traces []struct{ Root, Status string } `json:"traces"`
+		}
+		if err := json.Unmarshal([]byte(body), &list); code != 200 || err != nil {
+			t.Errorf("/trace/ -> %d %v: %.200s", code, err, body)
+			return
+		}
+		for _, r := range list.Traces {
+			if r.Root == "held" && r.Status == want {
+				return
+			}
+		}
+		t.Errorf("/trace/ listing has no %s root named held: %s", want, body)
+	}
+	check(StatusRunning)
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	check(StatusSucceeded)
 }

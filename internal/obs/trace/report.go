@@ -60,6 +60,9 @@ func WriteReport(w io.Writer, t *Tree, a *Analysis) {
 					p.Part, p.Records, p.Bytes)
 			}
 		}
+		if job := t.Root.Job(ja.Job); job != nil {
+			writeTimeline(w, job)
+		}
 	}
 }
 

@@ -12,34 +12,20 @@ import (
 	"repro/internal/obs"
 )
 
-// TraceDir is the directory trace trees are stored under, beside the
-// job history's "_history".
+// TraceDir is the directory trace trees are stored under.
 const TraceDir = "_trace"
 
-// Store persists assembled trace trees in an obs.FS (the simulated
-// DFS, a local mirror directory, or a tee of both), mirroring the
-// History store's layout and sequence numbering. Safe for concurrent
-// use.
+// Store persists assembled trace trees in an obs.FS (the simulated DFS
+// or a local mirror directory), one JSON file per tree, numbered so a
+// later process continues the sequence. Safe for concurrent use.
 type Store struct {
-	mu        sync.Mutex
-	fs        obs.FS
-	seq       int // next sequence number; 0 = not yet initialised
-	maxTraces int // 0 = unbounded
-
-	pruneErrs    int   // prune deletions that failed
-	lastPruneErr error // most recent prune failure
+	mu  sync.Mutex
+	fs  obs.FS
+	seq int // next sequence number; 0 = not yet initialised
 }
 
 // NewStore creates a trace store over the given backend.
 func NewStore(fs obs.FS) *Store { return &Store{fs: fs} }
-
-// SetMaxTraces bounds the store to the n most recent trees; each Save
-// beyond the bound deletes the oldest. n <= 0 means unbounded.
-func (s *Store) SetMaxTraces(n int) {
-	s.mu.Lock()
-	s.maxTraces = n
-	s.mu.Unlock()
-}
 
 // tracePath builds "_trace/000042-rootname.json".
 func tracePath(seq int, root string) string {
@@ -78,29 +64,7 @@ func (s *Store) Save(t *Tree) (string, error) {
 	if err := s.fs.Create(p, data, ""); err != nil {
 		return "", fmt.Errorf("trace: saving tree: %v", err)
 	}
-	if s.maxTraces > 0 {
-		paths := s.fs.List(TraceDir)
-		for len(paths) > s.maxTraces {
-			// A failed prune must not fail the save that triggered it
-			// (the next prune retries), but it is recorded for
-			// PruneErrors rather than dropped.
-			if err := s.fs.Delete(paths[0]); err != nil {
-				s.pruneErrs++
-				s.lastPruneErr = err
-			}
-			paths = paths[1:]
-		}
-	}
 	return p, nil
-}
-
-// PruneErrors reports how many prune deletions have failed so far and
-// the most recent failure, so a store that no longer honours its
-// maxTraces bound is observable.
-func (s *Store) PruneErrors() (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pruneErrs, s.lastPruneErr
 }
 
 // List returns every stored tree ordered by sequence number,

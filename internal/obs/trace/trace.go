@@ -1,7 +1,10 @@
 // Package trace assembles the obs event stream into causal span trees
 // — pipeline span → job → phase → task attempt, with per-partition
-// merge detail — persists them alongside the job history, and exports
-// Chrome trace_event JSON viewable in Perfetto or chrome://tracing.
+// merge detail. The span tree is the one model of a run: the Collector
+// serves it while the run executes, the Store persists it, and the
+// same tree drives the bottleneck report, the per-node attempt
+// timeline and the Chrome trace_event export (viewable in Perfetto or
+// chrome://tracing).
 //
 // On top of the assembled tree it implements the analysis passes the
 // paper's evaluation (§V) performs by hand: the critical path through

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -211,7 +212,6 @@ func TestCollectorFinalizesAndDropsLateEvents(t *testing.T) {
 
 func TestStoreRoundTripAndRetention(t *testing.T) {
 	st := NewStore(obs.NewDirFS(t.TempDir()))
-	st.SetMaxTraces(2)
 	for _, evs := range [][]obs.Event{fixtureEvents(), fixtureEvents(), fixtureEvents()} {
 		for _, tr := range Assemble(evs) {
 			if _, err := st.Save(tr); err != nil {
@@ -223,14 +223,12 @@ func TestStoreRoundTripAndRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(trees) != 2 {
-		t.Fatalf("retained trees: %d, want 2", len(trees))
-	}
-	if trees[0].Seq != 2 || trees[1].Seq != 3 {
-		t.Errorf("retained seqs = %d,%d; want 2,3 (oldest pruned)", trees[0].Seq, trees[1].Seq)
+	// The store keeps every tree it saved, numbered in save order.
+	if len(trees) != 3 || trees[0].Seq != 1 || trees[2].Seq != 3 {
+		t.Fatalf("stored trees: %d, want seqs 1..3", len(trees))
 	}
 	// The round-tripped tree is structurally intact.
-	got := trees[1]
+	got := trees[2]
 	if got.Root.Name != "pipe" || got.Root.Job("job-a") == nil {
 		t.Fatalf("round-tripped tree lost structure: %+v", got.Root)
 	}
@@ -245,6 +243,31 @@ func TestStoreRoundTripAndRetention(t *testing.T) {
 	}
 	if _, ok := st.Find("nope"); ok {
 		t.Error("store Find matched a missing key")
+	}
+}
+
+// failFS is an obs.FS whose every write fails.
+type failFS struct{}
+
+func (failFS) Create(string, []byte, string) error { return errors.New("disk full") }
+func (failFS) List(string) []string                { return nil }
+func (failFS) ReadAll(p string) ([]byte, error)    { return nil, fmt.Errorf("%s: no such file", p) }
+
+func TestCollectorCountsSaveErrors(t *testing.T) {
+	c := NewCollector(NewStore(failFS{}), 0)
+	bus := obs.NewBus(c)
+	for _, e := range fixtureEvents() {
+		bus.Emit(e)
+	}
+	bus.Emit(obs.Event{Type: obs.JobSubmitted, Time: at(10000), Job: "solo"})
+	bus.Emit(obs.Event{Type: obs.JobFinished, Time: at(11000), Job: "solo"})
+	n, err := c.SaveErrors()
+	if n != 2 || err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("SaveErrors() = %d, %v; want 2 failures naming the cause", n, err)
+	}
+	// A tree the store could not write is still served from memory.
+	if _, ok := c.Find("solo"); !ok {
+		t.Error("unsaved tree not findable")
 	}
 }
 
@@ -410,6 +433,7 @@ func TestWriteReportMentionsEverySection(t *testing.T) {
 	for _, want := range []string{
 		"job job-a", "critical path", "map", "shuffle skew",
 		"stragglers", "map-0001/0", "lost to backup", "HOT p0002",
+		"job-a — 3 map / 2 reduce tasks", "n1 |", "legend:",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
@@ -422,9 +446,8 @@ func TestHTTPHandlers(t *testing.T) {
 	for _, e := range fixtureEvents() {
 		c.Emit(e)
 	}
-	src := Multi(nil, c)
 	// TraceHandler serves the tree and the chrome form.
-	th := TraceHandler("/trace/", src)
+	th := TraceHandler("/trace/", c)
 	body, code := serve(t, th, "/trace/pipe")
 	if code != 200 || !strings.Contains(body, `"kind": "pipeline"`) {
 		t.Errorf("trace endpoint: code=%d body=%.120s", code, body)
@@ -440,7 +463,7 @@ func TestHTTPHandlers(t *testing.T) {
 		t.Errorf("missing trace: code=%d", code)
 	}
 	// AnalyzeHandler serves JSON and text, honouring factor overrides.
-	ah := AnalyzeHandler("/analyze/", src, Options{})
+	ah := AnalyzeHandler("/analyze/", c, Options{})
 	body, code = serve(t, ah, "/analyze/job-a")
 	if code != 200 || !strings.Contains(body, `"stragglers"`) {
 		t.Errorf("analyze endpoint: code=%d body=%.120s", code, body)
@@ -448,5 +471,117 @@ func TestHTTPHandlers(t *testing.T) {
 	body, code = serve(t, ah, "/analyze/job-a?format=text&slow=100")
 	if code != 200 || strings.Contains(body, "stragglers (>") {
 		t.Errorf("analyze text with slow=100 still flags stragglers: %.200s", body)
+	}
+}
+
+// attempt is one row of a timeline fixture, in milliseconds from the
+// job's start.
+type attempt struct {
+	phase, task    string
+	n              int
+	node           string
+	startMs, endMs int64
+	status         string
+}
+
+// jobSpan builds a job span of the given wall holding the attempts
+// under their phases.
+func jobSpan(name string, wallMs int64, atts ...attempt) *Span {
+	job := &Span{Kind: KindJob, Name: name, Status: StatusSucceeded, EndUs: wallMs * 1000}
+	phases := map[string]*Span{}
+	for _, a := range atts {
+		p := phases[a.phase]
+		if p == nil {
+			p = &Span{Kind: KindPhase, Name: a.phase, Status: StatusSucceeded}
+			phases[a.phase] = p
+			job.Children = append(job.Children, p)
+		}
+		p.Children = append(p.Children, &Span{Kind: KindAttempt, Name: a.task, Attempt: a.n, Node: a.node,
+			Status: a.status, StartUs: a.startMs * 1000, EndUs: a.endMs * 1000})
+	}
+	return job
+}
+
+func timeline(job *Span) string {
+	var sb strings.Builder
+	writeTimeline(&sb, job)
+	return sb.String()
+}
+
+func TestTimeline(t *testing.T) {
+	out := timeline(jobSpan("demo", 100,
+		attempt{"map", "map-0000", 0, "node-1", 0, 60, StatusSucceeded},
+		attempt{"map", "map-0001", 0, "node-2", 0, 30, StatusFailed},
+		attempt{"map", "map-0001", 1, "node-1", 30, 90, StatusSucceeded},
+		attempt{"reduce", "reduce-0000", 0, "node-2", 60, 100, StatusKilled},
+	))
+	for _, want := range []string{
+		"job demo — 2 map / 1 reduce tasks",
+		"node-1 |",
+		"node-2 |",
+		"legend:",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("timeline missing %q:\n%s", want, out)
+		}
+	}
+	// Failed and killed attempts use their own fill characters.
+	if !strings.Contains(out, "x") {
+		t.Error("no failed-attempt marks in timeline")
+	}
+	if !strings.Contains(out, "~") {
+		t.Error("no killed-attempt marks in timeline")
+	}
+	// Overlapping attempts on one node must stack onto separate lanes:
+	// node-1 runs map-0000 (0-60) and map-0001/1 (30-90) concurrently.
+	if n := strings.Count(out, "node-1 |"); n != 2 {
+		t.Errorf("node-1 has %d lanes, want 2:\n%s", n, out)
+	}
+	if empty := timeline(jobSpan("none", 0)); !strings.Contains(empty, "no attempt records") {
+		t.Errorf("empty job render: %q", empty)
+	}
+}
+
+// TestTimelineFailedAndSpeculative pins down the exact lane layout of
+// a retry-plus-speculation story: map-0001 fails on node-b, retries on
+// node-a, is speculated on node-c, and the backup loses.
+func TestTimelineFailedAndSpeculative(t *testing.T) {
+	out := timeline(jobSpan("retry", 200,
+		attempt{"map", "map-0000", 0, "node-a", 0, 40, StatusSucceeded},
+		attempt{"map", "map-0001", 0, "node-b", 0, 50, StatusFailed},
+		attempt{"map", "map-0001", 1, "node-a", 60, 200, StatusSucceeded},
+		attempt{"map", "map-0001", 2, "node-c", 120, 180, StatusKilled},
+	))
+	lines := strings.Split(out, "\n")
+
+	laneFor := func(node, marker string) string {
+		t.Helper()
+		for _, ln := range lines {
+			if strings.HasPrefix(ln, node+" ") && strings.Contains(ln, marker) {
+				return ln
+			}
+		}
+		t.Fatalf("no %s lane containing %q:\n%s", node, marker, out)
+		return ""
+	}
+	// The failed attempt renders with 'x' fill and its task/attempt label.
+	failed := laneFor("node-b", "x")
+	if !strings.Contains(failed, "map-0001/0") {
+		t.Errorf("failed attempt lane missing label: %q", failed)
+	}
+	// The killed speculative backup renders with '~' fill on its node.
+	killed := laneFor("node-c", "~")
+	if !strings.Contains(killed, "map-0001/2") {
+		t.Errorf("killed backup lane missing label: %q", killed)
+	}
+	// node-a's two attempts don't overlap, so they share a single lane.
+	if n := strings.Count(out, "node-a |"); n != 1 {
+		t.Errorf("node-a has %d lanes, want 1 (attempts are disjoint):\n%s", n, out)
+	}
+	if !strings.Contains(out, "wall 200ms") {
+		t.Errorf("header missing wall time:\n%s", out)
+	}
+	if !strings.Contains(out, "legend: = succeeded   x failed   ~ speculative loser (killed)") {
+		t.Errorf("legend missing:\n%s", out)
 	}
 }

@@ -12,9 +12,11 @@
 #
 # Leg 1 also exercises the observability plane: the jobtracker serves
 # its status server with -linger, and the script scrapes /cluster,
-# /metrics (federated per-worker series) and the live worker table,
-# then renders the clock-aligned Chrome trace via `gepeto analyze`.
-# Set ARTIFACT_DIR to keep the trace + scrapes (CI uploads them).
+# /metrics (federated per-worker series), the /trace/ listing and the
+# live worker table, then renders the report (with its per-node
+# attempt timelines) and the clock-aligned Chrome trace via `gepeto
+# analyze`. Set ARTIFACT_DIR to keep the trace + scrapes (CI uploads
+# them).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -87,6 +89,7 @@ echo "== scraping the lingering status server on $status_addr"
 curl -fsS "http://$status_addr/cluster" >"$workdir/cluster.txt"
 curl -fsS "http://$status_addr/cluster.json" >"$workdir/cluster.json"
 curl -fsS "http://$status_addr/metrics" >"$workdir/metrics.txt"
+curl -fsS "http://$status_addr/trace/" >"$workdir/traces.json"
 "$workdir/gepeto" cluster -status "$status_addr" >"$workdir/cluster_cli.txt"
 
 echo "== asserting the cluster view"
@@ -112,6 +115,13 @@ if ! cmp -s "$workdir/cluster.txt" "$workdir/cluster_cli.txt"; then
             exit 1
         fi
     done
+fi
+
+echo "== asserting the live trace listing"
+if ! grep -q '"root": "kmeans:' "$workdir/traces.json"; then
+    echo "FAIL: /trace/ does not list the kmeans run" >&2
+    cat "$workdir/traces.json" >&2
+    exit 1
 fi
 
 echo "== asserting federated per-worker metrics"
@@ -141,6 +151,13 @@ if ! grep -q "rpc overhead:" "$workdir/analyze.txt"; then
     cat "$workdir/analyze.txt" >&2
     exit 1
 fi
+for node in node-00 node-02; do
+    if ! grep -q "^$node *|" "$workdir/analyze.txt"; then
+        echo "FAIL: analyze report has no timeline lane for $node" >&2
+        cat "$workdir/analyze.txt" >&2
+        exit 1
+    fi
+done
 if ! grep -q "(worker)" "$workdir/trace.json"; then
     echo "FAIL: Chrome trace has no worker-side exec lanes" >&2
     exit 1
@@ -149,7 +166,7 @@ fi
 if [ -n "${ARTIFACT_DIR:-}" ]; then
     mkdir -p "$ARTIFACT_DIR"
     cp "$workdir/trace.json" "$workdir/analyze.txt" "$workdir/cluster.txt" \
-       "$workdir/cluster.json" "$workdir/metrics.txt" "$ARTIFACT_DIR/"
+       "$workdir/cluster.json" "$workdir/metrics.txt" "$workdir/traces.json" "$ARTIFACT_DIR/"
 fi
 
 echo "== ending the linger"
@@ -196,4 +213,4 @@ if ! diff -u "$workdir/pois_expected.txt" "$workdir/pois_actual.txt"; then
     echo "FAIL: multi-process POIs differ from in-process run" >&2
     exit 1
 fi
-echo "PASS: centroids and POIs byte-identical across backends, cluster view + federated metrics + clock-aligned trace verified"
+echo "PASS: centroids and POIs byte-identical across backends, cluster view + federated metrics + trace listing + clock-aligned trace and timelines verified"
