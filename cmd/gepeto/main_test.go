@@ -213,6 +213,45 @@ func captureStdout(t *testing.T, f func() error) string {
 	return string(data)
 }
 
+// A cluster command's run history survives the process: -historydir
+// mirrors its trace, and analyze reads it back by job name, by
+// sequence number and as JSON.
+func TestCLIHistoryRoundTrip(t *testing.T) {
+	chdir(t)
+	// An empty store is not an error — just a hint.
+	if err := cmdAnalyze(nil); err != nil {
+		t.Fatalf("analyze over empty dir: %v", err)
+	}
+	if err := cmdGenerate([]string{"-users", "2", "-traces", "6000", "-out", "data"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdSample([]string{"-in", "data", "-out", "sampled", "-chunk", "1"}); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(defaultHistoryDir, "_trace", "*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no mirrored trace files: %v %v", files, err)
+	}
+	if !strings.Contains(files[0], "sampling") {
+		t.Errorf("trace file %q does not name the job", files[0])
+	}
+	if list := captureStdout(t, func() error { return cmdAnalyze(nil) }); !strings.Contains(list, "sampling") {
+		t.Errorf("trace listing missing the sampling run:\n%s", list)
+	}
+	for _, args := range [][]string{
+		{"sampling"},          // by job name
+		{"1"},                 // by sequence number
+		{"-json", "sampling"}, // JSON dump
+	} {
+		if out := captureStdout(t, func() error { return cmdAnalyze(args) }); !strings.Contains(out, "sampling") {
+			t.Errorf("analyze %v does not show the sampling job:\n%s", args, out)
+		}
+	}
+	if err := cmdAnalyze([]string{"no-such-job"}); err == nil {
+		t.Fatal("analyze of unknown job should error")
+	}
+}
+
 func TestCLIAnalyzeKMeansRun(t *testing.T) {
 	chdir(t)
 	// An empty trace store is a hint, not an error.
