@@ -51,9 +51,8 @@ type WorkerConfig struct {
 	// HeartbeatEvery is the heartbeat period (default 250ms; keep it
 	// well under the jobtracker's grace).
 	HeartbeatEvery time.Duration
-	// TaskOverhead sleeps before each task attempt — the remote analog
-	// of mapreduce.Options.TaskOverhead, used to stretch runs so fault
-	// drills (kill a worker mid-job) land mid-phase reliably.
+	// TaskOverhead sleeps before each task attempt, stretching runs so
+	// fault drills (kill a worker mid-job) land mid-phase reliably.
 	TaskOverhead time.Duration
 	// Registry receives this worker's telemetry (RPC client/server
 	// metrics, task counters, retry counters); one is created when

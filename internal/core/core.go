@@ -39,8 +39,6 @@ type ClusterConfig struct {
 	ChunkSize int64
 	// Replication is the DFS replication factor (default 3).
 	Replication int
-	// TaskOverhead simulates per-task scheduling cost.
-	TaskOverhead time.Duration
 	// Seed drives replica placement.
 	Seed int64
 	// Obs, if set, receives the engine's structured lifecycle events
@@ -101,7 +99,7 @@ func NewToolkit(cfg ClusterConfig) (*Toolkit, error) {
 		return nil, fmt.Errorf("core: %v", err)
 	}
 	hist := &obs.History{}
-	opts := mapreduce.Options{TaskOverhead: cfg.TaskOverhead, Obs: cfg.Obs, History: hist}
+	opts := mapreduce.Options{Obs: cfg.Obs, History: hist}
 	if cfg.Executor != nil {
 		opts.Executor = cfg.Executor(c, fs)
 	}

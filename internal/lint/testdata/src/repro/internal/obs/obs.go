@@ -16,7 +16,6 @@ const (
 	JobFinished      EventType = "job_finished"
 	PhaseStart       EventType = "phase_start"
 	PhaseEnd         EventType = "phase_end"
-	TaskScheduled    EventType = "task_scheduled"
 	AttemptStarted   EventType = "attempt_started"
 	AttemptSucceeded EventType = "attempt_succeeded"
 	AttemptFailed    EventType = "attempt_failed"

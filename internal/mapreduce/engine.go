@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,10 +14,6 @@ import (
 
 // Options configures the engine.
 type Options struct {
-	// TaskOverhead is a simulated per-task startup cost (scheduling,
-	// JVM spawn in real Hadoop). Zero disables it. Only the in-process
-	// executor applies it; remote workers have real startup costs.
-	TaskOverhead time.Duration
 	// FailureHook, if set, is consulted before each task attempt; a
 	// non-nil return fails the attempt, exercising the jobtracker's
 	// retry-on-another-node path. Used by tests for fault injection.
@@ -29,9 +24,10 @@ type Options struct {
 	// backup attempt is launched on another node and the first to
 	// finish wins (Hadoop's straggler mitigation). Zero disables it.
 	SpeculativeSlack time.Duration
-	// NodeDelay, if set, returns an artificial execution delay for
-	// tasks on the given node, modelling heterogeneous or straggling
-	// nodes (used by tests to exercise speculation).
+	// NodeDelay, if set, delays the start of every attempt on the given
+	// node, modelling heterogeneous or straggling nodes (used by tests
+	// to exercise speculation); the delay ends early when the attempt's
+	// phase is decided. In-process executor only.
 	NodeDelay func(node string) time.Duration
 	// Executor, if set, runs task attempts — the RPC backend plugs its
 	// remote executor in here. Nil selects the in-process executor,
@@ -72,27 +68,6 @@ func (e *Engine) Cluster() *cluster.Cluster { return e.cluster }
 // Obs returns the engine's event bus (possibly nil), so algorithm
 // drivers can emit pipeline spans onto the same trace.
 func (e *Engine) Obs() *obs.Bus { return e.opts.Obs }
-
-// attemptLog collects per-attempt records during scheduling.
-type attemptLog struct {
-	mu   sync.Mutex
-	t0   time.Time
-	recs []obs.AttemptRecord
-}
-
-func (l *attemptLog) add(rec obs.AttemptRecord) {
-	l.mu.Lock()
-	l.recs = append(l.recs, rec)
-	l.mu.Unlock()
-}
-
-// snapshot copies the records under the lock: abandoned speculative
-// losers may still append after the job has returned.
-func (l *attemptLog) snapshot() []obs.AttemptRecord {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]obs.AttemptRecord(nil), l.recs...)
-}
 
 // runSeq numbers Engine.Run calls process-wide; see TaskSpec.Run.
 var runSeq atomic.Uint64
@@ -141,7 +116,6 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 		Start:    start,
 	}
 	bus := e.opts.Obs
-	alog := &attemptLog{t0: start}
 	io0 := e.fs.IOStats()
 	bus.Emit(obs.Event{
 		Type: obs.JobSubmitted, Job: job.Name, Parent: job.Parent, Time: start,
@@ -179,20 +153,23 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 		return nil, err
 	}
 	// runPhase schedules one phase's tasks between its PhaseStart and
-	// PhaseEnd events — the phase is closed even on failure: an
-	// unpaired PhaseStart reads as a still-running phase in the span
-	// tree. Only the winning attempt's result is committed —
-	// counters, stats and output alike (speculative losers are
-	// discarded).
-	runPhase := func(phase string, specs []TaskSpec, reports []TaskReport, commit func(i int, tr TaskResult)) (time.Duration, error) {
+	// PhaseEnd events — closed even on failure: an unpaired PhaseStart
+	// reads as a still-running phase in the span tree. Only the winning
+	// attempt's result is committed, counters, stats and output alike.
+	runPhase := func(name string, specs []TaskSpec, reports []TaskReport, commit func(i int, tr TaskResult)) (time.Duration, error) {
 		t0 := time.Now()
-		bus.Emit(obs.Event{Type: obs.PhaseStart, Job: job.Name, Phase: phase, Time: t0})
-		err := e.schedule(job, phase, alog, specs, maxAttempts, res.Counters, exec, func(i int, tr TaskResult) {
-			mergeUserCounters(res.Counters, tr.UserCounters)
-			reports[i].Records = tr.Records
-			commit(i, tr)
-		}, reports)
-		end := obs.Event{Type: obs.PhaseEnd, Job: job.Name, Phase: phase, Dur: time.Since(t0)}
+		bus.Emit(obs.Event{Type: obs.PhaseStart, Job: job.Name, Phase: name, Time: t0})
+		p := &phase{
+			e: e, job: job, name: name, specs: specs, maxAttempts: maxAttempts, exec: exec, res: res,
+			commit: func(i int, tr TaskResult, rep TaskReport) {
+				mergeUserCounters(res.Counters, tr.UserCounters)
+				rep.Records = tr.Records
+				reports[i] = rep
+				commit(i, tr)
+			},
+		}
+		err := p.run()
+		end := obs.Event{Type: obs.PhaseEnd, Job: job.Name, Phase: name, Dur: time.Since(t0)}
 		if err != nil {
 			end.Err = err.Error()
 			err = fmt.Errorf("mapreduce: job %s: %v", job.Name, err)
@@ -201,9 +178,8 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 		return end.Dur, err
 	}
 	// commitOutputs renames each task's winning temp file into place as
-	// a part file, then finalises the successful result: attempt
-	// records, the job's share of DFS I/O, the finish event, and the
-	// history record.
+	// a part file, then finalises the successful result: the job's
+	// share of DFS I/O, the finish event, and the history record.
 	commitOutputs := func(kind string, temps []string) (*Result, error) {
 		for i, tmp := range temps {
 			name := fmt.Sprintf("%s/part-%s-%05d", job.OutputPath, kind, i)
@@ -218,7 +194,6 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 		res.Counters.Get(CounterGroupDFS, CounterDFSBytesRead).Inc(io1.BytesRead - io0.BytesRead)
 		res.Counters.Get(CounterGroupDFS, CounterDFSBytesWritten).Inc(io1.BytesWritten - io0.BytesWritten)
 		res.Counters.Get(CounterGroupDFS, CounterDFSChunksRead).Inc(io1.ChunksRead - io0.ChunksRead)
-		res.Attempts = alog.snapshot()
 		bus.Emit(obs.Event{
 			Type: obs.JobFinished, Job: job.Name, Parent: job.Parent, Dur: res.Wall,
 		})

@@ -1097,11 +1097,80 @@ func TestSecondBackupAfterFailedBackup(t *testing.T) {
 	time.Sleep(250 * time.Millisecond)
 }
 
+func TestTaskReportCountsLaunchedAttempts(t *testing.T) {
+	// The primary straggles and wins after both speculative backups
+	// failed fast: the task used three attempts, two of them failed.
+	c, _ := cluster.NewUniform(3, 1, 1)
+	fs, _ := dfs.New(c, dfs.Config{ChunkSize: 1 << 20, Replication: 3, Seed: 1})
+	e := NewEngine(c, fs, Options{
+		SpeculativeSlack: 10 * time.Millisecond,
+		FailureHook: func(_ string, attempt int, _ string) error {
+			if attempt == 0 {
+				time.Sleep(150 * time.Millisecond)
+				return nil
+			}
+			return fmt.Errorf("backup %d dies", attempt)
+		},
+	})
+	writeInput(t, e, "in/f", "x\n")
+	res, err := e.Run(build(strJob{
+		Name:       "report-attempts",
+		InputPaths: []string{"in/f"},
+		OutputPath: "out",
+		Mapper:     func() strMapper { return wordMapper{} },
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Counters.Value(CounterGroupScheduler, CounterSpeculativeLaunched); n != 2 {
+		t.Fatalf("speculative_launched = %d, want 2 failed backups", n)
+	}
+	for _, tr := range res.Tasks {
+		if tr.Attempts < tr.FailedAttempts+1 {
+			t.Errorf("task %s: Attempts = %d with %d failed; the winner is one more", tr.ID, tr.Attempts, tr.FailedAttempts)
+		}
+	}
+}
+
+func TestRetryUnderSpeculationIsNotDelayed(t *testing.T) {
+	// The only task's first attempt fails after 20ms; the other node's
+	// idle slot must take the retry at once, not on a speculation poll.
+	c, _ := cluster.NewUniform(2, 1, 1)
+	fs, _ := dfs.New(c, dfs.Config{ChunkSize: 1 << 20, Replication: 2, Seed: 1})
+	e := NewEngine(c, fs, Options{
+		SpeculativeSlack: time.Second,
+		FailureHook: func(_ string, attempt int, _ string) error {
+			if attempt == 0 {
+				time.Sleep(20 * time.Millisecond)
+				return fmt.Errorf("first attempt dies")
+			}
+			return nil
+		},
+	})
+	writeInput(t, e, "in/f", "x\n")
+	res, err := e.Run(build(strJob{
+		Name:       "quick-retry",
+		InputPaths: []string{"in/f"},
+		OutputPath: "out",
+		Mapper:     func() strMapper { return wordMapper{} },
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Tasks[0].FailedAttempts != 1 {
+		t.Fatalf("failed attempts = %d, want 1", res.Tasks[0].FailedAttempts)
+	}
+	if res.Wall >= 100*time.Millisecond {
+		t.Errorf("wall %v: the retry waited for the speculation poll", res.Wall)
+	}
+}
+
 func TestAttemptRecordsStableAfterRunReturns(t *testing.T) {
 	// Run returns as soon as every task has a winner; an abandoned
-	// speculative loser may still be executing and will append its
-	// attempt record afterwards. res.Attempts must be a snapshot that
-	// the caller can read while the loser drains (-race regression).
+	// speculative loser may still be executing. Its kill was recorded
+	// at the win, so res.Attempts is final: the caller can read it
+	// while the loser drains, and the loser touches none of it
+	// (-race regression).
 	c, _ := cluster.NewUniform(3, 1, 1)
 	fs, _ := dfs.New(c, dfs.Config{ChunkSize: 1 << 20, Replication: 3, Seed: 1})
 	e := NewEngine(c, fs, Options{
@@ -1136,7 +1205,7 @@ func TestAttemptRecordsStableAfterRunReturns(t *testing.T) {
 			t.Fatal("empty attempt record")
 		}
 	}
-	time.Sleep(150 * time.Millisecond) // let the loser record its kill
+	time.Sleep(150 * time.Millisecond) // let the loser finish
 	for _, a := range res.Attempts {
 		if a.Status == "" {
 			t.Fatal("attempt record mutated after return")
@@ -1209,11 +1278,11 @@ func TestResultReportJSON(t *testing.T) {
 	}
 }
 
-func TestTaskOverheadSlowsJobs(t *testing.T) {
-	mk := func(overhead time.Duration) time.Duration {
+func TestNodeDelaySlowsJobs(t *testing.T) {
+	mk := func(delay time.Duration) time.Duration {
 		c, _ := cluster.NewUniform(2, 1, 1)
 		fs, _ := dfs.New(c, dfs.Config{ChunkSize: 1 << 20, Replication: 2, Seed: 1})
-		e := NewEngine(c, fs, Options{TaskOverhead: overhead})
+		e := NewEngine(c, fs, Options{NodeDelay: func(string) time.Duration { return delay }})
 		if err := fs.Create("in/f", []byte("x\n"), ""); err != nil {
 			t.Fatal(err)
 		}
@@ -1231,10 +1300,10 @@ func TestTaskOverheadSlowsJobs(t *testing.T) {
 	fast := mk(0)
 	slow := mk(50 * time.Millisecond)
 	if slow < 50*time.Millisecond {
-		t.Fatalf("overhead not applied: wall %v", slow)
+		t.Fatalf("node delay not applied: wall %v", slow)
 	}
 	if slow <= fast {
-		t.Fatalf("overhead did not slow the job: %v vs %v", slow, fast)
+		t.Fatalf("node delay did not slow the job: %v vs %v", slow, fast)
 	}
 }
 

@@ -9,10 +9,7 @@
 
 package mapreduce
 
-import (
-	"context"
-	"time"
-)
+import "context"
 
 // TaskSpec is everything an executor needs to run one task attempt.
 // Exactly one of Split (map) or Partition+Runs (reduce) is meaningful,
@@ -101,26 +98,27 @@ type Executor interface {
 
 // localExecutor is the in-process backend: a worker whose store is the
 // engine's own file system and whose transport is a function call —
-// plus the test hooks (failure injection, simulated task overhead)
-// only it applies.
+// plus the test hooks (node delay, failure injection) only it applies.
 type localExecutor struct{ e *Engine }
 
 func (x localExecutor) External() bool { return false }
 
 func (x localExecutor) RunTask(ctx context.Context, spec TaskSpec) (TaskResult, error) {
+	e := x.e
+	if e.opts.NodeDelay != nil {
+		delay, stop := context.WithTimeout(ctx, e.opts.NodeDelay(spec.Node))
+		<-delay.Done()
+		stop()
+	}
 	if err := ctx.Err(); err != nil {
 		// The phase was decided while this attempt waited on its node
 		// (a speculative loser): nothing it produces can be committed.
 		return TaskResult{}, err
 	}
-	e := x.e
 	if e.opts.FailureHook != nil {
 		if ferr := e.opts.FailureHook(spec.TaskID, spec.Attempt, spec.Node); ferr != nil {
 			return TaskResult{}, ferr
 		}
-	}
-	if e.opts.TaskOverhead > 0 {
-		time.Sleep(e.opts.TaskOverhead)
 	}
 	return executeTask(e.fs, spec, false)
 }

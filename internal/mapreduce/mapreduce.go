@@ -310,7 +310,7 @@ type TaskReport struct {
 	ID string
 	// Node is where the successful attempt ran.
 	Node string
-	// Attempts is the number of attempts used (1 = first try).
+	// Attempts counts the attempts launched for the task (1 = first try).
 	Attempts int
 	// Locality is "data-local", "rack-local" or "off-rack" for map
 	// tasks; "" for reduce tasks.

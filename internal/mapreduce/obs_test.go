@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/dfs"
 	"repro/internal/obs"
+	"repro/internal/obs/trace"
 )
 
 // newObservedEngine is newTestEngine plus an attached event recorder
@@ -106,11 +108,8 @@ func TestEngineEventLifecycle(t *testing.T) {
 	if got := len(rec.ByType(obs.AttemptSucceeded)); got != tasks {
 		t.Errorf("AttemptSucceeded events: %d, want %d", got, tasks)
 	}
-	if got := len(rec.ByType(obs.TaskScheduled)); got != tasks {
-		t.Errorf("TaskScheduled events: %d, want %d (no retries)", got, tasks)
-	}
 	if got := len(rec.ByType(obs.AttemptStarted)); got != tasks {
-		t.Errorf("AttemptStarted events: %d, want %d", got, tasks)
+		t.Errorf("AttemptStarted events: %d, want %d (no retries)", got, tasks)
 	}
 
 	// The result carries one attempt record per task, all succeeded.
@@ -201,8 +200,8 @@ func TestRetryPopulatesFailureEventsAndReport(t *testing.T) {
 	if fails[0].Task != "map-0000" || fails[0].Attempt != 0 || !strings.Contains(fails[0].Err, "injected failure") {
 		t.Errorf("failure event: %+v", fails[0])
 	}
-	if got := len(rec.ByType(obs.TaskScheduled)); got != 2 {
-		t.Errorf("TaskScheduled events: %d, want 2 (original + retry)", got)
+	if got := len(rec.ByType(obs.AttemptStarted)); got != 2 {
+		t.Errorf("AttemptStarted events: %d, want 2 (original + retry)", got)
 	}
 
 	// Satellite: the winning report records the failed attempt.
@@ -226,23 +225,43 @@ func TestRetryPopulatesFailureEventsAndReport(t *testing.T) {
 	}
 }
 
+// stragglingPrimary is a FailureHook for a one-task job whose first
+// attempt straggles for d and then fails, so a speculative backup
+// launched meanwhile wins deterministically. The returned wait blocks
+// until a straggler that started has given up, so it does not outlive
+// its test.
+func stragglingPrimary(d time.Duration) (hook func(string, int, string) error, wait func()) {
+	var started atomic.Bool
+	done := make(chan struct{})
+	hook = func(_ string, attempt int, _ string) error {
+		if attempt != 0 {
+			return nil
+		}
+		started.Store(true)
+		defer close(done)
+		time.Sleep(d)
+		return errors.New("straggler gave up")
+	}
+	return hook, func() {
+		if started.Load() {
+			<-done
+		}
+	}
+}
+
 func TestSpeculativeKillEventsFireOncePerLoser(t *testing.T) {
-	// One slow node forces backup attempts; every losing attempt must
-	// produce exactly one AttemptKilled event, matching the
-	// speculative_wasted counter.
+	// A straggling primary forces a backup attempt; every losing
+	// attempt must produce exactly one AttemptKilled event, matching
+	// the speculative_wasted counter.
 	c, _ := cluster.NewUniform(3, 1, 1)
-	slowNode := c.Nodes()[0].ID
 	fs, _ := dfs.New(c, dfs.Config{ChunkSize: 1 << 20, Replication: 3, Seed: 1})
 	rec := &obs.Recorder{}
+	hook, drained := stragglingPrimary(120 * time.Millisecond)
+	defer drained()
 	e := NewEngine(c, fs, Options{
 		SpeculativeSlack: 10 * time.Millisecond,
-		NodeDelay: func(node string) time.Duration {
-			if node == slowNode {
-				return 120 * time.Millisecond
-			}
-			return 0
-		},
-		Obs: obs.NewBus(rec),
+		FailureHook:      hook,
+		Obs:              obs.NewBus(rec),
 	})
 	writeInput(t, e, "in/f", "x\n")
 	res, err := e.Run(build(strJob{
@@ -256,6 +275,9 @@ func TestSpeculativeKillEventsFireOncePerLoser(t *testing.T) {
 	}
 
 	wasted := res.Counters.Value(CounterGroupScheduler, CounterSpeculativeWasted)
+	if wasted < 1 {
+		t.Fatalf("speculative_wasted = %d at return, want >= 1", wasted)
+	}
 	kills := rec.ByType(obs.AttemptKilled)
 	if int64(len(kills)) != wasted {
 		t.Fatalf("AttemptKilled events: %d, speculative_wasted counter: %d", len(kills), wasted)
@@ -279,6 +301,66 @@ func TestSpeculativeKillEventsFireOncePerLoser(t *testing.T) {
 	if int64(killedRecs) != wasted {
 		t.Errorf("killed attempt records: %d, want %d", killedRecs, wasted)
 	}
+}
+
+func TestKillsAreFinalAtReturn(t *testing.T) {
+	// The backup wins while the primary straggles: by the time Run
+	// returns — no waiting — the loser is counted, recorded and traced
+	// as killed, and nothing of it lands afterwards.
+	c, _ := cluster.NewUniform(2, 1, 1)
+	fs, _ := dfs.New(c, dfs.Config{ChunkSize: 1 << 20, Replication: 2, Seed: 1})
+	rec := &obs.Recorder{}
+	col := trace.NewCollector(nil, 0)
+	hook, drained := stragglingPrimary(120 * time.Millisecond)
+	defer drained()
+	e := NewEngine(c, fs, Options{
+		SpeculativeSlack: 10 * time.Millisecond,
+		FailureHook:      hook,
+		Obs:              obs.NewBus(rec, col),
+	})
+	writeInput(t, e, "in/f", "x\n")
+	res, err := e.Run(build(strJob{
+		Name:       "kill-final",
+		InputPaths: []string{"in/f"},
+		OutputPath: "out",
+		Mapper:     func() strMapper { return wordMapper{} },
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Counters.Value(CounterGroupScheduler, CounterSpeculativeWasted); n != 1 {
+		t.Errorf("speculative_wasted = %d at return, want 1", n)
+	}
+	var killed int
+	for _, a := range res.Attempts {
+		if a.Status == "killed" {
+			killed++
+		}
+	}
+	if killed != 1 {
+		t.Errorf("killed attempt records at return: %d, want 1 (%+v)", killed, res.Attempts)
+	}
+	killAt, finishAt := -1, -1
+	for i, ev := range rec.Events() {
+		switch ev.Type {
+		case obs.AttemptKilled:
+			killAt = i
+		case obs.JobFinished:
+			finishAt = i
+		}
+	}
+	if killAt < 0 || finishAt < 0 || killAt > finishAt {
+		t.Errorf("AttemptKilled at event %d, JobFinished at %d: want the kill first", killAt, finishAt)
+	}
+	tree, ok := col.Find("kill-final")
+	if !ok {
+		t.Fatal("no trace for the job")
+	}
+	tree.Root.Walk(func(s *trace.Span) {
+		if s.Kind == trace.KindAttempt && s.Status == trace.StatusRunning {
+			t.Errorf("attempt %s/%d on %s still running in the finished trace", s.Name, s.Attempt, s.Node)
+		}
+	})
 }
 
 func TestCountersConcurrentAccess(t *testing.T) {

@@ -1,404 +1,409 @@
-// The scheduler layer: one task per spec placed across the cluster's
-// slots with locality preference, retried on failure, speculatively
-// duplicated on stragglers. It is transport-agnostic — every attempt
-// is a single exec.RunTask call, whether that runs a goroutine or
-// ships the task to a worker process.
+// The scheduler layer: a phase decides every attempt's fate — launch,
+// win, failure, retry, kill — under one lock, so when it returns its
+// share of the Result is final and an abandoned attempt whose RunTask
+// returns later touches nothing. Every attempt is one Executor.RunTask
+// call, whether that runs a goroutine or ships the task to a worker.
 
 package mapreduce
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// schedule runs one task per spec across the cluster's slots. Tasks
-// with preferred hosts are placed data-local when possible, then
-// rack-local, then anywhere — the jobtracker's placement policy from
-// §III ("keep the computation as close as possible to the data; if the
-// work cannot be hosted on the actual node in which the data resides,
-// priority is given to neighboring nodes, i.e. belonging to the same
-// network rack"). Failed attempts are retried, excluding the node that
-// failed, up to maxAttempts; reports[i] is filled for each task, and
-// commit(i, res) is called exactly once per task — under the scheduler
-// lock, for the winning attempt only.
-//
-// Slots poll node liveness: when a node dies mid-phase (an RPC worker
-// lost, or a test killing nodes), its slots retire, tasks that had
-// excluded it become placeable anywhere again, and losing every slot
-// fails the phase instead of deadlocking.
-func (e *Engine) schedule(job *Job, phase string, alog *attemptLog, specs []TaskSpec, maxAttempts int, counters *Counters, exec Executor, commit func(i int, res TaskResult), reports []TaskReport) error {
-	if len(specs) == 0 {
+// phase is one map or reduce phase of a job: runPhase builds it, run
+// drives it to a decision.
+type phase struct {
+	e           *Engine
+	job         *Job
+	name        string // "map" or "reduce"
+	specs       []TaskSpec
+	maxAttempts int
+	exec        Executor
+	res         *Result // receives scheduler counters and attempt records
+	// commit is called under mu once per task, for the winning attempt.
+	commit func(i int, tr TaskResult, rep TaskReport)
+
+	// Scheduling state, guarded by mu.
+	mu        sync.Mutex
+	cond      *sync.Cond
+	tasks     []taskState
+	queue     []int             // tasks waiting for a slot, FIFO
+	rackOf    map[string]string // node → rack, for nodes alive at phase start
+	liveSlots int
+	remaining int   // tasks without a winning attempt
+	err       error // set once, when the phase fails
+	timer     *time.Timer
+}
+
+type taskState struct {
+	running  []*attempt      // in flight; a decided task has none
+	excluded map[string]bool // nodes an attempt failed on, avoided by later ones
+	failures int
+	next     int // next attempt number; every launch draws one, so it counts them
+}
+
+type attempt struct {
+	task, no int
+	node     string
+	class    int // index into localities; -1 for none
+	backup   bool
+	start    time.Time
+}
+
+func (a *attempt) locality() string {
+	if a.class < 0 {
+		return ""
+	}
+	return localities[a.class].name
+}
+
+// localities are the placement classes, best first, with the counter
+// each one's winning attempts tick.
+var localities = [3]struct{ name, counter string }{
+	{"data-local", CounterDataLocal}, {"rack-local", CounterRackLocal}, {"off-rack", CounterOffRack},
+}
+
+// run places the phase's tasks on the cluster's slots and returns once
+// every task has a winner or the phase failed. Placement is data-local,
+// then rack-local (§III: "priority is given to neighboring nodes"),
+// then anywhere; a failed attempt is retried elsewhere, up to
+// maxAttempts. Idle slots block in one cond.Wait, woken by state
+// changes and, with SpeculativeSlack set, by a timer armed for the
+// earliest deadline at which a straggler earns a backup. A slot whose
+// node died retires; losing every slot fails the phase.
+func (p *phase) run() error {
+	if len(p.specs) == 0 {
 		return nil
 	}
-	nodes := e.cluster.Alive()
+	nodes := p.e.cluster.Alive()
 	if len(nodes) == 0 {
 		return fmt.Errorf("no alive nodes")
 	}
-	bus := e.opts.Obs
 	// The phase context releases executors still blocked on abandoned
 	// attempts (speculative losers, attempts on lost workers) once the
-	// phase is decided. The in-process executor ignores it.
+	// phase is decided.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-
-	type pendingTask struct {
-		idx      int
-		attempt  int
-		excluded map[string]bool
-		backup   bool // speculative duplicate of a running attempt
+	p.cond = sync.NewCond(&p.mu)
+	p.tasks = make([]taskState, len(p.specs))
+	for i := range p.specs {
+		p.queue = append(p.queue, i)
 	}
-	// runState tracks in-flight attempts per task for speculation.
-	type runState struct {
-		start   time.Time
-		nodes   map[string]bool
-		active  int
-		backups int
-	}
-	var (
-		mu        sync.Mutex
-		cond      = sync.NewCond(&mu)
-		pending   []*pendingTask
-		running   = make(map[int]*runState)
-		done      = make([]bool, len(specs))
-		failures  = make([]int, len(specs))
-		firstErr  error
-		remaining = len(specs)
-		// attemptSeq allocates attempt numbers per task. Every launch —
-		// first try, retry or speculative backup — draws a fresh number,
-		// so no two attempts of a task ever collide (a retried backup
-		// must not reuse a number the primary already burned).
-		attemptSeq = make([]int, len(specs))
-		// liveSlots counts slot workers still serving; it only shrinks
-		// when a slot retires because its node died. liveNodes tracks
-		// which nodes still have serving slots, so exclusion sets can
-		// be normalised against the nodes that actually remain.
-		liveSlots int
-		liveNodes = make(map[string]bool, len(nodes))
-	)
-	for i := range specs {
-		pending = append(pending, &pendingTask{idx: i})
-		attemptSeq[i] = 1
-	}
-
-	// pickBackupLocked selects the longest-running unduplicated task
-	// eligible for a speculative backup on this node.
-	pickBackupLocked := func(nodeID string) *pendingTask {
-		if e.opts.SpeculativeSlack <= 0 {
-			return nil
-		}
-		bestIdx := -1
-		var bestStart time.Time
-		for idx, rs := range running {
-			if done[idx] || rs.backups > 0 || rs.nodes[nodeID] {
-				continue
-			}
-			if time.Since(rs.start) < e.opts.SpeculativeSlack {
-				continue
-			}
-			if bestIdx < 0 || rs.start.Before(bestStart) {
-				bestIdx, bestStart = idx, rs.start
-			}
-		}
-		if bestIdx < 0 {
-			return nil
-		}
-		running[bestIdx].backups++
-		counters.Get(CounterGroupScheduler, CounterSpeculativeLaunched).Inc(1)
-		attempt := attemptSeq[bestIdx]
-		attemptSeq[bestIdx]++
-		return &pendingTask{idx: bestIdx, attempt: attempt, backup: true}
-	}
-
-	// pickLocked selects the best pending task for a node:
-	// data-local > rack-local > any non-excluded.
-	rackOf := make(map[string]string, len(nodes))
+	p.remaining = len(p.specs)
+	p.rackOf = make(map[string]string, len(nodes))
 	for _, n := range nodes {
-		rackOf[n.ID] = n.Rack
+		p.rackOf[n.ID] = n.Rack
+		p.liveSlots += n.Slots
 	}
-	pickLocked := func(nodeID string) (*pendingTask, string, int) {
-		bestIdx, bestClass := -1, 3
-		for i, pt := range pending {
-			if pt.excluded[nodeID] {
-				continue
-			}
-			class := 2 // off-rack
-			sp := specs[pt.idx].Split
-			for _, h := range sp.Hosts {
-				if h == nodeID {
-					class = 0
-					break
-				}
-				if rackOf[h] == rackOf[nodeID] {
-					class = 1
-				}
-			}
-			if len(sp.Hosts) == 0 {
-				class = 0 // no locality constraint (reduce tasks)
-			}
-			if class < bestClass {
-				bestClass, bestIdx = class, i
-			}
-			if bestClass == 0 {
-				break
-			}
-		}
-		if bestIdx < 0 {
-			return nil, "", 0
-		}
-		pt := pending[bestIdx]
-		pending = append(pending[:bestIdx], pending[bestIdx+1:]...)
-		locality := [3]string{"data-local", "rack-local", "off-rack"}[bestClass]
-		if len(specs[pt.idx].Split.Hosts) == 0 {
-			locality = ""
-		}
-		return pt, locality, bestClass
-	}
-
-	// excludedEverywhereLocked reports whether a task's exclusion set
-	// covers every node that still has serving slots.
-	excludedEverywhereLocked := func(pt *pendingTask) bool {
-		for id := range liveNodes {
-			if !pt.excluded[id] {
-				return false
-			}
-		}
-		return true
-	}
-
-	// retireSlotLocked removes a dead node's slot from the pool. A
-	// pending task whose exclusions now cover every surviving node gets
-	// them cleared — retrying on a node it once failed on beats
-	// deadlocking — and if no slot survives at all, the phase fails
-	// rather than waiting for work that can never be placed.
-	retireSlotLocked := func(nodeID string) {
-		liveSlots--
-		delete(liveNodes, nodeID)
-		for _, pt := range pending {
-			delete(pt.excluded, nodeID)
-			if len(pt.excluded) > 0 && excludedEverywhereLocked(pt) {
-				pt.excluded = nil
-			}
-		}
-		if liveSlots == 0 && remaining > 0 && firstErr == nil {
-			firstErr = fmt.Errorf("all %d nodes lost with %d tasks unfinished", len(nodes), remaining)
-		}
-		cond.Broadcast()
-	}
-
-	localityCounters := [3]string{CounterDataLocal, CounterRackLocal, CounterOffRack}
 	var wg sync.WaitGroup
-	worker := func(nodeID string) {
-		defer wg.Done()
-		for {
-			mu.Lock()
-			var pt *pendingTask
-			var locality string
-			var class int
-			for {
-				if firstErr != nil || remaining == 0 {
-					mu.Unlock()
-					return
-				}
-				if !e.cluster.IsAlive(nodeID) {
-					retireSlotLocked(nodeID)
-					mu.Unlock()
-					return
-				}
-				if len(pending) > 0 {
-					pt, locality, class = pickLocked(nodeID)
-					if pt != nil {
-						break
-					}
-				}
-				// No regular work for this node: consider launching a
-				// speculative backup of a straggling attempt.
-				if bt := pickBackupLocked(nodeID); bt != nil {
-					pt, locality = bt, ""
-					break
-				}
-				// Tasks may be requeued by failures or become eligible
-				// for speculation; wait for a state change or timeout.
-				if e.opts.SpeculativeSlack > 0 {
-					// cond.Wait would miss time-based eligibility; poll.
-					mu.Unlock()
-					time.Sleep(e.opts.SpeculativeSlack / 4)
-					mu.Lock()
-					continue
-				}
-				cond.Wait()
-			}
-			rs := running[pt.idx]
-			if rs == nil {
-				rs = &runState{start: time.Now(), nodes: make(map[string]bool)}
-				running[pt.idx] = rs
-			}
-			rs.active++
-			rs.nodes[nodeID] = true
-			mu.Unlock()
-
-			tid := specs[pt.idx].TaskID
-			if bus.Active() {
-				bus.Emit(obs.Event{
-					Type: obs.TaskScheduled, Job: job.Name, Phase: phase, Task: tid,
-					Attempt: pt.attempt, Node: nodeID, Locality: locality, Backup: pt.backup,
-				})
-			}
-			if e.opts.NodeDelay != nil {
-				if d := e.opts.NodeDelay(nodeID); d > 0 {
-					time.Sleep(d)
-				}
-			}
-			taskStart := time.Now()
-			if bus.Active() {
-				bus.Emit(obs.Event{
-					Type: obs.AttemptStarted, Job: job.Name, Phase: phase, Task: tid,
-					Attempt: pt.attempt, Node: nodeID, Locality: locality, Backup: pt.backup,
-					Time: taskStart,
-				})
-			}
-			spec := specs[pt.idx]
-			spec.Attempt = pt.attempt
-			spec.Node = nodeID
-			res, err := exec.RunTask(ctx, spec)
-			taskEnd := time.Now()
-			// The retry branch below bumps pt.attempt for requeueing;
-			// the record and event for THIS attempt keep its own number.
-			attemptNo, wasBackup := pt.attempt, pt.backup
-
-			mu.Lock()
-			rs.active--
-			var status string
-			switch {
-			case done[pt.idx]:
-				// A parallel attempt already won; discard this result.
-				// This is the losing attempt's single terminal transition,
-				// so the kill event below fires exactly once per loser.
-				status = "killed"
-				counters.Get(CounterGroupScheduler, CounterSpeculativeWasted).Inc(1)
-			case err == nil:
-				status = "succeeded"
-				done[pt.idx] = true
-				delete(running, pt.idx)
-				commit(pt.idx, res)
-				reports[pt.idx].ID = tid
-				reports[pt.idx].Node = nodeID
-				reports[pt.idx].Attempts = pt.attempt + 1
-				reports[pt.idx].Locality = locality
-				reports[pt.idx].Duration = taskEnd.Sub(taskStart)
-				reports[pt.idx].StartOffset = taskStart.Sub(alog.t0)
-				reports[pt.idx].FailedAttempts = failures[pt.idx]
-				if locality != "" {
-					counters.Get(CounterGroupScheduler, localityCounters[class]).Inc(1)
-				}
-				remaining--
-			case rs.active > 0:
-				// Another attempt of this task is still running; let it
-				// decide the task's fate. A failed backup releases its
-				// speculation slot so a still-straggling primary can
-				// receive another backup later.
-				status = "failed"
-				failures[pt.idx]++
-				if pt.backup {
-					rs.backups--
-				}
-			case failures[pt.idx]+1 >= maxAttempts:
-				status = "failed"
-				failures[pt.idx]++
-				if firstErr == nil {
-					firstErr = fmt.Errorf("task failed after %d attempts: %v", failures[pt.idx], err)
-				}
-			default:
-				// Retry on another node, like the jobtracker does, under
-				// a fresh attempt number that cannot collide with any
-				// attempt already launched (including backups).
-				status = "failed"
-				failures[pt.idx]++
-				delete(running, pt.idx)
-				if pt.excluded == nil {
-					pt.excluded = make(map[string]bool)
-				}
-				if len(pt.excluded) < len(nodes)-1 {
-					pt.excluded[nodeID] = true
-					if excludedEverywhereLocked(pt) {
-						// Mid-phase node loss shrank the pool below the
-						// guard's phase-start count; keep the task
-						// placeable.
-						pt.excluded = nil
-					}
-				}
-				pt.attempt = attemptSeq[pt.idx]
-				attemptSeq[pt.idx]++
-				pt.backup = false
-				pending = append(pending, pt)
-			}
-			if alog != nil {
-				rec := obs.AttemptRecord{
-					Task: tid, Phase: phase, Attempt: attemptNo, Node: nodeID,
-					StartMs:  taskStart.Sub(alog.t0).Milliseconds(),
-					EndMs:    taskEnd.Sub(alog.t0).Milliseconds(),
-					Locality: locality, Backup: wasBackup, Status: status,
-				}
-				if err != nil && status == "failed" {
-					rec.Error = err.Error()
-				}
-				alog.add(rec)
-			}
-			if bus.Active() {
-				evType := obs.AttemptSucceeded
-				switch status {
-				case "failed":
-					evType = obs.AttemptFailed
-				case "killed":
-					evType = obs.AttemptKilled
-				}
-				ev := obs.Event{
-					Type: evType, Job: job.Name, Phase: phase, Task: tid,
-					Attempt: attemptNo, Node: nodeID, Locality: locality, Backup: wasBackup,
-					Time: taskEnd, Dur: taskEnd.Sub(taskStart),
-				}
-				if err != nil && status == "failed" {
-					ev.Err = err.Error()
-				}
-				bus.Emit(ev)
-			}
-			cond.Broadcast()
-			mu.Unlock()
-		}
-	}
-
-	// Register every node before the first worker starts: workers read
-	// liveSlots and liveNodes (under mu) as soon as an attempt fails.
 	for _, n := range nodes {
-		liveSlots += n.Slots
-		liveNodes[n.ID] = true
-	}
-	for _, n := range nodes {
-		for s := 0; s < n.Slots; s++ {
+		for range n.Slots {
 			wg.Add(1)
-			go worker(n.ID)
+			go func() {
+				defer wg.Done()
+				p.slot(ctx, n.ID)
+			}()
 		}
 	}
-	// Return as soon as every task has a winning attempt (or the job
-	// failed) rather than joining all workers: a speculative loser may
-	// still be executing, and — like Hadoop killing the slower attempt
-	// — we abandon it. Losers never commit, so letting them drain in
-	// the background is safe; they exit at their next loop iteration.
-	mu.Lock()
-	for remaining > 0 && firstErr == nil {
-		cond.Wait()
+	p.mu.Lock()
+	for p.remaining > 0 && p.err == nil {
+		p.cond.Wait()
 	}
-	err := firstErr
-	mu.Unlock()
-	if e.opts.SpeculativeSlack == 0 && !exec.External() {
-		// Without speculation there are no abandoned losers; joining
-		// the workers keeps goroutine accounting exact. (An external
-		// executor may still be blocked on a lost worker's attempt;
-		// the cancelled phase context unblocks it asynchronously.)
+	err := p.err
+	p.armLocked() // stops the timer
+	p.mu.Unlock()
+	// The phase does not wait for an abandoned attempt. In-process
+	// without speculation there is none, and joining the slots keeps
+	// goroutine accounting exact.
+	if p.e.opts.SpeculativeSlack == 0 && !p.exec.External() {
 		wg.Wait()
 	}
 	return err
+}
+
+// slot is one task slot on node: it runs attempts until the phase is
+// decided or the node dies.
+func (p *phase) slot(ctx context.Context, node string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for {
+		a := p.takeLocked(node)
+		if a == nil {
+			return
+		}
+		spec := p.specs[a.task]
+		spec.Attempt, spec.Node = a.no, node
+		p.mu.Unlock()
+		tr, err := p.exec.RunTask(ctx, spec)
+		p.mu.Lock()
+		p.endLocked(a, tr, err)
+	}
+}
+
+// takeLocked waits until node's slot has an attempt to run — a queued
+// task first, else a speculative backup — and launches it. It returns
+// nil once the phase is decided or the node is dead.
+func (p *phase) takeLocked(node string) *attempt {
+	for p.err == nil && p.remaining > 0 {
+		if !p.e.cluster.IsAlive(node) {
+			p.retireLocked(node)
+			return nil
+		}
+		a := p.pickLocked(node)
+		if a == nil {
+			a = p.pickBackupLocked(node)
+		}
+		if a == nil {
+			p.cond.Wait()
+			continue
+		}
+		t := &p.tasks[a.task]
+		a.no, a.start = t.next, time.Now()
+		t.next++
+		t.running = append(t.running, a)
+		// Emitted under the lock, so a start always precedes its end.
+		if bus := p.e.opts.Obs; bus.Active() {
+			bus.Emit(obs.Event{
+				Type: obs.AttemptStarted, Job: p.job.Name, Phase: p.name, Task: p.specs[a.task].TaskID,
+				Attempt: a.no, Node: node, Locality: a.locality(), Backup: a.backup, Time: a.start,
+			})
+		}
+		p.armLocked()
+		return a
+	}
+	return nil
+}
+
+// pickLocked dequeues the best queued task for node: data-local >
+// rack-local > any node the task has not failed on.
+func (p *phase) pickLocked(node string) *attempt {
+	best, bestClass := -1, len(localities)
+	for qi, i := range p.queue {
+		if p.tasks[i].excluded[node] {
+			continue
+		}
+		hosts := p.specs[i].Split.Hosts
+		class := 2
+		if len(hosts) == 0 {
+			class = -1 // no locality constraint (reduce tasks)
+		}
+		for _, h := range hosts {
+			if h == node {
+				class = 0
+				break
+			}
+			if p.rackOf[h] == p.rackOf[node] {
+				class = 1
+			}
+		}
+		if class < bestClass {
+			best, bestClass = qi, class
+		}
+		if bestClass <= 0 {
+			break
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	i := p.queue[best]
+	p.queue = slices.Delete(p.queue, best, best+1)
+	return &attempt{task: i, node: node, class: bestClass}
+}
+
+// pickBackupLocked picks, for a backup on node, the task whose
+// speculation deadline passed longest ago and that node may run.
+func (p *phase) pickBackupLocked(node string) *attempt {
+	if p.e.opts.SpeculativeSlack <= 0 {
+		return nil
+	}
+	best, now := -1, time.Now()
+	var bestDeadline time.Time
+	for i := range p.tasks {
+		t := &p.tasks[i]
+		d, ok := p.deadline(t)
+		if !ok || d.After(now) || t.excluded[node] || t.running[0].node == node {
+			continue
+		}
+		if best < 0 || d.Before(bestDeadline) {
+			best, bestDeadline = i, d
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	p.res.Counters.Get(CounterGroupScheduler, CounterSpeculativeLaunched).Inc(1)
+	return &attempt{task: best, node: node, class: -1, backup: true}
+}
+
+// deadline reports when a task becomes eligible for a backup: the slack
+// after the start of its only attempt in flight, if that is no backup.
+func (p *phase) deadline(t *taskState) (time.Time, bool) {
+	if len(t.running) != 1 || t.running[0].backup {
+		return time.Time{}, false
+	}
+	return t.running[0].start.Add(p.e.opts.SpeculativeSlack), true
+}
+
+// endLocked decides the fate of an attempt whose RunTask returned. An
+// attempt no longer in flight was killed while it ran (its task won,
+// or the phase failed) and recorded then; nothing of it is kept.
+func (p *phase) endLocked(a *attempt, tr TaskResult, err error) {
+	t := &p.tasks[a.task]
+	i := slices.Index(t.running, a)
+	if i < 0 {
+		return
+	}
+	defer p.cond.Broadcast()
+	defer p.armLocked()
+	now := time.Now()
+	t.running = slices.Delete(t.running, i, i+1)
+	if err == nil {
+		p.remaining--
+		p.commit(a.task, tr, TaskReport{
+			ID: p.specs[a.task].TaskID, Node: a.node, Attempts: t.next, Locality: a.locality(),
+			Duration: now.Sub(a.start), StartOffset: a.start.Sub(p.res.Start), FailedAttempts: t.failures,
+		})
+		if a.class >= 0 {
+			p.res.Counters.Get(CounterGroupScheduler, localities[a.class].counter).Inc(1)
+		}
+		p.recordLocked(a, now, "succeeded", nil)
+		p.killLocked(t, now)
+		return
+	}
+	t.failures++
+	p.recordLocked(a, now, "failed", err)
+	// Exclude the failing node unless that leaves the task nowhere to
+	// run (unexcludeLocked covers nodes lost since the phase started).
+	if len(t.excluded) < len(p.rackOf)-1 {
+		if t.excluded == nil {
+			t.excluded = make(map[string]bool)
+		}
+		t.excluded[a.node] = true
+		p.unexcludeLocked(t)
+	}
+	switch {
+	case len(t.running) > 0:
+		// Another attempt still runs and decides the task's fate; a
+		// failed backup leaves its primary eligible for another one.
+	case t.failures >= p.maxAttempts:
+		p.failLocked(fmt.Errorf("task failed after %d attempts: %v", t.failures, err))
+	default:
+		p.queue = append(p.queue, a.task)
+	}
+}
+
+// failLocked fails the phase with err and kills every attempt still in
+// flight.
+func (p *phase) failLocked(err error) {
+	p.err = err
+	now := time.Now()
+	for i := range p.tasks {
+		p.killLocked(&p.tasks[i], now)
+	}
+	p.cond.Broadcast()
+}
+
+// killLocked records every attempt of t still in flight killed (a
+// failed phase's counters are discarded with its Result).
+func (p *phase) killLocked(t *taskState, now time.Time) {
+	for _, a := range t.running {
+		p.res.Counters.Get(CounterGroupScheduler, CounterSpeculativeWasted).Inc(1)
+		p.recordLocked(a, now, "killed", nil)
+	}
+	t.running = nil
+}
+
+// recordLocked appends an attempt's terminal record to the result and
+// emits its terminal event.
+func (p *phase) recordLocked(a *attempt, end time.Time, status string, err error) {
+	rec := obs.AttemptRecord{
+		Task: p.specs[a.task].TaskID, Phase: p.name, Attempt: a.no, Node: a.node,
+		StartMs:  a.start.Sub(p.res.Start).Milliseconds(),
+		EndMs:    end.Sub(p.res.Start).Milliseconds(),
+		Locality: a.locality(), Backup: a.backup, Status: status,
+	}
+	if err != nil {
+		rec.Error = err.Error()
+	}
+	p.res.Attempts = append(p.res.Attempts, rec)
+	if bus := p.e.opts.Obs; bus.Active() {
+		bus.Emit(obs.Event{
+			Type: attemptEvents[status], Job: p.job.Name, Phase: p.name, Task: rec.Task,
+			Attempt: a.no, Node: a.node, Locality: rec.Locality, Backup: a.backup,
+			Time: end, Dur: end.Sub(a.start), Err: rec.Error,
+		})
+	}
+}
+
+var attemptEvents = map[string]obs.EventType{
+	"succeeded": obs.AttemptSucceeded, "failed": obs.AttemptFailed, "killed": obs.AttemptKilled,
+}
+
+// armLocked points the speculation timer at the earliest deadline
+// still ahead, or stops it once there is none (a decided phase has no
+// attempt in flight). A deadline already passed is not re-armed: the
+// slots saw it when they last woke, and one none of them could take
+// waits for the next state change. Without speculation there is no
+// timer.
+func (p *phase) armLocked() {
+	if p.e.opts.SpeculativeSlack <= 0 {
+		return
+	}
+	var next time.Time
+	now := time.Now()
+	for i := range p.tasks {
+		if d, ok := p.deadline(&p.tasks[i]); ok && d.After(now) && (next.IsZero() || d.Before(next)) {
+			next = d
+		}
+	}
+	switch {
+	case next.IsZero():
+		if p.timer != nil {
+			p.timer.Stop()
+		}
+	case p.timer == nil:
+		p.timer = time.AfterFunc(time.Until(next), func() {
+			p.mu.Lock()
+			p.cond.Broadcast()
+			p.armLocked()
+			p.mu.Unlock()
+		})
+	default:
+		p.timer.Reset(time.Until(next))
+	}
+}
+
+// unexcludeLocked clears a task's exclusions once they cover every
+// live node: retrying on a node it once failed on beats deadlocking.
+func (p *phase) unexcludeLocked(t *taskState) {
+	for id := range p.rackOf {
+		if !t.excluded[id] && p.e.cluster.IsAlive(id) {
+			return
+		}
+	}
+	t.excluded = nil
+}
+
+// retireLocked removes a dead node's slot from the pool; if no slot
+// survives, the phase fails rather than wait for work that can never
+// be placed.
+func (p *phase) retireLocked(node string) {
+	p.liveSlots--
+	for i := range p.tasks {
+		if t := &p.tasks[i]; len(t.excluded) > 0 {
+			delete(t.excluded, node)
+			p.unexcludeLocked(t)
+		}
+	}
+	if p.liveSlots == 0 {
+		p.failLocked(fmt.Errorf("all %d nodes lost with %d tasks unfinished", len(p.rackOf), p.remaining))
+	}
+	p.cond.Broadcast()
 }

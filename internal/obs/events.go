@@ -38,17 +38,17 @@ const (
 	// PhaseStart/PhaseEnd bracket the map, shuffle and reduce phases.
 	PhaseStart EventType = "phase_start"
 	PhaseEnd   EventType = "phase_end"
-	// TaskScheduled marks a task attempt being assigned to a node slot.
-	TaskScheduled EventType = "task_scheduled"
-	// AttemptStarted marks a task attempt beginning execution.
+	// AttemptStarted marks a task attempt being placed on a node slot
+	// and beginning execution.
 	AttemptStarted EventType = "attempt_started"
 	// AttemptSucceeded marks the winning attempt of a task.
 	AttemptSucceeded EventType = "attempt_succeeded"
 	// AttemptFailed marks a failed attempt (Err carries the reason).
 	AttemptFailed EventType = "attempt_failed"
-	// AttemptKilled marks a speculative attempt abandoned because a
+	// AttemptKilled marks an attempt abandoned in flight because a
 	// parallel attempt of the same task won (Hadoop killing the slower
-	// speculative attempt). Emitted exactly once per losing attempt.
+	// speculative attempt) or its phase failed. Emitted exactly once
+	// per such attempt, when that is decided: before the PhaseEnd.
 	AttemptKilled EventType = "attempt_killed"
 	// SpanStart/SpanEnd bracket driver-level pipeline spans (k-means
 	// iterations, DJ-Cluster phases, R-tree build).

@@ -492,7 +492,7 @@ func (m *MetricsSink) Emit(e Event) {
 			m.reg.Counter("shuffle_partition_records", "Records merged into each reduce partition.", part).Add(p.Records)
 			m.reg.Counter("shuffle_partition_bytes", "Bytes merged into each reduce partition.", part).Add(p.Bytes)
 		}
-	case TaskScheduled:
+	case AttemptStarted:
 		m.reg.Counter("mr_task_attempts_scheduled_total", "Task attempts assigned to node slots.", Labels{"phase": e.Phase}).Inc()
 	case AttemptSucceeded:
 		m.reg.Counter("mr_task_attempts_total", "Terminal task attempts, by phase and status.", Labels{"phase": e.Phase, "status": "succeeded"}).Inc()

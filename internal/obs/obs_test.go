@@ -118,7 +118,7 @@ func TestMetricsSinkDerivesEngineMetrics(t *testing.T) {
 	reg := NewRegistry()
 	s := NewMetricsSink(reg)
 	s.Emit(Event{Type: JobSubmitted, Job: "j"})
-	s.Emit(Event{Type: TaskScheduled, Phase: "map"})
+	s.Emit(Event{Type: AttemptStarted, Phase: "map"})
 	s.Emit(Event{Type: AttemptSucceeded, Phase: "map", Attempt: 1, Locality: "data-local", Dur: 20 * time.Millisecond})
 	s.Emit(Event{Type: AttemptFailed, Phase: "map", Err: "boom"})
 	s.Emit(Event{Type: AttemptKilled, Phase: "reduce"})

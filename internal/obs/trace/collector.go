@@ -14,10 +14,9 @@ import (
 // Finished trees are kept in a bounded in-memory ring and, when a
 // Store is attached, persisted so `gepeto analyze` works post-mortem.
 //
-// Events that arrive after their root closed — the engine emits
-// AttemptKilled for abandoned speculative losers after JobFinished —
-// no longer resolve to a group and are dropped, so closed roots leak
-// nothing.
+// Events that arrive after their root closed — a remote worker's
+// report of an attempt abandoned after its job finished — no longer
+// resolve to a group and are dropped, so closed roots leak nothing.
 type Collector struct {
 	mu       sync.Mutex
 	store    *Store
