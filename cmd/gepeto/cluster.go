@@ -60,7 +60,6 @@ func cmdWorker(args []string) error {
 	heartbeat := fs.Duration("heartbeat", 250*time.Millisecond, "heartbeat period")
 	overhead := fs.Duration("task-overhead", 0, "artificial per-task startup sleep (fault-drill pacing)")
 	logLevel := fs.String("log-level", "warn", "structured log level (debug|info|warn|error|off)")
-	clockSkew := fs.Duration("clock-skew", 0, "artificial offset added to this worker's clock (drill for the jobtracker's clock alignment)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -87,7 +86,6 @@ func cmdWorker(args []string) error {
 		HeartbeatEvery: *heartbeat,
 		TaskOverhead:   *overhead,
 		Logger:         logger.With("worker", *node),
-		ClockSkew:      *clockSkew,
 	})
 	go func() {
 		// Serve returns when the listener closes at process exit.
@@ -106,7 +104,7 @@ func cmdWorker(args []string) error {
 
 // cmdCluster renders a live jobtracker's /cluster.json as the worker
 // table — heartbeat ages, busy slots, in-flight attempts, per-worker
-// task and RPC tallies, clock offsets, and lost workers.
+// task and RPC tallies, and lost workers.
 func cmdCluster(args []string) error {
 	fs := flag.NewFlagSet("cluster", flag.ExitOnError)
 	status := fs.String("status", "", "jobtracker status server address (host:port)")

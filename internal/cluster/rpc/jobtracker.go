@@ -29,14 +29,6 @@ type heartbeatArgs struct {
 	Node string
 	// Busy is how many of the worker's slots are executing a task.
 	Busy int
-	// SentUnixNano is the worker-clock send time of this beat.
-	SentUnixNano int64
-	// OffsetNanos is the worker's current EWMA estimate of its clock
-	// offset relative to the jobtracker (jobtracker − worker), valid
-	// when HasOffset is set. The jobtracker applies it to forwarded
-	// event timestamps before trace assembly.
-	OffsetNanos int64
-	HasOffset   bool
 	// Epoch (the worker's start time, UnixNano) and MetricsSeq (a
 	// per-beat sequence number) version the Metrics snapshot so the
 	// federation can drop duplicated or reordered deliveries; Metrics
@@ -55,9 +47,6 @@ type heartbeatReply struct {
 	// worker fence-stops on seeing it: a deregistered worker must not
 	// keep executing tasks the scheduler has already re-run elsewhere.
 	Registered bool
-	// ServerUnixNano is the jobtracker-clock handling time of the beat —
-	// the raw material of the worker's RTT-midpoint offset estimate.
-	ServerUnixNano int64
 	// EndedRuns is the subset of the beat's Runs with no attempt in
 	// flight anywhere: nothing of theirs can be delivered twice any
 	// more, so the worker drops their dedup keys and a long-lived
@@ -71,8 +60,11 @@ type completeArgs struct {
 	TaskID  string
 	Attempt int
 	Node    string
-	Err     string
-	Res     resultWire
+	// Exec is the attempt's run time as the worker measured it: a
+	// duration, so it needs no clock shared with the jobtracker.
+	Exec time.Duration
+	Err  string
+	Res  resultWire
 }
 
 // resultWire mirrors mapreduce.TaskResult with every run reduced to
@@ -128,12 +120,6 @@ func fileRuns(descs []mapreduce.RunDesc) []mapreduce.Run {
 
 type completeReply struct{}
 
-type eventsArgs struct {
-	Events []obs.Event
-}
-
-type eventsReply struct{}
-
 // remoteWorker is the jobtracker's view of one registered worker.
 type remoteWorker struct {
 	node     string
@@ -165,6 +151,7 @@ type lostRecord struct {
 // call that assigned it.
 type completion struct {
 	res    mapreduce.TaskResult
+	exec   time.Duration
 	errMsg string
 }
 
@@ -172,8 +159,8 @@ type completion struct {
 type JobtrackerConfig struct {
 	Cluster *cluster.Cluster
 	FS      *dfs.FileSystem
-	// Obs receives membership events and forwarded worker events
-	// (may be nil).
+	// Obs receives membership events and one RPCRoundTrip per
+	// completed remote attempt (may be nil).
 	Obs *obs.Bus
 	// Transport is how the jobtracker reaches workers (assignments and
 	// shutdowns) — typically the same network the workers use to reach
@@ -216,7 +203,6 @@ type Jobtracker struct {
 	mu      sync.Mutex
 	workers map[string]*remoteWorker // by node ID
 	lost    []lostRecord             // departed workers, for the cluster view
-	offsets map[string]int64         // worker clock offsets (nanos), kept past loss
 	pending map[attemptID]*pendingCall
 	stopped bool
 
@@ -251,7 +237,6 @@ func NewJobtracker(cfg JobtrackerConfig) *Jobtracker {
 		log:     orNopLogger(cfg.Logger),
 		started: time.Now(),
 		workers: make(map[string]*remoteWorker),
-		offsets: make(map[string]int64),
 		pending: make(map[attemptID]*pendingCall),
 		stop:    make(chan struct{}),
 	}
@@ -271,7 +256,6 @@ func NewJobtracker(cfg JobtrackerConfig) *Jobtracker {
 	Handle(jt.srv, "jt.register", jt.handleRegister)
 	Handle(jt.srv, "jt.heartbeat", jt.handleHeartbeat)
 	Handle(jt.srv, "jt.complete", jt.handleComplete)
-	Handle(jt.srv, "jt.events", jt.handleEvents)
 	Handle(jt.srv, "dfs.create", jt.handleDFSCreate)
 	Handle(jt.srv, "dfs.read", jt.handleDFSRead)
 	Handle(jt.srv, "dfs.size", jt.handleDFSSize)
@@ -321,7 +305,7 @@ func (jt *Jobtracker) MetricsSnapshot() []obs.MetricPoint {
 
 // clusterPoints synthesizes membership and fault-path metrics that
 // live in jobtracker state rather than any registry: worker counts,
-// heartbeat ages, clock offsets, busy slots, and the
+// heartbeat ages, busy slots, and the
 // idempotency-path counters (duplicate completions, duplicate DFS
 // creates, stale federation drops).
 func (jt *Jobtracker) clusterPoints() []obs.MetricPoint {
@@ -342,11 +326,6 @@ func (jt *Jobtracker) clusterPoints() []obs.MetricPoint {
 			obs.MetricPoint{Name: "cluster_worker_heartbeat_age_seconds", Type: "gauge", Labels: lbl, FValue: now.Sub(w.lastBeat).Seconds()},
 			obs.MetricPoint{Name: "cluster_worker_slots_busy", Type: "gauge", Labels: lbl, Value: int64(w.busy)},
 		)
-		if off, ok := jt.offsets[id]; ok {
-			points = append(points, obs.MetricPoint{
-				Name: "cluster_worker_clock_offset_seconds", Type: "gauge", Labels: lbl, FValue: time.Duration(off).Seconds(),
-			})
-		}
 	}
 	lostTotal := int64(len(jt.lost))
 	jt.mu.Unlock()
@@ -527,11 +506,6 @@ func (jt *Jobtracker) handleHeartbeat(a *heartbeatArgs) (*heartbeatReply, error)
 		w.lastBeat = now
 		w.busy = a.Busy
 	}
-	if a.HasOffset {
-		// Kept even after the worker is lost: events forwarded by a
-		// dying worker still deserve correction.
-		jt.offsets[a.Node] = a.OffsetNanos
-	}
 	var ended []uint64
 	for _, run := range a.Runs {
 		live := false
@@ -549,7 +523,7 @@ func (jt *Jobtracker) handleHeartbeat(a *heartbeatArgs) (*heartbeatReply, error)
 	if a.Epoch != 0 {
 		jt.fed.Apply(a.Node, a.Epoch, a.MetricsSeq, a.Metrics)
 	}
-	return &heartbeatReply{Registered: ok, ServerUnixNano: now.UnixNano(), EndedRuns: ended}, nil
+	return &heartbeatReply{Registered: ok, EndedRuns: ended}, nil
 }
 
 func (jt *Jobtracker) handleComplete(a *completeArgs) (*completeReply, error) {
@@ -578,26 +552,8 @@ func (jt *Jobtracker) handleComplete(a *completeArgs) (*completeReply, error) {
 	}
 	jt.mu.Unlock()
 	jt.log.Debug("attempt completed", "job", a.Job, "task", a.TaskID, "attempt", a.Attempt, "worker", a.Node, "err", a.Err)
-	p.ch <- completion{res: a.Res.taskResult(), errMsg: a.Err} // buffered(1), sole sender
+	p.ch <- completion{res: a.Res.taskResult(), exec: a.Exec, errMsg: a.Err} // buffered(1), sole sender
 	return &completeReply{}, nil
-}
-
-func (jt *Jobtracker) handleEvents(a *eventsArgs) (*eventsReply, error) {
-	for _, e := range a.Events {
-		// Clock-align: a worker-stamped timestamp is on the worker's
-		// clock; shift it by the worker's estimated offset so it lands
-		// on the jobtracker timeline every other event uses.
-		if e.Node != "" && !e.Time.IsZero() {
-			jt.mu.Lock()
-			off, ok := jt.offsets[e.Node]
-			jt.mu.Unlock()
-			if ok {
-				e.Time = e.Time.Add(time.Duration(off))
-			}
-		}
-		jt.bus.Emit(e)
-	}
-	return &eventsReply{}, nil
 }
 
 func (jt *Jobtracker) handleDFSCreate(a *dfsCreateArgs) (*dfsCreateReply, error) {
@@ -692,13 +648,20 @@ func (x *rpcExecutor) RunTask(ctx context.Context, spec mapreduce.TaskSpec) (map
 	}
 	select {
 	case c := <-p.ch:
-		// The driver-observed assign→complete round trip; the worker's
-		// own WorkerTaskDone event carries the execution time, and the
-		// difference between the two is coordination overhead.
+		if ctx.Err() != nil {
+			// The phase was decided while this report was in flight:
+			// the attempt is already recorded killed, and its trace
+			// may be finished.
+			return mapreduce.TaskResult{}, ctx.Err()
+		}
+		// The attempt's one report, placed on this clock: the round
+		// trip and the worker's run time both end now. The run happened
+		// inside the round trip, so the exec window cannot be longer.
+		rtt := time.Since(assigned)
 		jt.bus.Emit(obs.Event{
 			Type: obs.RPCRoundTrip, Job: spec.Job.Name, Phase: spec.Phase,
 			Task: spec.TaskID, Attempt: spec.Attempt, Node: spec.Node,
-			Dur: time.Since(assigned), Err: c.errMsg,
+			Dur: rtt, Value: int64(min(c.exec, rtt)), Err: c.errMsg,
 		})
 		if c.errMsg != "" {
 			return mapreduce.TaskResult{}, fmt.Errorf("%s", c.errMsg)

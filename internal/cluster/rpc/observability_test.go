@@ -1,8 +1,9 @@
 // Observability-plane tests: client/server RPC telemetry staying sane
 // under an unreliable fabric, the heartbeat metrics federation applying
 // snapshots exactly once under duplicated and reordered deliveries, and
-// the clock-offset estimation aligning worker-side trace spans with the
-// driver's timeline. CI runs this package with -race -count=2.
+// each remote attempt's one report placing its worker-side exec span
+// inside the driver's view of the attempt. CI runs this package with
+// -race -count=2.
 package rpc_test
 
 import (
@@ -317,58 +318,22 @@ func TestMetricsFederationUnderUnreliableHeartbeats(t *testing.T) {
 	}
 }
 
-// TestClockOffsetCorrectionAlignsTraces runs every worker on a clock
-// skewed 1.5s into the future and checks (1) the heartbeat RTT-midpoint
-// estimator converges on ≈ −1.5s, (2) the jobtracker's corrected
-// worker-side exec spans land inside their driver-observed attempts —
-// uncorrected they would float a full 1.5s outside — and (3) the trace
-// analyzer attributes RPC and coordination overhead from the rpc/exec
-// child spans.
-func TestClockOffsetCorrectionAlignsTraces(t *testing.T) {
-	const skew = 1500 * time.Millisecond
+// runTraced runs the wordcount job on a backend whose jobtracker and
+// engine share one bus feeding a trace collector, and returns the
+// job's finished tree.
+func runTraced(t *testing.T, o backendOpts) (*obstrace.Tree, *backend) {
+	t.Helper()
 	c, fs := newTopology(t, 256)
 	seedWordInput(t, fs, 60)
 	collector := obstrace.NewCollector(nil, 0)
 	reg := obs.NewRegistry()
 	bus := obs.NewBus(obs.NewMetricsSink(reg), collector)
-	b := startBackend(t, c, fs, backendOpts{
-		heartbeat: 20 * time.Millisecond,
-		jtConfig: func(cfg *rpc.JobtrackerConfig) {
-			cfg.Obs = bus
-			cfg.Registry = reg
-		},
-		workerConfig: func(node string, cfg *rpc.WorkerConfig) {
-			cfg.ClockSkew = skew
-		},
-	})
-
-	// Wait for every worker's offset estimate: about −skew, within a
-	// generous 300ms (MemNetwork RTTs are microseconds, so the real
-	// estimation error is tiny against the 1500ms signal).
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st := b.jt.ClusterState()
-		good := 0
-		for _, w := range st.Workers {
-			if w.HasClockOffset && w.ClockOffsetMs > -1800 && w.ClockOffsetMs < -1200 {
-				good++
-			}
-		}
-		if good == len(c.Nodes()) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("clock offsets never converged: %+v", st.Workers)
-		}
-		time.Sleep(20 * time.Millisecond)
+	o.heartbeat = 20 * time.Millisecond
+	o.jtConfig = func(cfg *rpc.JobtrackerConfig) {
+		cfg.Obs = bus
+		cfg.Registry = reg
 	}
-	for _, w := range b.workers {
-		off, ok := w.ClockOffset()
-		if !ok || off > -1200*time.Millisecond || off < -1800*time.Millisecond {
-			t.Fatalf("worker-side offset = %v (known=%v), want ≈ -1.5s", off, ok)
-		}
-	}
-
+	b := startBackend(t, c, fs, o)
 	eng := mapreduce.NewEngine(c, fs, mapreduce.Options{Executor: b.jt.Executor(), Obs: bus})
 	if _, err := eng.Run(wordCountJob(true)); err != nil {
 		t.Fatalf("job: %v", err)
@@ -377,29 +342,102 @@ func TestClockOffsetCorrectionAlignsTraces(t *testing.T) {
 	if len(trees) == 0 {
 		t.Fatal("collector finished no trees")
 	}
-	tree := trees[len(trees)-1]
+	return trees[len(trees)-1], b
+}
 
-	const slackUs = 500_000 // ms-scale RPC latency, vs the 1.5s skew
-	var execs, rpcs int
+// subSpans returns an attempt span's rpc and exec children.
+func subSpans(a *obstrace.Span) (rpcs, execs []*obstrace.Span) {
+	for _, c := range a.Children {
+		switch c.Kind {
+		case obstrace.KindRPC:
+			rpcs = append(rpcs, c)
+		case obstrace.KindExec:
+			execs = append(execs, c)
+		}
+	}
+	return rpcs, execs
+}
+
+// TestOneExecSpanPerRemoteAttempt runs the job with every worker's
+// uplink duplicating all calls, then dropping 30% of requests: each
+// succeeded attempt still reports exactly once, so it carries one rpc
+// and one exec span, and the analyzer never counts more worker time
+// than round-trip time.
+func TestOneExecSpanPerRemoteAttempt(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fault func(u *rpc.Unreliable)
+	}{
+		{"duplicate", func(u *rpc.Unreliable) { u.Duplicate(1.0) }},
+		{"drop-requests", func(u *rpc.Unreliable) { u.DropRequests(0.3) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var seed int64
+			tree, _ := runTraced(t, backendOpts{
+				workerTransport: func(node string, inner rpc.Transport) rpc.Transport {
+					seed++
+					u := rpc.NewUnreliable(inner, seed)
+					tc.fault(u)
+					return u
+				},
+			})
+			succeeded := 0
+			tree.Root.Walk(func(s *obstrace.Span) {
+				if s.Kind != obstrace.KindAttempt || s.Status != obstrace.StatusSucceeded {
+					return
+				}
+				succeeded++
+				if rpcs, execs := subSpans(s); len(rpcs) != 1 || len(execs) != 1 {
+					t.Errorf("attempt %s/%d on %s has %d rpc and %d exec spans, want 1 and 1",
+						s.Name, s.Attempt, s.Node, len(rpcs), len(execs))
+				}
+			})
+			if succeeded == 0 {
+				t.Fatal("tree has no succeeded attempts")
+			}
+			for _, ja := range obstrace.AnalyzeTree(tree, obstrace.Options{}).Jobs {
+				if ja.RPC == nil || ja.RPC.ExecUs > ja.RPC.RPCUs {
+					t.Errorf("job %s rpc report = %+v, want exec <= rpc", ja.Job, ja.RPC)
+				}
+			}
+		})
+	}
+}
+
+// TestExecSpansNestInTheirAttempts checks that every remote attempt's
+// exec window lies inside its round trip, and the round trip inside
+// the attempt (to a microsecond of rounding) — the exec window is
+// placed on the jobtracker's clock, so no worker clock can move it —
+// and that the analyzer, the Chrome export and the cluster table see
+// the remote attempts.
+func TestExecSpansNestInTheirAttempts(t *testing.T) {
+	tree, b := runTraced(t, backendOpts{})
+	const roundingUs = 1
+	within := func(in, out *obstrace.Span) bool {
+		return in.StartUs >= out.StartUs-roundingUs && in.EndUs <= out.EndUs+roundingUs
+	}
+	var remote int
 	tree.Root.Walk(func(s *obstrace.Span) {
 		if s.Kind != obstrace.KindAttempt {
 			return
 		}
-		for _, child := range s.Children {
-			switch child.Kind {
-			case obstrace.KindExec:
-				execs++
-				if child.StartUs < s.StartUs-slackUs || child.EndUs > s.EndUs+slackUs {
-					t.Errorf("exec span %s/%d on %s [%d,%d]us outside attempt [%d,%d]us: clock correction failed",
-						child.Name, child.Attempt, child.Node, child.StartUs, child.EndUs, s.StartUs, s.EndUs)
-				}
-			case obstrace.KindRPC:
-				rpcs++
-			}
+		rpcs, execs := subSpans(s)
+		if len(rpcs) == 0 && len(execs) == 0 {
+			return
+		}
+		remote++
+		if len(rpcs) != 1 || len(execs) != 1 {
+			t.Errorf("attempt %s/%d has %d rpc and %d exec spans, want 1 and 1", s.Name, s.Attempt, len(rpcs), len(execs))
+			return
+		}
+		r, x := rpcs[0], execs[0]
+		if !within(x, r) || !within(r, s) {
+			t.Errorf("attempt %s/%d on %s: exec [%d,%d] ⊆ rpc [%d,%d] ⊆ attempt [%d,%d]us does not hold",
+				s.Name, s.Attempt, s.Node, x.StartUs, x.EndUs, r.StartUs, r.EndUs, s.StartUs, s.EndUs)
 		}
 	})
-	if execs == 0 || rpcs == 0 {
-		t.Fatalf("tree has %d exec and %d rpc child spans, want both > 0", execs, rpcs)
+	if remote == 0 {
+		t.Fatal("tree has no attempts with rpc/exec child spans")
 	}
 
 	a := obstrace.AnalyzeTree(tree, obstrace.Options{})
@@ -432,13 +470,13 @@ func TestClockOffsetCorrectionAlignsTraces(t *testing.T) {
 	}
 
 	st := b.jt.ClusterState()
-	if len(st.Workers) != len(c.Nodes()) {
-		t.Fatalf("cluster state has %d workers, want %d", len(st.Workers), len(c.Nodes()))
+	if len(st.Workers) != len(b.workers) {
+		t.Fatalf("cluster state has %d workers, want %d", len(st.Workers), len(b.workers))
 	}
 	table := rpc.RenderClusterTable(st)
-	for _, n := range c.Nodes() {
-		if !strings.Contains(table, n.ID) {
-			t.Errorf("cluster table missing %s:\n%s", n.ID, table)
+	for _, w := range st.Workers {
+		if !strings.Contains(table, w.Node) {
+			t.Errorf("cluster table missing %s:\n%s", w.Node, table)
 		}
 	}
 }

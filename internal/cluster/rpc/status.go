@@ -27,11 +27,7 @@ type WorkerStatus struct {
 	// and how many did not return ok.
 	RPCCalls  int64 `json:"rpc_calls"`
 	RPCErrors int64 `json:"rpc_errors"`
-	// ClockOffsetMs is the worker-reported clock offset estimate
-	// (jobtracker − worker), when one has been reported.
-	ClockOffsetMs  float64 `json:"clock_offset_ms"`
-	HasClockOffset bool    `json:"has_clock_offset"`
-	UptimeMs       int64   `json:"uptime_ms"`
+	UptimeMs  int64 `json:"uptime_ms"`
 }
 
 // LostWorker is one departed worker's row.
@@ -67,7 +63,7 @@ func (jt *Jobtracker) ClusterState() ClusterState {
 		UptimeMs:       now.Sub(jt.started).Milliseconds(),
 	}
 	for id, w := range jt.workers {
-		ws := WorkerStatus{
+		st.Workers = append(st.Workers, WorkerStatus{
 			Node:           id,
 			Addr:           w.addr,
 			HeartbeatAgeMs: now.Sub(w.lastBeat).Milliseconds(),
@@ -77,12 +73,7 @@ func (jt *Jobtracker) ClusterState() ClusterState {
 			TasksDone:      w.tasksDone,
 			TasksFailed:    w.tasksFailed,
 			UptimeMs:       now.Sub(w.joined).Milliseconds(),
-		}
-		if off, ok := jt.offsets[id]; ok {
-			ws.ClockOffsetMs = time.Duration(off).Seconds() * 1000
-			ws.HasClockOffset = true
-		}
-		st.Workers = append(st.Workers, ws)
+		})
 	}
 	for _, l := range jt.lost {
 		st.Lost = append(st.Lost, LostWorker{
@@ -114,20 +105,16 @@ func RenderClusterTable(st ClusterState) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "cluster: %d workers, %d lost (jobtracker up %s)\n",
 		len(st.Workers), len(st.Lost), time.Duration(st.UptimeMs)*time.Millisecond)
-	fmt.Fprintf(&sb, "%-10s %-22s %9s %7s %9s %6s %7s %9s %8s %10s\n",
-		"WORKER", "ADDR", "BEAT-AGE", "SLOTS", "IN-FLIGHT", "DONE", "FAILED", "RPC-CALLS", "RPC-ERR%", "CLOCK-OFF")
+	fmt.Fprintf(&sb, "%-10s %-22s %9s %7s %9s %6s %7s %9s %8s\n",
+		"WORKER", "ADDR", "BEAT-AGE", "SLOTS", "IN-FLIGHT", "DONE", "FAILED", "RPC-CALLS", "RPC-ERR%")
 	for _, w := range st.Workers {
 		errRate := "0.0%"
 		if w.RPCCalls > 0 {
 			errRate = fmt.Sprintf("%.1f%%", 100*float64(w.RPCErrors)/float64(w.RPCCalls))
 		}
-		off := "-"
-		if w.HasClockOffset {
-			off = fmt.Sprintf("%+.1fms", w.ClockOffsetMs)
-		}
-		fmt.Fprintf(&sb, "%-10s %-22s %8dms %3d/%-3d %9d %6d %7d %9d %8s %10s\n",
+		fmt.Fprintf(&sb, "%-10s %-22s %8dms %3d/%-3d %9d %6d %7d %9d %8s\n",
 			w.Node, w.Addr, w.HeartbeatAgeMs, w.SlotsBusy, w.SlotsTotal, w.InFlight,
-			w.TasksDone, w.TasksFailed, w.RPCCalls, errRate, off)
+			w.TasksDone, w.TasksFailed, w.RPCCalls, errRate)
 	}
 	for _, l := range st.Lost {
 		fmt.Fprintf(&sb, "%-10s %-22s lost %s ago (%s)\n",

@@ -61,12 +61,6 @@ type WorkerConfig struct {
 	Registry *obs.Registry
 	// Logger receives structured runtime logs (nil discards them).
 	Logger *slog.Logger
-	// ClockSkew shifts every clock reading this worker stamps —
-	// heartbeat send times and task-done event timestamps — modelling
-	// a machine whose wall clock disagrees with the jobtracker's.
-	// Tests use it to prove the offset estimate converges to −skew and
-	// that forwarded events come out clock-corrected.
-	ClockSkew time.Duration
 }
 
 // Worker is one tasktracker process: it registers with the jobtracker,
@@ -93,14 +87,7 @@ type Worker struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	tasksRun    atomic.Int64
-	eventErrors atomic.Int64
-
-	// offNanos is the EWMA clock-offset estimate (jobtracker clock
-	// minus this worker's clock), valid once offOK is set. Updated by
-	// the heartbeat loop from RTT midpoints.
-	offNanos atomic.Int64
-	offOK    atomic.Bool
+	tasksRun atomic.Int64
 }
 
 // NewWorker creates a worker. Bind its Server() on the network, then
@@ -137,18 +124,8 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	return w
 }
 
-// now reads the worker's wall clock, shifted by the configured skew.
-func (w *Worker) now() time.Time { return time.Now().Add(w.cfg.ClockSkew) }
-
 // Registry returns the worker's telemetry registry.
 func (w *Worker) Registry() *obs.Registry { return w.reg }
-
-// ClockOffset returns the current EWMA estimate of this worker's
-// clock offset relative to the jobtracker (jobtracker − worker), and
-// whether any estimate exists yet.
-func (w *Worker) ClockOffset() (time.Duration, bool) {
-	return time.Duration(w.offNanos.Load()), w.offOK.Load()
-}
 
 // Server returns the worker's RPC surface for binding.
 func (w *Worker) Server() *Server { return w.srv }
@@ -285,29 +262,17 @@ func (w *Worker) runTask(a assignArgs) {
 		status = "failed"
 	}
 	w.reg.Counter("worker_tasks_total", "Task attempts executed by this worker, by status.", obs.Labels{"status": status}).Inc()
+	// The completion is the attempt's one report: it carries the run
+	// time measured here, which the jobtracker places on its own clock
+	// at the instant the report lands.
 	comp := completeArgs{
 		Job: a.Job.Name, Run: a.Run, TaskID: a.TaskID, Attempt: a.Attempt, Node: w.cfg.Node,
-		Res: toResultWire(res),
-	}
-	// Time is stamped on this worker's (possibly skewed) clock and Job
-	// is set so the trace collector can route the event; the jobtracker
-	// clock-corrects Time before assembly.
-	ev := obs.Event{
-		Type: obs.WorkerTaskDone, Time: w.now(), Job: a.Job.Name, Node: w.cfg.Node,
-		Task: a.TaskID, Attempt: a.Attempt, Phase: a.Phase, Dur: time.Since(started),
+		Exec: time.Since(started), Res: toResultWire(res),
 	}
 	if err != nil {
 		comp.Err = err.Error()
-		ev.Err = err.Error()
 	}
-	w.log.Debug("task attempt finished", "job", a.Job.Name, "task", a.TaskID, "attempt", a.Attempt, "status", status, "dur", ev.Dur)
-	// The worker's own telemetry rides the same wire; a lost event is
-	// counted, never fatal (observability must not fail the task).
-	var evReply eventsReply
-	if everr := w.tr.Call(w.cfg.JobtrackerAddr, "jt.events", &eventsArgs{Events: []obs.Event{ev}}, &evReply); everr != nil {
-		w.eventErrors.Add(1)
-		w.reg.Counter("rpc_event_send_errors_total", "Worker event batches lost to transport failures.", nil).Inc()
-	}
+	w.log.Debug("task attempt finished", "job", a.Job.Name, "task", a.TaskID, "attempt", a.Attempt, "status", status, "dur", comp.Exec)
 	// The completion MUST land: without it the attempt hangs at the
 	// driver until worker-loss detection. Retry through transient
 	// drops; give up only when stopping (the driver's loss detection
@@ -368,33 +333,11 @@ func (w *Worker) heartbeatLoop() {
 				Metrics:    w.reg.Snapshot(),
 				Runs:       w.seenRuns(),
 			}
-			if w.offOK.Load() {
-				args.OffsetNanos = w.offNanos.Load()
-				args.HasOffset = true
-			}
-			t0 := w.now()
-			args.SentUnixNano = t0.UnixNano()
 			var reply heartbeatReply
 			if err := w.tr.Call(w.cfg.JobtrackerAddr, "jt.heartbeat", &args, &reply); err != nil {
 				// Transient loss: keep beating; the jobtracker's grace
 				// window decides when this worker is gone.
 				continue
-			}
-			if reply.ServerUnixNano != 0 {
-				// Offset sample from the RTT midpoint: assuming the beat
-				// spent equal time on each leg, the server handled it at
-				// the worker-clock midpoint of [t0, t1], so the clock
-				// difference is server time minus that midpoint. EWMA
-				// (α = 0.2) smooths asymmetric-latency noise.
-				t1 := w.now()
-				sample := reply.ServerUnixNano - (t0.UnixNano()/2 + t1.UnixNano()/2)
-				if !w.offOK.Load() {
-					w.offNanos.Store(sample)
-					w.offOK.Store(true)
-				} else {
-					prev := w.offNanos.Load()
-					w.offNanos.Store(prev + (sample-prev)/5)
-				}
 			}
 			w.forgetRuns(reply.EndedRuns)
 			if !reply.Registered {

@@ -1100,9 +1100,13 @@ func TestSecondBackupAfterFailedBackup(t *testing.T) {
 func TestTaskReportCountsLaunchedAttempts(t *testing.T) {
 	// The primary straggles and wins after both speculative backups
 	// failed fast: the task used three attempts, two of them failed.
+	// The attempts-per-task histogram must count them too, not the
+	// winner's attempt number.
 	c, _ := cluster.NewUniform(3, 1, 1)
 	fs, _ := dfs.New(c, dfs.Config{ChunkSize: 1 << 20, Replication: 3, Seed: 1})
+	reg := obs.NewRegistry()
 	e := NewEngine(c, fs, Options{
+		Obs:              obs.NewBus(obs.NewMetricsSink(reg)),
 		SpeculativeSlack: 10 * time.Millisecond,
 		FailureHook: func(_ string, attempt int, _ string) error {
 			if attempt == 0 {
@@ -1125,10 +1129,17 @@ func TestTaskReportCountsLaunchedAttempts(t *testing.T) {
 	if n := res.Counters.Value(CounterGroupScheduler, CounterSpeculativeLaunched); n != 2 {
 		t.Fatalf("speculative_launched = %d, want 2 failed backups", n)
 	}
+	launched := 0
 	for _, tr := range res.Tasks {
 		if tr.Attempts < tr.FailedAttempts+1 {
 			t.Errorf("task %s: Attempts = %d with %d failed; the winner is one more", tr.ID, tr.Attempts, tr.FailedAttempts)
 		}
+		launched += tr.Attempts
+	}
+	h := reg.Histogram("mr_attempts_per_task", "", nil, nil)
+	if h.Count() != uint64(len(res.Tasks)) || h.Sum() != float64(launched) {
+		t.Errorf("mr_attempts_per_task: %d observations summing to %g, want %d summing to %d (Σ TaskReport.Attempts)",
+			h.Count(), h.Sum(), len(res.Tasks), launched)
 	}
 }
 

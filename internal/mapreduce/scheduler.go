@@ -321,7 +321,8 @@ func (p *phase) killLocked(t *taskState, now time.Time) {
 }
 
 // recordLocked appends an attempt's terminal record to the result and
-// emits its terminal event.
+// emits its terminal event, which carries the attempts its task has
+// launched (for a winner, the count its TaskReport holds).
 func (p *phase) recordLocked(a *attempt, end time.Time, status string, err error) {
 	rec := obs.AttemptRecord{
 		Task: p.specs[a.task].TaskID, Phase: p.name, Attempt: a.no, Node: a.node,
@@ -337,7 +338,7 @@ func (p *phase) recordLocked(a *attempt, end time.Time, status string, err error
 		bus.Emit(obs.Event{
 			Type: attemptEvents[status], Job: p.job.Name, Phase: p.name, Task: rec.Task,
 			Attempt: a.no, Node: a.node, Locality: rec.Locality, Backup: a.backup,
-			Time: end, Dur: end.Sub(a.start), Err: rec.Error,
+			Time: end, Dur: end.Sub(a.start), Value: int64(p.tasks[a.task].next), Err: rec.Error,
 		})
 	}
 }

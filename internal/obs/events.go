@@ -60,17 +60,14 @@ const (
 	// worker's cluster node; Job is empty (membership outlives jobs).
 	WorkerJoined EventType = "worker_joined"
 	WorkerLost   EventType = "worker_lost"
-	// WorkerTaskDone marks a task attempt finishing on a remote worker,
-	// as reported by the worker's own event stream (Err set on failure).
-	// Time is stamped by the worker's clock and Dur is the worker-side
-	// execution time, so the jobtracker must clock-correct it before
-	// trace assembly.
-	WorkerTaskDone EventType = "worker_task_done"
-	// RPCRoundTrip marks the driver-observed assign→complete round trip
-	// of one remote task attempt: Time is when the completion report
-	// arrived, Dur spans from the assignment RPC being sent. The gap
-	// between this span and the worker-side WorkerTaskDone execution
-	// time is the coordination overhead of the out-of-process backend.
+	// RPCRoundTrip is the one report of a remote task attempt, emitted
+	// by the jobtracker when the worker's completion lands (Err set on
+	// failure). Time is that instant on the jobtracker's clock; Dur is
+	// the assign→complete round trip and Value the worker-measured run
+	// time in nanoseconds, both ending at Time. Only durations cross
+	// the wire, so the exec window [Time−Value, Time] sits inside the
+	// round trip whatever the worker's clock reads; the attempt wall
+	// outside it is the backend's coordination overhead.
 	RPCRoundTrip EventType = "rpc_roundtrip"
 )
 
@@ -105,8 +102,10 @@ type Event struct {
 	// terminal attempt events, phase wall on PhaseEnd, job wall on
 	// JobFinished).
 	Dur time.Duration
-	// Value carries an event-specific magnitude (shuffle bytes on the
-	// shuffle PhaseEnd).
+	// Value carries an event-specific magnitude: shuffle bytes on the
+	// shuffle PhaseEnd; on terminal attempt events, the attempts the
+	// task has launched (on AttemptSucceeded, TaskReport.Attempts); on
+	// RPCRoundTrip, the remote run time in nanoseconds.
 	Value int64
 	// Err is the failure reason for AttemptFailed / failed JobFinished.
 	Err string

@@ -319,8 +319,8 @@ type MetricPoint struct {
 	Type   string            `json:"type"`
 	Labels map[string]string `json:"labels,omitempty"`
 	Value  int64             `json:"value,omitempty"`
-	// FValue carries non-integer gauge values (heartbeat ages, clock
-	// offsets in seconds) for points synthesized outside a Registry;
+	// FValue carries non-integer gauge values (heartbeat ages in
+	// seconds) for points synthesized outside a Registry;
 	// rendering prefers it over Value when non-zero.
 	FValue  float64       `json:"fvalue,omitempty"`
 	Count   uint64        `json:"count,omitempty"`
@@ -497,7 +497,7 @@ func (m *MetricsSink) Emit(e Event) {
 	case AttemptSucceeded:
 		m.reg.Counter("mr_task_attempts_total", "Terminal task attempts, by phase and status.", Labels{"phase": e.Phase, "status": "succeeded"}).Inc()
 		m.reg.Histogram("mr_task_duration_seconds", "Run time of winning task attempts.", nil, Labels{"phase": e.Phase}).Observe(e.Dur.Seconds())
-		m.reg.Histogram("mr_attempts_per_task", "Attempts used per completed task.", attemptBuckets, nil).Observe(float64(e.Attempt + 1))
+		m.reg.Histogram("mr_attempts_per_task", "Attempts used per completed task.", attemptBuckets, nil).Observe(float64(e.Value))
 		if e.Locality != "" {
 			m.reg.Counter("mr_task_locality_total", "Winning map attempts by data locality.", Labels{"locality": e.Locality}).Inc()
 		}
@@ -510,13 +510,12 @@ func (m *MetricsSink) Emit(e Event) {
 		m.reg.Counter("cluster_workers_joined_total", "Out-of-process workers registered at the jobtracker.", nil).Inc()
 	case WorkerLost:
 		m.reg.Counter("cluster_workers_lost_total", "Workers declared lost by the jobtracker, by reason.", Labels{"reason": e.Err}).Inc()
-	case WorkerTaskDone:
+	case RPCRoundTrip:
 		status := "succeeded"
 		if e.Err != "" {
 			status = "failed"
 		}
 		m.reg.Counter("cluster_worker_tasks_total", "Task attempts executed on remote workers, by worker and status.", Labels{"worker": e.Node, "status": status}).Inc()
-	case RPCRoundTrip:
 		m.reg.Histogram("rpc_attempt_roundtrip_seconds", "Driver-observed assign→complete round trip of remote task attempts.", nil, nil).Observe(e.Dur.Seconds())
 	}
 }

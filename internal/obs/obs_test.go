@@ -119,11 +119,13 @@ func TestMetricsSinkDerivesEngineMetrics(t *testing.T) {
 	s := NewMetricsSink(reg)
 	s.Emit(Event{Type: JobSubmitted, Job: "j"})
 	s.Emit(Event{Type: AttemptStarted, Phase: "map"})
-	s.Emit(Event{Type: AttemptSucceeded, Phase: "map", Attempt: 1, Locality: "data-local", Dur: 20 * time.Millisecond})
+	s.Emit(Event{Type: AttemptSucceeded, Phase: "map", Attempt: 0, Value: 2, Locality: "data-local", Dur: 20 * time.Millisecond})
 	s.Emit(Event{Type: AttemptFailed, Phase: "map", Err: "boom"})
 	s.Emit(Event{Type: AttemptKilled, Phase: "reduce"})
 	s.Emit(Event{Type: PhaseEnd, Phase: "shuffle", Value: 1234, Dur: time.Millisecond})
 	s.Emit(Event{Type: JobFinished, Job: "j", Dur: 50 * time.Millisecond})
+	s.Emit(Event{Type: RPCRoundTrip, Node: "n1", Dur: 3 * time.Millisecond, Value: int64(2 * time.Millisecond)})
+	s.Emit(Event{Type: RPCRoundTrip, Node: "n1", Dur: 3 * time.Millisecond, Err: "boom"})
 
 	var sb strings.Builder
 	reg.WritePrometheus(&sb)
@@ -138,12 +140,16 @@ func TestMetricsSinkDerivesEngineMetrics(t *testing.T) {
 		"mr_speculative_killed_total 1",
 		"mr_shuffle_bytes_total 1234",
 		`mr_task_locality_total{locality="data-local"} 1`,
+		`cluster_worker_tasks_total{status="succeeded",worker="n1"} 1`,
+		`cluster_worker_tasks_total{status="failed",worker="n1"} 1`,
+		"rpc_attempt_roundtrip_seconds_count 2",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
-	// Attempt 1 (0-based) means 2 attempts for the task.
+	// The winner is attempt 0, but its task launched 2 attempts (a
+	// failed backup): the histogram observes the launched count.
 	if h := reg.Histogram("mr_attempts_per_task", "", attemptBuckets, nil); h.Sum() != 2 {
 		t.Errorf("attempts_per_task sum = %g, want 2", h.Sum())
 	}

@@ -28,8 +28,8 @@ type ChromeTrace struct {
 
 // Thread-ID layout of the export: tid 0 is the control lane (pipeline,
 // job and phase spans, which nest by time containment), node attempt
-// lanes follow from tid 1, and remote-worker execution lanes (clock-
-// corrected worker-side task windows) start at execTidBase.
+// lanes follow from tid 1, and remote-worker execution lanes (the
+// worker-side task windows) start at execTidBase.
 const (
 	controlTid  = 0
 	execTidBase = 2000
@@ -69,9 +69,8 @@ func BuildChrome(t *Tree) *ChromeTrace {
 	// Lane-pack attempts per node so concurrent attempts on one node
 	// (multiple task slots) get separate, stable thread IDs — nodes
 	// sorted, lanes in creation order — and the exec spans of remote
-	// workers (clock-corrected worker-side task windows) likewise from
-	// execTidBase, so the aligned worker timelines sit under the
-	// driver's view.
+	// workers likewise from execTidBase, so the worker timelines sit
+	// under the driver's view.
 	var attempts, execs []*Span
 	t.Root.Walk(func(s *Span) {
 		switch s.Kind {
@@ -131,31 +130,14 @@ func BuildChrome(t *Tree) *ChromeTrace {
 		case KindRPC:
 			// Nested inside the attempt on the same lane: assign→complete
 			// as seen from the driver, contained in the attempt span.
-			st, dur := clampSpan(s)
 			complete(fmt.Sprintf("rpc %s/%d", s.Name, s.Attempt), s.Kind,
-				laneTid[parentAttempt(attempts, s)], st, dur, args)
+				laneTid[parentAttempt(attempts, s)], s.StartUs, s.DurUs(), args)
 		case KindExec:
-			st, dur := clampSpan(s)
 			complete(fmt.Sprintf("exec %s/%d", s.Name, s.Attempt), s.Kind,
-				laneTid[s], st, dur, args)
+				laneTid[s], s.StartUs, s.DurUs(), args)
 		}
 	})
 	return ct
-}
-
-// clampSpan bounds a sub-attempt span at the tree origin: imperfect
-// clock correction can push a worker-side window slightly before the
-// root anchor, which DecodeChrome rejects as a negative timestamp.
-func clampSpan(s *Span) (startUs, durUs int64) {
-	startUs = s.StartUs
-	end := s.EndUs
-	if startUs < 0 {
-		startUs = 0
-	}
-	if end < startUs {
-		end = startUs
-	}
-	return startUs, end - startUs
 }
 
 // parentAttempt finds the attempt span owning a sub-attempt child.

@@ -8,9 +8,9 @@ import (
 	"repro/internal/obs"
 )
 
-// rpcFixtureEvents is one remote job: a single map attempt whose worker
-// reports a clock-corrected exec window (WorkerTaskDone) and whose
-// driver observes the assign→complete round trip (RPCRoundTrip).
+// rpcFixtureEvents is one remote job: a single map attempt whose one
+// report (RPCRoundTrip) carries the driver-observed assign→complete
+// round trip and the worker-measured run time, both ending on receipt.
 func rpcFixtureEvents() []obs.Event {
 	mk := func(t obs.EventType, us int64, f obs.Event) obs.Event {
 		f.Type = t
@@ -21,13 +21,11 @@ func rpcFixtureEvents() []obs.Event {
 		mk(obs.JobSubmitted, 0, obs.Event{Job: "job-r"}),
 		mk(obs.PhaseStart, 100, obs.Event{Job: "job-r", Phase: "map"}),
 		mk(obs.AttemptStarted, 200, obs.Event{Job: "job-r", Phase: "map", Task: "map-0000", Node: "n1"}),
-		// Worker-side execution [300, 900]us, inside the attempt.
-		mk(obs.WorkerTaskDone, 900, obs.Event{Job: "job-r", Phase: "map", Task: "map-0000", Node: "n1",
-			Dur: 600 * time.Microsecond}),
-		// Driver-side round trip [250, 1000]us: assign latency before the
-		// exec window, completion latency after it.
+		// Driver-side round trip [250, 1000]us and worker-side execution
+		// [400, 1000]us: the assign latency and the worker's queueing
+		// precede the exec window, and both end when the report lands.
 		mk(obs.RPCRoundTrip, 1000, obs.Event{Job: "job-r", Phase: "map", Task: "map-0000", Node: "n1",
-			Dur: 750 * time.Microsecond}),
+			Dur: 750 * time.Microsecond, Value: int64(600 * time.Microsecond)}),
 		mk(obs.AttemptSucceeded, 1050, obs.Event{Job: "job-r", Phase: "map", Task: "map-0000", Node: "n1"}),
 		mk(obs.PhaseEnd, 1100, obs.Event{Job: "job-r", Phase: "map"}),
 		mk(obs.JobFinished, 1200, obs.Event{Job: "job-r"}),
@@ -62,8 +60,8 @@ func TestAssembleAttachesRPCAndExecSpans(t *testing.T) {
 	if exec == nil || rpcSpan == nil {
 		t.Fatalf("attempt children = %+v, want one exec and one rpc span", attempt.Children)
 	}
-	if exec.StartUs != 300 || exec.EndUs != 900 || exec.Node != "n1" || exec.Status != StatusSucceeded {
-		t.Errorf("exec span [%d,%d] %s on %s, want [300,900] succeeded on n1",
+	if exec.StartUs != 400 || exec.EndUs != 1000 || exec.Node != "n1" || exec.Status != StatusSucceeded {
+		t.Errorf("exec span [%d,%d] %s on %s, want [400,1000] succeeded on n1",
 			exec.StartUs, exec.EndUs, exec.Status, exec.Node)
 	}
 	if rpcSpan.StartUs != 250 || rpcSpan.EndUs != 1000 {
@@ -74,7 +72,7 @@ func TestAssembleAttachesRPCAndExecSpans(t *testing.T) {
 func TestAssembleDropsSubAttemptEventsWithoutJob(t *testing.T) {
 	evs := rpcFixtureEvents()
 	evs = append(evs[:3:3], append([]obs.Event{
-		{Type: obs.WorkerTaskDone, Time: at(500), Task: "map-9999", Node: "n9", Dur: 100 * time.Microsecond},
+		{Type: obs.RPCRoundTrip, Time: at(500), Task: "map-9999", Node: "n9", Dur: 100 * time.Microsecond},
 	}, evs[3:]...)...)
 	trees := Assemble(evs)
 	if len(trees) != 1 {
@@ -119,26 +117,6 @@ func TestChromeExportPlacesExecOnWorkerLanes(t *testing.T) {
 	}
 	if _, err := DecodeChrome(data); err != nil {
 		t.Fatalf("round trip: %v", err)
-	}
-}
-
-// TestChromeExportClampsMiscorrectedSpans feeds an exec window whose
-// corrected timestamp lands before the tree origin (over-corrected
-// clock) and checks the export still satisfies DecodeChrome's
-// non-negative-timestamp rule.
-func TestChromeExportClampsMiscorrectedSpans(t *testing.T) {
-	evs := rpcFixtureEvents()
-	evs = append(evs[:4:4], append([]obs.Event{
-		{Type: obs.WorkerTaskDone, Time: at(50), Job: "job-r", Phase: "map", Task: "map-0000", Node: "n1",
-			Dur: 400 * time.Microsecond}, // window [-350, 50]us
-	}, evs[4:]...)...)
-	trees := Assemble(evs)
-	data, err := EncodeChrome(trees[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeChrome(data); err != nil {
-		t.Fatalf("miscorrected span broke the export: %v", err)
 	}
 }
 

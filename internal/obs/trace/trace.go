@@ -31,7 +31,7 @@ const (
 	KindAttempt  = "attempt"
 	// KindRPC and KindExec nest inside attempt spans of jobs run on the
 	// out-of-process backend: the driver-observed assign→complete round
-	// trip and the worker-side execution window (clock-corrected). The
+	// trip and, inside it, the worker-side execution window. The
 	// attempt time not covered by exec is coordination overhead.
 	KindRPC  = "rpc"
 	KindExec = "exec"
@@ -271,14 +271,13 @@ func (a *assembler) add(e obs.Event) {
 		case obs.AttemptKilled:
 			s.Status = StatusKilled
 		}
-	case obs.RPCRoundTrip, obs.WorkerTaskDone:
-		// Sub-attempt detail from the out-of-process backend. Both carry
-		// Dur and an end timestamp, so the child span is [ts−Dur, ts];
-		// WorkerTaskDone timestamps were clock-corrected at the
-		// jobtracker before reaching the bus. The attempt span is
-		// synthesised if these arrive before any attempt event (the
-		// worker reports before the driver marks the attempt terminal,
-		// but after AttemptStarted, so in practice it exists).
+	case obs.RPCRoundTrip:
+		// The one report of a remote attempt: the round trip and the
+		// worker-measured run time (Value, ns) both end at ts, so the
+		// rpc span is [ts−Dur, ts] and the exec span [ts−Value, ts]
+		// nested in it. The attempt span is synthesised if the report
+		// arrives before any attempt event (in practice AttemptStarted
+		// precedes it and the terminal event follows).
 		if e.Job == "" {
 			return
 		}
@@ -291,19 +290,15 @@ func (a *assembler) add(e obs.Event) {
 			p := a.phase(e.Job, e.Phase, ts)
 			p.Children = append(p.Children, s)
 		}
-		kind := KindRPC
-		if e.Type == obs.WorkerTaskDone {
-			kind = KindExec
-		}
 		status := StatusSucceeded
 		if e.Err != "" {
 			status = StatusFailed
 		}
-		s.Children = append(s.Children, &Span{
-			Kind: kind, Name: e.Task, Attempt: e.Attempt, Node: e.Node,
-			Status: status, Error: e.Err,
-			StartUs: ts - e.Dur.Microseconds(), EndUs: ts,
-		})
+		child := func(kind string, dur time.Duration) *Span {
+			return &Span{Kind: kind, Name: e.Task, Attempt: e.Attempt, Node: e.Node,
+				Status: status, Error: e.Err, StartUs: ts - dur.Microseconds(), EndUs: ts}
+		}
+		s.Children = append(s.Children, child(KindRPC, e.Dur), child(KindExec, time.Duration(e.Value)))
 	}
 }
 

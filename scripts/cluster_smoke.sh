@@ -14,9 +14,10 @@
 # its status server with -linger, and the script scrapes /cluster,
 # /metrics (federated per-worker series), the /trace/ listing and the
 # live worker table, then renders the report (with its per-node
-# attempt timelines) and the clock-aligned Chrome trace via `gepeto
-# analyze`. Set ARTIFACT_DIR to keep the trace + scrapes (CI uploads
-# them).
+# attempt timelines and rpc overhead) and the Chrome trace, whose
+# worker-side exec lanes come from each attempt's completion report,
+# via `gepeto analyze`. Set ARTIFACT_DIR to keep the trace + scrapes
+# (CI uploads them).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -54,14 +55,10 @@ pids+=("$jt_pid")
 worker_pids=()
 for i in 0 1 2; do
     # The per-task overhead stretches the run so the kill below lands
-    # while the job is still in flight. node-02 runs on a clock skewed
-    # 2s into the future, so the trace only assembles cleanly if the
-    # jobtracker's offset correction works.
-    skew=0s
-    [ "$i" = 2 ] && skew=2s
+    # while the job is still in flight.
     "$workdir/gepeto" worker -node "node-0$i" -slots 4 \
         -addr-file "$workdir/jt.addr" -task-overhead 100ms \
-        -clock-skew "$skew" -log-level warn &
+        -log-level warn &
     worker_pids+=("$!")
     pids+=("$!")
 done
@@ -142,7 +139,7 @@ for family in rpc_server_handled_total cluster_workers cluster_worker_heartbeat_
     fi
 done
 
-echo "== rendering the clock-aligned Chrome trace"
+echo "== rendering the report and the Chrome trace"
 "$workdir/gepeto" analyze -dir "$workdir/history" >"$workdir/traces.txt"
 seq=$(awk 'NR==2{print $1}' "$workdir/traces.txt")
 "$workdir/gepeto" analyze -dir "$workdir/history" -chrome "$workdir/trace.json" "$seq" >"$workdir/analyze.txt"
@@ -213,4 +210,4 @@ if ! diff -u "$workdir/pois_expected.txt" "$workdir/pois_actual.txt"; then
     echo "FAIL: multi-process POIs differ from in-process run" >&2
     exit 1
 fi
-echo "PASS: centroids and POIs byte-identical across backends, cluster view + federated metrics + trace listing + clock-aligned trace and timelines verified"
+echo "PASS: centroids and POIs byte-identical across backends, cluster view + federated metrics + trace listing + rpc overhead, worker exec lanes and timelines verified"
