@@ -482,6 +482,57 @@ func TestMapperErrorFailsJob(t *testing.T) {
 	}
 }
 
+// TestIllegalPartitionFailsTheJob: a partitioner returning a reducer
+// that does not exist fails the attempts that meet it, and so the job,
+// with Hadoop's message — the process does not crash.
+func TestIllegalPartitionFailsTheJob(t *testing.T) {
+	for _, part := range []int{3, -1} {
+		e := newTestEngine(t, 64)
+		writeInput(t, e, "in/f", "a b\n")
+		_, err := e.Run(build(strJob{
+			Name:        "badpart",
+			InputPaths:  []string{"in/f"},
+			OutputPath:  "out",
+			NumReducers: 3,
+			Mapper:      func() strMapper { return wordMapper{} },
+			Reducer:     func() strReducer { return sumReducer{} },
+			Partition:   func(string, int) int { return part },
+		}))
+		want := fmt.Sprintf("illegal partition %d for key %q (3 reducers)", part, "a")
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("partition %d: err = %v, want %q", part, err, want)
+		}
+	}
+}
+
+// TestMapperPanicFailsTheJob: a panicking mapper fails its attempt with
+// the panic value and the stack from the panicking frame down; every
+// retry fails alike and the job fails, where the process used to die.
+func TestMapperPanicFailsTheJob(t *testing.T) {
+	e, rec, _ := newObservedEngine(t, 64, Options{})
+	writeInput(t, e, "in/f", "boom\n")
+	_, err := e.Run(build(strJob{
+		Name:       "mappanic",
+		InputPaths: []string{"in/f"},
+		OutputPath: "out",
+		Mapper: func() strMapper {
+			return strMapFunc(func(_ *TaskContext, _, v string, _ strEmit) error {
+				panic("mapper cannot take " + v)
+			})
+		},
+		MaxAttempts: 2,
+	}))
+	if err == nil || !strings.Contains(err.Error(), "panic: mapper cannot take boom") {
+		t.Fatalf("err = %v, want the panic value", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "TestMapperPanicFailsTheJob") || strings.Contains(msg, "runtime/debug.Stack") {
+		t.Fatalf("err = %v, want the stack from the panicking frame down", err)
+	}
+	if failed := rec.ByType(obs.AttemptFailed); len(failed) != 2 {
+		t.Fatalf("%d failed attempts, want MaxAttempts (2)", len(failed))
+	}
+}
+
 func TestReducerErrorFailsJob(t *testing.T) {
 	e := newTestEngine(t, 64)
 	writeInput(t, e, "in/f", "a\n")

@@ -12,7 +12,9 @@ package mapreduce
 import (
 	"bytes"
 	"cmp"
+	"math/bits"
 	"slices"
+	"strings"
 	"unsafe"
 )
 
@@ -64,26 +66,94 @@ func (b *kvBuffer) add(buf []byte, klen int) {
 	b.maxRec = max(b.maxRec, len(buf)-off)
 }
 
-// sort orders the index by (partition, key, emission order). With the
-// tie-break the order is total, so the unstable sort is a stable one.
-func (b *kvBuffer) sort(keyCompare func(a, b string) int) {
+const groupFraction = 4 // sort leaves over len(index)/groupFraction distinct keys to compareSort
+
+// kvGroups is sort's scratch, reused by all the sorts of a map attempt.
+type kvGroups struct {
+	table []uint32  // by hash of the key bytes: group number + 1, 0 if free
+	heads []kvEntry // each group's first entry
+	next  []uint32  // each group's size, then its next slot in alt
+	order []uint32  // group numbers in sorted order
+	alt   []kvEntry // the second index; free between sorts
+}
+
+// sort orders the index by (partition, key, emission order) in O(n + d
+// log d) for d distinct keys: it groups entries by (partition, key
+// bytes), sorts the groups' heads, and places each group in index order
+// in the second index, swapped in. Index order within a key is (block,
+// offset) order — records are appended in it, sorts keep it, a sorted
+// (combined) buffer appends behind — so this is compareSort's order,
+// which serves near-distinct keys and distinct keys keyCompare equates.
+func (b *kvBuffer) sort(keyCompare func(a, b string) int, g *kvGroups) {
+	n, size := len(b.index), 2<<bits.Len(uint(len(b.index)/groupFraction)) // over twice the groups
+	table := slices.Grow(g.table[:0], size)[:size]
+	clear(table)
+	g.table, g.heads, g.next, g.order = table, g.heads[:0], g.next[:0], g.order[:0]
+	for i := range b.index {
+		e := &b.index[i]
+		key := b.blocks[e.blk][e.off : e.off+e.klen]
+		slot := HashPartition(view(key), size) // a power of two: FNV-1a's low bits
+		for ; table[slot] != 0; slot = (slot + 1) & (size - 1) {
+			if h := g.heads[table[slot]-1]; h.part == e.part && bytes.Equal(b.blocks[h.blk][h.off:h.off+h.klen], key) {
+				break
+			}
+		}
+		if id := uint32(len(g.heads)); table[slot] == 0 && id == uint32(n/groupFraction) {
+			b.compareSort(keyCompare, g, i) // near-distinct keys
+			return
+		} else if table[slot] == 0 {
+			g.heads, g.next, g.order = append(g.heads, *e), append(g.next, 0), append(g.order, id)
+			table[slot] = id + 1
+		}
+		e.part = table[slot] - 1 // its group number, until the placement
+		g.next[e.part]++
+	}
+	order := b.entryOrder(keyCompare, false)
+	slices.SortFunc(g.order, func(x, y uint32) int { return order(g.heads[x], g.heads[y]) })
+	at := uint32(0)
+	for i, id := range g.order {
+		if i > 0 && order(g.heads[g.order[i-1]], g.heads[id]) == 0 {
+			b.compareSort(keyCompare, g, n)
+			return
+		}
+		at, g.next[id] = at+g.next[id], at
+	}
+	alt := slices.Grow(g.alt[:0], n)[:n]
+	for _, e := range b.index {
+		id := e.part
+		e.part = g.heads[id].part
+		alt[g.next[id]] = e
+		g.next[id]++
+	}
+	b.index, g.alt = alt, b.index
+}
+
+// compareSort is sort by comparison, once the first grouped entries have their partition back.
+func (b *kvBuffer) compareSort(keyCompare func(a, b string) int, g *kvGroups, grouped int) {
+	for i := range b.index[:grouped] {
+		b.index[i].part = g.heads[b.index[i].part].part
+	}
+	slices.SortFunc(b.index, b.entryOrder(keyCompare, true))
+}
+
+// entryOrder orders by (partition, key) and, given tie, by emission (block, offset): a total order.
+func (b *kvBuffer) entryOrder(keyCompare func(a, b string) int, tie bool) func(x, y kvEntry) int {
 	blocks := b.blocks
-	slices.SortFunc(b.index, func(x, y kvEntry) int {
+	if keyCompare == nil {
+		keyCompare = strings.Compare
+	}
+	return func(x, y kvEntry) int {
 		if x.part != y.part {
 			return cmp.Compare(x.part, y.part)
 		}
 		kx, ky := blocks[x.blk][x.off:x.off+x.klen], blocks[y.blk][y.off:y.off+y.klen]
-		c := 0
-		if keyCompare == nil {
-			c = bytes.Compare(kx, ky)
-		} else {
-			c = keyCompare(view(kx), view(ky))
-		}
-		if c == 0 {
+		// unsafe.String, not view: view stays a call in this closure's inlined copy.
+		c := keyCompare(unsafe.String(unsafe.SliceData(kx), len(kx)), unsafe.String(unsafe.SliceData(ky), len(ky)))
+		if c == 0 && tie {
 			c = cmp.Or(cmp.Compare(x.blk, y.blk), cmp.Compare(x.off, y.off))
 		}
 		return c
-	})
+	}
 }
 
 // eachPart calls fn with every partition's stretch of the sorted index.

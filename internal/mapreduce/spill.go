@@ -100,9 +100,9 @@ type mapSpiller struct {
 	forceFiles bool
 
 	buf      kvBuffer
-	spare    []kvEntry // the index the last combine read, for the next to fill
-	limit    int64     // arena size at which the buffer is full; 0: never
-	bound    bool      // the budget was reached at least once
+	groups   kvGroups // the scratch of every sort
+	limit    int64    // arena size at which the buffer is full; 0: never
+	bound    bool     // the budget was reached at least once
 	spillSeq int
 	err      error // first failure; add becomes a no-op after
 
@@ -133,10 +133,13 @@ func (sp *mapSpiller) add(buf []byte, klen int) {
 	}
 	cur := sp.buf.blocks[len(sp.buf.blocks)-1]
 	key := view(buf[len(cur):][:klen])
-	if part := sp.spec.Job.partitioner; part != nil {
-		sp.buf.part = part(key, sp.spec.NumReducers)
-	} else {
-		sp.buf.part = HashPartition(key, sp.spec.NumReducers)
+	part, n := HashPartition, sp.spec.NumReducers
+	if sp.spec.Job.partitioner != nil {
+		part = sp.spec.Job.partitioner
+	}
+	if sp.buf.part = part(key, n); sp.buf.part < 0 || sp.buf.part >= n {
+		sp.err = fmt.Errorf("illegal partition %d for key %q (%d reducers)", sp.buf.part, key, n)
+		return
 	}
 	sp.buf.add(buf, klen)
 	sp.stats.MapOutputRecords++
@@ -172,14 +175,14 @@ func (sp *mapSpiller) full() error {
 // sorted again (a combiner's Cleanup may emit out of order).
 func (sp *mapSpiller) sortCombine() error {
 	job := sp.spec.Job
-	sp.buf.sort(job.keyCompare)
+	sp.buf.sort(job.keyCompare, &sp.groups)
 	if job.newCombiner == nil || len(sp.buf.index) == 0 {
 		return nil
 	}
 	// The combiner reads views of the arena, so it writes to a new one
 	// (whose first block will hold as much as this one did).
 	in := sp.buf
-	out := kvBuffer{index: sp.spare[:0], next: int(in.bytes) + 4*in.maxRec}
+	out := kvBuffer{index: sp.groups.alt[:0], next: int(in.bytes) + 4*in.maxRec}
 	ctx := *sp.ctx
 	ctx.out = &out
 	err := in.eachPart(func(p int, run kvRun) error {
@@ -192,8 +195,9 @@ func (sp *mapSpiller) sortCombine() error {
 	}
 	sp.stats.CombineInputRecords += int64(len(in.index))
 	sp.stats.CombineOutputRecords += int64(len(out.index))
-	out.sort(job.keyCompare)
-	sp.buf, sp.spare = out, in.index
+	sp.groups.alt = in.index // read: the second index of out's sort
+	out.sort(job.keyCompare, &sp.groups)
+	sp.buf = out
 	return nil
 }
 

@@ -8,7 +8,9 @@
 package mapreduce
 
 import (
+	"bytes"
 	"fmt"
+	"runtime/debug"
 
 	"repro/internal/dfs"
 	"repro/internal/recordio"
@@ -30,11 +32,17 @@ func ExecuteTask(store dfs.Store, spec TaskSpec) (TaskResult, error) {
 // executeTask is ExecuteTask with the choice the in-process executor
 // makes differently: with forceFiles unset, a map task's unspilled
 // runs stay in memory.
-func executeTask(store dfs.Store, spec TaskSpec, forceFiles bool) (TaskResult, error) {
+func executeTask(store dfs.Store, spec TaskSpec, forceFiles bool) (res TaskResult, err error) {
 	job := spec.Job
 	if job == nil {
 		return TaskResult{}, fmt.Errorf("mapreduce: task %s has no job", spec.TaskID)
 	}
+	defer func() { // a panic in user code or a codec fails the attempt, not the process
+		if v := recover(); v != nil {
+			stack := debug.Stack() // cut to the panicking frame and below
+			res, err = TaskResult{}, fmt.Errorf("%s: panic: %v\n%.4096s", spec.TaskID, v, stack[bytes.Index(stack, []byte("\npanic("))+1:])
+		}
+	}()
 	// A fresh registry per attempt: user counters reach the driver as
 	// a snapshot and are merged winner-only, so a failed or losing
 	// attempt contributes nothing.
@@ -43,8 +51,6 @@ func executeTask(store dfs.Store, spec TaskSpec, forceFiles bool) (TaskResult, e
 		JobName: job.Name, TaskID: spec.TaskID, Attempt: spec.Attempt, Node: spec.Node,
 		conf: job.Conf, cache: job.Cache, counters: counters,
 	}
-	var res TaskResult
-	var err error
 	switch spec.Phase {
 	case "map":
 		res, err = executeMapTask(store, ctx, spec, forceFiles)
