@@ -588,65 +588,3 @@ func (fs *FileSystem) Stats() Stats {
 	}
 	return s
 }
-
-// Balance evens out block counts across alive datanodes (the HDFS
-// balancer): while the most loaded node holds at least two blocks more
-// than the least loaded, one eligible replica is moved. A replica is
-// eligible if the target node does not already hold a copy of the same
-// chunk. It returns the number of block moves performed.
-func (fs *FileSystem) Balance() int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	alive := fs.cluster.Alive()
-	if len(alive) < 2 {
-		return 0
-	}
-	// Index: chunk id -> meta, for replica-list upkeep.
-	byID := make(map[string]*chunkMeta)
-	for _, meta := range fs.files {
-		for _, cm := range meta.chunks {
-			byID[cm.id] = cm
-		}
-	}
-	moves := 0
-	for {
-		var maxN, minN *datanode
-		var maxID, minID string
-		for _, n := range alive {
-			dn := fs.nodes[n.ID]
-			if maxN == nil || len(dn.blocks) > len(maxN.blocks) {
-				maxN, maxID = dn, n.ID
-			}
-			if minN == nil || len(dn.blocks) < len(minN.blocks) {
-				minN, minID = dn, n.ID
-			}
-		}
-		if maxN == nil || len(maxN.blocks)-len(minN.blocks) < 2 {
-			return moves
-		}
-		moved := false
-		for id, block := range maxN.blocks {
-			if _, dup := minN.blocks[id]; dup {
-				continue
-			}
-			cm := byID[id]
-			if cm == nil {
-				continue
-			}
-			minN.blocks[id] = block
-			delete(maxN.blocks, id)
-			for i, r := range cm.replicas {
-				if r == maxID {
-					cm.replicas[i] = minID
-					break
-				}
-			}
-			moves++
-			moved = true
-			break
-		}
-		if !moved {
-			return moves
-		}
-	}
-}

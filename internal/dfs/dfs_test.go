@@ -505,68 +505,6 @@ func TestAllReplicasCorruptFailsRead(t *testing.T) {
 	}
 }
 
-func TestBalanceEvensBlockCounts(t *testing.T) {
-	// Write everything from one datanode: its local-first placement
-	// concentrates primaries there; Balance must spread them.
-	fs, c := newFS(t, 6, 2, 50)
-	writer := c.Nodes()[0].ID
-	data := randBytes(50*40, 31) // 40 chunks
-	if err := fs.Create("big", data, writer); err != nil {
-		t.Fatal(err)
-	}
-	before := fs.Stats().BlocksPerNode
-	if before[writer] != 40 {
-		t.Fatalf("writer holds %d blocks, want 40 (local-first placement)", before[writer])
-	}
-	moves := fs.Balance()
-	if moves == 0 {
-		t.Fatal("balancer moved nothing")
-	}
-	after := fs.Stats().BlocksPerNode
-	maxB, minB := 0, 1<<30
-	for _, n := range c.Nodes() {
-		b := after[n.ID]
-		if b > maxB {
-			maxB = b
-		}
-		if b < minB {
-			minB = b
-		}
-	}
-	if maxB-minB >= 2 {
-		t.Fatalf("still unbalanced after Balance: %v", after)
-	}
-	// Data must remain intact and replica lists consistent.
-	got, err := fs.ReadAll("big")
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("data corrupted by balancer: %v", err)
-	}
-	chunks, _ := fs.Chunks("big")
-	for _, ci := range chunks {
-		seen := map[string]bool{}
-		for _, h := range ci.Hosts {
-			if seen[h] {
-				t.Fatal("duplicate replica host after balance")
-			}
-			seen[h] = true
-		}
-		if len(ci.Hosts) != 3 {
-			t.Fatalf("chunk %d has %d hosts", ci.Index, len(ci.Hosts))
-		}
-	}
-}
-
-func TestBalanceNoOpWhenEven(t *testing.T) {
-	fs, _ := newFS(t, 4, 2, 100)
-	if err := fs.Create("f", randBytes(400, 32), ""); err != nil {
-		t.Fatal(err)
-	}
-	fs.Balance()
-	if moves := fs.Balance(); moves != 0 {
-		t.Fatalf("second balance moved %d blocks", moves)
-	}
-}
-
 func TestIOStatsCountsTraffic(t *testing.T) {
 	fs, _ := newFS(t, 6, 2, 100)
 	if s := fs.IOStats(); s != (IOStatsSnapshot{}) {

@@ -141,17 +141,6 @@ func Manhattan(a, b Point) float64 {
 	return math.Abs(a.Lat-b.Lat) + math.Abs(a.Lon-b.Lon)
 }
 
-// Equirectangular returns an approximate surface distance in meters
-// using the equirectangular projection. It is accurate to well under
-// 1% for distances below a few hundred kilometers and is cheaper than
-// Haversine; the synthetic generator uses it internally.
-func Equirectangular(a, b Point) float64 {
-	latMid := (a.Lat + b.Lat) / 2 * math.Pi / 180
-	x := (b.Lon - a.Lon) * math.Pi / 180 * math.Cos(latMid)
-	y := (b.Lat - a.Lat) * math.Pi / 180
-	return EarthRadiusMeters * math.Sqrt(x*x+y*y)
-}
-
 // SpeedKmh returns the speed in km/h implied by traveling from a to b
 // (great-circle) in dt seconds. It returns +Inf when dt is zero and the
 // points differ, and 0 when both the distance and dt are zero.
@@ -184,13 +173,6 @@ func Destination(origin Point, bearingDeg, distanceMeters float64) Point {
 	// Normalize longitude to [-180, 180).
 	lon2 = math.Mod(lon2+3*math.Pi, 2*math.Pi) - math.Pi
 	return Point{Lat: lat2 * 180 / math.Pi, Lon: lon2 * 180 / math.Pi}
-}
-
-// Midpoint returns the arithmetic midpoint of a and b in degree space.
-// For the small extents GEPETO operates on (a metropolitan area) this
-// is an adequate approximation of the geodesic midpoint.
-func Midpoint(a, b Point) Point {
-	return Point{Lat: (a.Lat + b.Lat) / 2, Lon: (a.Lon + b.Lon) / 2}
 }
 
 // Rect is an axis-aligned bounding rectangle in degree space, used by
@@ -227,30 +209,6 @@ func (r Rect) Union(o Rect) Rect {
 // Area returns the area of r in degrees².
 func (r Rect) Area() float64 {
 	return (r.Max.Lat - r.Min.Lat) * (r.Max.Lon - r.Min.Lon)
-}
-
-// Enlargement returns how much r's area grows if extended to cover o.
-func (r Rect) Enlargement(o Rect) float64 {
-	return r.Union(o).Area() - r.Area()
-}
-
-// MinDistSquared returns the squared Euclidean distance (degree space)
-// from p to the nearest point of r; zero if p is inside r. Used to
-// prune R-tree branches during nearest-neighbor search.
-func (r Rect) MinDistSquared(p Point) float64 {
-	dLat := axisDist(p.Lat, r.Min.Lat, r.Max.Lat)
-	dLon := axisDist(p.Lon, r.Min.Lon, r.Max.Lon)
-	return dLat*dLat + dLon*dLon
-}
-
-func axisDist(v, lo, hi float64) float64 {
-	switch {
-	case v < lo:
-		return lo - v
-	case v > hi:
-		return v - hi
-	}
-	return 0
 }
 
 // ExpandMeters returns r grown by approximately m meters on every side,

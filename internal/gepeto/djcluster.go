@@ -1,7 +1,6 @@
 package gepeto
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"strconv"
@@ -142,10 +141,6 @@ func DJClusterMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts 
 	if err != nil {
 		return res, err
 	}
-	var treeBlob bytes.Buffer
-	if _, err := tree.WriteTo(&treeBlob); err != nil {
-		return res, err
-	}
 
 	// Phase 3: neighborhood map + merging reduce.
 	clusterOut := workDir + "/clusters"
@@ -163,7 +158,8 @@ func DJClusterMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts 
 		confMinPts:  strconv.Itoa(opts.MinPts),
 		confPerUser: strconv.FormatBool(opts.PerUser),
 	}
-	ntj.Cache = map[string][]byte{cacheRTree: treeBlob.Bytes()}
+	// The mappers search this very tree: it travels as its structure.
+	ntj.Cache = map[string][]byte{cacheRTree: rtree.Codec{}.Append(nil, tree)}
 	jr, err := e.Run(ntj.Build())
 	if err != nil {
 		return res, err
@@ -369,7 +365,7 @@ func (m *neighborhoodMapper) Setup(ctx *mapreduce.TaskContext) error {
 		return fmt.Errorf("neighborhoodMapper: R-tree not in distributed cache")
 	}
 	var err error
-	m.tree, err = rtree.ReadFrom(bytes.NewReader(blob))
+	m.tree, err = rtree.Codec{}.Decode(string(blob))
 	if err != nil {
 		return err
 	}

@@ -29,9 +29,6 @@ type RTreeBuildOptions struct {
 	// SamplePerChunk is the number of objects each phase-1 mapper
 	// samples from its chunk (default 200).
 	SamplePerChunk int
-	// FanOut is the R-tree node capacity (default
-	// rtree.DefaultMaxEntries).
-	FanOut int
 	// Seed drives the phase-1 reservoir sampling.
 	Seed int64
 	// Parent is the enclosing observability span, when the build runs
@@ -52,9 +49,6 @@ func (o RTreeBuildOptions) withDefaults(e *mapreduce.Engine) RTreeBuildOptions {
 	if o.SamplePerChunk <= 0 {
 		o.SamplePerChunk = 200
 	}
-	if o.FanOut <= 0 {
-		o.FanOut = rtree.DefaultMaxEntries
-	}
 	return o
 }
 
@@ -62,7 +56,6 @@ const (
 	confCurve       = "rtree.curve"
 	confPartitions  = "rtree.partitions"
 	confSampleSize  = "rtree.sample.per.chunk"
-	confFanOut      = "rtree.fanout"
 	confSeed        = "rtree.seed"
 	confBoundsRect  = "rtree.bounds"
 	cachePartitions = "partition-points"
@@ -90,7 +83,6 @@ func BuildRTreeMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts
 		confCurve:      opts.Curve,
 		confPartitions: strconv.Itoa(opts.Partitions),
 		confSampleSize: strconv.Itoa(opts.SamplePerChunk),
-		confFanOut:     strconv.Itoa(opts.FanOut),
 		confSeed:       strconv.FormatInt(opts.Seed, 10),
 		confBoundsRect: marshalRect(bounds),
 	}
@@ -144,11 +136,11 @@ func BuildRTreeMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts
 	// are merged in partition order, which follows the curve, so
 	// adjacent subtrees are spatially close.
 	defer span(e, spanID+"/merge", spanID, "sequential subtree merge", &err)()
-	subtrees, err := readSubtrees(e, phase2Out, opts.FanOut)
+	subtrees, err := readSubtrees(e, phase2Out)
 	if err != nil {
 		return nil, results, err
 	}
-	tree = rtree.Merge(opts.FanOut, subtrees...)
+	tree = rtree.Merge(rtree.DefaultMaxEntries, subtrees...)
 	return tree, results, nil
 }
 
@@ -176,15 +168,15 @@ var rtreePhase1Kind = mapreduce.Declare(rtreePhase1Job{
 
 // rtreePhase2Job is the typed shape of the build phase: trace records
 // in, (partition index, ID+point) intermediates, one (partition index,
-// serialized entry list) record per partition out.
-type rtreePhase2Job = mapreduce.TypedJob[string, trace.Trace, int64, recordio.IDPoint, int64, []recordio.IDPoint]
+// serialized subtree) record per partition out.
+type rtreePhase2Job = mapreduce.TypedJob[string, trace.Trace, int64, recordio.IDPoint, int64, *rtree.Tree]
 
 var rtreePhase2Kind = mapreduce.Declare(rtreePhase2Job{
 	Kind: "gepeto/rtree-phase2",
 	Mapper: func() mapreduce.TypedMapper[string, trace.Trace, int64, recordio.IDPoint] {
 		return &partitionMapper{}
 	},
-	Reducer: func() mapreduce.TypedReducer[int64, recordio.IDPoint, int64, []recordio.IDPoint] {
+	Reducer: func() mapreduce.TypedReducer[int64, recordio.IDPoint, int64, *rtree.Tree] {
 		return &subtreeReducer{}
 	},
 	InputKey:    recordio.RawString{},
@@ -192,7 +184,7 @@ var rtreePhase2Kind = mapreduce.Declare(rtreePhase2Job{
 	MapKey:      recordio.Int64{},
 	MapValue:    recordio.IDPointCodec{},
 	OutputKey:   recordio.Int64{},
-	OutputValue: recordio.IDPointList{},
+	OutputValue: rtree.Codec{},
 	// Partition i goes to reducer i: keys are partition indices.
 	Partition: func(idx int64, n int) int {
 		if idx < 0 {
@@ -225,7 +217,10 @@ func (m *sampleMapper) Setup(ctx *mapreduce.TaskContext) error {
 	if err != nil || m.size <= 0 {
 		return fmt.Errorf("sampleMapper: bad sample size: %v", err)
 	}
-	seed, _ := strconv.ParseInt(ctx.ConfDefault(confSeed, "0"), 10, 64)
+	seed, err := strconv.ParseInt(ctx.ConfDefault(confSeed, "0"), 10, 64)
+	if err != nil {
+		return fmt.Errorf("sampleMapper: bad seed: %v", err)
+	}
 	// Mix the task ID into the seed so chunks sample independently
 	// yet deterministically.
 	m.rng = rand.New(rand.NewSource(seed ^ int64(hashString(ctx.TaskID))))
@@ -311,47 +306,32 @@ func (m *partitionMapper) Map(_ *mapreduce.TaskContext, _ string, t trace.Trace,
 	return nil
 }
 
-// subtreeReducer is Algorithm 9: each reducer constructs the R-tree
-// associated with its partition, emitting it in serialized entry-list
-// form (the tree is reconstructed losslessly by bulk-loading, so only
-// the entries travel).
+// subtreeReducer is Algorithm 9: each reducer bulk-loads the R-tree
+// associated with its partition and emits it in serialized form; the
+// tree travels as its own structure, so phase 3 merges the very trees
+// built here.
 type subtreeReducer struct {
-	mapreduce.TypedReducerBase[int64, []recordio.IDPoint]
+	mapreduce.TypedReducerBase[int64, *rtree.Tree]
 }
 
-func (r *subtreeReducer) Reduce(ctx *mapreduce.TaskContext, key int64, values []recordio.IDPoint, emit mapreduce.TypedEmit[int64, []recordio.IDPoint]) error {
-	fanOut, err := strconv.Atoi(ctx.ConfDefault(confFanOut, strconv.Itoa(rtree.DefaultMaxEntries)))
-	if err != nil || fanOut < 4 {
-		fanOut = rtree.DefaultMaxEntries
-	}
+func (r *subtreeReducer) Reduce(ctx *mapreduce.TaskContext, key int64, values []recordio.IDPoint, emit mapreduce.TypedEmit[int64, *rtree.Tree]) error {
 	entries := make([]rtree.Entry, 0, len(values))
 	for _, v := range values {
 		entries = append(entries, rtree.Entry{ID: v.ID, Point: v.P})
 	}
-	tree := rtree.BulkLoad(entries, fanOut)
+	tree := rtree.BulkLoad(entries, rtree.DefaultMaxEntries)
 	ctx.Counter("rtree", "subtree_entries").Inc(int64(tree.Len()))
-	// Serialize in DFS order so the driver's bulk-load reconstruction
-	// is lossless; only the entries travel.
-	out := make([]recordio.IDPoint, 0, tree.Len())
-	for _, e := range tree.All() {
-		out = append(out, recordio.IDPoint{ID: e.ID, P: e.Point})
-	}
-	emit(key, out)
+	emit(key, tree)
 	return nil
 }
 
-// readSubtrees reconstructs the partition R-trees from phase 2's
-// output, bulk-loading each serialized entry list. Partition i is the
-// one key of reducer i (phase 2 runs a reducer per partition), so
-// part-file order is partition order.
-func readSubtrees(e *mapreduce.Engine, dir string, fanOut int) ([]*rtree.Tree, error) {
+// readSubtrees decodes the partition R-trees from phase 2's output.
+// Partition i is the one key of reducer i (phase 2 runs a reducer per
+// partition), so part-file order is partition order.
+func readSubtrees(e *mapreduce.Engine, dir string) ([]*rtree.Tree, error) {
 	var trees []*rtree.Tree
-	err := mapreduce.ReadOutput(e, dir, recordio.Int64{}, recordio.IDPointList{}, func(_ int64, pts []recordio.IDPoint) error {
-		entries := make([]rtree.Entry, len(pts))
-		for i, v := range pts {
-			entries[i] = rtree.Entry{ID: v.ID, Point: v.P}
-		}
-		trees = append(trees, rtree.BulkLoad(entries, fanOut))
+	err := mapreduce.ReadOutput(e, dir, recordio.Int64{}, rtree.Codec{}, func(_ int64, t *rtree.Tree) error {
+		trees = append(trees, t)
 		return nil
 	})
 	if err != nil {

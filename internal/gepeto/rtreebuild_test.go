@@ -121,7 +121,7 @@ func TestBuildRTreeMRDefaultOptions(t *testing.T) {
 	h := newHarness(t, 1, 500, 1<<20)
 	opts := RTreeBuildOptions{}.withDefaults(h.e)
 	if opts.Curve != "zorder" || opts.Partitions != h.e.Cluster().TotalSlots() ||
-		opts.SamplePerChunk != 200 || opts.FanOut != rtree.DefaultMaxEntries {
+		opts.SamplePerChunk != 200 {
 		t.Fatalf("defaults = %+v", opts)
 	}
 }
@@ -130,11 +130,11 @@ func TestBuildRTreeMRDefaultOptions(t *testing.T) {
 // reads it back the way phase 3 does.
 func TestParseSubtreeErrors(t *testing.T) {
 	h := newHarness(t, 1, 10, 64)
-	enc := string((recordio.IDPointList{}).Append(nil, []recordio.IDPoint{
-		{ID: "u1:100", P: geo.Point{Lat: 39.9, Lon: 116.4}},
-		{ID: "u2:200", P: geo.Point{Lat: 40.0, Lon: 116.5}},
-	}))
-	empty := string((recordio.IDPointList{}).Append(nil, nil))
+	enc := string(rtree.Codec{}.Append(nil, rtree.BulkLoad([]rtree.Entry{
+		{ID: "u1:100", Point: geo.Point{Lat: 39.9, Lon: 116.4}},
+		{ID: "u2:200", Point: geo.Point{Lat: 40.0, Lon: 116.5}},
+	}, rtree.DefaultMaxEntries)))
+	empty := string(rtree.Codec{}.Append(nil, rtree.BulkLoad(nil, rtree.DefaultMaxEntries)))
 	for i, tc := range []struct {
 		name  string
 		value string
@@ -151,12 +151,34 @@ func TestParseSubtreeErrors(t *testing.T) {
 		if err := h.e.FS().Create(dir+"/part-r-00000", w.Bytes(), ""); err != nil {
 			t.Fatal(err)
 		}
-		trees, err := readSubtrees(h.e, dir, 8)
+		trees, err := readSubtrees(h.e, dir)
 		switch {
 		case tc.size < 0 && err == nil:
 			t.Errorf("%s: want an error", tc.name)
 		case tc.size >= 0 && (err != nil || len(trees) != 1 || trees[0].Len() != tc.size):
 			t.Errorf("%s: trees=%d err=%v, want one of %d entries", tc.name, len(trees), err, tc.size)
+		}
+	}
+}
+
+// TestSamplePhaseRejectsBadConf runs phase 1 with malformed conf
+// values, as a job arriving over the wire could carry: the mappers'
+// Setup must fail the job rather than sample with a default.
+func TestSamplePhaseRejectsBadConf(t *testing.T) {
+	h := newHarness(t, 1, 200, 1<<20)
+	for i, conf := range []map[string]string{
+		{confSampleSize: "x"},
+		{confSampleSize: "0"},
+		{confSeed: "x"},
+	} {
+		j := rtreePhase1Kind
+		j.Name = "rtree-phase1-badconf"
+		j.InputPaths = []string{h.input}
+		j.OutputPath = fmt.Sprintf("badconf-%d", i)
+		j.NumReducers = 1
+		j.Conf = conf
+		if _, err := h.e.Run(j.Build()); err == nil {
+			t.Errorf("conf %v: want the job to fail", conf)
 		}
 	}
 }

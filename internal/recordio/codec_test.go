@@ -405,32 +405,3 @@ func TestIDPointRoundTrip(t *testing.T) {
 		t.Fatal("want error for trailing bytes")
 	}
 }
-
-func TestIDPointListRoundTrip(t *testing.T) {
-	c := IDPointList{}
-	for _, v := range [][]IDPoint{
-		{},
-		{{ID: "a:1", P: geo.Point{Lat: 1, Lon: 2}}},
-		{
-			{ID: "a:1", P: geo.Point{Lat: 1, Lon: 2}},
-			{ID: "b:2", P: geo.Point{Lat: -3, Lon: 4.5}},
-			{ID: "", P: geo.Point{}},
-		},
-	} {
-		got, err := c.Decode(string(c.Append(nil, v)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(v) {
-			t.Fatalf("len %d -> %d", len(v), len(got))
-		}
-		for i := range v {
-			if got[i] != v[i] {
-				t.Fatalf("element %d: %+v -> %+v", i, v[i], got[i])
-			}
-		}
-	}
-	if _, err := c.Decode("\x02\x01a"); err == nil {
-		t.Fatal("want error for truncated list")
-	}
-}

@@ -37,12 +37,6 @@ const (
 
 var compressedHeader = [HeaderLen]byte{'R', 'C', 'I', 'O', 2}
 
-// IsCompressedRecordData reports whether b starts with the compressed
-// (version 2) record-file header.
-func IsCompressedRecordData(b []byte) bool {
-	return len(b) >= HeaderLen && bytes.Equal(b[:HeaderLen], compressedHeader[:])
-}
-
 // CompressedWriter accumulates an in-memory version-2 record file,
 // compressing each block with DEFLATE as it fills.
 type CompressedWriter struct {

@@ -241,64 +241,15 @@ func (IDPointCodec) Append(dst []byte, v IDPoint) []byte {
 
 // Decode parses an encoded IDPoint.
 func (IDPointCodec) Decode(s string) (IDPoint, error) {
-	v, rest, err := consumeIDPoint(s)
-	if err != nil {
-		return IDPoint{}, err
-	}
-	if len(rest) != 0 {
-		return IDPoint{}, fmt.Errorf("recordio: %d trailing bytes after id-point", len(rest))
-	}
-	return v, nil
-}
-
-// consumeIDPoint decodes one IDPoint off the front of s.
-func consumeIDPoint(s string) (IDPoint, string, error) {
 	l, n := uvarint(s)
-	if n == 0 || l > uint64(len(s)-n) || uint64(len(s)-n)-l < 16 {
-		return IDPoint{}, "", fmt.Errorf("recordio: malformed id-point (%d bytes)", len(s))
+	if n == 0 || l > uint64(len(s)-n) || uint64(len(s)-n)-l != 16 {
+		return IDPoint{}, fmt.Errorf("recordio: malformed id-point (%d bytes)", len(s))
 	}
-	id := s[n : n+int(l)]
 	rest := s[n+int(l):]
-	p := geo.Point{
+	return IDPoint{ID: s[n : n+int(l)], P: geo.Point{
 		Lat: math.Float64frombits(beUint64(rest)),
 		Lon: math.Float64frombits(beUint64(rest[8:])),
-	}
-	return IDPoint{ID: id, P: p}, rest[16:], nil
-}
-
-// IDPointList encodes a []IDPoint as a uvarint count followed by the
-// elements — the serialized entry list of an R-tree partition subtree.
-type IDPointList struct{}
-
-// Append appends the encoding of v to dst.
-func (IDPointList) Append(dst []byte, v []IDPoint) []byte {
-	dst = appendUvarint(dst, uint64(len(v)))
-	for _, e := range v {
-		dst = IDPointCodec{}.Append(dst, e)
-	}
-	return dst
-}
-
-// Decode parses an encoded []IDPoint.
-func (IDPointList) Decode(s string) ([]IDPoint, error) {
-	count, n := uvarint(s)
-	if n == 0 || count > uint64(len(s)-n) {
-		return nil, fmt.Errorf("recordio: malformed id-point list (%d bytes)", len(s))
-	}
-	s = s[n:]
-	out := make([]IDPoint, 0, count)
-	for i := uint64(0); i < count; i++ {
-		v, rest, err := consumeIDPoint(s)
-		if err != nil {
-			return nil, fmt.Errorf("recordio: id-point list element %d: %v", i, err)
-		}
-		out = append(out, v)
-		s = rest
-	}
-	if len(s) != 0 {
-		return nil, fmt.Errorf("recordio: %d trailing bytes after id-point list", len(s))
-	}
-	return out, nil
+	}}, nil
 }
 
 // StringList encodes a []string as a uvarint count followed by a

@@ -12,24 +12,26 @@
 // through their minimum bounding rectangles. Queries only traverse the
 // bounding rectangles intersecting the query.
 //
-// Three construction paths are provided:
+// A tree is built once and never changes afterwards:
 //
-//   - Insert: classic dynamic insertion with quadratic split.
 //   - BulkLoad: Sort-Tile-Recursive (STR) packing, used by the
 //     per-partition reducers of the MapReduce construction.
 //   - Merge: grafting several small R-trees into a global one, the
 //     sequential third phase of the MapReduce construction.
+//
+// A tree travels as its own structure (Codec, WriteTo, ReadFrom): the
+// decoded tree has the nodes, entry order and height of the encoded
+// one, so the tree DJ-Cluster's mappers search is the tree §VII-C
+// built, not a rebuild of its entries.
 package rtree
 
 import (
-	"bufio"
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"slices"
-	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/geo"
@@ -47,13 +49,16 @@ type Entry struct {
 // cost for datasets in the millions.
 const DefaultMaxEntries = 16
 
-// Tree is an in-memory R-tree over point entries. The zero value is
-// not usable; create trees with New or BulkLoad.
+// minMaxEntries is the smallest fan-out a tree is built with.
+const minMaxEntries = 4
+
+// Tree is an immutable in-memory R-tree over point entries. Create
+// trees with BulkLoad or Merge, or decode one (ReadFrom, Codec); an
+// empty tree is BulkLoad(nil, m).
 type Tree struct {
 	root       *node
 	size       int
 	maxEntries int
-	minEntries int
 }
 
 type node struct {
@@ -63,17 +68,10 @@ type node struct {
 	entries  []Entry // leaf nodes
 }
 
-// New returns an empty R-tree with the given maximum node fan-out
-// (use DefaultMaxEntries if in doubt). The minimum fill is M/2.
-func New(maxEntries int) *Tree {
-	if maxEntries < 4 {
-		maxEntries = 4
-	}
-	return &Tree{
-		root:       &node{leaf: true},
-		maxEntries: maxEntries,
-		minEntries: maxEntries / 2,
-	}
+// emptyTree returns a tree holding no entries, with fan-out m clamped
+// to at least minMaxEntries.
+func emptyTree(m int) *Tree {
+	return &Tree{root: &node{leaf: true}, maxEntries: max(m, minMaxEntries)}
 }
 
 // Len returns the number of entries in the tree.
@@ -86,59 +84,6 @@ func (t *Tree) Bounds() geo.Rect {
 		return geo.Rect{}
 	}
 	return t.root.rect
-}
-
-// Insert adds an entry using Guttman's ChooseLeaf / quadratic-split
-// algorithm.
-func (t *Tree) Insert(e Entry) {
-	if sibling := t.insertRec(t.root, e); sibling != nil {
-		// Root split: grow the tree by one level.
-		old := t.root
-		t.root = &node{
-			leaf:     false,
-			children: []*node{old, sibling},
-			rect:     old.rect.Union(sibling.rect),
-		}
-	}
-	t.size++
-}
-
-// insertRec inserts e into the subtree rooted at n. If n overflows and
-// splits, n is replaced in place by the first half and the second half
-// is returned for the caller to adopt; otherwise it returns nil.
-func (t *Tree) insertRec(n *node, e Entry) *node {
-	if n.leaf {
-		n.entries = append(n.entries, e)
-		n.recomputeRect()
-		if len(n.entries) > t.maxEntries {
-			a, b := t.quadraticSplit(n)
-			*n = *a
-			return b
-		}
-		return nil
-	}
-	// ChooseLeaf step: descend into the child needing least enlargement,
-	// ties broken by smaller area.
-	r := geo.RectFromPoint(e.Point)
-	best := n.children[0]
-	bestEnl := best.rect.Enlargement(r)
-	for _, c := range n.children[1:] {
-		enl := c.rect.Enlargement(r)
-		if enl < bestEnl || (enl == bestEnl && c.rect.Area() < best.rect.Area()) {
-			best, bestEnl = c, enl
-		}
-	}
-	sibling := t.insertRec(best, e)
-	if sibling != nil {
-		n.children = append(n.children, sibling)
-	}
-	n.recomputeRect()
-	if len(n.children) > t.maxEntries {
-		a, b := t.quadraticSplit(n)
-		*n = *a
-		return b
-	}
-	return nil
 }
 
 // recomputeRect refreshes a node's MBR from its direct contents.
@@ -166,98 +111,10 @@ func (n *node) recomputeRect() {
 	n.rect = r
 }
 
-// quadraticSplit splits an overflowing node into two per Guttman's
-// quadratic algorithm: pick the two seeds wasting the most area
-// together, then assign remaining items to the group whose MBR grows
-// least.
-func (t *Tree) quadraticSplit(n *node) (a, b *node) {
-	if n.leaf {
-		ea, eb := splitItems(n.entries, t.minEntries,
-			func(e Entry) geo.Rect { return geo.RectFromPoint(e.Point) })
-		a = &node{leaf: true, entries: ea}
-		b = &node{leaf: true, entries: eb}
-	} else {
-		ca, cb := splitItems(n.children, t.minEntries,
-			func(c *node) geo.Rect { return c.rect })
-		a = &node{leaf: false, children: ca}
-		b = &node{leaf: false, children: cb}
-	}
-	a.recomputeRect()
-	b.recomputeRect()
-	return a, b
-}
-
-// splitItems is the generic quadratic split over any item type.
-func splitItems[T any](items []T, minFill int, rectOf func(T) geo.Rect) (ga, gb []T) {
-	// Pick seeds: the pair with maximal dead area.
-	seedA, seedB := 0, 1
-	worst := math.Inf(-1)
-	for i := 0; i < len(items); i++ {
-		for j := i + 1; j < len(items); j++ {
-			ri, rj := rectOf(items[i]), rectOf(items[j])
-			d := ri.Union(rj).Area() - ri.Area() - rj.Area()
-			if d > worst {
-				worst, seedA, seedB = d, i, j
-			}
-		}
-	}
-	ra, rb := rectOf(items[seedA]), rectOf(items[seedB])
-	ga = append(ga, items[seedA])
-	gb = append(gb, items[seedB])
-	rest := make([]T, 0, len(items)-2)
-	for i, it := range items {
-		if i != seedA && i != seedB {
-			rest = append(rest, it)
-		}
-	}
-	for len(rest) > 0 {
-		// If one group needs all remaining items to reach min fill,
-		// assign them all.
-		if len(ga)+len(rest) <= minFill {
-			for _, it := range rest {
-				ga = append(ga, it)
-				ra = ra.Union(rectOf(it))
-			}
-			break
-		}
-		if len(gb)+len(rest) <= minFill {
-			for _, it := range rest {
-				gb = append(gb, it)
-				rb = rb.Union(rectOf(it))
-			}
-			break
-		}
-		// Pick the item with the greatest preference for one group.
-		bestIdx, bestDiff, bestToA := 0, -1.0, true
-		for i, it := range rest {
-			r := rectOf(it)
-			da := ra.Enlargement(r)
-			db := rb.Enlargement(r)
-			diff := math.Abs(da - db)
-			if diff > bestDiff {
-				bestDiff, bestIdx = diff, i
-				bestToA = da < db ||
-					(da == db && ra.Area() < rb.Area()) ||
-					(da == db && ra.Area() == rb.Area() && len(ga) <= len(gb))
-			}
-		}
-		it := rest[bestIdx]
-		rest = append(rest[:bestIdx], rest[bestIdx+1:]...)
-		if bestToA {
-			ga = append(ga, it)
-			ra = ra.Union(rectOf(it))
-		} else {
-			gb = append(gb, it)
-			rb = rb.Union(rectOf(it))
-		}
-	}
-	return ga, gb
-}
-
 // BulkLoad builds a packed R-tree from entries using the
 // Sort-Tile-Recursive (STR) algorithm. The input slice is not modified.
 func BulkLoad(entries []Entry, maxEntries int) *Tree {
-	t := New(maxEntries)
+	t := emptyTree(maxEntries)
 	if len(entries) == 0 {
 		return t
 	}
@@ -265,27 +122,21 @@ func BulkLoad(entries []Entry, maxEntries int) *Tree {
 	copy(es, entries)
 
 	// Leaf level: sort by lon, tile into vertical slabs, sort each slab
-	// by lat, pack runs of maxEntries.
+	// by lat, pack runs of maxEntries. Leaves share es: the tree never
+	// changes after construction.
 	m := t.maxEntries
 	slices.SortFunc(es, func(a, b Entry) int { return cmp.Compare(a.Point.Lon, b.Point.Lon) })
 	nLeaves := (len(es) + m - 1) / m
 	slabs := int(math.Ceil(math.Sqrt(float64(nLeaves))))
 	slabSize := slabs * m
 
-	var leaves []*node
+	leaves := make([]*node, 0, nLeaves)
 	for start := 0; start < len(es); start += slabSize {
-		end := start + slabSize
-		if end > len(es) {
-			end = len(es)
-		}
-		slab := es[start:end]
+		slab := es[start:min(start+slabSize, len(es))]
 		slices.SortFunc(slab, func(a, b Entry) int { return cmp.Compare(a.Point.Lat, b.Point.Lat) })
 		for ls := 0; ls < len(slab); ls += m {
-			le := ls + m
-			if le > len(slab) {
-				le = len(slab)
-			}
-			leaf := &node{leaf: true, entries: append([]Entry(nil), slab[ls:le]...)}
+			le := min(ls+m, len(slab))
+			leaf := &node{leaf: true, entries: slab[ls:le:le]}
 			leaf.recomputeRect()
 			leaves = append(leaves, leaf)
 		}
@@ -299,13 +150,10 @@ func BulkLoad(entries []Entry, maxEntries int) *Tree {
 // remains, packing in slice order (callers pre-sort spatially).
 func packUpward(nodes []*node, m int) *node {
 	for len(nodes) > 1 {
-		var next []*node
+		next := make([]*node, 0, (len(nodes)+m-1)/m)
 		for start := 0; start < len(nodes); start += m {
-			end := start + m
-			if end > len(nodes) {
-				end = len(nodes)
-			}
-			parent := &node{leaf: false, children: append([]*node(nil), nodes[start:end]...)}
+			end := min(start+m, len(nodes))
+			parent := &node{leaf: false, children: nodes[start:end:end]}
 			parent.recomputeRect()
 			next = append(next, parent)
 		}
@@ -318,9 +166,10 @@ func packUpward(nodes []*node, m int) *node {
 // their entries — the sequential phase 3 of the paper's MapReduce
 // construction. Subtree roots are packed under new interior levels in
 // the order given (callers order partitions along the space-filling
-// curve, so adjacent subtrees are spatially close).
+// curve, so adjacent subtrees are spatially close). The merged tree
+// shares the subtrees' nodes.
 func Merge(maxEntries int, trees ...*Tree) *Tree {
-	out := New(maxEntries)
+	out := emptyTree(maxEntries)
 	var roots []*node
 	total := 0
 	for _, tr := range trees {
@@ -403,67 +252,6 @@ func (t *Tree) Within(center geo.Point, radiusMeters float64) []Entry {
 	return out
 }
 
-// Nearest returns the k entries nearest to p in squared-Euclidean
-// degree space, using best-first branch-and-bound over MBRs (the
-// "traverses mainly the branches in which neighbors may be located"
-// behaviour from §VII-B). Ties are broken by entry ID for determinism.
-func (t *Tree) Nearest(p geo.Point, k int) []Entry {
-	if k <= 0 || t.size == 0 {
-		return nil
-	}
-	type cand struct {
-		dist float64
-		e    Entry
-	}
-	best := make([]cand, 0, k+1)
-	worst := math.Inf(1)
-	push := func(e Entry) {
-		d := geo.SquaredEuclidean(p, e.Point)
-		if len(best) == k && d > worst {
-			return
-		}
-		best = append(best, cand{d, e})
-		sort.Slice(best, func(i, j int) bool {
-			if best[i].dist != best[j].dist {
-				return best[i].dist < best[j].dist
-			}
-			return best[i].e.ID < best[j].e.ID
-		})
-		if len(best) > k {
-			best = best[:k]
-		}
-		if len(best) == k {
-			worst = best[k-1].dist
-		}
-	}
-	var walk func(n *node)
-	walk = func(n *node) {
-		if len(best) == k && n.rect.MinDistSquared(p) > worst {
-			return
-		}
-		if n.leaf {
-			for _, e := range n.entries {
-				push(e)
-			}
-			return
-		}
-		// Visit children in order of MinDist for effective pruning.
-		kids := append([]*node(nil), n.children...)
-		sort.Slice(kids, func(i, j int) bool {
-			return kids[i].rect.MinDistSquared(p) < kids[j].rect.MinDistSquared(p)
-		})
-		for _, c := range kids {
-			walk(c)
-		}
-	}
-	walk(t.root)
-	out := make([]Entry, len(best))
-	for i, c := range best {
-		out[i] = c.e
-	}
-	return out
-}
-
 // All returns every entry in the tree in depth-first order.
 func (t *Tree) All() []Entry {
 	out := make([]Entry, 0, t.size)
@@ -534,72 +322,210 @@ func (t *Tree) CheckInvariants() error {
 	return nil
 }
 
-// WriteTo serializes the tree in a compact line-oriented text format
-// suitable for the MapReduce distributed cache. Structure is rebuilt on
-// load via BulkLoad, so only entries and fan-out are stored.
-func (t *Tree) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	c, err := fmt.Fprintf(bw, "rtree\t%d\t%d\n", t.maxEntries, t.size)
-	n += int64(c)
-	if err != nil {
-		return n, err
-	}
-	for _, e := range t.All() {
-		c, err := fmt.Fprintf(bw, "%s\t%.6f\t%.6f\n", e.ID, e.Point.Lat, e.Point.Lon)
-		n += int64(c)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
+// The serialized form ships the tree's own structure:
+//
+//	"RTRE", version byte 1
+//	uvarint fan-out, uvarint entry count, uvarint height
+//	the nodes in preorder, each a uvarint count of its children
+//	(interior node) or entries (leaf); the leaves are exactly the
+//	nodes at depth height-1
+//	a leaf entry: uvarint ID length, the ID, then the big-endian
+//	float64 bits of lat and of lon
+//
+// Coordinates keep full precision. Rectangles are not stored: the
+// decoder recomputes them from the contents, bottom up.
+const (
+	magic   = "RTRE"
+	version = 1
+	// minEntryBytes is the smallest encoded entry: an empty ID's
+	// length byte and two float64s.
+	minEntryBytes = 1 + 16
+)
+
+// Codec encodes a *Tree in the serialized form; it is the value codec
+// of the MapReduce construction's subtrees.
+type Codec struct{}
+
+// Append appends the encoding of t to dst.
+func (Codec) Append(dst []byte, t *Tree) []byte {
+	dst = append(dst, magic...)
+	dst = append(dst, version)
+	dst = binary.AppendUvarint(dst, uint64(t.maxEntries))
+	dst = binary.AppendUvarint(dst, uint64(t.size))
+	dst = binary.AppendUvarint(dst, uint64(t.Height()))
+	return appendNode(dst, t.root)
 }
 
-// ReadFrom deserializes a tree written by WriteTo, rebuilding the
-// packed structure with BulkLoad.
-func ReadFrom(r io.Reader) (*Tree, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 64*1024*1024)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("rtree: empty serialization")
+func appendNode(dst []byte, n *node) []byte {
+	if !n.leaf {
+		dst = binary.AppendUvarint(dst, uint64(len(n.children)))
+		for _, c := range n.children {
+			dst = appendNode(dst, c)
+		}
+		return dst
 	}
-	header := strings.Split(sc.Text(), "\t")
-	if len(header) != 3 || header[0] != "rtree" {
-		return nil, fmt.Errorf("rtree: bad header %q", sc.Text())
+	dst = binary.AppendUvarint(dst, uint64(len(n.entries)))
+	for _, e := range n.entries {
+		dst = binary.AppendUvarint(dst, uint64(len(e.ID)))
+		dst = append(dst, e.ID...)
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(e.Point.Lat))
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(e.Point.Lon))
 	}
-	maxEntries, err := strconv.Atoi(header[1])
+	return dst
+}
+
+// Decode parses an encoded tree. Entry IDs alias s. Malformed input —
+// truncated, with trailing bytes, with counts the remaining bytes
+// cannot hold, or whose leaves disagree with the header — is an error.
+func (Codec) Decode(s string) (*Tree, error) {
+	if !strings.HasPrefix(s, magic) {
+		return nil, fmt.Errorf("rtree: not a serialized tree (bad magic)")
+	}
+	if len(s) == len(magic) || s[len(magic)] != version {
+		return nil, fmt.Errorf("rtree: unsupported serialization version")
+	}
+	d := decoder{s: s[len(magic)+1:]}
+	fanOut, err := d.uvarint("fan-out")
 	if err != nil {
-		return nil, fmt.Errorf("rtree: bad fan-out: %v", err)
-	}
-	size, err := strconv.Atoi(header[2])
-	if err != nil {
-		return nil, fmt.Errorf("rtree: bad size: %v", err)
-	}
-	entries := make([]Entry, 0, size)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		fields := strings.Split(line, "\t")
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("rtree: bad entry line %q", line)
-		}
-		lat, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("rtree: bad lat in %q: %v", line, err)
-		}
-		lon, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("rtree: bad lon in %q: %v", line, err)
-		}
-		entries = append(entries, Entry{ID: fields[0], Point: geo.Point{Lat: lat, Lon: lon}})
-	}
-	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if len(entries) != size {
-		return nil, fmt.Errorf("rtree: header says %d entries, read %d", size, len(entries))
+	size, err := d.uvarint("entry count")
+	if err != nil {
+		return nil, err
 	}
-	return BulkLoad(entries, maxEntries), nil
+	h, err := d.uvarint("height")
+	if err != nil {
+		return nil, err
+	}
+	if fanOut < minMaxEntries || fanOut > math.MaxInt32 {
+		return nil, fmt.Errorf("rtree: fan-out %d out of range", fanOut)
+	}
+	if size > uint64(len(d.s)/minEntryBytes) {
+		return nil, fmt.Errorf("rtree: %d entries cannot fit in %d bytes", size, len(d.s))
+	}
+	// No built tree is taller than its entry count: BulkLoad packs at
+	// least four per node, and Merge of k non-empty trees adds at most
+	// k-1 levels above the tallest while holding at least k-1 more
+	// entries. The bound also caps the decoder's recursion.
+	if h < 1 || h > max(size, 1) {
+		return nil, fmt.Errorf("rtree: height %d invalid for %d entries", h, size)
+	}
+	d.leafDepth = int(h) - 1
+	d.entries = make([]Entry, size)
+	root, err := d.node(0)
+	if err != nil {
+		return nil, err
+	}
+	if d.next != len(d.entries) {
+		return nil, fmt.Errorf("rtree: leaves hold %d entries, header says %d", d.next, size)
+	}
+	if len(d.s) != 0 {
+		return nil, fmt.Errorf("rtree: %d trailing bytes", len(d.s))
+	}
+	return &Tree{root: root, size: int(size), maxEntries: int(fanOut)}, nil
+}
+
+// decoder walks the preorder node list. All leaves share entries,
+// which the header sizes and the leaves fill in order.
+type decoder struct {
+	s         string
+	leafDepth int
+	entries   []Entry
+	next      int
+}
+
+func (d *decoder) uvarint(what string) (uint64, error) {
+	v, n := uvarint(d.s)
+	if n <= 0 {
+		return 0, fmt.Errorf("rtree: truncated or malformed %s", what)
+	}
+	d.s = d.s[n:]
+	return v, nil
+}
+
+func (d *decoder) node(depth int) (*node, error) {
+	c, err := d.uvarint("node count")
+	if err != nil {
+		return nil, err
+	}
+	if depth == d.leafDepth {
+		if c > uint64(len(d.entries)-d.next) || (c == 0 && len(d.entries) > 0) {
+			return nil, fmt.Errorf("rtree: leaf of %d entries in a tree of %d (%d placed)", c, len(d.entries), d.next)
+		}
+		return d.leaf(int(c))
+	}
+	if c == 0 || c > uint64(len(d.s)) {
+		return nil, fmt.Errorf("rtree: interior node of %d children at depth %d", c, depth)
+	}
+	n := &node{children: make([]*node, c)}
+	for i := range n.children {
+		if n.children[i], err = d.node(depth + 1); err != nil {
+			return nil, err
+		}
+	}
+	n.recomputeRect()
+	return n, nil
+}
+
+func (d *decoder) leaf(c int) (*node, error) {
+	n := &node{leaf: true, entries: d.entries[d.next : d.next+c : d.next+c]}
+	d.next += c
+	for i := range n.entries {
+		l, err := d.uvarint("entry ID length")
+		if err != nil {
+			return nil, err
+		}
+		if l > uint64(len(d.s)) || uint64(len(d.s))-l < 16 {
+			return nil, fmt.Errorf("rtree: truncated entry")
+		}
+		e := &n.entries[i]
+		e.ID = d.s[:l]
+		e.Point.Lat = math.Float64frombits(beUint64(d.s[l:]))
+		e.Point.Lon = math.Float64frombits(beUint64(d.s[l+8:]))
+		if math.IsNaN(e.Point.Lat) || math.IsNaN(e.Point.Lon) {
+			return nil, fmt.Errorf("rtree: entry %q has a NaN coordinate", e.ID)
+		}
+		d.s = d.s[l+16:]
+	}
+	n.recomputeRect()
+	return n, nil
+}
+
+// uvarint decodes an unsigned varint from the front of s, as
+// binary.Uvarint does for a byte slice.
+func uvarint(s string) (uint64, int) {
+	var v uint64
+	for i := 0; i < len(s) && i < binary.MaxVarintLen64; i++ {
+		b := s[i]
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				return 0, -1
+			}
+			return v | uint64(b)<<(7*i), i + 1
+		}
+		v |= uint64(b&0x7f) << (7 * i)
+	}
+	return 0, 0
+}
+
+// beUint64 reads 8 big-endian bytes from the front of s; the caller
+// has checked len(s) >= 8.
+func beUint64(s string) uint64 {
+	return uint64(s[0])<<56 | uint64(s[1])<<48 | uint64(s[2])<<40 | uint64(s[3])<<32 |
+		uint64(s[4])<<24 | uint64(s[5])<<16 | uint64(s[6])<<8 | uint64(s[7])
+}
+
+// WriteTo writes the tree's serialized form to w.
+func (t *Tree) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(Codec{}.Append(nil, t))
+	return int64(n), err
+}
+
+// ReadFrom reads a tree WriteTo wrote, restoring its structure.
+func ReadFrom(r io.Reader) (*Tree, error) {
+	var b strings.Builder
+	if _, err := io.Copy(&b, r); err != nil {
+		return nil, err
+	}
+	return Codec{}.Decode(b.String())
 }

@@ -2,7 +2,9 @@ package rtree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -62,34 +64,6 @@ func sameIDs(a, b map[string]bool) bool {
 	return true
 }
 
-func TestInsertAndSearchMatchesBruteForce(t *testing.T) {
-	es := randEntries(500, 1)
-	tr := New(8)
-	for _, e := range es {
-		tr.Insert(e)
-	}
-	if tr.Len() != 500 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 50; i++ {
-		lat := beijing.Min.Lat + rng.Float64()
-		lon := beijing.Min.Lon + rng.Float64()
-		q := geo.Rect{
-			Min: geo.Point{Lat: lat, Lon: lon},
-			Max: geo.Point{Lat: lat + rng.Float64()*0.3, Lon: lon + rng.Float64()*0.3},
-		}
-		got := idsOf(tr.Search(q))
-		want := bruteSearch(es, q)
-		if !sameIDs(got, want) {
-			t.Fatalf("query %d: got %d ids, want %d", i, len(got), len(want))
-		}
-	}
-}
-
 func TestBulkLoadMatchesBruteForce(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 16, 17, 100, 2000} {
 		es := randEntries(n, int64(n))
@@ -118,64 +92,6 @@ func TestBulkLoadDoesNotMutateInput(t *testing.T) {
 		if es[i] != orig[i] {
 			t.Fatal("BulkLoad reordered the caller's slice")
 		}
-	}
-}
-
-func TestInsertEqualsBulkLoadContents(t *testing.T) {
-	es := randEntries(300, 3)
-	ins := New(8)
-	for _, e := range es {
-		ins.Insert(e)
-	}
-	bl := BulkLoad(es, 8)
-	if !sameIDs(idsOf(ins.All()), idsOf(bl.All())) {
-		t.Fatal("Insert and BulkLoad trees hold different entries")
-	}
-}
-
-func TestNearestMatchesBruteForce(t *testing.T) {
-	es := randEntries(800, 4)
-	tr := BulkLoad(es, 16)
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 30; i++ {
-		p := geo.Point{
-			Lat: beijing.Min.Lat + rng.Float64()*(beijing.Max.Lat-beijing.Min.Lat),
-			Lon: beijing.Min.Lon + rng.Float64()*(beijing.Max.Lon-beijing.Min.Lon),
-		}
-		k := 1 + rng.Intn(20)
-		got := tr.Nearest(p, k)
-		// Brute force.
-		sorted := append([]Entry(nil), es...)
-		sort.Slice(sorted, func(a, b int) bool {
-			da, db := geo.SquaredEuclidean(p, sorted[a].Point), geo.SquaredEuclidean(p, sorted[b].Point)
-			if da != db {
-				return da < db
-			}
-			return sorted[a].ID < sorted[b].ID
-		})
-		want := sorted[:k]
-		if len(got) != k {
-			t.Fatalf("Nearest returned %d, want %d", len(got), k)
-		}
-		for j := range want {
-			if got[j].ID != want[j].ID {
-				t.Fatalf("query %d k=%d: position %d: got %s, want %s", i, k, j, got[j].ID, want[j].ID)
-			}
-		}
-	}
-}
-
-func TestNearestEdgeCases(t *testing.T) {
-	tr := New(8)
-	if got := tr.Nearest(geo.Point{}, 5); got != nil {
-		t.Fatal("empty tree should return nil")
-	}
-	tr.Insert(Entry{ID: "a", Point: geo.Point{Lat: 39.9, Lon: 116.4}})
-	if got := tr.Nearest(geo.Point{Lat: 39.9, Lon: 116.4}, 0); got != nil {
-		t.Fatal("k=0 should return nil")
-	}
-	if got := tr.Nearest(geo.Point{Lat: 1, Lon: 2}, 10); len(got) != 1 {
-		t.Fatalf("k larger than tree: got %d", len(got))
 	}
 }
 
@@ -245,7 +161,7 @@ func TestMergeUnevenHeights(t *testing.T) {
 	big := BulkLoad(randEntries(2000, 7), 8) // tall tree
 	small := BulkLoad(randEntries(5, 8), 8)  // height 1
 	med := BulkLoad(randEntries(100, 9), 8)  // mid height
-	empty := New(8)                          // empty, must be skipped
+	empty := BulkLoad(nil, 8)                // empty, must be skipped
 	merged := Merge(8, big, small, med, empty, nil)
 	if merged.Len() != 2105 {
 		t.Fatalf("merged Len = %d, want 2105", merged.Len())
@@ -260,62 +176,158 @@ func TestMergeEmpty(t *testing.T) {
 	if m.Len() != 0 {
 		t.Fatal("empty merge should be empty")
 	}
-	m2 := Merge(8, New(8), New(8))
+	m2 := Merge(8, BulkLoad(nil, 8), BulkLoad(nil, 8))
 	if m2.Len() != 0 {
 		t.Fatal("merge of empties should be empty")
 	}
 }
 
-func TestSerializationRoundTrip(t *testing.T) {
-	es := randEntries(500, 10)
-	tr := BulkLoad(es, 16)
+// roundTrip encodes tr with WriteTo and decodes it with ReadFrom.
+func roundTrip(t *testing.T, tr *Tree) *Tree {
+	t.Helper()
 	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
+	n, err := tr.WriteTo(&buf)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if n != int64(buf.Len()) {
+		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 	}
 	back, err := ReadFrom(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Len() != tr.Len() {
-		t.Fatalf("Len: got %d, want %d", back.Len(), tr.Len())
-	}
-	if !sameIDs(idsOf(back.All()), idsOf(tr.All())) {
-		t.Fatal("entries differ after round-trip")
-	}
-	if err := back.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	return back
+}
+
+// TestSerializationRoundTrip checks the structure is shipped, not
+// rebuilt: the decoded tree has the same entries in the same order,
+// the same height and bounds, for packed, merged and empty trees.
+func TestSerializationRoundTrip(t *testing.T) {
+	merged := Merge(8,
+		BulkLoad(randEntries(2000, 12), 8),
+		BulkLoad(randEntries(5, 13), 8),
+		BulkLoad(randEntries(100, 14), 16))
+	for name, tr := range map[string]*Tree{
+		"bulk":   BulkLoad(randEntries(500, 10), 16),
+		"single": BulkLoad(randEntries(1, 11), 4),
+		"merged": merged,
+		"empty":  BulkLoad(nil, 8),
+	} {
+		back := roundTrip(t, tr)
+		if back.Len() != tr.Len() || back.Height() != tr.Height() || back.Bounds() != tr.Bounds() {
+			t.Fatalf("%s: Len/Height/Bounds %d/%d/%+v -> %d/%d/%+v", name,
+				tr.Len(), tr.Height(), tr.Bounds(), back.Len(), back.Height(), back.Bounds())
+		}
+		want, got := tr.All(), back.All()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: entry %d: %+v -> %+v", name, i, want[i], got[i])
+			}
+		}
+		if err := back.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 }
 
-func TestReadFromErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"nottree\t8\t1\n",
-		"rtree\tx\t1\n",
-		"rtree\t8\ty\n",
-		"rtree\t8\t2\na\t39.9\t116.4\n",   // count mismatch
-		"rtree\t8\t1\na\t39.9\n",          // short line
-		"rtree\t8\t1\na\tbadlat\t116.4\n", // bad lat
-		"rtree\t8\t1\na\t39.9\tbadlon\n",  // bad lon
+func TestSerializationFullPrecision(t *testing.T) {
+	p := geo.Point{Lat: 39.9000004, Lon: 116.4000004}
+	back := roundTrip(t, BulkLoad([]Entry{{ID: "a", Point: p}}, 8))
+	if got := back.All(); len(got) != 1 || got[0].Point != p {
+		t.Fatalf("round trip of %v gave %v", p, got)
 	}
-	for _, s := range bad {
-		if _, err := ReadFrom(strings.NewReader(s)); err == nil {
-			t.Errorf("ReadFrom(%q): want error", s)
+}
+
+// header returns a blob's header for hand-built malformed trees.
+func header(fanOut, size, height uint64) []byte {
+	b := append([]byte(magic), version)
+	b = binary.AppendUvarint(b, fanOut)
+	b = binary.AppendUvarint(b, size)
+	return binary.AppendUvarint(b, height)
+}
+
+// appendEntry appends one leaf entry's encoding.
+func appendEntry(b []byte, id string, lat, lon float64) []byte {
+	b = binary.AppendUvarint(b, uint64(len(id)))
+	b = append(b, id...)
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(lat))
+	return binary.BigEndian.AppendUint64(b, math.Float64bits(lon))
+}
+
+// unevenTree has one leaf at depth 1 and another at depth 2, which no
+// construction produces; leafFirst picks which subtree comes first.
+func unevenTree(leafFirst bool) *Tree {
+	leaf := func(id string, lat float64) *node {
+		n := &node{leaf: true, entries: []Entry{{ID: id, Point: geo.Point{Lat: lat, Lon: 116}}}}
+		n.recomputeRect()
+		return n
+	}
+	deep := &node{children: []*node{leaf("b", 40)}}
+	deep.recomputeRect()
+	root := &node{children: []*node{leaf("a", 39), deep}}
+	if !leafFirst {
+		root.children[0], root.children[1] = deep, root.children[0]
+	}
+	root.recomputeRect()
+	return &Tree{root: root, size: 2, maxEntries: 4}
+}
+
+func TestReadFromErrors(t *testing.T) {
+	var valid bytes.Buffer
+	if _, err := BulkLoad(randEntries(40, 15), 4).WriteTo(&valid); err != nil {
+		t.Fatal(err)
+	}
+	blob := valid.Bytes()
+	oneLeaf := appendEntry(append(header(4, 1, 1), 1), "a", 39.9, 116.4)
+	bad := map[string][]byte{
+		"empty":            nil,
+		"bad magic":        append([]byte("RTRX"), blob[4:]...),
+		"bad version":      append(append([]byte(magic), version+1), blob[5:]...),
+		"trailing byte":    append(append([]byte(nil), blob...), 0),
+		"fan-out below 4":  appendEntry(append(header(3, 1, 1), 1), "a", 39.9, 116.4),
+		"oversized count":  append(header(4, 1<<40, 1), 1),
+		"count too large":  append(appendEntry(append(header(4, 2, 1), 1), "a", 39.9, 116.4), make([]byte, minEntryBytes)...),
+		"count too small":  appendEntry(appendEntry(append(header(4, 1, 1), 2), "a", 39.9, 116.4), "b", 40, 116),
+		"zero height":      appendEntry(append(header(4, 1, 0), 1), "a", 39.9, 116.4),
+		"height over size": appendEntry(append(header(4, 1, 2), 1, 1), "a", 39.9, 116.4),
+		"empty interior":   appendEntry(appendEntry(append(header(4, 2, 2), 0), "a", 39.9, 116.4), "b", 40, 116),
+		"empty leaf":       appendEntry(appendEntry(append(header(4, 2, 2), 2, 0, 2), "a", 39.9, 116.4), "b", 40, 116),
+		"NaN coordinate":   appendEntry(append(header(4, 1, 1), 1), "a", math.NaN(), 116.4),
+		"ID past the end":  append(append(header(4, 1, 1), 1, 200), make([]byte, 20)...),
+		"overlong varint":  append(append([]byte(magic), version), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f),
+	}
+	for i := 0; i < len(blob); i++ {
+		bad[fmt.Sprintf("truncated at %d", i)] = blob[:i]
+	}
+	for _, leafFirst := range []bool{true, false} {
+		tr := unevenTree(leafFirst)
+		if tr.CheckInvariants() == nil {
+			t.Fatal("uneven tree passes CheckInvariants")
+		}
+		var buf bytes.Buffer
+		if _, err := tr.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		bad[fmt.Sprintf("uneven leaf depth (leaf first: %v)", leafFirst)] = buf.Bytes()
+	}
+	if _, err := ReadFrom(bytes.NewReader(oneLeaf)); err != nil {
+		t.Fatalf("the well-formed base of the hand-built cases: %v", err)
+	}
+	for name, b := range bad {
+		if tr, err := ReadFrom(bytes.NewReader(b)); err == nil {
+			t.Errorf("%s: decoded a tree of %d entries, want an error", name, tr.Len())
 		}
 	}
 }
 
 func TestHeightGrowth(t *testing.T) {
-	tr := New(4)
-	if tr.Height() != 1 {
-		t.Fatalf("empty height = %d", tr.Height())
+	if h := BulkLoad(nil, 4).Height(); h != 1 {
+		t.Fatalf("empty height = %d", h)
 	}
-	for _, e := range randEntries(100, 11) {
-		tr.Insert(e)
-	}
+	tr := BulkLoad(randEntries(100, 11), 4)
 	if tr.Height() < 3 {
-		t.Fatalf("height after 100 inserts with M=4: %d, want >= 3", tr.Height())
+		t.Fatalf("height of 100 entries with M=4: %d, want >= 3", tr.Height())
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -326,10 +338,11 @@ func TestDuplicatePoints(t *testing.T) {
 	// Many entries at the same location (stationary dwell) must all be
 	// stored and returned.
 	p := geo.Point{Lat: 39.9, Lon: 116.4}
-	tr := New(4)
+	var es []Entry
 	for i := 0; i < 50; i++ {
-		tr.Insert(Entry{ID: fmt.Sprintf("d%d", i), Point: p})
+		es = append(es, Entry{ID: fmt.Sprintf("d%d", i), Point: p})
 	}
+	tr := BulkLoad(es, 4)
 	if got := len(tr.Search(geo.RectFromPoint(p))); got != 50 {
 		t.Fatalf("Search found %d duplicates, want 50", got)
 	}
@@ -339,14 +352,12 @@ func TestDuplicatePoints(t *testing.T) {
 }
 
 func TestBoundsTracksEntries(t *testing.T) {
-	tr := New(8)
-	if tr.Bounds() != (geo.Rect{}) {
+	if b := BulkLoad(nil, 8).Bounds(); b != (geo.Rect{}) {
 		t.Fatal("empty tree bounds should be zero")
 	}
 	a := geo.Point{Lat: 39.5, Lon: 116.0}
 	b := geo.Point{Lat: 40.0, Lon: 116.9}
-	tr.Insert(Entry{ID: "a", Point: a})
-	tr.Insert(Entry{ID: "b", Point: b})
+	tr := BulkLoad([]Entry{{ID: "a", Point: a}, {ID: "b", Point: b}}, 8)
 	w := geo.Rect{Min: a, Max: b}
 	if tr.Bounds() != w {
 		t.Fatalf("Bounds = %+v, want %+v", tr.Bounds(), w)
@@ -361,15 +372,6 @@ func BenchmarkBulkLoad10k(b *testing.B) {
 	}
 }
 
-func BenchmarkInsert(b *testing.B) {
-	es := randEntries(b.N, 21)
-	tr := New(16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Insert(es[i])
-	}
-}
-
 func BenchmarkWithin(b *testing.B) {
 	tr := BulkLoad(randEntries(100_000, 22), 16)
 	center := geo.Point{Lat: 39.9, Lon: 116.4}
@@ -379,11 +381,16 @@ func BenchmarkWithin(b *testing.B) {
 	}
 }
 
-func BenchmarkNearest10(b *testing.B) {
-	tr := BulkLoad(randEntries(100_000, 23), 16)
-	center := geo.Point{Lat: 39.9, Lon: 116.4}
+func BenchmarkReadFrom10k(b *testing.B) {
+	var buf bytes.Buffer
+	if _, err := BulkLoad(randEntries(10_000, 24), 16).WriteTo(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Nearest(center, 10)
+		if _, err := ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
