@@ -558,7 +558,7 @@ func runTradeoff(w io.Writer, cfg runConfig) error {
 		sampled := gepeto.SampleSequential(d, time.Minute, gepeto.SampleUpperLimit)
 		_, pre := gepeto.PreprocessSequential(sampled, 2.0, 1.0)
 		res := gepeto.DJClusterSequential(pre, gepeto.DefaultDJClusterOptions())
-		pois, err := privacy.ExtractPOIs(res, privacy.TraceTimes(pre))
+		pois, err := privacy.ExtractPOIs(res)
 		if err != nil {
 			return privacy.POIAttackReport{}
 		}

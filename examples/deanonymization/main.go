@@ -87,7 +87,7 @@ func extractPOIs(ds *trace.Dataset) map[string][]geo.Point {
 	sampled := gepeto.SampleSequential(ds, time.Minute, gepeto.SampleUpperLimit)
 	_, pre := gepeto.PreprocessSequential(sampled, 2.0, 1.0)
 	clusters := gepeto.DJClusterSequential(pre, gepeto.DefaultDJClusterOptions())
-	pois, err := privacy.ExtractPOIs(clusters, privacy.TraceTimes(pre))
+	pois, err := privacy.ExtractPOIs(clusters)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func attack(ds *trace.Dataset, truth *geolife.GroundTruth) privacy.POIAttackRepo
 	sampled := gepeto.SampleSequential(ds, time.Minute, gepeto.SampleUpperLimit)
 	_, pre := gepeto.PreprocessSequential(sampled, 2.0, 1.0)
 	res := gepeto.DJClusterSequential(pre, gepeto.DefaultDJClusterOptions())
-	pois, err := privacy.ExtractPOIs(res, privacy.TraceTimes(pre))
+	pois, err := privacy.ExtractPOIs(res)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -93,8 +93,7 @@ func attackPOI(tk *core.Toolkit) (string, error) {
 	return fmt.Sprint(pois, res.Clusters, res.Noise), err
 }
 
-// runKMeans clusters under a spill budget small enough to trip, then
-// labels every trace with the map-only assignment pass.
+// runKMeans clusters under a spill budget small enough to trip.
 func runKMeans(tk *core.Toolkit, combiner bool) (string, error) {
 	res, err := tk.KMeans("input", gepeto.KMeansOptions{
 		K: 4, MaxIter: 3, UseCombiner: combiner, Seed: 1, MaxShuffleBytes: 4 << 10, CompressSpill: combiner,
@@ -102,8 +101,7 @@ func runKMeans(tk *core.Toolkit, combiner bool) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	_, err = gepeto.KMeansAssignments(tk.Engine(), []string{"input"}, "assigned", res.Centroids, geo.MetricSquaredEuclidean)
-	return fmt.Sprint(res.Centroids, res.Sizes, res.Iterations, res.Converged), err
+	return fmt.Sprint(res.Centroids, res.Sizes, res.Iterations, res.Converged), nil
 }
 
 // pipelineOutcome is everything one pipeline run left observable.

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dfs"
-	"repro/internal/geo"
 	"repro/internal/geolife"
 	"repro/internal/gepeto"
 	"repro/internal/mapreduce"
@@ -175,7 +174,8 @@ func (t *Toolkit) DJCluster(inputDir string, opts gepeto.DJClusterOptions) (*gep
 
 // AttackPOI runs the end-to-end POI inference attack: down-sample,
 // DJ-Cluster, extract and label POIs. It is GEPETO's primary inference
-// attack (§VIII). The preprocessed dataset's timestamps label the POIs.
+// attack (§VIII). The cluster members' trace IDs carry the timestamps
+// that label the POIs.
 func (t *Toolkit) AttackPOI(inputDir string, window time.Duration, opts gepeto.DJClusterOptions) (pois []privacy.POI, res *gepeto.DJClusterResult, err error) {
 	// The whole attack is one pipeline span, so the trace tree links the
 	// sampling job and the DJ-Cluster sub-pipeline under a single root.
@@ -200,11 +200,7 @@ func (t *Toolkit) AttackPOI(inputDir string, window time.Duration, opts gepeto.D
 	if err != nil {
 		return nil, nil, err
 	}
-	pre, err := t.Download(sampledDir + "-dj-work/preprocessed")
-	if err != nil {
-		return nil, nil, err
-	}
-	pois, err = privacy.ExtractPOIs(res, privacy.TraceTimes(pre))
+	pois, err = privacy.ExtractPOIs(res)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -252,16 +248,4 @@ func (t *Toolkit) Describe() string {
 // facade completeness).
 func EvaluatePOIAttack(pois []privacy.POI, truth *geolife.GroundTruth, matchRadius float64) privacy.POIAttackReport {
 	return privacy.EvaluatePOIAttack(pois, truth, matchRadius)
-}
-
-// POICenters extracts the centers of a user's POIs from an attack
-// result, for feeding into MMC construction.
-func POICenters(pois []privacy.POI, user string) []geo.Point {
-	var out []geo.Point
-	for _, p := range pois {
-		if p.User == user {
-			out = append(out, p.Center)
-		}
-	}
-	return out
 }

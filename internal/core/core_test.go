@@ -114,19 +114,10 @@ func TestToolkitEndToEndPOIAttack(t *testing.T) {
 	if rep.HomeRecovered < 1 {
 		t.Errorf("home recovered for %d/2 users", rep.HomeRecovered)
 	}
-	// POICenters filters per user.
-	user := pois[0].User
-	centers := POICenters(pois, user)
-	if len(centers) == 0 {
-		t.Fatal("no centers for user")
-	}
-	for _, c := range centers {
-		if !c.Valid() {
-			t.Fatalf("invalid center %v", c)
+	for _, p := range pois {
+		if !p.Center.Valid() {
+			t.Fatalf("invalid center %v", p.Center)
 		}
-	}
-	if len(POICenters(pois, "no-such-user")) != 0 {
-		t.Fatal("phantom centers")
 	}
 }
 

@@ -206,11 +206,6 @@ func (r Rect) Union(o Rect) Rect {
 	}
 }
 
-// Area returns the area of r in degrees².
-func (r Rect) Area() float64 {
-	return (r.Max.Lat - r.Min.Lat) * (r.Max.Lon - r.Min.Lon)
-}
-
 // ExpandMeters returns r grown by approximately m meters on every side,
 // converting meters to degrees at r's mid-latitude. Useful for turning
 // a radius query into an R-tree rectangle query.

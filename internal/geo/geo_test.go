@@ -209,8 +209,11 @@ func TestRectUnionArea(t *testing.T) {
 	if u.Min != (Point{0, 0}) || u.Max != (Point{3, 4}) {
 		t.Fatalf("Union = %+v", u)
 	}
-	if got := u.Area(); got != 12 {
-		t.Fatalf("Area = %v, want 12", got)
+	if !u.Contains(a.Min) || !u.Contains(a.Max) || !u.Contains(b.Min) || !u.Contains(b.Max) {
+		t.Fatalf("Union %+v does not contain both rects", u)
+	}
+	if u.Contains(Point{3.5, 2}) || u.Contains(Point{-0.5, 1}) {
+		t.Fatalf("Union %+v reaches past both rects", u)
 	}
 }
 
@@ -220,10 +223,15 @@ func TestRectUnionProperties(t *testing.T) {
 		a := mkRect(x1, y1, x2, y2)
 		b := mkRect(x3, y3, x4, y4)
 		u := a.Union(b)
-		// Union contains both corners of both rects and has area >= each.
+		// Union contains both corners of both rects, and each of its
+		// four edges is an edge of a or b, so it is the smallest such
+		// rectangle.
 		return u.Contains(a.Min) && u.Contains(a.Max) &&
 			u.Contains(b.Min) && u.Contains(b.Max) &&
-			u.Area() >= a.Area() && u.Area() >= b.Area()
+			(u.Min.Lat == a.Min.Lat || u.Min.Lat == b.Min.Lat) &&
+			(u.Min.Lon == a.Min.Lon || u.Min.Lon == b.Min.Lon) &&
+			(u.Max.Lat == a.Max.Lat || u.Max.Lat == b.Max.Lat) &&
+			(u.Max.Lon == a.Max.Lon || u.Max.Lon == b.Max.Lon)
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)

@@ -446,31 +446,32 @@ func ForEachTrace(fs *dfs.FileSystem, paths []string, fn func(trace.Trace) error
 				}
 				return fn(t)
 			})
-			if err != nil {
-				return fmt.Errorf("geolife: %s: %v", f, err)
-			}
-			continue
+		} else {
+			err = forEachTextTrace(data, fn)
 		}
-		for _, line := range strings.Split(string(data), "\n") {
-			if line == "" {
-				continue
-			}
-			t, err := ParseRecordValue(line)
-			if err != nil {
-				return fmt.Errorf("geolife: %s: %v", f, err)
-			}
-			if err := fn(t); err != nil {
-				return err
-			}
+		if err != nil {
+			return fmt.Errorf("geolife: %s: %v", f, err)
 		}
 	}
 	return nil
 }
 
-// ParseRecordValue parses a trace record value in any of the formats
-// jobs exchange: the binary recordio trace value, a raw text record,
-// or a text part-file line with a leading key column. It delegates to
-// the shared parser in internal/recordio.
-func ParseRecordValue(line string) (trace.Trace, error) {
-	return recordio.DecodeTraceValue(line)
+// forEachTextTrace decodes the trace on every non-empty line of a text
+// record file. A trailing '\r' is trimmed, as the engine's line reader
+// trims it, so a CRLF file reads like its LF twin.
+func forEachTextTrace(data []byte, fn func(trace.Trace) error) error {
+	for _, line := range strings.Split(string(data), "\n") {
+		line = strings.TrimSuffix(line, "\r")
+		if line == "" {
+			continue
+		}
+		t, err := recordio.DecodeTraceValue(line)
+		if err != nil {
+			return err
+		}
+		if err := fn(t); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -2,6 +2,10 @@ package geolife
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -253,20 +257,55 @@ func TestReadRecordsEmptyDir(t *testing.T) {
 	}
 }
 
-func TestParseRecordValue(t *testing.T) {
-	tr := trace.Trace{User: "007", Point: geo.Point{Lat: 39.9, Lon: 116.4}, AltitudeFeet: 200, Time: time.Unix(1_200_000_000, 0).UTC()}
-	// Bare record.
-	got, err := ParseRecordValue(tr.Record())
-	if err != nil || got != tr {
-		t.Fatalf("bare: %+v, %v", got, err)
+// TestCRLFRecordsReadLikeLF pins the driver-side readers to the
+// engine's line reader: a trailing '\r' is not part of the record.
+func TestCRLFRecordsReadLikeLF(t *testing.T) {
+	ds := Generate(Config{Users: 2, TotalTraces: 300, Seed: 12})
+	var lf, crlf strings.Builder
+	for _, tr := range ds.Trails {
+		for _, tc := range tr.Traces {
+			lf.WriteString(tc.Record() + "\n")
+			crlf.WriteString(tc.Record() + "\r\n")
+		}
 	}
-	// With part-file key prefix.
-	got, err = ParseRecordValue("12345\t" + tr.Record())
-	if err != nil || got != tr {
-		t.Fatalf("prefixed: %+v, %v", got, err)
+	c, _ := cluster.NewUniform(2, 1, 1)
+	fs, _ := dfs.New(c, dfs.Config{Seed: 1})
+	local := t.TempDir()
+	read := func(name, text string) (dfsTraces []trace.Trace, localDS *trace.Dataset) {
+		t.Helper()
+		if err := fs.Create(name+"/all.rec", []byte(text), ""); err != nil {
+			t.Fatal(err)
+		}
+		err := ForEachTrace(fs, []string{name}, func(tc trace.Trace) error {
+			dfsTraces = append(dfsTraces, tc)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("ForEachTrace over %s: %v", name, err)
+		}
+		dir := filepath.Join(local, name)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "all.rec"), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		localDS, err = ReadRecordsLocal(dir)
+		if err != nil {
+			t.Fatalf("ReadRecordsLocal over %s: %v", name, err)
+		}
+		return dfsTraces, localDS
 	}
-	if _, err := ParseRecordValue("nofields"); err == nil {
-		t.Fatal("want error for short record")
+	lfTraces, lfLocal := read("lf", lf.String())
+	crlfTraces, crlfLocal := read("crlf", crlf.String())
+	if len(lfTraces) != ds.NumTraces() {
+		t.Fatalf("LF file yielded %d traces, want %d", len(lfTraces), ds.NumTraces())
+	}
+	if !reflect.DeepEqual(crlfTraces, lfTraces) {
+		t.Fatal("ForEachTrace: CRLF file yields different traces than its LF twin")
+	}
+	if !reflect.DeepEqual(crlfLocal, lfLocal) {
+		t.Fatal("ReadRecordsLocal: CRLF file yields a different dataset than its LF twin")
 	}
 }
 

@@ -58,15 +58,12 @@ func ReadRecordsLocal(dir string) (*trace.Dataset, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, line := range strings.Split(string(data), "\n") {
-			if line == "" {
-				continue
-			}
-			t, err := ParseRecordValue(line)
-			if err != nil {
-				return nil, fmt.Errorf("geolife: %s: %v", name, err)
-			}
+		err = forEachTextTrace(data, func(t trace.Trace) error {
 			traces = append(traces, t)
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("geolife: %s: %v", name, err)
 		}
 	}
 	return trace.FromTraces(traces), nil

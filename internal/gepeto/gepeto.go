@@ -8,7 +8,7 @@
 // Data layout: jobs are typed over trace records via internal/recordio
 // codecs. Input codecs accept both text uploads (lines whose last two
 // tab-separated fields are "user TAB lat,lon,alt,unix", see
-// internal/geolife.ParseRecordValue) and the binary part files earlier
+// internal/recordio.DecodeTraceValue) and the binary part files earlier
 // jobs produce. Every trace-emitting job outputs binary recordio
 // records with key = user and value = the encoded trace, so its part
 // files are directly consumable as input records by the next job in a
@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/geo"
 	"repro/internal/trace"
@@ -36,6 +37,20 @@ func TraceID(t trace.Trace) string {
 func UserOfTraceID(id string) string {
 	u, _, _ := strings.Cut(id, ":")
 	return u
+}
+
+// TimeOfTraceID extracts the timestamp of a TraceID: the whole Unix
+// seconds after its last ':', in UTC.
+func TimeOfTraceID(id string) (time.Time, error) {
+	i := strings.LastIndexByte(id, ':')
+	if i < 0 {
+		return time.Time{}, fmt.Errorf("gepeto: trace ID %q has no time", id)
+	}
+	sec, err := strconv.ParseInt(id[i+1:], 10, 64)
+	if err != nil {
+		return time.Time{}, fmt.Errorf("gepeto: trace ID %q: %v", id, err)
+	}
+	return time.Unix(sec, 0).UTC(), nil
 }
 
 // parsePoint parses "lat,lon".

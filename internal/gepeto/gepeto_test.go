@@ -2,6 +2,7 @@ package gepeto
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/dfs"
@@ -63,6 +64,19 @@ func TestTraceIDRoundTrip(t *testing.T) {
 			if UserOfTraceID(id) != tc.User {
 				t.Fatalf("UserOfTraceID(%q) = %q, want %q", id, UserOfTraceID(id), tc.User)
 			}
+			ts, err := TimeOfTraceID(id)
+			if err != nil || !ts.Equal(tc.Time) || ts.Location() != time.UTC {
+				t.Fatalf("TimeOfTraceID(%q) = %v, %v, want %v", id, ts, err, tc.Time)
+			}
+		}
+	}
+	// A user name may itself contain ':'; the time follows the last one.
+	if ts, err := TimeOfTraceID("a:b:1207008000"); err != nil || ts.Unix() != 1207008000 {
+		t.Fatalf("TimeOfTraceID(a:b:...) = %v, %v", ts, err)
+	}
+	for _, id := range []string{"", "u", "u:", "u:x", "u:1.5"} {
+		if _, err := TimeOfTraceID(id); err == nil {
+			t.Errorf("TimeOfTraceID(%q): want error", id)
 		}
 	}
 }
@@ -76,21 +90,5 @@ func TestParsePointErrors(t *testing.T) {
 	p, err := parsePoint("39.9042,116.4074")
 	if err != nil || p.Lat != 39.9042 || p.Lon != 116.4074 {
 		t.Fatalf("parsePoint = %v, %v", p, err)
-	}
-}
-
-func TestParseRectRoundTrip(t *testing.T) {
-	r := geolife.Beijing
-	back, err := parseRect(marshalRect(r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back != r {
-		t.Fatalf("round-trip: %+v vs %+v", back, r)
-	}
-	for _, s := range []string{"", "1,2,3", "a,b,c,d"} {
-		if _, err := parseRect(s); err == nil {
-			t.Errorf("parseRect(%q): want error", s)
-		}
 	}
 }

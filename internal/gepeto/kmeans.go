@@ -3,7 +3,6 @@ package gepeto
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -418,55 +417,6 @@ func reducersFor(e *mapreduce.Engine, k int) int {
 	return slots
 }
 
-// KMeansAssignments runs one extra map-only pass labeling every trace
-// with its final centroid: output key = centroid index, value = the
-// trace record. Used to materialise cluster membership for inference.
-func KMeansAssignments(e *mapreduce.Engine, inputPaths []string, outputPath string, centroids []geo.Point, metric geo.Metric) (*mapreduce.Result, error) {
-	tj := assignKind
-	tj.Name = "kmeans-assign"
-	tj.InputPaths = inputPaths
-	tj.OutputPath = outputPath
-	tj.Conf = map[string]string{confKMeansDistance: metric.String()}
-	tj.Cache = map[string][]byte{cacheCentroids: marshalCentroids(centroids)}
-	return e.Run(tj.Build())
-}
-
-// assignJob is the map-only labeling pass: trace records in, (centroid
-// index, full trace record) out.
-type assignJob = mapreduce.TypedJob[string, trace.Trace, int64, trace.Trace, int64, trace.Trace]
-
-var assignKind = mapreduce.Declare(assignJob{
-	Kind: "gepeto/kmeans-assign",
-	Mapper: func() mapreduce.TypedMapper[string, trace.Trace, int64, trace.Trace] {
-		return &assignMapper{}
-	},
-	InputKey:   recordio.RawString{},
-	InputValue: recordio.TraceValue{},
-	MapKey:     recordio.Int64{},
-	MapValue:   recordio.TraceValue{},
-})
-
-// assignMapper emits (centroid index, full trace record). It reuses
-// the kmeansMapper centroid-cache setup but keeps the whole trace as
-// the value instead of collapsing it to a partial sum.
-type assignMapper struct {
-	mapreduce.TypedMapperBase[int64, trace.Trace]
-	inner kmeansMapper
-}
-
-func (m *assignMapper) Setup(ctx *mapreduce.TaskContext) error { return m.inner.Setup(ctx) }
-
-func (m *assignMapper) Map(_ *mapreduce.TaskContext, _ string, t trace.Trace, emit mapreduce.TypedEmit[int64, trace.Trace]) error {
-	best, bestDist := 0, m.inner.metric.Distance(t.Point, m.inner.centroids[0])
-	for i := 1; i < len(m.inner.centroids); i++ {
-		if d := m.inner.metric.Distance(t.Point, m.inner.centroids[i]); d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	emit(int64(best), t)
-	return nil
-}
-
 // KMeansSequential is the classical single-machine k-means over a set
 // of points, the baseline the MapReduce version is checked against.
 // It uses the same initialization, assignment, update and convergence
@@ -546,15 +496,4 @@ func quantize(v float64) float64 {
 	s := strconv.FormatFloat(v, 'f', 6, 64)
 	q, _ := strconv.ParseFloat(s, 64)
 	return q
-}
-
-// SortPointsByLat orders points south-to-north (stable helper for
-// comparing centroid sets in tests and reports).
-func SortPointsByLat(ps []geo.Point) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Lat != ps[j].Lat {
-			return ps[i].Lat < ps[j].Lat
-		}
-		return ps[i].Lon < ps[j].Lon
-	})
 }

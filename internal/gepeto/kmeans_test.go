@@ -2,11 +2,13 @@ package gepeto
 
 import (
 	"math"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/geo"
 	"repro/internal/mapreduce"
-	"repro/internal/recordio"
 )
 
 func TestKMeansSequentialBasic(t *testing.T) {
@@ -109,8 +111,8 @@ func TestKMeansMRMatchesSequential(t *testing.T) {
 	}
 	a := append([]geo.Point(nil), mr.Centroids...)
 	b := append([]geo.Point(nil), seq.Centroids...)
-	SortPointsByLat(a)
-	SortPointsByLat(b)
+	sortPointsByLat(a)
+	sortPointsByLat(b)
 	for i := range a {
 		if d := geo.Haversine(a[i], b[i]); d > 5 {
 			t.Errorf("centroid %d differs by %.1fm: %v vs %v", i, d, a[i], b[i])
@@ -135,8 +137,8 @@ func TestKMeansMRCombinerEquivalence(t *testing.T) {
 	// Same centroids (within float tolerance)...
 	a := append([]geo.Point(nil), noComb.Centroids...)
 	b := append([]geo.Point(nil), withComb.Centroids...)
-	SortPointsByLat(a)
-	SortPointsByLat(b)
+	sortPointsByLat(a)
+	sortPointsByLat(b)
 	for i := range a {
 		if d := geo.Haversine(a[i], b[i]); d > 1 {
 			t.Errorf("centroid %d moved %.2fm with combiner", i, d)
@@ -230,46 +232,44 @@ func TestKMeansMRConvergesAndCleansUp(t *testing.T) {
 	}
 }
 
+// TestKMeansMRCRLFUpload runs k-means on the same upload with LF and
+// CRLF line ends: the driver's seeding pass must read the CRLF file as
+// the jobs do, and both runs must land on the same centroids.
+func TestKMeansMRCRLFUpload(t *testing.T) {
+	h := newHarness(t, 2, 4_000, 1024)
+	var lf, crlf strings.Builder
+	for _, tr := range h.ds.Trails {
+		for _, tc := range tr.Traces {
+			lf.WriteString(tc.Record() + "\n")
+			crlf.WriteString(tc.Record() + "\r\n")
+		}
+	}
+	fs := h.e.FS()
+	if err := fs.Create("lf/all.rec", []byte(lf.String()), ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Create("crlf/all.rec", []byte(crlf.String()), ""); err != nil {
+		t.Fatal(err)
+	}
+	opts := KMeansOptions{K: 4, MaxIter: 5, Seed: 3}
+	want, err := KMeansMR(h.e, []string{"lf"}, "w-lf", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := KMeansMR(h.e, []string{"crlf"}, "w-crlf", opts)
+	if err != nil {
+		t.Fatalf("CRLF upload: %v", err)
+	}
+	if !reflect.DeepEqual(got.Centroids, want.Centroids) || !reflect.DeepEqual(got.Sizes, want.Sizes) {
+		t.Fatalf("CRLF centroids %v sizes %v, LF %v %v", got.Centroids, got.Sizes, want.Centroids, want.Sizes)
+	}
+}
+
 func TestKMeansMRTooFewPoints(t *testing.T) {
 	h := newHarness(t, 1, 5, 64)
 	_, err := KMeansMR(h.e, []string{h.input}, "w", KMeansOptions{K: 50})
 	if err == nil {
 		t.Fatal("want error when dataset smaller than k")
-	}
-}
-
-func TestKMeansAssignments(t *testing.T) {
-	h := newHarness(t, 2, 4_000, 64)
-	opts := KMeansOptions{K: 4, MaxIter: 20, Seed: 3}
-	res, err := KMeansMR(h.e, []string{h.input}, "w", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := KMeansAssignments(h.e, []string{h.input}, "assign", res.Centroids, opts.Distance); err != nil {
-		t.Fatal(err)
-	}
-	counts := map[int64]int{}
-	assigned := 0
-	err = mapreduce.ReadOutput(h.e, "assign", recordio.Int64{}, recordio.RawString{}, func(idx int64, _ string) error {
-		counts[idx]++
-		assigned++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if assigned != h.ds.NumTraces() {
-		t.Fatalf("assignments = %d, want %d", assigned, h.ds.NumTraces())
-	}
-	// Sizes report the assignment of the last iteration's input
-	// centroids, while KMeansAssignments uses the post-update ones;
-	// after convergence (centroid movement <= 10 m) the two may differ
-	// by a handful of boundary traces.
-	for i, size := range res.Sizes {
-		got := counts[int64(i)]
-		if diff := got - size; size > 0 && (diff > size/20+5 || diff < -size/20-5) {
-			t.Errorf("cluster %d: assignment count %d far from size %d", i, got, size)
-		}
 	}
 }
 
@@ -373,4 +373,15 @@ func TestPlusPlusCentersEdgeCases(t *testing.T) {
 	if err != nil || len(cs) != 3 {
 		t.Fatalf("identical points: %v, %v", cs, err)
 	}
+}
+
+// sortPointsByLat orders points south-to-north, so centroid sets from
+// two runs can be compared pairwise.
+func sortPointsByLat(ps []geo.Point) {
+	sort.Slice(ps, func(i, j int) bool {
+		if ps[i].Lat != ps[j].Lat {
+			return ps[i].Lat < ps[j].Lat
+		}
+		return ps[i].Lon < ps[j].Lon
+	})
 }

@@ -2,12 +2,11 @@ package gepeto
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"sort"
 	"strconv"
-	"strings"
 
-	"repro/internal/geo"
 	"repro/internal/geolife"
 	"repro/internal/mapreduce"
 	"repro/internal/recordio"
@@ -57,7 +56,6 @@ const (
 	confPartitions  = "rtree.partitions"
 	confSampleSize  = "rtree.sample.per.chunk"
 	confSeed        = "rtree.seed"
-	confBoundsRect  = "rtree.bounds"
 	cachePartitions = "partition-points"
 )
 
@@ -78,13 +76,11 @@ func BuildRTreeMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts
 	opts = opts.withDefaults(e)
 	spanID := "rtree:" + workDir
 	defer span(e, spanID, opts.Parent, fmt.Sprintf("curve=%s p=%d", opts.Curve, opts.Partitions), &err)()
-	bounds := geolife.Beijing // quantisation domain for the curve
 	conf := map[string]string{
 		confCurve:      opts.Curve,
 		confPartitions: strconv.Itoa(opts.Partitions),
 		confSampleSize: strconv.Itoa(opts.SamplePerChunk),
 		confSeed:       strconv.FormatInt(opts.Seed, 10),
-		confBoundsRect: marshalRect(bounds),
 	}
 
 	// Phase 1: sample scalars, pick partitioning points.
@@ -223,7 +219,9 @@ func (m *sampleMapper) Setup(ctx *mapreduce.TaskContext) error {
 	}
 	// Mix the task ID into the seed so chunks sample independently
 	// yet deterministically.
-	m.rng = rand.New(rand.NewSource(seed ^ int64(hashString(ctx.TaskID))))
+	h := fnv.New32a()
+	h.Write([]byte(ctx.TaskID))
+	m.rng = rand.New(rand.NewSource(seed ^ int64(h.Sum32())))
 	m.reservoir = make([]uint64, 0, m.size)
 	return nil
 }
@@ -340,42 +338,8 @@ func readSubtrees(e *mapreduce.Engine, dir string) ([]*rtree.Tree, error) {
 	return trees, nil
 }
 
+// curveFromConf builds the job's space-filling curve; Beijing's
+// bounding box is its quantisation domain.
 func curveFromConf(ctx *mapreduce.TaskContext) (sfc.Curve, error) {
-	bounds, err := parseRect(ctx.ConfDefault(confBoundsRect, marshalRect(geolife.Beijing)))
-	if err != nil {
-		return nil, err
-	}
-	return sfc.New(ctx.ConfDefault(confCurve, "zorder"), bounds)
-}
-
-func marshalRect(r geo.Rect) string {
-	return fmt.Sprintf("%.6f,%.6f,%.6f,%.6f", r.Min.Lat, r.Min.Lon, r.Max.Lat, r.Max.Lon)
-}
-
-func parseRect(s string) (geo.Rect, error) {
-	f := strings.Split(s, ",")
-	if len(f) != 4 {
-		return geo.Rect{}, fmt.Errorf("gepeto: bad rect %q", s)
-	}
-	vals := make([]float64, 4)
-	for i, x := range f {
-		v, err := strconv.ParseFloat(x, 64)
-		if err != nil {
-			return geo.Rect{}, fmt.Errorf("gepeto: bad rect %q: %v", s, err)
-		}
-		vals[i] = v
-	}
-	return geo.Rect{
-		Min: geo.Point{Lat: vals[0], Lon: vals[1]},
-		Max: geo.Point{Lat: vals[2], Lon: vals[3]},
-	}, nil
-}
-
-func hashString(s string) uint32 {
-	var h uint32 = 2166136261
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
+	return sfc.New(ctx.ConfDefault(confCurve, "zorder"), geolife.Beijing)
 }

@@ -138,59 +138,35 @@ type Sink interface {
 	Emit(Event)
 }
 
-// Bus fans events out to attached sinks. A nil *Bus is a valid,
-// always-inactive bus: every method is a cheap no-op, which is the
-// fast path the engine relies on when no observer is attached.
+// Bus fans events out to the sinks it was built with. A nil *Bus is a
+// valid, always-inactive bus: every method is a cheap no-op, which is
+// the fast path the engine relies on when no observer is attached. The
+// sink list never changes after NewBus, so reading it needs no lock.
 type Bus struct {
-	mu    sync.RWMutex
 	sinks []Sink
 }
 
 // NewBus creates a bus with the given sinks attached.
 func NewBus(sinks ...Sink) *Bus {
-	b := &Bus{}
-	b.sinks = append(b.sinks, sinks...)
-	return b
-}
-
-// Attach adds a sink to the bus.
-func (b *Bus) Attach(s Sink) {
-	if b == nil || s == nil {
-		return
-	}
-	b.mu.Lock()
-	b.sinks = append(b.sinks, s)
-	b.mu.Unlock()
+	return &Bus{sinks: append([]Sink(nil), sinks...)}
 }
 
 // Active reports whether any sink is attached. Hot paths use it to
 // skip event construction entirely.
 func (b *Bus) Active() bool {
-	if b == nil {
-		return false
-	}
-	b.mu.RLock()
-	n := len(b.sinks)
-	b.mu.RUnlock()
-	return n > 0
+	return b != nil && len(b.sinks) > 0
 }
 
 // Emit delivers the event to every attached sink, stamping Time if
 // unset. Safe on a nil bus.
 func (b *Bus) Emit(e Event) {
-	if b == nil {
-		return
-	}
-	b.mu.RLock()
-	sinks := b.sinks
-	b.mu.RUnlock()
-	if len(sinks) == 0 {
+	if !b.Active() {
 		return
 	}
 	if e.Time.IsZero() {
 		e.Time = time.Now()
 	}
-	for _, s := range sinks {
+	for _, s := range b.sinks {
 		s.Emit(e)
 	}
 }

@@ -16,14 +16,12 @@ func TestNilBusIsSafe(t *testing.T) {
 	if b.Active() {
 		t.Fatal("nil bus reports active")
 	}
-	b.Attach(&Recorder{}) // must not panic
 	b.Emit(Event{Type: JobSubmitted, Job: "x"})
 }
 
 func TestBusFansOutAndStampsTime(t *testing.T) {
 	r1, r2 := &Recorder{}, &Recorder{}
-	b := NewBus(r1)
-	b.Attach(r2)
+	b := NewBus(r1, r2)
 	if !b.Active() {
 		t.Fatal("bus with sinks reports inactive")
 	}

@@ -164,11 +164,6 @@ func AnalyzeTree(t *Tree, opts Options) *Analysis {
 	return a
 }
 
-// AnalyzeJob runs the passes over one job span.
-func AnalyzeJob(job *Span, opts Options) JobAnalysis {
-	return analyzeJob(job, opts.withDefaults())
-}
-
 func analyzeJob(job *Span, opts Options) JobAnalysis {
 	ja := JobAnalysis{Job: job.Name, WallUs: job.DurUs(), Status: job.Status}
 	ja.Path = criticalPath(job)

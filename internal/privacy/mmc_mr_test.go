@@ -173,7 +173,7 @@ func TestMMCEndToEndViaDJCluster(t *testing.T) {
 	sampled := gepetoSample(ds)
 	_, pre := gepetoPreprocess(sampled)
 	clusters := gepetoCluster(pre)
-	pois, err := ExtractPOIs(clusters, TraceTimes(pre))
+	pois, err := ExtractPOIs(clusters)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/geolife"
 	"repro/internal/gepeto"
-	"repro/internal/trace"
 )
 
 // POILabel is the semantic category inferred for a POI.
@@ -55,9 +54,9 @@ type POI struct {
 // visit times drive the labeling: the cluster with the largest share
 // of night-time traces becomes home, the one with the largest share of
 // weekday working-hour traces becomes work, the rest are leisure.
-// times maps TraceID to the trace timestamp (from the clustered
-// dataset).
-func ExtractPOIs(res *gepeto.DJClusterResult, times map[string]time.Time) ([]POI, error) {
+// Each member's time is read from its TraceID, so the clustering's
+// output is all the attack needs.
+func ExtractPOIs(res *gepeto.DJClusterResult) ([]POI, error) {
 	byUser := make(map[string][]POI)
 	for _, c := range res.Clusters {
 		if len(c.Members) == 0 {
@@ -65,9 +64,9 @@ func ExtractPOIs(res *gepeto.DJClusterResult, times map[string]time.Time) ([]POI
 		}
 		p := POI{User: c.User, Center: c.Centroid, Visits: len(c.Members), Label: LabelLeisure}
 		for _, m := range c.Members {
-			ts, ok := times[m]
-			if !ok {
-				return nil, fmt.Errorf("privacy: no timestamp for trace %s", m)
+			ts, err := gepeto.TimeOfTraceID(m)
+			if err != nil {
+				return nil, fmt.Errorf("privacy: cluster %s: %v", c.ID, err)
 			}
 			h := ts.Hour()
 			if h >= 18 || h < 6 {
@@ -110,18 +109,6 @@ func ExtractPOIs(res *gepeto.DJClusterResult, times map[string]time.Time) ([]POI
 		out = append(out, pois...)
 	}
 	return out, nil
-}
-
-// TraceTimes builds the TraceID → timestamp map ExtractPOIs needs from
-// the dataset that was clustered.
-func TraceTimes(ds *trace.Dataset) map[string]time.Time {
-	out := make(map[string]time.Time, ds.NumTraces())
-	for _, tr := range ds.Trails {
-		for _, t := range tr.Traces {
-			out[gepeto.TraceID(t)] = t.Time
-		}
-	}
-	return out
 }
 
 // POIAttackReport scores an extracted-POI set against ground truth.

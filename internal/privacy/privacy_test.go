@@ -18,7 +18,7 @@ func attackPipeline(t *testing.T, ds *trace.Dataset) []POI {
 	sampled := gepeto.SampleSequential(ds, time.Minute, gepeto.SampleUpperLimit)
 	_, pre := gepeto.PreprocessSequential(sampled, 2.0, 1.0)
 	res := gepeto.DJClusterSequential(pre, gepeto.DefaultDJClusterOptions())
-	pois, err := ExtractPOIs(res, TraceTimes(pre))
+	pois, err := ExtractPOIs(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,21 +59,18 @@ func TestExtractPOIsLabeling(t *testing.T) {
 	// at night, one during weekday working hours.
 	night := time.Date(2008, 4, 7, 23, 30, 0, 0, time.UTC) // Monday night
 	day := time.Date(2008, 4, 8, 10, 0, 0, 0, time.UTC)    // Tuesday morning
-	times := map[string]time.Time{}
 	var homeMembers, workMembers []string
 	for i := 0; i < 5; i++ {
 		hm := trace.Trace{User: "u", Time: night.Add(time.Duration(i) * time.Minute)}
 		wm := trace.Trace{User: "u", Time: day.Add(time.Duration(i) * time.Minute)}
 		homeMembers = append(homeMembers, gepeto.TraceID(hm))
 		workMembers = append(workMembers, gepeto.TraceID(wm))
-		times[gepeto.TraceID(hm)] = hm.Time
-		times[gepeto.TraceID(wm)] = wm.Time
 	}
 	res := &gepeto.DJClusterResult{Clusters: []gepeto.Cluster{
 		{ID: "c0", User: "u", Members: homeMembers, Centroid: geo.Point{Lat: 39.9, Lon: 116.4}},
 		{ID: "c1", User: "u", Members: workMembers, Centroid: geo.Point{Lat: 39.95, Lon: 116.45}},
 	}}
-	pois, err := ExtractPOIs(res, times)
+	pois, err := ExtractPOIs(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +91,10 @@ func TestExtractPOIsLabeling(t *testing.T) {
 
 func TestExtractPOIsMissingTimestamp(t *testing.T) {
 	res := &gepeto.DJClusterResult{Clusters: []gepeto.Cluster{
-		{ID: "c0", User: "u", Members: []string{"u:12345"}},
+		{ID: "c0", User: "u", Members: []string{"u:12345", "u:noon"}},
 	}}
-	if _, err := ExtractPOIs(res, map[string]time.Time{}); err == nil {
-		t.Fatal("want error for missing timestamp")
+	if _, err := ExtractPOIs(res); err == nil {
+		t.Fatal("want error for a member ID with no timestamp")
 	}
 }
 

@@ -2,6 +2,7 @@ package privacy
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"strconv"
@@ -270,7 +271,9 @@ func (m *maskMapper) Setup(ctx *mapreduce.TaskContext) error {
 	}
 	// Derive a per-task stream so parallel tasks perturb independently
 	// yet deterministically.
-	m.rng = rand.New(rand.NewSource(seed ^ int64(hashID(ctx.TaskID))))
+	h := fnv.New32a()
+	h.Write([]byte(ctx.TaskID))
+	m.rng = rand.New(rand.NewSource(seed ^ int64(h.Sum32())))
 	return nil
 }
 
@@ -308,13 +311,4 @@ func (m *cloakMapper) Map(_ *mapreduce.TaskContext, _ string, t trace.Trace, emi
 	t.Point = snapToGrid(t.Point, m.cell)
 	emit(t.User, t)
 	return nil
-}
-
-func hashID(s string) uint32 {
-	var h uint32 = 2166136261
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }

@@ -266,73 +266,3 @@ func (countDistinctReducer) Reduce(_ *mapreduce.TaskContext, key string, values 
 	emit(key, int64(len(set)))
 	return nil
 }
-
-// --- Home/work quasi-identifier attack (Golle & Partridge, cited in
-// §II: "a combination of locations can play the role of a
-// quasi-identifier if they characterize almost uniquely an individual
-// in the same way as the combination of his first and last names"). ---
-
-// HomeWorkPair is a user's home/work quasi-identifier.
-type HomeWorkPair struct {
-	User string
-	Home geo.Point
-	Work geo.Point
-}
-
-// HomeWorkPairs extracts the quasi-identifier of every user from
-// labeled POIs (users lacking a home or work label are skipped).
-func HomeWorkPairs(pois []POI) []HomeWorkPair {
-	byUser := make(map[string]*HomeWorkPair)
-	order := []string{}
-	for _, p := range pois {
-		hw, ok := byUser[p.User]
-		if !ok {
-			hw = &HomeWorkPair{User: p.User}
-			byUser[p.User] = hw
-			order = append(order, p.User)
-		}
-		switch p.Label {
-		case LabelHome:
-			hw.Home = p.Center
-		case LabelWork:
-			hw.Work = p.Center
-		}
-	}
-	sort.Strings(order)
-	var out []HomeWorkPair
-	for _, u := range order {
-		hw := byUser[u]
-		if hw.Home != (geo.Point{}) && hw.Work != (geo.Point{}) {
-			out = append(out, *hw)
-		}
-	}
-	return out
-}
-
-// LinkByHomeWork matches each anonymous home/work pair to the known
-// pair with the smallest combined distance, provided both endpoints
-// are within matchRadius. truth maps pseudonym → true user for
-// scoring. This is the linking attack of §II in its simplest form:
-// the home/work pair alone de-anonymizes most individuals.
-func LinkByHomeWork(known, anonymous []HomeWorkPair, matchRadius float64, truth map[string]string) *LinkingResult {
-	res := &LinkingResult{Matches: make(map[string]string)}
-	for _, anon := range anonymous {
-		bestUser, bestDist := "", -1.0
-		for _, k := range known {
-			dh := geo.Haversine(anon.Home, k.Home)
-			dw := geo.Haversine(anon.Work, k.Work)
-			if dh > matchRadius || dw > matchRadius {
-				continue
-			}
-			if d := dh + dw; bestDist < 0 || d < bestDist {
-				bestDist, bestUser = d, k.User
-			}
-		}
-		res.Matches[anon.User] = bestUser
-		res.Total++
-		if want, ok := truth[anon.User]; ok && want != "" && want == bestUser {
-			res.Correct++
-		}
-	}
-	return res
-}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/geo"
 	"repro/internal/geolife"
-	"repro/internal/gepeto"
 	"repro/internal/mapreduce"
 	"repro/internal/trace"
 )
@@ -101,61 +100,6 @@ func TestSocialLinksNoFalsePositivesOnIndependentUsers(t *testing.T) {
 		t.Fatalf("unexpected links between independent users: %+v", links)
 	}
 }
-
-func TestHomeWorkPairsAndLinking(t *testing.T) {
-	// Extract quasi-identifiers from two halves of each user's data
-	// and link the pseudonymised half back (Golle & Partridge, §II).
-	ds, _ := genTruth(t, 4, 40_000, 73)
-	half1 := &trace.Dataset{}
-	half2 := &trace.Dataset{}
-	for _, tr := range ds.Trails {
-		h := len(tr.Traces) / 2
-		half1.Trails = append(half1.Trails, trace.Trail{User: tr.User, Traces: tr.Traces[:h]})
-		anonTrail := trace.Trail{User: "anon-" + tr.User}
-		for _, tc := range tr.Traces[h:] {
-			tc.User = anonTrail.User
-			anonTrail.Traces = append(anonTrail.Traces, tc)
-		}
-		half2.Trails = append(half2.Trails, anonTrail)
-	}
-	known := HomeWorkPairs(attackPipeline(t, half1))
-	anon := HomeWorkPairs(attackPipeline(t, half2))
-	if len(known) < 3 || len(anon) < 3 {
-		t.Fatalf("quasi-identifiers: known=%d anon=%d, want >=3 each", len(known), len(anon))
-	}
-	truthMap := map[string]string{}
-	for _, hw := range anon {
-		truthMap[hw.User] = hw.User[len("anon-"):]
-	}
-	res := LinkByHomeWork(known, anon, 100, truthMap)
-	if res.Accuracy() < 0.75 {
-		t.Fatalf("home/work linking accuracy %.2f < 0.75 (matches %v)", res.Accuracy(), res.Matches)
-	}
-}
-
-func TestHomeWorkPairsSkipsIncomplete(t *testing.T) {
-	pois := []POI{
-		{User: "u1", Label: LabelHome, Center: geo.Point{Lat: 1, Lon: 1}},
-		{User: "u1", Label: LabelWork, Center: geo.Point{Lat: 2, Lon: 2}},
-		{User: "u2", Label: LabelHome, Center: geo.Point{Lat: 3, Lon: 3}}, // no work
-		{User: "u3", Label: LabelLeisure, Center: geo.Point{Lat: 4, Lon: 4}},
-	}
-	pairs := HomeWorkPairs(pois)
-	if len(pairs) != 1 || pairs[0].User != "u1" {
-		t.Fatalf("pairs = %+v", pairs)
-	}
-}
-
-func TestLinkByHomeWorkNoMatchOutsideRadius(t *testing.T) {
-	known := []HomeWorkPair{{User: "k", Home: geo.Point{Lat: 39.9, Lon: 116.4}, Work: geo.Point{Lat: 39.95, Lon: 116.45}}}
-	anon := []HomeWorkPair{{User: "a", Home: geo.Point{Lat: 40.5, Lon: 117.0}, Work: geo.Point{Lat: 40.6, Lon: 117.1}}}
-	res := LinkByHomeWork(known, anon, 100, map[string]string{"a": "k"})
-	if res.Matches["a"] != "" || res.Correct != 0 {
-		t.Fatalf("far pair should not match: %+v", res)
-	}
-}
-
-var _ = gepeto.DefaultDJClusterOptions // keep import used if helpers change
 
 func TestSortLinksOrdering(t *testing.T) {
 	links := []SocialLink{

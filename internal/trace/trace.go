@@ -270,43 +270,6 @@ func looksLikeRecord(line string) bool {
 	return err == nil
 }
 
-// FilterByTime returns a new dataset holding only traces in
-// [from, to) — a basic curation operation of the toolkit. Empty trails
-// are dropped.
-func (d *Dataset) FilterByTime(from, to time.Time) *Dataset {
-	out := &Dataset{}
-	for _, tr := range d.Trails {
-		kept := Trail{User: tr.User}
-		for _, t := range tr.Traces {
-			if !t.Time.Before(from) && t.Time.Before(to) {
-				kept.Traces = append(kept.Traces, t)
-			}
-		}
-		if len(kept.Traces) > 0 {
-			out.Trails = append(out.Trails, kept)
-		}
-	}
-	return out
-}
-
-// FilterByRect returns a new dataset holding only traces inside the
-// rectangle. Empty trails are dropped.
-func (d *Dataset) FilterByRect(r geo.Rect) *Dataset {
-	out := &Dataset{}
-	for _, tr := range d.Trails {
-		kept := Trail{User: tr.User}
-		for _, t := range tr.Traces {
-			if r.Contains(t.Point) {
-				kept.Traces = append(kept.Traces, t)
-			}
-		}
-		if len(kept.Traces) > 0 {
-			out.Trails = append(out.Trails, kept)
-		}
-	}
-	return out
-}
-
 // FilterUsers returns a new dataset holding only the given users'
 // trails (missing users are ignored).
 func (d *Dataset) FilterUsers(users ...string) *Dataset {

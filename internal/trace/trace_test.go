@@ -253,24 +253,9 @@ func TestDatasetFilters(t *testing.T) {
 		mk("b", 39.8, 150), mk("b", 39.9, 250),
 	})
 
-	byTime := d.FilterByTime(time.Unix(150, 0), time.Unix(300, 0))
-	if byTime.NumTraces() != 3 {
-		t.Fatalf("FilterByTime kept %d, want 3 (150,200,250)", byTime.NumTraces())
-	}
-
-	rect := geo.Rect{Min: geo.Point{Lat: 39.7, Lon: 116.0}, Max: geo.Point{Lat: 40.0, Lon: 117.0}}
-	byRect := d.FilterByRect(rect)
-	if byRect.NumTraces() != 3 {
-		t.Fatalf("FilterByRect kept %d, want 3 (39.9, 39.8, 39.9)", byRect.NumTraces())
-	}
-
 	byUser := d.FilterUsers("b", "zzz")
 	if len(byUser.Trails) != 1 || byUser.Trails[0].User != "b" {
 		t.Fatalf("FilterUsers = %+v", byUser.Trails)
 	}
 
-	// Empty-trail dropping: a window matching nothing yields no trails.
-	if got := d.FilterByTime(time.Unix(900, 0), time.Unix(901, 0)); len(got.Trails) != 0 {
-		t.Fatalf("empty filter left %d trails", len(got.Trails))
-	}
 }

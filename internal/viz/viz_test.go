@@ -30,8 +30,8 @@ func TestBoundsOf(t *testing.T) {
 	if !b.Contains(tr.Traces[0].Point) || !b.Contains(tr.Traces[9].Point) {
 		t.Fatal("bounds must contain all points")
 	}
-	if b.Area() <= 0 {
-		t.Fatal("degenerate bounds for a moving trail")
+	if b.Max.Lat <= b.Min.Lat || b.Max.Lon <= b.Min.Lon {
+		t.Fatalf("degenerate bounds %+v for a moving trail", b)
 	}
 	if BoundsOf(&trace.Dataset{}) != (geo.Rect{}) {
 		t.Fatal("empty dataset should have zero bounds")
