@@ -1,9 +1,14 @@
 package gepeto
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
+	"sync"
 
 	"repro/internal/geo"
 	"repro/internal/mapreduce"
@@ -97,7 +102,7 @@ const (
 	confMinPts    = "djcluster.minpts"
 	confPerUser   = "djcluster.peruser"
 	cacheRTree    = "rtree"
-	constKey      = "c" // single-reducer key for the merging phase
+	constKey      = "c" // the one group of the merging phase without PerUser
 )
 
 // DJClusterMR runs the full MapReduced DJ-Cluster over the record
@@ -108,7 +113,8 @@ const (
 //  2. R-tree construction over the preprocessed traces (§VII-C),
 //     shipped to every node via the distributed cache;
 //  3. neighborhood computation (map, Algorithm 4) and cluster merging
-//     (single reducer, Algorithm 5).
+//     (Algorithm 5: one reducer, or under PerUser one reducer per user
+//     group).
 func DJClusterMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts DJClusterOptions) (res *DJClusterResult, err error) {
 	opts = opts.withDefaults()
 	res = &DJClusterResult{}
@@ -134,12 +140,17 @@ func DJClusterMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts 
 	res.AfterDedup = jobs[1].Counters.Value(mapreduce.CounterGroupTask, mapreduce.CounterMapOutputRecords)
 
 	// Phase 2: index the preprocessed traces in an R-tree, built with
-	// the MapReduce construction of §VII-C.
+	// the MapReduce construction of §VII-C. The partition count is
+	// resolved once: it also sizes the merge below.
+	opts.RTree = opts.RTree.withDefaults(e)
 	opts.RTree.Parent = spanID
 	tree, treeJobs, err := BuildRTreeMR(e, []string{dedupOut}, workDir+"/rtree", opts.RTree)
 	res.JobResults = append(res.JobResults, treeJobs...)
 	if err != nil {
 		return res, err
+	}
+	if uint64(tree.Len()) > math.MaxUint32 {
+		return res, fmt.Errorf("djcluster: %d traces exceed the uint32 entry ordinals", tree.Len())
 	}
 
 	// Phase 3: neighborhood map + merging reduce.
@@ -151,8 +162,14 @@ func DJClusterMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts 
 	ntj.OutputPath = clusterOut
 	// "A single reducer implements the last phase of the algorithm as
 	// the merging of joinable neighborhoods must be done by a
-	// centralized entity."
+	// centralized entity." Under PerUser no neighborhood joins two
+	// users, so each user's merge is its own centralized entity, and
+	// the groups spread over as many reducers as the R-tree has
+	// partitions.
 	ntj.NumReducers = 1
+	if opts.PerUser {
+		ntj.NumReducers = opts.RTree.Partitions
+	}
 	ntj.Conf = map[string]string{
 		confRadius:  strconv.FormatFloat(opts.RadiusMeters, 'f', -1, 64),
 		confMinPts:  strconv.Itoa(opts.MinPts),
@@ -167,36 +184,20 @@ func DJClusterMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts 
 	res.JobResults = append(res.JobResults, jr)
 	res.Noise = jr.Counters.Value("djcluster", "noise")
 
-	// Materialise clusters, computing centroids from the index.
-	id2pt := make(map[string]geo.Point, tree.Len())
-	for _, entry := range tree.All() {
-		id2pt[entry.ID] = entry.Point
-	}
-	var clusters []Cluster
-	err = mapreduce.ReadOutput(e, clusterOut, recordio.RawString{}, recordio.StringList{}, func(id string, members []string) error {
-		c := Cluster{ID: id, Members: members}
-		if opts.PerUser && len(members) > 0 {
-			c.User = UserOfTraceID(members[0])
+	// Materialise clusters: an ordinal indexes the tree's entries.
+	all := tree.All()
+	var sets [][]uint32
+	err = mapreduce.ReadOutput(e, clusterOut, recordio.RawString{}, recordio.AscendingList[uint32]{}, func(_ string, set []uint32) error {
+		if len(set) == 0 || int(set[len(set)-1]) >= len(all) {
+			return fmt.Errorf("djcluster: cluster %v does not index a tree of %d entries", set, len(all))
 		}
-		var lat, lon float64
-		for _, m := range members {
-			p, ok := id2pt[m]
-			if !ok {
-				return fmt.Errorf("djcluster: member %q missing from index", m)
-			}
-			lat += p.Lat
-			lon += p.Lon
-		}
-		n := float64(len(members))
-		c.Centroid = geo.Point{Lat: lat / n, Lon: lon / n}
-		clusters = append(clusters, c)
+		sets = append(sets, set)
 		return nil
 	})
 	if err != nil {
 		return res, err
 	}
-	res.Clusters = clusters
-	sortClusters(res.Clusters)
+	res.Clusters = buildClusters(all, sets, opts.PerUser)
 	return res, nil
 }
 
@@ -325,38 +326,43 @@ func (m *dedupMapper) Map(ctx *mapreduce.TaskContext, _ string, t trace.Trace, e
 }
 
 // neighborhoodJob is the typed shape of the neighborhood+merge job:
-// trace records in, (constant key, [center, neighbor...] ID list)
-// intermediates, and one (cluster ID, member IDs) record per cluster
-// out. Both ID lists travel as length-prefixed binary string lists.
-type neighborhoodJob = mapreduce.TypedJob[string, trace.Trace, string, []string, string, []string]
+// trace records in; (group key, neighborhood) intermediates, where a
+// neighborhood is an ascending set of the cached R-tree's entry
+// ordinals; and one (group key, cluster) record per cluster out, the
+// cluster again an ascending ordinal set. The group key is the center
+// trace's user under PerUser, constKey otherwise. Ordinal sets travel
+// delta-coded (recordio.AscendingList), so a neighbor costs about a
+// byte. The merge is associative, so it also serves as the combiner.
+type neighborhoodJob = mapreduce.TypedJob[string, trace.Trace, string, []uint32, string, []uint32]
 
 var neighborhoodKind = mapreduce.Declare(neighborhoodJob{
 	Kind: "gepeto/djcluster-neighborhood",
-	Mapper: func() mapreduce.TypedMapper[string, trace.Trace, string, []string] {
+	Mapper: func() mapreduce.TypedMapper[string, trace.Trace, string, []uint32] {
 		return &neighborhoodMapper{}
 	},
-	Reducer: func() mapreduce.TypedReducer[string, []string, string, []string] {
-		return &mergeReducer{}
-	},
+	Reducer:     newMergeReducer,
+	Combiner:    newMergeReducer,
 	InputKey:    recordio.RawString{},
 	InputValue:  recordio.TraceValue{},
 	MapKey:      recordio.RawString{},
-	MapValue:    recordio.StringList{},
+	MapValue:    recordio.AscendingList[uint32]{},
 	OutputKey:   recordio.RawString{},
-	OutputValue: recordio.StringList{},
+	OutputValue: recordio.AscendingList[uint32]{},
 })
 
 // neighborhoodMapper is Algorithm 4: it loads the R-tree from the
 // distributed cache in setup, computes the neighborhood of each trace
 // (the points within distance r, requiring at least MinPts of them),
-// marks under-dense traces as noise, and emits (constant key, trace
-// plus neighborhood) pairs so a single reducer collects them all.
+// marks under-dense traces as noise, and emits (group key,
+// neighborhood) pairs so that one reducer collects each group.
 type neighborhoodMapper struct {
-	mapreduce.TypedMapperBase[string, []string]
+	mapreduce.TypedMapperBase[string, []uint32]
 	tree    *rtree.Tree
+	index   userIndex // built under PerUser only
 	radius  float64
 	minPts  int
 	perUser bool
+	hood    []uint32 // the current neighborhood, reused
 }
 
 func (m *neighborhoodMapper) Setup(ctx *mapreduce.TaskContext) error {
@@ -375,97 +381,279 @@ func (m *neighborhoodMapper) Setup(ctx *mapreduce.TaskContext) error {
 	if m.minPts, err = strconv.Atoi(ctx.ConfDefault(confMinPts, "4")); err != nil {
 		return err
 	}
-	m.perUser = ctx.ConfDefault(confPerUser, "true") == "true"
+	if m.perUser, err = strconv.ParseBool(ctx.ConfDefault(confPerUser, "true")); err != nil {
+		return fmt.Errorf("neighborhoodMapper: bad %s: %v", confPerUser, err)
+	}
+	if m.perUser {
+		m.index = indexUsers(m.tree.All())
+	}
 	return nil
 }
 
-func (m *neighborhoodMapper) Map(ctx *mapreduce.TaskContext, _ string, t trace.Trace, emit mapreduce.TypedEmit[string, []string]) error {
-	neighbors := m.tree.Within(t.Point, m.radius)
-	// ids[0] is the neighborhood's center trace; the rest its members.
-	ids := make([]string, 1, len(neighbors)+1)
-	ids[0] = TraceID(t)
-	for _, n := range neighbors {
-		if m.perUser && UserOfTraceID(n.ID) != t.User {
-			continue
+func (m *neighborhoodMapper) Map(ctx *mapreduce.TaskContext, _ string, t trace.Trace, emit mapreduce.TypedEmit[string, []uint32]) error {
+	key, user := constKey, int32(-1)
+	if m.perUser {
+		var ok bool
+		if user, ok = m.index.userOf(t.User); !ok {
+			return fmt.Errorf("neighborhoodMapper: user %q has no trace in the R-tree", t.User)
 		}
-		ids = append(ids, n.ID)
+		key = t.User
 	}
-	if len(ids)-1 < m.minPts {
+	m.hood = m.index.neighborhood(m.hood[:0], m.tree, t.Point, m.radius, user)
+	if len(m.hood) < m.minPts {
 		ctx.Counter("djcluster", "noise").Inc(1)
 		return nil
 	}
-	sort.Strings(ids[1:])
-	emit(constKey, ids)
+	emit(key, m.hood)
 	return nil
 }
 
-// mergeReducer is Algorithm 5: it collects all neighborhoods built by
-// the mappers and merges every pair of joinable neighborhoods — two
-// neighborhoods are joinable if at least one trace belongs to both —
-// using a union-find over trace IDs. Each output record is one final
-// cluster: key "cluster-N", value the sorted member IDs.
-type mergeReducer struct {
-	mapreduce.TypedReducerBase[string, []string]
+// userIndex numbers the users of an R-tree's entries, so that the
+// per-user filter of a neighborhood compares integers, not ID strings.
+type userIndex struct {
+	users []string // the distinct users, sorted
+	user  []int32  // entry ordinal -> index in users
 }
 
-func (r *mergeReducer) Reduce(_ *mapreduce.TaskContext, _ string, values [][]string, emit mapreduce.TypedEmit[string, []string]) error {
-	parent := make(map[string]string)
-	var find func(string) string
-	find = func(x string) string {
-		p, ok := parent[x]
-		if !ok {
-			parent[x] = x
-			return x
-		}
-		if p == x {
-			return x
-		}
-		root := find(p)
-		parent[x] = root
-		return root
-	}
-	union := func(a, b string) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[rb] = ra
+// indexUsers indexes the users of a tree's entries, in All() order.
+func indexUsers(entries []rtree.Entry) userIndex {
+	// Neighbors in leaf order are mostly one user's: only the first
+	// entry of a run of one user's entries is sorted and looked up.
+	ix := userIndex{user: make([]int32, len(entries))}
+	for i, e := range entries {
+		if u := UserOfTraceID(e.ID); i == 0 || u != UserOfTraceID(entries[i-1].ID) {
+			ix.users = append(ix.users, u)
 		}
 	}
+	slices.Sort(ix.users)
+	ix.users = slices.Compact(ix.users)
+	for i, e := range entries {
+		if u := UserOfTraceID(e.ID); i == 0 || u != ix.users[ix.user[i-1]] {
+			ix.user[i], _ = ix.userOf(u)
+		} else {
+			ix.user[i] = ix.user[i-1]
+		}
+	}
+	return ix
+}
+
+// userOf returns the index of user, if the tree holds a trace of it.
+func (ix *userIndex) userOf(user string) (int32, bool) {
+	i, ok := slices.BinarySearch(ix.users, user)
+	return int32(i), ok
+}
+
+// neighborhood appends to dst the neighborhood of center: the
+// ascending ordinals of the tree's entries within radiusMeters of it,
+// kept to the entries of user unless user < 0. The center's own entry
+// is among them, at distance 0.
+func (ix *userIndex) neighborhood(dst []uint32, tree *rtree.Tree, center geo.Point, radiusMeters float64, user int32) []uint32 {
+	start := len(dst)
+	dst = tree.AppendWithin(dst, center, radiusMeters)
+	if user < 0 {
+		return dst
+	}
+	hood := dst[:start]
+	for _, o := range dst[start:] {
+		if ix.user[o] == user {
+			hood = append(hood, o)
+		}
+	}
+	return hood
+}
+
+// mergeReducer is Algorithm 5: it merges every pair of joinable
+// neighborhoods of its group — two neighborhoods are joinable if at
+// least one trace belongs to both — and emits each resulting cluster
+// as one ascending ordinal set under the group's key. A union of
+// joinable sets is again such a set, so the same code folds a map
+// task's neighborhoods as the combiner.
+type mergeReducer struct {
+	mapreduce.TypedReducerBase[string, []uint32]
+}
+
+func newMergeReducer() mapreduce.TypedReducer[string, []uint32, string, []uint32] {
+	return &mergeReducer{}
+}
+
+func (r *mergeReducer) Reduce(_ *mapreduce.TaskContext, key string, values [][]uint32, emit mapreduce.TypedEmit[string, []uint32]) error {
 	for _, v := range values {
 		if len(v) == 0 {
 			return fmt.Errorf("mergeReducer: empty neighborhood")
 		}
-		center := v[0]
-		for _, id := range v[1:] {
-			union(center, id)
-		}
 	}
-	// Gather members by root.
-	groups := make(map[string][]string)
-	for id := range parent {
-		root := find(id)
-		groups[root] = append(groups[root], id)
+	m := mergers.Get().(*merger)
+	defer mergers.Put(m)
+	for _, v := range values {
+		m.add(v)
 	}
-	roots := make([]string, 0, len(groups))
-	for root := range groups {
-		roots = append(roots, root)
-	}
-	sort.Strings(roots)
-	for i, root := range roots {
-		members := groups[root]
-		sort.Strings(members)
-		emit(fmt.Sprintf("cluster-%04d", i), members)
-	}
+	m.flush(func(c []uint32) { emit(key, c) })
 	return nil
 }
 
-// sortClusters orders clusters by descending size, then by ID.
-func sortClusters(cs []Cluster) {
-	sort.Slice(cs, func(i, j int) bool {
-		if len(cs[i].Members) != len(cs[j].Members) {
-			return len(cs[i].Members) > len(cs[j].Members)
+// mergers recycles merge state across groups, reducers and combine
+// passes: a merger's ordinal table grows to the largest ordinal seen,
+// so a fresh one per combine pass would cost the tree's size each time.
+var mergers = sync.Pool{New: func() any { return new(merger) }}
+
+// merger is a union-find over R-tree entry ordinals. Ordinals become
+// dense nodes on first sight; sets are added one at a time and their
+// members unioned, and flush emits the components. A merger is empty
+// between flushes.
+type merger struct {
+	node   []int32  // ordinal -> union-find node, -1 if unseen
+	ord    []uint32 // node -> ordinal
+	parent []int32  // node -> parent node
+	// flush's scratch
+	sorted, members []uint32
+	comp, end       []int32
+}
+
+// add unions the members of one set.
+func (m *merger) add(set []uint32) {
+	root := m.find(m.nodeOf(set[0]))
+	for _, o := range set[1:] {
+		if r := m.find(m.nodeOf(o)); r != root {
+			m.parent[r] = root
 		}
-		return cs[i].ID < cs[j].ID
+	}
+}
+
+func (m *merger) nodeOf(o uint32) int32 {
+	if int(o) >= len(m.node) {
+		grown := max(int(o)+1, 2*len(m.node))
+		for len(m.node) < grown {
+			m.node = append(m.node, -1)
+		}
+	}
+	if n := m.node[o]; n >= 0 {
+		return n
+	}
+	n := int32(len(m.ord))
+	m.node[o] = n
+	m.ord = append(m.ord, o)
+	m.parent = append(m.parent, n)
+	return n
+}
+
+// find returns n's root, halving the path on the way.
+func (m *merger) find(n int32) int32 {
+	for m.parent[n] != n {
+		m.parent[n] = m.parent[m.parent[n]]
+		n = m.parent[n]
+	}
+	return n
+}
+
+// flush emits every component as an ascending ordinal set, in the
+// order of their smallest ordinals, and empties the merger. The slice
+// emit receives is reused by the next flush.
+func (m *merger) flush(emit func([]uint32)) {
+	m.sorted = append(m.sorted[:0], m.ord...)
+	slices.Sort(m.sorted)
+	// Number the components by their smallest ordinal and count their
+	// members; then lay them out back to back in members, where end
+	// turns from each component's size into its next free slot and,
+	// once all are placed, its end.
+	m.comp = m.comp[:0]
+	for range m.ord {
+		m.comp = append(m.comp, -1)
+	}
+	m.end = m.end[:0]
+	for _, o := range m.sorted {
+		r := m.find(m.node[o])
+		if m.comp[r] < 0 {
+			m.comp[r] = int32(len(m.end))
+			m.end = append(m.end, 0)
+		}
+		m.end[m.comp[r]]++
+	}
+	next := int32(0)
+	for c, size := range m.end {
+		m.end[c], next = next, next+size
+	}
+	m.members = append(m.members[:0], m.sorted...)
+	for _, o := range m.sorted {
+		c := m.comp[m.find(m.node[o])]
+		m.members[m.end[c]] = o
+		m.end[c]++
+	}
+	from := int32(0)
+	for _, end := range m.end {
+		emit(m.members[from:end])
+		from = end
+	}
+	for _, o := range m.ord {
+		m.node[o] = -1
+	}
+	m.ord, m.parent = m.ord[:0], m.parent[:0]
+}
+
+// buildClusters turns merged ordinal sets into clusters over the
+// tree's entries: members are the entries' IDs, sorted, and the
+// centroid their points' mean, summed in that order. Entries sharing
+// a TraceID are one trace, as equal ID strings are one member: their
+// sets are joined, and the first entry of the ID stands for it.
+// Clusters are then ordered by descending size and smallest member —
+// both independent of how the merge was split — and named
+// cluster-0000 on.
+func buildClusters(entries []rtree.Entry, sets [][]uint32, perUser bool) []Cluster {
+	var byID []uint32
+	for _, set := range sets {
+		byID = append(byID, set...)
+	}
+	slices.SortFunc(byID, func(a, b uint32) int {
+		return cmp.Or(strings.Compare(entries[a].ID, entries[b].ID), cmp.Compare(a, b))
 	})
+	var join *merger
+	for k := 1; k < len(byID); k++ {
+		if entries[byID[k]].ID == entries[byID[k-1]].ID {
+			if join == nil {
+				join = new(merger)
+				for _, set := range sets {
+					join.add(set)
+				}
+			}
+			join.add(byID[k-1 : k+1])
+		}
+	}
+	if join != nil {
+		sets = nil
+		join.flush(func(c []uint32) { sets = append(sets, slices.Clone(c)) })
+	}
+
+	setOf := make([]int32, len(entries))
+	cs := make([]Cluster, len(sets))
+	for i, set := range sets {
+		for _, o := range set {
+			setOf[o] = int32(i)
+		}
+		cs[i].Members = make([]string, 0, len(set))
+	}
+	for k, o := range byID {
+		if k > 0 && entries[o].ID == entries[byID[k-1]].ID {
+			continue
+		}
+		c := &cs[setOf[o]]
+		c.Members = append(c.Members, entries[o].ID)
+		c.Centroid.Lat += entries[o].Point.Lat
+		c.Centroid.Lon += entries[o].Point.Lon
+	}
+	for i := range cs {
+		c := &cs[i]
+		n := float64(len(c.Members))
+		c.Centroid = geo.Point{Lat: c.Centroid.Lat / n, Lon: c.Centroid.Lon / n}
+		if perUser {
+			c.User = UserOfTraceID(c.Members[0])
+		}
+	}
+	slices.SortFunc(cs, func(a, b Cluster) int {
+		return cmp.Or(cmp.Compare(len(b.Members), len(a.Members)), strings.Compare(a.Members[0], b.Members[0]))
+	})
+	for i := range cs {
+		cs[i].ID = fmt.Sprintf("cluster-%04d", i)
+	}
+	return cs
 }
 
 // PreprocessSequential applies the speed filter and dedup to a dataset
@@ -516,90 +704,40 @@ func PreprocessSequential(ds *trace.Dataset, maxSpeedKmh, dupRadiusMeters float6
 
 // DJClusterSequential is the single-machine DJ-Cluster over an
 // already-preprocessed dataset: neighborhoods via a bulk-loaded
-// R-tree, then joinable-cluster merging. It mirrors the MR semantics
-// (including PerUser) and is the baseline for correctness checks.
+// R-tree, then joinable-cluster merging. It runs the MR job's
+// neighborhood search, merge and cluster naming (including PerUser)
+// in one process and is the baseline for correctness checks.
 func DJClusterSequential(ds *trace.Dataset, opts DJClusterOptions) *DJClusterResult {
 	opts = opts.withDefaults()
 	entries := make([]rtree.Entry, 0, ds.NumTraces())
-	id2pt := make(map[string]geo.Point)
 	for _, tr := range ds.Trails {
 		for _, t := range tr.Traces {
-			id := TraceID(t)
-			entries = append(entries, rtree.Entry{ID: id, Point: t.Point})
-			id2pt[id] = t.Point
+			entries = append(entries, rtree.Entry{ID: TraceID(t), Point: t.Point})
 		}
 	}
 	tree := rtree.BulkLoad(entries, rtree.DefaultMaxEntries)
+	all := tree.All()
+	var ix userIndex
+	if opts.PerUser {
+		ix = indexUsers(all)
+	}
 
 	res := &DJClusterResult{InputTraces: int64(len(entries))}
-	parent := make(map[string]string)
-	var find func(string) string
-	find = func(x string) string {
-		p, ok := parent[x]
-		if !ok {
-			parent[x] = x
-			return x
+	m := new(merger)
+	var hood []uint32
+	for o, e := range all {
+		user := int32(-1)
+		if opts.PerUser {
+			user = ix.user[o]
 		}
-		if p == x {
-			return x
-		}
-		root := find(p)
-		parent[x] = root
-		return root
-	}
-	union := func(a, b string) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[rb] = ra
-		}
-	}
-	for _, e := range entries {
-		neighbors := tree.Within(e.Point, opts.RadiusMeters)
-		count := 0
-		user := UserOfTraceID(e.ID)
-		for _, n := range neighbors {
-			if opts.PerUser && UserOfTraceID(n.ID) != user {
-				continue
-			}
-			count++
-		}
-		if count < opts.MinPts {
+		if hood = ix.neighborhood(hood[:0], tree, e.Point, opts.RadiusMeters, user); len(hood) < opts.MinPts {
 			res.Noise++
 			continue
 		}
-		for _, n := range neighbors {
-			if opts.PerUser && UserOfTraceID(n.ID) != user {
-				continue
-			}
-			union(e.ID, n.ID)
-		}
+		m.add(hood)
 	}
-	groups := make(map[string][]string)
-	for id := range parent {
-		groups[find(id)] = append(groups[find(id)], id)
-	}
-	roots := make([]string, 0, len(groups))
-	for root := range groups {
-		roots = append(roots, root)
-	}
-	sort.Strings(roots)
-	for i, root := range roots {
-		members := groups[root]
-		sort.Strings(members)
-		c := Cluster{ID: fmt.Sprintf("cluster-%04d", i), Members: members}
-		if opts.PerUser {
-			c.User = UserOfTraceID(members[0])
-		}
-		var lat, lon float64
-		for _, m := range members {
-			p := id2pt[m]
-			lat += p.Lat
-			lon += p.Lon
-		}
-		n := float64(len(members))
-		c.Centroid = geo.Point{Lat: lat / n, Lon: lon / n}
-		res.Clusters = append(res.Clusters, c)
-	}
-	sortClusters(res.Clusters)
+	var sets [][]uint32
+	m.flush(func(c []uint32) { sets = append(sets, slices.Clone(c)) })
+	res.Clusters = buildClusters(all, sets, opts.PerUser)
 	return res
 }

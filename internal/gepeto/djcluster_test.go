@@ -1,11 +1,16 @@
 package gepeto
 
 import (
+	"fmt"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/geo"
 	"repro/internal/geolife"
+	"repro/internal/rtree"
 	"repro/internal/trace"
 )
 
@@ -137,9 +142,10 @@ func TestDJClusterSequentialFindsPOIs(t *testing.T) {
 	}
 }
 
-func TestDJClusterMRMatchesSequential(t *testing.T) {
-	h := newHarness(t, 2, 14_000, 256)
-	// Sample first so the R-tree and neighborhoods stay small.
+// sampledCorpus writes a one-minute sample of the harness corpus to
+// "sampled" and returns it as read back.
+func sampledCorpus(t *testing.T, h *testHarness) *trace.Dataset {
+	t.Helper()
 	sampled := SampleSequential(h.ds, time.Minute, SampleUpperLimit)
 	if err := geolife.WriteRecords(h.e.FS(), "sampled", sampled); err != nil {
 		t.Fatal(err)
@@ -148,51 +154,216 @@ func TestDJClusterMRMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sampled
+}
 
-	opts := DefaultDJClusterOptions()
-	mr, err := DJClusterMR(h.e, []string{"sampled"}, "djwork", opts)
-	if err != nil {
-		t.Fatal(err)
+// sameClusters reports the first difference between two cluster
+// lists — ID, User, Members or the bits of Centroid — or "".
+func sameClusters(got, want []Cluster) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d clusters, want %d", len(got), len(want))
 	}
-	_, pre := PreprocessSequential(sampled, opts.MaxSpeedKmh, opts.DupRadiusMeters)
-	seq := DJClusterSequential(pre, opts)
-
-	if len(mr.Clusters) != len(seq.Clusters) {
-		t.Fatalf("cluster counts differ: MR %d vs seq %d", len(mr.Clusters), len(seq.Clusters))
-	}
-	if mr.Noise != seq.Noise {
-		t.Fatalf("noise differs: MR %d vs seq %d", mr.Noise, seq.Noise)
-	}
-	// Compare cluster membership as sets (IDs are order-dependent).
-	seqSets := map[string]bool{}
-	for _, c := range seq.Clusters {
-		seqSets[joinIDs(c.Members)] = true
-	}
-	for _, c := range mr.Clusters {
-		if !seqSets[joinIDs(c.Members)] {
-			t.Fatalf("MR cluster %s (%d members) not found in sequential result", c.ID, len(c.Members))
+	for i, g := range got {
+		w := want[i]
+		if g.ID != w.ID || g.User != w.User || !slices.Equal(g.Members, w.Members) ||
+			math.Float64bits(g.Centroid.Lat) != math.Float64bits(w.Centroid.Lat) ||
+			math.Float64bits(g.Centroid.Lon) != math.Float64bits(w.Centroid.Lon) {
+			return fmt.Sprintf("cluster %d: %s/%s/%d members/%v, want %s/%s/%d members/%v",
+				i, g.ID, g.User, len(g.Members), g.Centroid, w.ID, w.User, len(w.Members), w.Centroid)
 		}
 	}
-	// Pipeline stage counts must be consistent.
-	if mr.AfterDedup != int64(pre.NumTraces()) {
-		t.Fatalf("AfterDedup = %d, sequential %d", mr.AfterDedup, pre.NumTraces())
+	return ""
+}
+
+// TestDJClusterMRMatchesSequential checks that the MapReduce
+// DJ-Cluster returns exactly the sequential reference's clusters —
+// names, owners, members and centroid bits — and noise, both per user
+// (one reducer per user group) and globally (one reducer).
+func TestDJClusterMRMatchesSequential(t *testing.T) {
+	for _, perUser := range []bool{true, false} {
+		t.Run(fmt.Sprintf("PerUser=%v", perUser), func(t *testing.T) {
+			h := newHarness(t, 2, 14_000, 256)
+			// Sample first so the R-tree and neighborhoods stay small.
+			sampled := sampledCorpus(t, h)
+			opts := DefaultDJClusterOptions()
+			opts.PerUser = perUser
+			// Dense enough a bound that some traces are noise.
+			opts.MinPts = 8
+			mr, err := DJClusterMR(h.e, []string{"sampled"}, "djwork", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, pre := PreprocessSequential(sampled, opts.MaxSpeedKmh, opts.DupRadiusMeters)
+			seq := DJClusterSequential(pre, opts)
+
+			if len(seq.Clusters) == 0 || seq.Noise == 0 {
+				t.Fatalf("sequential run found %d clusters and %d noise traces: nothing to compare", len(seq.Clusters), seq.Noise)
+			}
+			t.Logf("%d clusters, %d noise traces", len(seq.Clusters), seq.Noise)
+			if diff := sameClusters(mr.Clusters, seq.Clusters); diff != "" {
+				t.Fatalf("MR vs sequential: %s", diff)
+			}
+			if mr.Noise != seq.Noise {
+				t.Fatalf("noise differs: MR %d vs seq %d", mr.Noise, seq.Noise)
+			}
+			// Pipeline stage counts must be consistent.
+			if mr.AfterDedup != int64(pre.NumTraces()) {
+				t.Fatalf("AfterDedup = %d, sequential %d", mr.AfterDedup, pre.NumTraces())
+			}
+			// The merge runs one reducer per R-tree partition per user,
+			// one reducer otherwise.
+			wantReducers := 1
+			if perUser {
+				wantReducers = h.e.Cluster().TotalSlots()
+			}
+			if jr := mr.JobResults[len(mr.JobResults)-1]; jr.ReduceTasks != wantReducers {
+				t.Fatalf("neighborhood job ran %d reducers, want %d", jr.ReduceTasks, wantReducers)
+			}
+		})
 	}
 }
 
-func joinIDs(ids []string) string {
-	out := ""
-	for _, id := range ids {
-		out += id + ";"
+// TestDJClusterMRUserWithColon clusters a corpus whose user names hold
+// ':' — the separator of a TraceID — and the same corpus under plain
+// names: both must find the same clusters.
+func TestDJClusterMRUserWithColon(t *testing.T) {
+	h := newHarness(t, 2, 10_000, 256)
+	plain := sampledCorpus(t, h)
+	colon := &trace.Dataset{}
+	for _, tr := range plain.Trails {
+		renamed := trace.Trail{User: "team:" + tr.User}
+		for _, tc := range tr.Traces {
+			tc.User = renamed.User
+			renamed.Traces = append(renamed.Traces, tc)
+		}
+		colon.Trails = append(colon.Trails, renamed)
 	}
-	return out
+	if err := geolife.WriteRecords(h.e.FS(), "colon", colon); err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultDJClusterOptions()
+	want, err := DJClusterMR(h.e, []string{"sampled"}, "djplain", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DJClusterMR(h.e, []string{"colon"}, "djcolon", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Clusters) == 0 {
+		t.Fatal("no clusters on the plain corpus: nothing to compare")
+	}
+	for i := range got.Clusters {
+		c := &got.Clusters[i]
+		c.User = strings.TrimPrefix(c.User, "team:")
+		for j, m := range c.Members {
+			c.Members[j] = strings.TrimPrefix(m, "team:")
+		}
+	}
+	if diff := sameClusters(got.Clusters, want.Clusters); diff != "" {
+		t.Fatalf("users with ':' vs plain: %s", diff)
+	}
+	if got.Noise != want.Noise {
+		t.Fatalf("noise: %d with ':' in user names, %d without", got.Noise, want.Noise)
+	}
+}
+
+// TestNeighborhoodJobRejectsBadPerUser runs the neighborhood job with
+// a malformed djcluster.peruser: the attempt must fail, not fall back
+// to global clustering.
+func TestNeighborhoodJobRejectsBadPerUser(t *testing.T) {
+	h := newHarness(t, 2, 2_000, 256)
+	var entries []rtree.Entry
+	for _, tr := range h.ds.Trails {
+		for _, tc := range tr.Traces {
+			entries = append(entries, rtree.Entry{ID: TraceID(tc), Point: tc.Point})
+		}
+	}
+	ntj := neighborhoodKind
+	ntj.Name = "djcluster-neighborhood"
+	ntj.InputPaths = []string{h.input}
+	ntj.OutputPath = "clusters"
+	ntj.NumReducers = 1
+	ntj.MaxAttempts = 1
+	ntj.Conf = map[string]string{confPerUser: "yes"}
+	ntj.Cache = map[string][]byte{cacheRTree: rtree.Codec{}.Append(nil, rtree.BulkLoad(entries, rtree.DefaultMaxEntries))}
+	_, err := h.e.Run(ntj.Build())
+	if err == nil || !strings.Contains(err.Error(), confPerUser) {
+		t.Fatalf("job with %s=yes: err = %v, want a parse error", confPerUser, err)
+	}
+}
+
+// TestMergeReducerMatchesCombinedMerge checks the merge is
+// associative as the job uses it: merging the components of a split
+// input gives the components of the whole input.
+func TestMergeReducerMatchesCombinedMerge(t *testing.T) {
+	hoods := [][]uint32{{1, 5}, {5, 9}, {2}, {3, 4}, {40, 41, 1000}, {4, 7}, {9, 12}, {1000}, {2, 6}}
+	merge := func(sets [][]uint32) [][]uint32 {
+		var out [][]uint32
+		err := (&mergeReducer{}).Reduce(nil, "k", sets, func(k string, c []uint32) {
+			if k != "k" {
+				t.Fatalf("merge emitted key %q", k)
+			}
+			out = append(out, slices.Clone(c))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := [][]uint32{{1, 5, 9, 12}, {2, 6}, {3, 4, 7}, {40, 41, 1000}}
+	if got := merge(hoods); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("merge = %v, want %v", got, want)
+	}
+	combined := append(merge(hoods[:4]), merge(hoods[4:])...)
+	if got := merge(combined); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("merge of combined = %v, want %v", got, want)
+	}
+	if err := (&mergeReducer{}).Reduce(nil, "k", [][]uint32{{1}, {}}, func(string, []uint32) {}); err == nil {
+		t.Fatal("empty neighborhood: want an error")
+	}
+}
+
+// BenchmarkDJClusterMerge times the merge reducer over the recorded
+// per-user neighborhoods of the test corpus, one Reduce per user, as
+// the neighborhood job's reducers run it without a combiner.
+func BenchmarkDJClusterMerge(b *testing.B) {
+	ds := geolife.Generate(geolife.Config{Users: 4, TotalTraces: 40_000, Seed: 11})
+	sampled := SampleSequential(ds, time.Minute, SampleUpperLimit)
+	opts := DefaultDJClusterOptions()
+	_, pre := PreprocessSequential(sampled, opts.MaxSpeedKmh, opts.DupRadiusMeters)
+	var entries []rtree.Entry
+	for _, tr := range pre.Trails {
+		for _, tc := range tr.Traces {
+			entries = append(entries, rtree.Entry{ID: TraceID(tc), Point: tc.Point})
+		}
+	}
+	tree := rtree.BulkLoad(entries, rtree.DefaultMaxEntries)
+	ix := indexUsers(tree.All())
+	groups := make([][][]uint32, len(ix.users))
+	refs := 0
+	for o, e := range tree.All() {
+		if hood := ix.neighborhood(nil, tree, e.Point, opts.RadiusMeters, ix.user[o]); len(hood) >= opts.MinPts {
+			groups[ix.user[o]] = append(groups[ix.user[o]], hood)
+			refs += len(hood)
+		}
+	}
+	r := &mergeReducer{}
+	emit := func(string, []uint32) {}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range groups {
+			if err := r.Reduce(nil, "u", g, emit); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(refs), "ordinals/op")
 }
 
 func TestDJClusterMRInvariants(t *testing.T) {
 	h := newHarness(t, 2, 10_000, 256)
-	sampled := SampleSequential(h.ds, time.Minute, SampleUpperLimit)
-	if err := geolife.WriteRecords(h.e.FS(), "sampled", sampled); err != nil {
-		t.Fatal(err)
-	}
+	sampledCorpus(t, h)
 	opts := DefaultDJClusterOptions()
 	res, err := DJClusterMR(h.e, []string{"sampled"}, "djwork", opts)
 	if err != nil {
@@ -270,5 +441,36 @@ func TestDJClusterGlobalModeFindsSharedHotspot(t *testing.T) {
 	}
 	if global.Clusters[0].User != "" {
 		t.Fatalf("global cluster should have no owner, got %q", global.Clusters[0].User)
+	}
+}
+
+// TestDJClusterSharedTraceIDIsOneMember clusters two far-apart places
+// whose only link is a pair of traces recorded in the same second — one
+// TraceID. Like equal ID strings, the pair is one member, and it
+// joins the two places into one cluster.
+func TestDJClusterSharedTraceIDIsOneMember(t *testing.T) {
+	a := geo.Point{Lat: 39.92, Lon: 116.42}
+	b := geo.Destination(a, 90, 5000)
+	base := time.Unix(1_207_000_000, 0).UTC()
+	var traces []trace.Trace
+	for i := 0; i < 5; i++ {
+		traces = append(traces,
+			trace.Trace{User: "u", Point: geo.Destination(a, float64(i*71), 4), Time: base.Add(time.Duration(i) * time.Minute)},
+			trace.Trace{User: "u", Point: geo.Destination(b, float64(i*71), 4), Time: base.Add(time.Duration(i+10) * time.Minute)})
+	}
+	shared := base.Add(time.Hour)
+	traces = append(traces,
+		trace.Trace{User: "u", Point: a, Time: shared},
+		trace.Trace{User: "u", Point: b, Time: shared})
+	res := DJClusterSequential(trace.FromTraces(traces), DefaultDJClusterOptions())
+	if len(res.Clusters) != 1 {
+		t.Fatalf("%d clusters, want the two places joined into 1", len(res.Clusters))
+	}
+	c := res.Clusters[0]
+	if len(c.Members) != 11 || !slices.IsSorted(c.Members) || len(slices.Compact(slices.Clone(c.Members))) != 11 {
+		t.Fatalf("members %v, want 11 distinct IDs in order", c.Members)
+	}
+	if c.ID != "cluster-0000" || c.User != "u" {
+		t.Fatalf("cluster %s of %q, want cluster-0000 of u", c.ID, c.User)
 	}
 }

@@ -33,10 +33,14 @@ func TraceID(t trace.Trace) string {
 	return t.User + ":" + strconv.FormatInt(t.Time.Unix(), 10)
 }
 
-// UserOfTraceID extracts the user part of a TraceID.
+// UserOfTraceID extracts the user part of a TraceID: everything
+// before its last ':', which TraceID puts after the user (who may
+// have ':' in the name).
 func UserOfTraceID(id string) string {
-	u, _, _ := strings.Cut(id, ":")
-	return u
+	if i := strings.LastIndexByte(id, ':'); i >= 0 {
+		return id[:i]
+	}
+	return id
 }
 
 // TimeOfTraceID extracts the timestamp of a TraceID: the whole Unix

@@ -74,6 +74,9 @@ func TestTraceIDRoundTrip(t *testing.T) {
 	if ts, err := TimeOfTraceID("a:b:1207008000"); err != nil || ts.Unix() != 1207008000 {
 		t.Fatalf("TimeOfTraceID(a:b:...) = %v, %v", ts, err)
 	}
+	if u := UserOfTraceID("a:b:1207008000"); u != "a:b" {
+		t.Fatalf("UserOfTraceID(a:b:...) = %q, want a:b", u)
+	}
 	for _, id := range []string{"", "u", "u:", "u:x", "u:1.5"} {
 		if _, err := TimeOfTraceID(id); err == nil {
 			t.Errorf("TimeOfTraceID(%q): want error", id)

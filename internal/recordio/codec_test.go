@@ -1,6 +1,7 @@
 package recordio
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -353,6 +354,62 @@ func TestUint64ListRoundTrip(t *testing.T) {
 	if _, err := c.Decode("\x02\x00"); err == nil {
 		t.Fatal("want error for truncated list")
 	}
+}
+
+func TestAscendingListRoundTrip(t *testing.T) {
+	c32, c64 := AscendingList[uint32]{}, AscendingList[uint64]{}
+	for _, v := range [][]uint32{{}, {0}, {7}, {0, 1, 2}, {3, 200, 201, 70000, math.MaxUint32}} {
+		enc := c32.Append(nil, v)
+		got, err := c32.Decode(string(enc))
+		if err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(v) {
+			t.Fatalf("round trip %v -> %v", v, got)
+		}
+	}
+	v := []uint64{0, 1, math.MaxUint32 + 1, math.MaxUint64 - 1, math.MaxUint64}
+	got, err := c64.Decode(string(c64.Append(nil, v)))
+	if err != nil || fmt.Sprint(got) != fmt.Sprint(v) {
+		t.Fatalf("round trip %v -> %v, %v", v, got, err)
+	}
+	// Neighbors cost a byte each.
+	if enc := c32.Append(nil, []uint32{1000, 1001, 1002, 1005}); len(enc) != 1+2+3 {
+		t.Fatalf("encoding of close ordinals is %d bytes, want 6", len(enc))
+	}
+}
+
+func TestAscendingListRejectsHostileBytes(t *testing.T) {
+	c32, c64 := AscendingList[uint32]{}, AscendingList[uint64]{}
+	valid := string(c32.Append(nil, []uint32{5, 300, 301}))
+	for _, tc := range []struct{ name, enc string }{
+		{"empty", ""},
+		{"truncated count", "\x80"},
+		{"truncated element", valid[:len(valid)-1]},
+		{"truncated multi-byte delta", "\x02\x05\xa7"},
+		{"count past the bytes", "\x05\x01\x01"},
+		{"overlong varint", "\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\x7f"},
+		{"non-minimal count", "\x81\x00\x05"},
+		{"non-minimal element", "\x01\x85\x00"},
+		{"zero delta", "\x02\x05\x00"},
+		{"value past uint32", "\x01\x80\x80\x80\x80\x10"},
+		{"sum past uint32", "\x02\xff\xff\xff\xff\x0f\x01"},
+		{"trailing bytes", valid + "\x01"},
+	} {
+		if got, err := c32.Decode(tc.enc); err == nil {
+			t.Errorf("%s: Decode(%q) = %v, want an error", tc.name, tc.enc, got)
+		}
+	}
+	max64 := string(c64.Append(nil, []uint64{math.MaxUint64}))
+	if got, err := c64.Decode("\x02" + max64[1:] + "\x01"); err == nil {
+		t.Errorf("sum past uint64: Decode = %v, want an error", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Append of a repeated element did not panic")
+		}
+	}()
+	c32.Append(nil, []uint32{4, 4})
 }
 
 func TestStringListRoundTrip(t *testing.T) {

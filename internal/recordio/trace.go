@@ -220,6 +220,80 @@ func (Uint64List) Decode(s string) ([]uint64, error) {
 	return out, nil
 }
 
+// AscendingList encodes a strictly increasing []T — a set of handles
+// in order, such as R-tree entry ordinals — as a uvarint count, the
+// first element as a uvarint, and every later element as its uvarint
+// difference from the one before, which is at least 1. Close handles
+// cost a byte each. The encoding is canonical: Decode rejects a
+// zero difference, a value past T's range, a non-minimal varint, a
+// count the bytes cannot hold and trailing bytes, so what it accepts
+// re-encodes to the same bytes. Append panics on a list that does not
+// strictly increase.
+type AscendingList[T uint32 | uint64] struct{}
+
+// Append appends the encoding of v to dst.
+func (AscendingList[T]) Append(dst []byte, v []T) []byte {
+	dst = appendUvarint(dst, uint64(len(v)))
+	if len(v) == 0 {
+		return dst
+	}
+	dst = appendUvarint(dst, uint64(v[0]))
+	for i := 1; i < len(v); i++ {
+		if v[i] <= v[i-1] {
+			panic("recordio: AscendingList element does not increase")
+		}
+		dst = appendUvarint(dst, uint64(v[i]-v[i-1]))
+	}
+	return dst
+}
+
+// Decode parses an encoded ascending list.
+func (AscendingList[T]) Decode(s string) ([]T, error) {
+	count, n := minimalUvarint(s)
+	if n == 0 || count > uint64(len(s)-n) {
+		return nil, fmt.Errorf("recordio: malformed ascending list (%d bytes)", len(s))
+	}
+	s = s[n:]
+	out := make([]T, count)
+	limit := uint64(^T(0))
+	var v uint64
+	for i := range out {
+		d, n := minimalUvarint(s)
+		if n == 0 {
+			return nil, fmt.Errorf("recordio: truncated or malformed ascending list element %d", i)
+		}
+		s = s[n:]
+		switch {
+		case i == 0:
+			v = d
+		case d == 0:
+			return nil, fmt.Errorf("recordio: ascending list element %d repeats %d", i, v)
+		case d > limit-v:
+			return nil, fmt.Errorf("recordio: ascending list element %d overflows", i)
+		default:
+			v += d
+		}
+		if v > limit {
+			return nil, fmt.Errorf("recordio: ascending list element %d is out of range", i)
+		}
+		out[i] = T(v)
+	}
+	if len(s) != 0 {
+		return nil, fmt.Errorf("recordio: %d trailing bytes after ascending list", len(s))
+	}
+	return out, nil
+}
+
+// minimalUvarint is uvarint that also rejects (returns 0 bytes for) a
+// non-minimal encoding, one whose last byte adds nothing.
+func minimalUvarint(s string) (uint64, int) {
+	v, n := uvarint(s)
+	if n > 1 && s[n-1] == 0 {
+		return 0, 0
+	}
+	return v, n
+}
+
 // IDPoint is an identified position — an R-tree entry in transit:
 // the trace ID plus its coordinate.
 type IDPoint struct {

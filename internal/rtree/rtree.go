@@ -23,6 +23,12 @@
 // decoded tree has the nodes, entry order and height of the encoded
 // one, so the tree DJ-Cluster's mappers search is the tree §VII-C
 // built, not a rebuild of its entries.
+//
+// An entry's ordinal is its index in All(). The order is fixed once a
+// tree is built and survives the codec, so an ordinal is a handle on
+// an entry that every holder of the same tree (or of its encoding)
+// resolves alike: AppendWithin answers a neighborhood query in
+// ordinals.
 package rtree
 
 import (
@@ -66,6 +72,7 @@ type node struct {
 	leaf     bool
 	children []*node // interior nodes
 	entries  []Entry // leaf nodes
+	count    int     // entries in the subtree
 }
 
 // emptyTree returns a tree holding no entries, with fan-out m clamped
@@ -86,9 +93,11 @@ func (t *Tree) Bounds() geo.Rect {
 	return t.root.rect
 }
 
-// recomputeRect refreshes a node's MBR from its direct contents.
+// recomputeRect refreshes a node's MBR and entry count from its
+// direct contents.
 func (n *node) recomputeRect() {
 	if n.leaf {
+		n.count = len(n.entries)
 		if len(n.entries) == 0 {
 			n.rect = geo.Rect{}
 			return
@@ -105,8 +114,10 @@ func (n *node) recomputeRect() {
 		return
 	}
 	r := n.children[0].rect
+	n.count = n.children[0].count
 	for _, c := range n.children[1:] {
 		r = r.Union(c.rect)
+		n.count += c.count
 	}
 	n.rect = r
 }
@@ -193,7 +204,7 @@ func Merge(maxEntries int, trees ...*Tree) *Tree {
 	}
 	for i, r := range roots {
 		for h := hs[i]; h < maxH; h++ {
-			wrapped := &node{leaf: false, children: []*node{r}, rect: r.rect}
+			wrapped := &node{leaf: false, children: []*node{r}, rect: r.rect, count: r.count}
 			r = wrapped
 		}
 		roots[i] = r
@@ -252,7 +263,39 @@ func (t *Tree) Within(center geo.Point, radiusMeters float64) []Entry {
 	return out
 }
 
-// All returns every entry in the tree in depth-first order.
+// AppendWithin appends to dst the ordinals of the entries Within
+// returns and yields the extended slice. The walk visits leaves in
+// All() order, so the appended ordinals ascend. Ordinals are uint32:
+// the caller checks that Len fits.
+func (t *Tree) AppendWithin(dst []uint32, center geo.Point, radiusMeters float64) []uint32 {
+	box := geo.RectFromPoint(center).ExpandMeters(radiusMeters * 1.001)
+	if t.size == 0 || !t.root.rect.Intersects(box) {
+		return dst
+	}
+	return appendWithin(dst, t.root, 0, box, center, radiusMeters)
+}
+
+// appendWithin searches n, whose first entry has ordinal base.
+func appendWithin(dst []uint32, n *node, base int, box geo.Rect, center geo.Point, radiusMeters float64) []uint32 {
+	if n.leaf {
+		for i, e := range n.entries {
+			if box.Contains(e.Point) && geo.Haversine(center, e.Point) <= radiusMeters {
+				dst = append(dst, uint32(base+i))
+			}
+		}
+		return dst
+	}
+	for _, c := range n.children {
+		if c.rect.Intersects(box) {
+			dst = appendWithin(dst, c, base, box, center, radiusMeters)
+		}
+		base += c.count
+	}
+	return dst
+}
+
+// All returns every entry in the tree in depth-first order: entry i
+// is the entry of ordinal i.
 func (t *Tree) All() []Entry {
 	out := make([]Entry, 0, t.size)
 	var walk func(n *node)
@@ -275,8 +318,9 @@ func (t *Tree) All() []Entry {
 func (t *Tree) Height() int { return height(t.root) }
 
 // CheckInvariants verifies structural invariants: every node's MBR
-// contains its contents, leaves are all at the same depth, and the
-// entry count matches Len. It returns the first violation found.
+// contains its contents and its entry count is its subtree's, leaves
+// are all at the same depth, and the entry count matches Len. It
+// returns the first violation found.
 func (t *Tree) CheckInvariants() error {
 	if t.size == 0 {
 		return nil
@@ -291,6 +335,9 @@ func (t *Tree) CheckInvariants() error {
 			} else if depth != leafDepth {
 				return fmt.Errorf("rtree: leaves at depths %d and %d", leafDepth, depth)
 			}
+			if n.count != len(n.entries) {
+				return fmt.Errorf("rtree: leaf of %d entries counts %d", len(n.entries), n.count)
+			}
 			for _, e := range n.entries {
 				count++
 				if !n.rect.Contains(e.Point) {
@@ -301,6 +348,13 @@ func (t *Tree) CheckInvariants() error {
 		}
 		if len(n.children) == 0 {
 			return fmt.Errorf("rtree: interior node with no children")
+		}
+		sum := 0
+		for _, c := range n.children {
+			sum += c.count
+		}
+		if sum != n.count {
+			return fmt.Errorf("rtree: interior node counts %d entries, its children %d", n.count, sum)
 		}
 		for _, c := range n.children {
 			u := n.rect.Union(c.rect)

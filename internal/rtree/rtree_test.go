@@ -134,6 +134,51 @@ func TestWithinBoundary(t *testing.T) {
 	}
 }
 
+// TestAppendWithinIsWithinInOrdinals checks that the ordinal search
+// answers Within's query on packed, merged and decoded trees: its
+// ordinals ascend and index, in All(), exactly the entries Within
+// returns, in the same order.
+func TestAppendWithinIsWithinInOrdinals(t *testing.T) {
+	merged := Merge(8,
+		BulkLoad(randEntries(2000, 40), 8),
+		BulkLoad(randEntries(5, 41), 8),
+		BulkLoad(randEntries(300, 42), 16))
+	for name, tr := range map[string]*Tree{
+		"bulk":    BulkLoad(randEntries(3000, 43), 16),
+		"merged":  merged,
+		"decoded": roundTrip(t, merged),
+		"empty":   BulkLoad(nil, 8),
+	} {
+		all := tr.All()
+		rng := rand.New(rand.NewSource(44))
+		hits := 0
+		for q := 0; q < 200; q++ {
+			center := geo.Point{
+				Lat: beijing.Min.Lat + rng.Float64()*(beijing.Max.Lat-beijing.Min.Lat),
+				Lon: beijing.Min.Lon + rng.Float64()*(beijing.Max.Lon-beijing.Min.Lon),
+			}
+			radius := 500 + rng.Float64()*4000
+			want := tr.Within(center, radius)
+			got := tr.AppendWithin([]uint32{7}, center, radius)[1:]
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d ordinals, Within has %d entries", name, len(got), len(want))
+			}
+			for i, o := range got {
+				if i > 0 && o <= got[i-1] {
+					t.Fatalf("%s: ordinals %d, %d do not ascend", name, got[i-1], o)
+				}
+				if all[o] != want[i] {
+					t.Fatalf("%s: ordinal %d is %+v, Within's entry %d is %+v", name, o, all[o], i, want[i])
+				}
+			}
+			hits += len(got)
+		}
+		if hits == 0 && tr.Len() > 0 {
+			t.Fatalf("%s: no query hit anything", name)
+		}
+	}
+}
+
 func TestMerge(t *testing.T) {
 	all := randEntries(900, 6)
 	// Split into 3 spatial partitions by longitude (like SFC partitioning).
@@ -378,6 +423,18 @@ func BenchmarkWithin(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Within(center, 200)
+	}
+}
+
+// BenchmarkAppendWithin is BenchmarkWithin's query answered in
+// ordinals into a reused slice.
+func BenchmarkAppendWithin(b *testing.B) {
+	tr := BulkLoad(randEntries(100_000, 22), 16)
+	center := geo.Point{Lat: 39.9, Lon: 116.4}
+	var ords []uint32
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ords = tr.AppendWithin(ords[:0], center, 200)
 	}
 }
 
