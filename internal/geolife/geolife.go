@@ -22,6 +22,7 @@
 package geolife
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -419,9 +420,37 @@ func ReadRecords(fs *dfs.FileSystem, dir string) (*trace.Dataset, error) {
 
 // ForEachTrace streams every trace stored under the given paths (files
 // or directories) in file order, sniffing the format of each file. It
-// is the single input-scanning loop behind ReadRecords and the
-// driver-side passes of the pipelines (k-means seeding and friends).
+// is ForEachRecord with every record decoded: the loop behind
+// ReadRecords and the driver-side passes that need every point
+// (k-means++ seeding), and a record that does not decode fails it with
+// its file's name. Uniform k-means seeding needs only the
+// ~k·(1+ln(N/k)) records its reservoir takes, so it walks
+// ForEachRecord instead and leaves a malformed record it passes over
+// to iteration 0's map, which decodes every record.
 func ForEachTrace(fs *dfs.FileSystem, paths []string, fn func(trace.Trace) error) error {
+	return ForEachRecord(fs, paths, decoding(fn))
+}
+
+// decoding turns a trace callback into a record callback.
+func decoding(fn func(trace.Trace) error) func(rec []byte) error {
+	return func(rec []byte) error {
+		t, err := recordio.DecodeTraceValue(string(rec))
+		if err != nil {
+			return err
+		}
+		return fn(t)
+	}
+}
+
+// ForEachRecord walks the undecoded trace records stored under the
+// given paths in the order ForEachTrace yields them: the value of
+// every record of a binary record file, and every non-empty line of a
+// text file with a trailing '\r' trimmed, as the engine's line reader
+// trims it, so a CRLF file reads like its LF twin. rec is a view of
+// the file's bytes, valid only during the call; a walk that decodes
+// few of the records it counts (k-means' reservoir) pays one read of
+// the corpus and almost nothing per record.
+func ForEachRecord(fs *dfs.FileSystem, paths []string, fn func(rec []byte) error) error {
 	var files []string
 	for _, p := range paths {
 		if fs.Exists(p) {
@@ -439,15 +468,9 @@ func ForEachTrace(fs *dfs.FileSystem, paths []string, fn func(trace.Trace) error
 			return err
 		}
 		if recordio.IsRecordData(data) {
-			err = recordio.ScanAll(data, func(_, value string) error {
-				t, err := recordio.DecodeTraceValue(value)
-				if err != nil {
-					return err
-				}
-				return fn(t)
-			})
+			err = recordio.ScanAllBytes(data, func(_, value []byte) error { return fn(value) })
 		} else {
-			err = forEachTextTrace(data, fn)
+			err = forEachLine(data, fn)
 		}
 		if err != nil {
 			return fmt.Errorf("geolife: %s: %v", f, err)
@@ -456,20 +479,21 @@ func ForEachTrace(fs *dfs.FileSystem, paths []string, fn func(trace.Trace) error
 	return nil
 }
 
-// forEachTextTrace decodes the trace on every non-empty line of a text
-// record file. A trailing '\r' is trimmed, as the engine's line reader
-// trims it, so a CRLF file reads like its LF twin.
-func forEachTextTrace(data []byte, fn func(trace.Trace) error) error {
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSuffix(line, "\r")
-		if line == "" {
+// forEachLine calls fn on every non-empty line of a text record file,
+// less its line end.
+func forEachLine(data []byte, fn func(line []byte) error) error {
+	for len(data) > 0 {
+		line := data
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			line, data = data[:i], data[i+1:]
+		} else {
+			data = nil
+		}
+		line = bytes.TrimSuffix(line, []byte{'\r'})
+		if len(line) == 0 {
 			continue
 		}
-		t, err := recordio.DecodeTraceValue(line)
-		if err != nil {
-			return err
-		}
-		if err := fn(t); err != nil {
+		if err := fn(line); err != nil {
 			return err
 		}
 	}

@@ -58,10 +58,10 @@ func ReadRecordsLocal(dir string) (*trace.Dataset, error) {
 		if err != nil {
 			return nil, err
 		}
-		err = forEachTextTrace(data, func(t trace.Trace) error {
+		err = forEachLine(data, decoding(func(t trace.Trace) error {
 			traces = append(traces, t)
 			return nil
-		})
+		}))
 		if err != nil {
 			return nil, fmt.Errorf("geolife: %s: %v", name, err)
 		}

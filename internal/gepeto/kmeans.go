@@ -107,7 +107,7 @@ func KMeansMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts KMe
 		var pts []geo.Point
 		pts, err = readAllPoints(e.FS(), inputPaths)
 		if err == nil {
-			centroids, err = plusPlusCenters(pts, opts.K, opts.Seed, opts.Distance)
+			centroids, err = plusPlusCenters(pts, opts.K, opts.Seed)
 		}
 	} else {
 		centroids, err = randomCenters(e.FS(), inputPaths, opts.K, opts.Seed)
@@ -241,27 +241,60 @@ func (kmeansReducer) Reduce(_ *mapreduce.TaskContext, key int64, values []record
 // randomCenters is Algorithm 3's initialization phase: "randomly
 // choose k points from the input dataset as initial centroids",
 // performed by a single node because it is computationally cheap. It
-// reservoir-samples k traces from the input files.
+// reservoir-samples k traces from the input files. The reservoir's
+// draws depend only on the record count, so the pass is one framed
+// read of the corpus and N draws, and it decodes only the records the
+// reservoir takes: about k·(1+ln(N/k)) of them, ~150 of 2 M at k=11.
+// A malformed record the reservoir passes over is therefore not caught
+// here; it fails the run in iteration 0, whose map decodes every
+// record, and KMeansMR always runs iteration 0.
 func randomCenters(fs *dfs.FileSystem, inputPaths []string, k int, seed int64) ([]geo.Point, error) {
-	rng := rand.New(rand.NewSource(seed))
-	reservoir := make([]geo.Point, 0, k)
-	n := 0
-	err := geolife.ForEachTrace(fs, inputPaths, func(t trace.Trace) error {
-		n++
-		if len(reservoir) < k {
-			reservoir = append(reservoir, t.Point)
-		} else if j := rng.Intn(n); j < k {
-			reservoir[j] = t.Point
+	r := newReservoir(k, seed)
+	centers := make([]geo.Point, k)
+	err := geolife.ForEachRecord(fs, inputPaths, func(rec []byte) error {
+		slot, take := r.offer()
+		if !take {
+			return nil
 		}
+		t, err := recordio.DecodeTraceValue(string(rec))
+		if err != nil {
+			return err
+		}
+		centers[slot] = t.Point
 		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("kmeans init: %v", err)
 	}
-	if len(reservoir) < k {
-		return nil, fmt.Errorf("kmeans init: dataset has %d traces, need at least k=%d", n, k)
+	if r.n < k {
+		return nil, fmt.Errorf("kmeans init: dataset has %d traces, need at least k=%d", r.n, k)
 	}
-	return reservoir, nil
+	return centers, nil
+}
+
+// reservoir is the one uniform-seeding rule (Algorithm R) shared by
+// randomCenters and KMeansSequential, so the two cannot drift apart.
+// Its draws depend only on how many records it has been offered.
+type reservoir struct {
+	rng  *rand.Rand
+	k, n int
+}
+
+func newReservoir(k int, seed int64) *reservoir {
+	return &reservoir{rng: rand.New(rand.NewSource(seed)), k: k}
+}
+
+// offer counts one more record and reports whether the sample takes
+// it, and into which of the k slots.
+func (r *reservoir) offer() (slot int, take bool) {
+	r.n++
+	if r.n <= r.k {
+		return r.n - 1, true
+	}
+	if j := r.rng.Intn(r.n); j < r.k {
+		return j, true
+	}
+	return 0, false
 }
 
 // readAllPoints loads every trace coordinate from the input files (the
@@ -281,9 +314,10 @@ func readAllPoints(fs *dfs.FileSystem, inputPaths []string) ([]geo.Point, error)
 
 // plusPlusCenters implements k-means++ seeding (Arthur & Vassilvitskii):
 // the first centroid is uniform random; each subsequent one is drawn
-// with probability proportional to the squared distance from the
-// nearest centroid chosen so far.
-func plusPlusCenters(points []geo.Point, k int, seed int64, metric geo.Metric) ([]geo.Point, error) {
+// with probability proportional to the squared Euclidean distance from
+// the nearest centroid chosen so far — the ++ paper's D², whatever
+// metric the assignment step uses.
+func plusPlusCenters(points []geo.Point, k int, seed int64) ([]geo.Point, error) {
 	if len(points) < k {
 		return nil, fmt.Errorf("kmeans init: dataset has %d traces, need at least k=%d", len(points), k)
 	}
@@ -295,7 +329,6 @@ func plusPlusCenters(points []geo.Point, k int, seed int64, metric geo.Metric) (
 	for i, p := range points {
 		dist[i] = geo.SquaredEuclidean(p, centers[0])
 	}
-	_ = metric // selection always uses squared Euclidean, the ++ paper's D²
 	for len(centers) < k {
 		var total float64
 		for _, d := range dist {
@@ -331,7 +364,7 @@ func plusPlusCenters(points []geo.Point, k int, seed int64, metric geo.Metric) (
 // initialization ablations.
 func KMeansPlusPlusSequential(points []geo.Point, opts KMeansOptions) *KMeansResult {
 	opts = opts.withDefaults()
-	centers, err := plusPlusCenters(points, opts.K, opts.Seed, opts.Distance)
+	centers, err := plusPlusCenters(points, opts.K, opts.Seed)
 	if err != nil {
 		return &KMeansResult{}
 	}
@@ -383,9 +416,14 @@ func marshalCentroids(cs []geo.Point) []byte {
 	return []byte(sb.String())
 }
 
+// unmarshalCentroids decodes a blob of marshalCentroids: one line per
+// centroid, each index in [0, lines) exactly once. A repeated index is
+// an error (it would leave another centroid at the zero point), and
+// with every index in range and none repeated, none can be missing.
 func unmarshalCentroids(blob []byte) ([]geo.Point, error) {
 	lines := strings.Split(strings.TrimSpace(string(blob)), "\n")
 	out := make([]geo.Point, len(lines))
+	seen := make([]bool, len(lines))
 	for _, line := range lines {
 		idxS, ptS, ok := strings.Cut(line, "\t")
 		if !ok {
@@ -395,6 +433,10 @@ func unmarshalCentroids(blob []byte) ([]geo.Point, error) {
 		if err != nil || idx < 0 || idx >= len(lines) {
 			return nil, fmt.Errorf("kmeans: bad centroid index %q", idxS)
 		}
+		if seen[idx] {
+			return nil, fmt.Errorf("kmeans: centroid index %d repeated", idx)
+		}
+		seen[idx] = true
 		p, err := parsePoint(ptS)
 		if err != nil {
 			return nil, err
@@ -428,14 +470,11 @@ func KMeansSequential(points []geo.Point, opts KMeansOptions) *KMeansResult {
 	if len(points) < opts.K {
 		return &KMeansResult{}
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	// Reservoir-sample initial centers, matching randomCenters.
-	centroids := make([]geo.Point, 0, opts.K)
-	for i, p := range points {
-		if len(centroids) < opts.K {
-			centroids = append(centroids, p)
-		} else if j := rng.Intn(i + 1); j < opts.K {
-			centroids[j] = p
+	r := newReservoir(opts.K, opts.Seed)
+	centroids := make([]geo.Point, opts.K)
+	for _, p := range points {
+		if slot, take := r.offer(); take {
+			centroids[slot] = p
 		}
 	}
 	return kmeansIterate(points, centroids, opts)

@@ -268,8 +268,8 @@ func TestKMeansMRCRLFUpload(t *testing.T) {
 func TestKMeansMRTooFewPoints(t *testing.T) {
 	h := newHarness(t, 1, 5, 64)
 	_, err := KMeansMR(h.e, []string{h.input}, "w", KMeansOptions{K: 50})
-	if err == nil {
-		t.Fatal("want error when dataset smaller than k")
+	if want := "kmeans init: dataset has 5 traces, need at least k=50"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }
 
@@ -282,9 +282,22 @@ func TestCentroidMarshalRoundTrip(t *testing.T) {
 	if len(back) != 2 || back[0] != cs[0] || back[1] != cs[1] {
 		t.Fatalf("round-trip = %v", back)
 	}
-	for _, bad := range []string{"junk", "0\tnocomma", "9\t1,2"} {
-		if _, err := unmarshalCentroids([]byte(bad)); err == nil {
-			t.Errorf("unmarshalCentroids(%q): want error", bad)
+}
+
+func TestUnmarshalCentroidsRejects(t *testing.T) {
+	for _, tc := range []struct{ name, blob string }{
+		{"junk", "junk"},
+		{"no comma", "0\tnocomma"},
+		{"duplicate", "0\t1,1\n0\t2,2"},
+		{"missing", "0\t1,1\n2\t2,2"},
+		{"negative", "-1\t1,1\n1\t2,2"},
+		{"out of range", "9\t1,2"},
+		{"empty", ""},
+		{"blank lines", "\n \n"},
+		{"inner blank line", "0\t1,1\n\n1\t2,2"},
+	} {
+		if cs, err := unmarshalCentroids([]byte(tc.blob)); err == nil {
+			t.Errorf("%s: unmarshalCentroids(%q) = %v, want error", tc.name, tc.blob, cs)
 		}
 	}
 }
@@ -361,7 +374,7 @@ func TestKMeansMRPlusPlusInit(t *testing.T) {
 }
 
 func TestPlusPlusCentersEdgeCases(t *testing.T) {
-	if _, err := plusPlusCenters([]geo.Point{{Lat: 1, Lon: 1}}, 3, 1, geo.MetricSquaredEuclidean); err == nil {
+	if _, err := plusPlusCenters([]geo.Point{{Lat: 1, Lon: 1}}, 3, 1); err == nil {
 		t.Fatal("n < k should error")
 	}
 	// All identical points: falls back to uniform picks, still returns k.
@@ -369,7 +382,7 @@ func TestPlusPlusCentersEdgeCases(t *testing.T) {
 	for i := range same {
 		same[i] = geo.Point{Lat: 39.9, Lon: 116.4}
 	}
-	cs, err := plusPlusCenters(same, 3, 1, geo.MetricSquaredEuclidean)
+	cs, err := plusPlusCenters(same, 3, 1)
 	if err != nil || len(cs) != 3 {
 		t.Fatalf("identical points: %v, %v", cs, err)
 	}

@@ -101,10 +101,22 @@ func (w *Writer) Bytes() []byte { return w.buf }
 
 // ScanAll iterates every record of a complete in-memory record file.
 func ScanAll(data []byte, fn func(key, value string) error) error {
+	return scanAll(data, fn)
+}
+
+// ScanAllBytes is ScanAll handing each record over as views of data
+// rather than as string copies: a walk that looks at few of the
+// records it passes allocates nothing for the others. The views are
+// valid only during the call.
+func ScanAllBytes(data []byte, fn func(key, value []byte) error) error {
+	return scanAll(data, fn)
+}
+
+func scanAll[T ~string | ~[]byte](data []byte, fn func(key, value T) error) error {
 	if !IsRecordData(data) {
 		return fmt.Errorf("recordio: data does not start with a record-file header")
 	}
-	return ScanSplit(data, 0, 0, int64(len(data)), false, fn)
+	return scanSplit(data, 0, 0, int64(len(data)), false, fn)
 }
 
 // ScanSplit iterates the records a split [start, end) of a record
@@ -124,6 +136,13 @@ func ScanAll(data []byte, fn func(key, value string) error) error {
 // than EOF; running out of buffer mid-scan is then a record-too-long
 // error instead of end-of-file.
 func ScanSplit(buf []byte, bufStart, start, end int64, rangeLimited bool, fn func(key, value string) error) error {
+	return scanSplit(buf, bufStart, start, end, rangeLimited, fn)
+}
+
+// scanSplit is the one frame walker behind every scan entry point; T
+// decides whether a record reaches fn as string copies or as views of
+// buf.
+func scanSplit[T ~string | ~[]byte](buf []byte, bufStart, start, end int64, rangeLimited bool, fn func(key, value T) error) error {
 	if bufStart > start {
 		return fmt.Errorf("recordio: scan buffer starts at %d, after split start %d", bufStart, start)
 	}
@@ -186,7 +205,7 @@ func ScanSplit(buf []byte, bufStart, start, end int64, rangeLimited bool, fn fun
 			return fmt.Errorf("recordio: truncated record at offset %d", bufStart+pos)
 		}
 		body := rest[kn+vn:]
-		if err := fn(string(body[:k]), string(body[k:k+v])); err != nil {
+		if err := fn(T(body[:k]), T(body[k:k+v])); err != nil {
 			return err
 		}
 		pos += frame

@@ -3,6 +3,7 @@ package recordio
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -159,7 +160,9 @@ func FuzzDecodeTraceValue(f *testing.F) {
 }
 
 // FuzzScanAll throws arbitrary bytes at the file scanner: corrupt
-// input must produce an error or a clean stop, never a panic.
+// input must produce an error or a clean stop, never a panic, and the
+// byte-view walk must yield the same frames and the same error as the
+// string one.
 func FuzzScanAll(f *testing.F) {
 	w := NewWriter()
 	w.Add("k", "v")
@@ -168,12 +171,28 @@ func FuzzScanAll(f *testing.F) {
 	f.Add([]byte("RCIO\x01"))
 	f.Add([]byte("RCIO\x01\x03\x02abcde"))
 	f.Add([]byte{})
+	long := NewWriter()
+	for i := 0; i < 300; i++ {
+		long.Add(fmt.Sprintf("key-%03d", i), strings.Repeat("v", i%40))
+	}
+	f.Add(long.Bytes())
+	f.Add(long.Bytes()[:len(long.Bytes())-5])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if !IsRecordData(data) {
-			return
+		var strs, views []string
+		errS := ScanAll(data, func(k, v string) error {
+			strs = append(strs, k, v)
+			return nil
+		})
+		errB := ScanAllBytes(data, func(k, v []byte) error {
+			views = append(views, string(k), string(v))
+			return nil
+		})
+		if fmt.Sprint(errS) != fmt.Sprint(errB) {
+			t.Fatalf("ScanAll error %v, ScanAllBytes error %v", errS, errB)
 		}
-		n := 0
-		_ = ScanAll(data, func(k, v string) error { n++; return nil })
+		if !reflect.DeepEqual(strs, views) {
+			t.Fatalf("ScanAll yields %d strings, ScanAllBytes %d, or they differ", len(strs), len(views))
+		}
 	})
 }
 
