@@ -58,10 +58,10 @@ func splitsFor(fs *dfs.FileSystem, inputPaths []string) ([]InputSplit, error) {
 
 // readSplit reads the records belonging to a split, dispatching on
 // the underlying file's format: files with the recordio header are
-// read as binary key-value records, anything else as text lines whose
-// key is the byte offset (Hadoop TextInputFormat). The sniff costs
-// one tiny ReadRange per split; the engine's pipelines mix text
-// uploads and binary part files freely because of it.
+// read as binary key-value records, anything else as non-empty text
+// lines whose key is the byte offset (Hadoop TextInputFormat). The
+// sniff costs one tiny ReadRange per split; the engine's pipelines mix
+// text uploads and binary part files freely because of it.
 func readSplit(fs dfs.Store, sp InputSplit, fn func(key, value string) error) error {
 	hdr, err := fs.ReadRange(sp.Path, 0, recordio.HeaderLen)
 	if err != nil {
@@ -100,7 +100,10 @@ func readSplitRecords(fs dfs.Store, sp InputSplit, fn func(key, value string) er
 // across the boundary to finish it — and every split reads past its
 // end to complete its final record. The callback receives the byte
 // offset of each line (the record key) and the line text without the
-// trailing newline.
+// trailing newline or carriage return. Empty lines, after that trim,
+// are not records: the callback never sees them, as the driver-side
+// record walks (geolife.ForEachRecord, ForEachTrace) skip them too. An
+// error from the callback comes back naming the file.
 func readSplitLines(fs dfs.Store, sp InputSplit, fn func(offset int64, line string) error) error {
 	// Start one byte early (as Hadoop's LineRecordReader does) so that
 	// a record beginning exactly at the split boundary is not skipped:
@@ -164,8 +167,10 @@ func readSplitLines(fs dfs.Store, sp InputSplit, fn func(offset int64, line stri
 		if n := len(line); n > 0 && line[n-1] == '\r' {
 			line = line[:n-1]
 		}
-		if err := fn(readStart+pos, string(line)); err != nil {
-			return err
+		if len(line) > 0 {
+			if err := fn(readStart+pos, string(line)); err != nil {
+				return fmt.Errorf("mapreduce: %s: %w", sp.Path, err)
+			}
 		}
 		if advance == 0 {
 			break

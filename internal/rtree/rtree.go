@@ -223,77 +223,6 @@ func height(n *node) int {
 	return h
 }
 
-// Search returns all entries whose point lies inside r.
-func (t *Tree) Search(r geo.Rect) []Entry {
-	var out []Entry
-	t.searchNode(t.root, r, &out)
-	return out
-}
-
-func (t *Tree) searchNode(n *node, r geo.Rect, out *[]Entry) {
-	if t.size == 0 || !n.rect.Intersects(r) {
-		return
-	}
-	if n.leaf {
-		for _, e := range n.entries {
-			if r.Contains(e.Point) {
-				*out = append(*out, e)
-			}
-		}
-		return
-	}
-	for _, c := range n.children {
-		t.searchNode(c, r, out)
-	}
-}
-
-// Within returns all entries within radiusMeters (Haversine) of center.
-// This is DJ-Cluster's neighborhood query: the radius circle is first
-// over-approximated by a bounding rectangle, then candidates are
-// filtered by exact distance.
-func (t *Tree) Within(center geo.Point, radiusMeters float64) []Entry {
-	box := geo.RectFromPoint(center).ExpandMeters(radiusMeters * 1.001)
-	cands := t.Search(box)
-	out := cands[:0]
-	for _, e := range cands {
-		if geo.Haversine(center, e.Point) <= radiusMeters {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// AppendWithin appends to dst the ordinals of the entries Within
-// returns and yields the extended slice. The walk visits leaves in
-// All() order, so the appended ordinals ascend. Ordinals are uint32:
-// the caller checks that Len fits.
-func (t *Tree) AppendWithin(dst []uint32, center geo.Point, radiusMeters float64) []uint32 {
-	box := geo.RectFromPoint(center).ExpandMeters(radiusMeters * 1.001)
-	if t.size == 0 || !t.root.rect.Intersects(box) {
-		return dst
-	}
-	return appendWithin(dst, t.root, 0, box, center, radiusMeters)
-}
-
-// appendWithin searches n, whose first entry has ordinal base.
-func appendWithin(dst []uint32, n *node, base int, box geo.Rect, center geo.Point, radiusMeters float64) []uint32 {
-	if n.leaf {
-		for i, e := range n.entries {
-			if box.Contains(e.Point) && geo.Haversine(center, e.Point) <= radiusMeters {
-				dst = append(dst, uint32(base+i))
-			}
-		}
-		return dst
-	}
-	for _, c := range n.children {
-		if c.rect.Intersects(box) {
-			dst = appendWithin(dst, c, base, box, center, radiusMeters)
-		}
-		base += c.count
-	}
-	return dst
-}
-
 // All returns every entry in the tree in depth-first order: entry i
 // is the entry of ordinal i.
 func (t *Tree) All() []Entry {

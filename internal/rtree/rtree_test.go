@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -33,11 +34,12 @@ func randEntries(n int, seed int64) []Entry {
 	return es
 }
 
-// bruteSearch is the reference implementation for Search.
-func bruteSearch(es []Entry, r geo.Rect) map[string]bool {
+// bruteWithin is the reference implementation for Within: the IDs of
+// the entries within r meters of c, by a scan of es.
+func bruteWithin(es []Entry, c geo.Point, r float64) map[string]bool {
 	out := make(map[string]bool)
 	for _, e := range es {
-		if r.Contains(e.Point) {
+		if geo.Haversine(c, e.Point) <= r {
 			out[e.ID] = true
 		}
 	}
@@ -74,11 +76,8 @@ func TestBulkLoadMatchesBruteForce(t *testing.T) {
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		q := geo.Rect{
-			Min: geo.Point{Lat: 39.7, Lon: 116.2},
-			Max: geo.Point{Lat: 40.1, Lon: 116.8},
-		}
-		if !sameIDs(idsOf(tr.Search(q)), bruteSearch(es, q)) {
+		c := geo.Point{Lat: 39.9, Lon: 116.5}
+		if !sameIDs(idsOf(tr.Within(c, 25_000)), bruteWithin(es, c, 25_000)) {
 			t.Fatalf("n=%d: search mismatch", n)
 		}
 	}
@@ -179,6 +178,146 @@ func TestAppendWithinIsWithinInOrdinals(t *testing.T) {
 	}
 }
 
+// dwellEntries returns n entries around pois dwell points in Beijing,
+// as DJ-Cluster's neighborhood phase sees a user's traces: most within
+// 80 m of a dwell point, every tenth a copy of an earlier entry's
+// point, and every seventh on the 25 m circle of an earlier entry.
+func dwellEntries(n, pois int, seed int64) []Entry {
+	rng := rand.New(rand.NewSource(seed))
+	centres := randEntries(pois, seed)
+	es := make([]Entry, n)
+	for i := range es {
+		var p geo.Point
+		switch {
+		case i > 0 && i%10 == 0:
+			p = es[rng.Intn(i)].Point
+		case i > 0 && i%7 == 0:
+			p = geo.Destination(es[rng.Intn(i)].Point, rng.Float64()*360, 25)
+		default:
+			p = geo.Destination(centres[rng.Intn(pois)].Point, rng.Float64()*360, rng.Float64()*80)
+		}
+		es[i] = Entry{ID: fmt.Sprintf("d%05d", i), Point: p}
+	}
+	return es
+}
+
+// TestWithinIsAHaversineScan checks both radius searches against a
+// full geo.Haversine scan of All(), with every entry as the centre
+// (DJ-Cluster's query), on packed, merged and decoded trees: the same
+// entries, in All() order.
+func TestWithinIsAHaversineScan(t *testing.T) {
+	es := dwellEntries(1200, 30, 50)
+	merged := Merge(8, BulkLoad(es[:700], 8), BulkLoad(es[700:705], 4), BulkLoad(es[705:], 16))
+	for name, tr := range map[string]*Tree{
+		"bulk":    BulkLoad(es, 16),
+		"merged":  merged,
+		"decoded": roundTrip(t, merged),
+	} {
+		all := tr.All()
+		for _, r := range []float64{25, 100} {
+			hits := 0
+			for _, c := range all {
+				var want []uint32
+				for j, e := range all {
+					if geo.Haversine(c.Point, e.Point) <= r {
+						want = append(want, uint32(j))
+					}
+				}
+				if got := tr.AppendWithin(nil, c.Point, r); !slices.Equal(got, want) {
+					t.Fatalf("%s r=%v at %v: AppendWithin = %v, scan = %v", name, r, c.Point, got, want)
+				}
+				got := tr.Within(c.Point, r)
+				if len(got) != len(want) {
+					t.Fatalf("%s r=%v at %v: Within has %d entries, scan %d", name, r, c.Point, len(got), len(want))
+				}
+				for i, o := range want {
+					if got[i] != all[o] {
+						t.Fatalf("%s r=%v at %v: Within's entry %d is %+v, scan's %+v", name, r, c.Point, i, got[i], all[o])
+					}
+				}
+				hits += len(want)
+			}
+			if hits < 5*len(all) {
+				t.Fatalf("%s r=%v: %d hits for %d queries, the fixture is too sparse", name, r, hits, len(all))
+			}
+		}
+	}
+}
+
+// TestInCircleMatchesHaversine checks the pre-test against
+// geo.Haversine: on random pairs in a Beijing-sized cluster, and on
+// points within a few ulps of the circle on many bearings, at centres
+// from Beijing to the poles and the antimeridian. Its verdict must be
+// Haversine's every time, and it must decide almost every random pair
+// without Haversine.
+func TestInCircleMatchesHaversine(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	inBeijing := func() geo.Point {
+		return geo.Point{
+			Lat: beijing.Min.Lat + rng.Float64()*(beijing.Max.Lat-beijing.Min.Lat),
+			Lon: beijing.Min.Lon + rng.Float64()*(beijing.Max.Lon-beijing.Min.Lon),
+		}
+	}
+	odd := []geo.Point{{Lat: 0, Lon: 0}, {Lat: -33.9, Lon: 18.4}, {Lat: 64.1, Lon: -21.9},
+		{Lat: 80, Lon: 179.9999}, {Lat: 89.99, Lon: 10}, {Lat: -89.9999, Lon: -45}}
+	for _, r := range []float64{1, 25, 100, 1000, 10000} {
+		var random, decided, in, out int
+		check := func(q *radiusQuery, p geo.Point) bool {
+			if !q.box.Contains(p) {
+				return false
+			}
+			want := geo.Haversine(q.center, p) <= r
+			if got := q.inCircle(p); got != want {
+				t.Fatalf("r=%v: %v from %v at %.17g m: pre-test says %v", r, p, q.center, geo.Haversine(q.center, p), got)
+			}
+			if want {
+				in++
+			} else {
+				out++
+			}
+			h := q.approxH(p)
+			return h < q.lo || h > q.hi
+		}
+		// Random pairs: the candidate uniform over 1.2 times the box.
+		for i := 0; i < 100_000; i++ {
+			q := newRadiusQuery(inBeijing(), r)
+			lat := q.center.Lat + 0.6*(2*rng.Float64()-1)*(q.box.Max.Lat-q.box.Min.Lat)
+			lon := q.center.Lon + 0.6*(2*rng.Float64()-1)*(q.box.Max.Lon-q.box.Min.Lon)
+			if q.box.Contains(geo.Point{Lat: lat, Lon: lon}) {
+				random++
+				if check(&q, geo.Point{Lat: lat, Lon: lon}) {
+					decided++
+				}
+			}
+		}
+		if decided < random*999/1000 {
+			t.Fatalf("r=%v: the pre-test decided %d of %d random pairs", r, decided, random)
+		}
+		// The circle, on 720 bearings, nudged up to 8 ulps each way.
+		in, out = 0, 0
+		for i := 0; i < 720; i++ {
+			c := inBeijing()
+			if i%10 == 0 {
+				c = odd[i/10%len(odd)]
+			}
+			q := newRadiusQuery(c, r)
+			p := geo.Destination(c, float64(i)/2, r)
+			lat, lon := p.Lat, p.Lon
+			for k := 0; k < 8; k++ {
+				lat, lon = math.Nextafter(lat, math.Inf(-1)), math.Nextafter(lon, math.Inf(-1))
+			}
+			for k := -8; k <= 8; k++ {
+				check(&q, geo.Point{Lat: lat, Lon: p.Lon})
+				check(&q, geo.Point{Lat: p.Lat, Lon: lon})
+				lat, lon = math.Nextafter(lat, math.Inf(1)), math.Nextafter(lon, math.Inf(1))
+			}
+		}
+		if in == 0 || out == 0 {
+			t.Fatalf("r=%v: the nudged points fall %d in, %d out: they do not straddle the circle", r, in, out)
+		}
+	}
+}
+
 func TestMerge(t *testing.T) {
 	all := randEntries(900, 6)
 	// Split into 3 spatial partitions by longitude (like SFC partitioning).
@@ -196,8 +335,8 @@ func TestMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Merged tree must answer queries identically to a direct build.
-	q := geo.Rect{Min: geo.Point{Lat: 39.6, Lon: 116.0}, Max: geo.Point{Lat: 40.2, Lon: 116.9}}
-	if !sameIDs(idsOf(merged.Search(q)), bruteSearch(all, q)) {
+	c := geo.Point{Lat: 39.9, Lon: 116.45}
+	if !sameIDs(idsOf(merged.Within(c, 35_000)), bruteWithin(all, c, 35_000)) {
 		t.Fatal("merged tree search mismatch")
 	}
 }
@@ -388,8 +527,8 @@ func TestDuplicatePoints(t *testing.T) {
 		es = append(es, Entry{ID: fmt.Sprintf("d%d", i), Point: p})
 	}
 	tr := BulkLoad(es, 4)
-	if got := len(tr.Search(geo.RectFromPoint(p))); got != 50 {
-		t.Fatalf("Search found %d duplicates, want 50", got)
+	if got := len(tr.Within(p, 0)); got != 50 {
+		t.Fatalf("Within found %d duplicates, want 50", got)
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -435,6 +574,18 @@ func BenchmarkAppendWithin(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ords = tr.AppendWithin(ords[:0], center, 200)
+	}
+}
+
+// BenchmarkNeighborhood is DJ-Cluster's query: every entry of dense
+// dwell clusters is a centre, at 25 m.
+func BenchmarkNeighborhood(b *testing.B) {
+	es := dwellEntries(50_000, 200, 23)
+	tr := BulkLoad(es, 16)
+	var ords []uint32
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ords = tr.AppendWithin(ords[:0], es[i%len(es)].Point, 25)
 	}
 }
 
