@@ -205,20 +205,3 @@ func (r Rect) Union(o Rect) Rect {
 		Max: Point{Lat: math.Max(r.Max.Lat, o.Max.Lat), Lon: math.Max(r.Max.Lon, o.Max.Lon)},
 	}
 }
-
-// ExpandMeters returns r grown by approximately m meters on every side,
-// converting meters to degrees at r's mid-latitude. Useful for turning
-// a radius query into an R-tree rectangle query.
-func (r Rect) ExpandMeters(m float64) Rect {
-	midLat := (r.Min.Lat + r.Max.Lat) / 2 * math.Pi / 180
-	dLat := m / EarthRadiusMeters * 180 / math.Pi
-	cos := math.Cos(midLat)
-	if cos < 1e-9 {
-		cos = 1e-9
-	}
-	dLon := dLat / cos
-	return Rect{
-		Min: Point{Lat: r.Min.Lat - dLat, Lon: r.Min.Lon - dLon},
-		Max: Point{Lat: r.Max.Lat + dLat, Lon: r.Max.Lon + dLon},
-	}
-}

@@ -238,17 +238,6 @@ func TestRectUnionProperties(t *testing.T) {
 	}
 }
 
-func TestExpandMeters(t *testing.T) {
-	p := Point{39.9042, 116.4074}
-	r := RectFromPoint(p).ExpandMeters(100)
-	if !r.Contains(Destination(p, 0, 99)) || !r.Contains(Destination(p, 90, 99)) {
-		t.Fatal("expanded rect should contain points 99m away")
-	}
-	if r.Contains(Destination(p, 45, 300)) {
-		t.Fatal("expanded rect should not contain points 300m away diagonally")
-	}
-}
-
 func clamp(v, lo, hi float64) float64 {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0

@@ -7,22 +7,30 @@
 // unique identifier referencing the object, exactly as in the paper's
 // description ("each point in the dataset is defined by two attributes:
 // a location in some spatial domain ... and a unique identifier").
-// At the leaf level each bounding rectangle contains a single
-// datapoint; higher levels aggregate an increasing number of points
-// through their minimum bounding rectangles. Queries only traverse the
-// bounding rectangles intersecting the query.
+// Queries only traverse the bounding rectangles intersecting the
+// query.
+//
+// The tree is two flat arrays: the entries, in ordinal order, and the
+// nodes, one slice per level, root level first and leaves last. A node
+// is a bounding rectangle and a range. A leaf's range is a run of
+// entries; any other node's is a run of the next level's nodes. The
+// ranges of one level tile the next level in order, so every leaf sits
+// at the same depth and no node holds a pointer.
 //
 // A tree is built once and never changes afterwards:
 //
 //   - BulkLoad: Sort-Tile-Recursive (STR) packing, used by the
 //     per-partition reducers of the MapReduce construction.
-//   - Merge: grafting several small R-trees into a global one, the
-//     sequential third phase of the MapReduce construction.
+//   - Merge: concatenating several small R-trees level by level under
+//     new root levels, the sequential third phase of the MapReduce
+//     construction.
 //
-// A tree travels as its own structure (Codec, WriteTo, ReadFrom): the
-// decoded tree has the nodes, entry order and height of the encoded
-// one, so the tree DJ-Cluster's mappers search is the tree §VII-C
-// built, not a rebuild of its entries.
+// A tree travels as its own structure (Codec, WriteTo, ReadFrom). The
+// encoding lists the nodes in preorder, and the decoder appends each
+// node to its level: in preorder a node's children are consecutive on
+// their level. The decoded tree has the nodes, entry order and height
+// of the encoded one, so the tree DJ-Cluster's mappers search is the
+// tree §VII-C built, not a rebuild of its entries.
 //
 // An entry's ordinal is its index in All(). The order is fixed once a
 // tree is built and survives the codec, so an ordinal is a handle on
@@ -62,245 +70,198 @@ const minMaxEntries = 4
 // trees with BulkLoad or Merge, or decode one (ReadFrom, Codec); an
 // empty tree is BulkLoad(nil, m).
 type Tree struct {
-	root       *node
-	size       int
+	entries    []Entry  // in ordinal order
+	levels     [][]node // root level first, leaves last
 	maxEntries int
 }
 
+// node is one rectangle of the tree. A leaf covers entries[lo:hi];
+// any other node covers nodes [lo:hi) of the level below. The ranges
+// of a level tile the level below in order, so every leaf sits at the
+// same depth and the leaves' ranges tile the entries.
 type node struct {
-	rect     geo.Rect
-	leaf     bool
-	children []*node // interior nodes
-	entries  []Entry // leaf nodes
-	count    int     // entries in the subtree
+	rect   geo.Rect
+	lo, hi int
 }
 
 // emptyTree returns a tree holding no entries, with fan-out m clamped
-// to at least minMaxEntries.
+// to at least minMaxEntries: one level holding one empty leaf.
 func emptyTree(m int) *Tree {
-	return &Tree{root: &node{leaf: true}, maxEntries: max(m, minMaxEntries)}
+	return &Tree{levels: [][]node{{{}}}, maxEntries: max(m, minMaxEntries)}
 }
 
 // Len returns the number of entries in the tree.
-func (t *Tree) Len() int { return t.size }
+func (t *Tree) Len() int { return len(t.entries) }
 
 // Bounds returns the minimum bounding rectangle of all entries. It
 // returns a zero Rect for an empty tree.
-func (t *Tree) Bounds() geo.Rect {
-	if t.size == 0 {
-		return geo.Rect{}
+func (t *Tree) Bounds() geo.Rect { return t.levels[0][0].rect }
+
+// leaf returns the leaf over es[lo:hi], lo < hi.
+func leaf(es []Entry, lo, hi int) node {
+	r := geo.RectFromPoint(es[lo].Point)
+	for _, e := range es[lo+1 : hi] {
+		r = r.Union(geo.RectFromPoint(e.Point))
 	}
-	return t.root.rect
+	return node{rect: r, lo: lo, hi: hi}
 }
 
-// recomputeRect refreshes a node's MBR and entry count from its
-// direct contents.
-func (n *node) recomputeRect() {
-	if n.leaf {
-		n.count = len(n.entries)
-		if len(n.entries) == 0 {
-			n.rect = geo.Rect{}
-			return
-		}
-		r := geo.RectFromPoint(n.entries[0].Point)
-		for _, e := range n.entries[1:] {
-			r = r.Union(geo.RectFromPoint(e.Point))
-		}
-		n.rect = r
-		return
-	}
-	if len(n.children) == 0 {
-		n.rect = geo.Rect{}
-		return
-	}
-	r := n.children[0].rect
-	n.count = n.children[0].count
-	for _, c := range n.children[1:] {
+// parent returns the node over below[lo:hi], lo < hi.
+func parent(below []node, lo, hi int) node {
+	r := below[lo].rect
+	for _, c := range below[lo+1 : hi] {
 		r = r.Union(c.rect)
-		n.count += c.count
 	}
-	n.rect = r
+	return node{rect: r, lo: lo, hi: hi}
 }
 
 // BulkLoad builds a packed R-tree from entries using the
-// Sort-Tile-Recursive (STR) algorithm. The input slice is not modified.
+// Sort-Tile-Recursive (STR) algorithm. It sorts entries in place and
+// keeps the slice as the tree's own (All), so the caller hands it over
+// and must not modify it afterwards. The pipelines build the slice for
+// the tree alone; a caller that still needs its order passes a copy.
 func BulkLoad(entries []Entry, maxEntries int) *Tree {
 	t := emptyTree(maxEntries)
 	if len(entries) == 0 {
 		return t
 	}
-	es := make([]Entry, len(entries))
-	copy(es, entries)
-
 	// Leaf level: sort by lon, tile into vertical slabs, sort each slab
-	// by lat, pack runs of maxEntries. Leaves share es: the tree never
-	// changes after construction.
+	// by lat, pack runs of maxEntries. Every slab but the last is a
+	// whole number of leaves.
 	m := t.maxEntries
-	slices.SortFunc(es, func(a, b Entry) int { return cmp.Compare(a.Point.Lon, b.Point.Lon) })
-	nLeaves := (len(es) + m - 1) / m
+	slices.SortFunc(entries, func(a, b Entry) int { return cmp.Compare(a.Point.Lon, b.Point.Lon) })
+	nLeaves := (len(entries) + m - 1) / m
 	slabs := int(math.Ceil(math.Sqrt(float64(nLeaves))))
 	slabSize := slabs * m
 
-	leaves := make([]*node, 0, nLeaves)
-	for start := 0; start < len(es); start += slabSize {
-		slab := es[start:min(start+slabSize, len(es))]
-		slices.SortFunc(slab, func(a, b Entry) int { return cmp.Compare(a.Point.Lat, b.Point.Lat) })
-		for ls := 0; ls < len(slab); ls += m {
-			le := min(ls+m, len(slab))
-			leaf := &node{leaf: true, entries: slab[ls:le:le]}
-			leaf.recomputeRect()
-			leaves = append(leaves, leaf)
+	leaves := make([]node, 0, nLeaves)
+	for start := 0; start < len(entries); start += slabSize {
+		end := min(start+slabSize, len(entries))
+		slices.SortFunc(entries[start:end], func(a, b Entry) int { return cmp.Compare(a.Point.Lat, b.Point.Lat) })
+		for lo := start; lo < end; lo += m {
+			leaves = append(leaves, leaf(entries, lo, min(lo+m, end)))
 		}
 	}
-	t.root = packUpward(leaves, m)
-	t.size = len(es)
+	t.entries = entries
+	t.levels = packUpward([][]node{leaves}, m)
 	return t
 }
 
-// packUpward builds interior levels over nodes until a single root
-// remains, packing in slice order (callers pre-sort spatially).
-func packUpward(nodes []*node, m int) *node {
-	for len(nodes) > 1 {
-		next := make([]*node, 0, (len(nodes)+m-1)/m)
-		for start := 0; start < len(nodes); start += m {
-			end := min(start+m, len(nodes))
-			parent := &node{leaf: false, children: nodes[start:end:end]}
-			parent.recomputeRect()
-			next = append(next, parent)
+// packUpward puts levels of parents, m to a node in order, on top of
+// levels until its top level is a single root (callers pre-sort
+// spatially).
+func packUpward(levels [][]node, m int) [][]node {
+	for below := levels[0]; len(below) > 1; below = levels[0] {
+		level := make([]node, 0, (len(below)+m-1)/m)
+		for lo := 0; lo < len(below); lo += m {
+			level = append(level, parent(below, lo, min(lo+m, len(below))))
 		}
-		nodes = next
+		levels = slices.Insert(levels, 0, level)
 	}
-	return nodes[0]
+	return levels
 }
 
 // Merge combines several R-trees into a single global tree indexing all
 // their entries — the sequential phase 3 of the paper's MapReduce
 // construction. Subtree roots are packed under new interior levels in
 // the order given (callers order partitions along the space-filling
-// curve, so adjacent subtrees are spatially close). The merged tree
-// shares the subtrees' nodes.
+// curve, so adjacent subtrees are spatially close). A shorter subtree
+// is raised to the tallest's height by one-child nodes over its root.
+// The merged tree copies the subtrees' entries and rectangles and
+// leaves the subtrees as they were.
 func Merge(maxEntries int, trees ...*Tree) *Tree {
 	out := emptyTree(maxEntries)
-	var roots []*node
-	total := 0
+	var parts []*Tree
+	h, n := 0, 0
 	for _, tr := range trees {
-		if tr == nil || tr.size == 0 {
-			continue
+		if tr != nil && tr.Len() > 0 {
+			parts = append(parts, tr)
+			h = max(h, tr.Height())
+			n += tr.Len()
 		}
-		roots = append(roots, tr.root)
-		total += tr.size
 	}
-	if len(roots) == 0 {
+	if len(parts) == 0 {
 		return out
 	}
-	// Equalize subtree heights by wrapping shallow roots.
-	maxH := 0
-	hs := make([]int, len(roots))
-	for i, r := range roots {
-		hs[i] = height(r)
-		if hs[i] > maxH {
-			maxH = hs[i]
+	// raised is a part's level i of h: the part raised to height h by
+	// one-child nodes over its root.
+	raised := func(tr *Tree, i int) []node {
+		if j := i - h + tr.Height(); j >= 0 {
+			return tr.levels[j]
+		}
+		return []node{{rect: tr.Bounds(), lo: 0, hi: 1}}
+	}
+	forest := make([][]node, h)
+	for i := range forest {
+		size := 0
+		for _, tr := range parts {
+			size += len(raised(tr, i))
+		}
+		forest[i] = make([]node, 0, size)
+	}
+	// Concatenate the parts level by level, offsetting each part's
+	// ranges by what the parts before it put on the level below.
+	entries := make([]Entry, 0, n)
+	for _, tr := range parts {
+		off := len(entries)
+		entries = append(entries, tr.entries...)
+		for i := h - 1; i >= 0; i-- {
+			next := len(forest[i])
+			for _, nd := range raised(tr, i) {
+				forest[i] = append(forest[i], node{rect: nd.rect, lo: nd.lo + off, hi: nd.hi + off})
+			}
+			off = next
 		}
 	}
-	for i, r := range roots {
-		for h := hs[i]; h < maxH; h++ {
-			wrapped := &node{leaf: false, children: []*node{r}, rect: r.rect, count: r.count}
-			r = wrapped
-		}
-		roots[i] = r
-	}
-	out.root = packUpward(roots, out.maxEntries)
-	out.size = total
+	out.entries = entries
+	out.levels = packUpward(forest, out.maxEntries)
 	return out
 }
 
-func height(n *node) int {
-	h := 1
-	for !n.leaf {
-		n = n.children[0]
-		h++
-	}
-	return h
-}
-
-// All returns every entry in the tree in depth-first order: entry i
-// is the entry of ordinal i.
-func (t *Tree) All() []Entry {
-	out := make([]Entry, 0, t.size)
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n.leaf {
-			out = append(out, n.entries...)
-			return
-		}
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	if t.size > 0 {
-		walk(t.root)
-	}
-	return out
-}
+// All returns every entry in the tree: entry i is the entry of
+// ordinal i. The slice is the tree's own and must not be modified.
+func (t *Tree) All() []Entry { return t.entries }
 
 // Height returns the tree height (1 for a tree with just a leaf root).
-func (t *Tree) Height() int { return height(t.root) }
+func (t *Tree) Height() int { return len(t.levels) }
 
-// CheckInvariants verifies structural invariants: every node's MBR
-// contains its contents and its entry count is its subtree's, leaves
-// are all at the same depth, and the entry count matches Len. It
-// returns the first violation found.
+// CheckInvariants verifies structural invariants: the top level is a
+// single root, each level's ranges tile the level below (or, on the
+// leaf level, the entries) in order with no empty node, and every
+// node's MBR contains its contents. It returns the first violation
+// found.
 func (t *Tree) CheckInvariants() error {
-	if t.size == 0 {
+	if len(t.levels[0]) != 1 {
+		return fmt.Errorf("rtree: %d roots", len(t.levels[0]))
+	}
+	if t.Len() == 0 {
 		return nil
 	}
-	leafDepth := -1
-	count := 0
-	var walk func(n *node, depth int) error
-	walk = func(n *node, depth int) error {
-		if n.leaf {
-			if leafDepth == -1 {
-				leafDepth = depth
-			} else if depth != leafDepth {
-				return fmt.Errorf("rtree: leaves at depths %d and %d", leafDepth, depth)
+	for i, level := range t.levels {
+		leaves := i == len(t.levels)-1
+		size := len(t.entries)
+		if !leaves {
+			size = len(t.levels[i+1])
+		}
+		next := 0
+		for _, n := range level {
+			if n.lo != next || n.hi <= n.lo || n.hi > size {
+				return fmt.Errorf("rtree: level %d node covers [%d, %d) after %d of %d", i, n.lo, n.hi, next, size)
 			}
-			if n.count != len(n.entries) {
-				return fmt.Errorf("rtree: leaf of %d entries counts %d", len(n.entries), n.count)
-			}
-			for _, e := range n.entries {
-				count++
-				if !n.rect.Contains(e.Point) {
-					return fmt.Errorf("rtree: leaf MBR %+v excludes entry %v", n.rect, e.Point)
+			next = n.hi
+			for k := n.lo; k < n.hi; k++ {
+				if leaves {
+					if p := t.entries[k].Point; !n.rect.Contains(p) {
+						return fmt.Errorf("rtree: leaf MBR %+v excludes entry %v", n.rect, p)
+					}
+				} else if c := t.levels[i+1][k].rect; n.rect.Union(c) != n.rect {
+					return fmt.Errorf("rtree: parent MBR %+v does not cover child MBR %+v", n.rect, c)
 				}
 			}
-			return nil
 		}
-		if len(n.children) == 0 {
-			return fmt.Errorf("rtree: interior node with no children")
+		if next != size {
+			return fmt.Errorf("rtree: level %d covers %d of %d", i, next, size)
 		}
-		sum := 0
-		for _, c := range n.children {
-			sum += c.count
-		}
-		if sum != n.count {
-			return fmt.Errorf("rtree: interior node counts %d entries, its children %d", n.count, sum)
-		}
-		for _, c := range n.children {
-			u := n.rect.Union(c.rect)
-			if u != n.rect {
-				return fmt.Errorf("rtree: parent MBR %+v does not cover child MBR %+v", n.rect, c.rect)
-			}
-			if err := walk(c, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(t.root, 0); err != nil {
-		return err
-	}
-	if count != t.size {
-		return fmt.Errorf("rtree: counted %d entries, Len() = %d", count, t.size)
 	}
 	return nil
 }
@@ -334,21 +295,23 @@ func (Codec) Append(dst []byte, t *Tree) []byte {
 	dst = append(dst, magic...)
 	dst = append(dst, version)
 	dst = binary.AppendUvarint(dst, uint64(t.maxEntries))
-	dst = binary.AppendUvarint(dst, uint64(t.size))
+	dst = binary.AppendUvarint(dst, uint64(t.Len()))
 	dst = binary.AppendUvarint(dst, uint64(t.Height()))
-	return appendNode(dst, t.root)
+	return t.appendNode(dst, 0, 0)
 }
 
-func appendNode(dst []byte, n *node) []byte {
-	if !n.leaf {
-		dst = binary.AppendUvarint(dst, uint64(len(n.children)))
-		for _, c := range n.children {
-			dst = appendNode(dst, c)
+// appendNode appends node i of the given level, and below it its
+// subtree, in preorder.
+func (t *Tree) appendNode(dst []byte, level, i int) []byte {
+	n := t.levels[level][i]
+	dst = binary.AppendUvarint(dst, uint64(n.hi-n.lo))
+	if level+1 < len(t.levels) {
+		for c := n.lo; c < n.hi; c++ {
+			dst = t.appendNode(dst, level+1, c)
 		}
 		return dst
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(n.entries)))
-	for _, e := range n.entries {
+	for _, e := range t.entries[n.lo:n.hi] {
 		dst = binary.AppendUvarint(dst, uint64(len(e.ID)))
 		dst = append(dst, e.ID...)
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(e.Point.Lat))
@@ -393,28 +356,28 @@ func (Codec) Decode(s string) (*Tree, error) {
 	if h < 1 || h > max(size, 1) {
 		return nil, fmt.Errorf("rtree: height %d invalid for %d entries", h, size)
 	}
-	d.leafDepth = int(h) - 1
-	d.entries = make([]Entry, size)
-	root, err := d.node(0)
-	if err != nil {
+	d.size = int(size)
+	d.t = &Tree{entries: make([]Entry, 0, size), levels: make([][]node, h), maxEntries: int(fanOut)}
+	if err := d.node(0); err != nil {
 		return nil, err
 	}
-	if d.next != len(d.entries) {
-		return nil, fmt.Errorf("rtree: leaves hold %d entries, header says %d", d.next, size)
+	if d.t.Len() != d.size {
+		return nil, fmt.Errorf("rtree: leaves hold %d entries, header says %d", d.t.Len(), size)
 	}
 	if len(d.s) != 0 {
 		return nil, fmt.Errorf("rtree: %d trailing bytes", len(d.s))
 	}
-	return &Tree{root: root, size: int(size), maxEntries: int(fanOut)}, nil
+	return d.t, nil
 }
 
-// decoder walks the preorder node list. All leaves share entries,
-// which the header sizes and the leaves fill in order.
+// decoder walks the preorder node list into t. In preorder, a node's
+// children are consecutive on their level, and its entries in the
+// entry list, so each node is appended to its level once its
+// contents are.
 type decoder struct {
-	s         string
-	leafDepth int
-	entries   []Entry
-	next      int
+	s    string
+	size int // the header's entry count
+	t    *Tree
 }
 
 func (d *decoder) uvarint(what string) (uint64, error) {
@@ -426,52 +389,59 @@ func (d *decoder) uvarint(what string) (uint64, error) {
 	return v, nil
 }
 
-func (d *decoder) node(depth int) (*node, error) {
+func (d *decoder) node(level int) error {
 	c, err := d.uvarint("node count")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if depth == d.leafDepth {
-		if c > uint64(len(d.entries)-d.next) || (c == 0 && len(d.entries) > 0) {
-			return nil, fmt.Errorf("rtree: leaf of %d entries in a tree of %d (%d placed)", c, len(d.entries), d.next)
-		}
-		return d.leaf(int(c))
+	t := d.t
+	if level == len(t.levels)-1 {
+		return d.readLeaf(c)
 	}
 	if c == 0 || c > uint64(len(d.s)) {
-		return nil, fmt.Errorf("rtree: interior node of %d children at depth %d", c, depth)
+		return fmt.Errorf("rtree: interior node of %d children at depth %d", c, level)
 	}
-	n := &node{children: make([]*node, c)}
-	for i := range n.children {
-		if n.children[i], err = d.node(depth + 1); err != nil {
-			return nil, err
+	lo := len(t.levels[level+1])
+	for range c {
+		if err := d.node(level + 1); err != nil {
+			return err
 		}
 	}
-	n.recomputeRect()
-	return n, nil
+	t.levels[level] = append(t.levels[level], parent(t.levels[level+1], lo, lo+int(c)))
+	return nil
 }
 
-func (d *decoder) leaf(c int) (*node, error) {
-	n := &node{leaf: true, entries: d.entries[d.next : d.next+c : d.next+c]}
-	d.next += c
-	for i := range n.entries {
+// readLeaf decodes a leaf of c entries.
+func (d *decoder) readLeaf(c uint64) error {
+	t := d.t
+	lo := t.Len()
+	if c > uint64(d.size-lo) || (c == 0 && d.size > 0) {
+		return fmt.Errorf("rtree: leaf of %d entries in a tree of %d (%d placed)", c, d.size, lo)
+	}
+	for range c {
 		l, err := d.uvarint("entry ID length")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if l > uint64(len(d.s)) || uint64(len(d.s))-l < 16 {
-			return nil, fmt.Errorf("rtree: truncated entry")
+			return fmt.Errorf("rtree: truncated entry")
 		}
-		e := &n.entries[i]
-		e.ID = d.s[:l]
+		e := Entry{ID: d.s[:l]}
 		e.Point.Lat = math.Float64frombits(beUint64(d.s[l:]))
 		e.Point.Lon = math.Float64frombits(beUint64(d.s[l+8:]))
 		if math.IsNaN(e.Point.Lat) || math.IsNaN(e.Point.Lon) {
-			return nil, fmt.Errorf("rtree: entry %q has a NaN coordinate", e.ID)
+			return fmt.Errorf("rtree: entry %q has a NaN coordinate", e.ID)
 		}
+		t.entries = append(t.entries, e)
 		d.s = d.s[l+16:]
 	}
-	n.recomputeRect()
-	return n, nil
+	n := node{} // the root of an empty tree
+	if c > 0 {
+		n = leaf(t.entries, lo, t.Len())
+	}
+	leaves := len(t.levels) - 1
+	t.levels[leaves] = append(t.levels[leaves], n)
+	return nil
 }
 
 // uvarint decodes an unsigned varint from the front of s, as

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -83,17 +84,6 @@ func TestBulkLoadMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestBulkLoadDoesNotMutateInput(t *testing.T) {
-	es := randEntries(100, 5)
-	orig := append([]Entry(nil), es...)
-	BulkLoad(es, 8)
-	for i := range es {
-		if es[i] != orig[i] {
-			t.Fatal("BulkLoad reordered the caller's slice")
-		}
-	}
-}
-
 func TestWithin(t *testing.T) {
 	center := geo.Point{Lat: 39.9042, Lon: 116.4074}
 	var es []Entry
@@ -130,6 +120,24 @@ func TestWithinBoundary(t *testing.T) {
 	got := tr.Within(center, 100)
 	if len(got) != 1 || got[0].ID != "in" {
 		t.Fatalf("Within = %v", got)
+	}
+}
+
+// TestWithinNearPolesAndAntimeridian puts an entry at 0.999·r on
+// every whole bearing around centres near a pole and on either side
+// of ±180°, where a circle's longitude reach outgrows r/(R·cos φ₀) and
+// its box must wrap: Within must find all of them.
+func TestWithinNearPolesAndAntimeridian(t *testing.T) {
+	for _, c := range []geo.Point{{Lat: 89.9, Lon: 10}, {Lat: 39.9, Lon: 179.9995}, {Lat: -89.99, Lon: -179.9}} {
+		for _, r := range []float64{25, 1000, 10_000} {
+			es := make([]Entry, 360)
+			for i := range es {
+				es[i] = Entry{ID: fmt.Sprint(i), Point: geo.Destination(c, float64(i), 0.999*r)}
+			}
+			if got := len(BulkLoad(es, 16).Within(c, r)); got != len(es) {
+				t.Errorf("%v at %v m: found %d of %d", c, r, got, len(es))
+			}
+		}
 	}
 }
 
@@ -423,6 +431,27 @@ func TestSerializationFullPrecision(t *testing.T) {
 	}
 }
 
+// TestCodecGoldenDigests pins the serialized form, which the
+// distributed cache and the R-tree build's part files carry: the
+// SHA-256 of Codec.Append for fixed trees.
+func TestCodecGoldenDigests(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		tree   *Tree
+		sha256 string
+	}{
+		{"empty", BulkLoad(nil, DefaultMaxEntries), "e90f620d276c7f1670e9f3298a451ebcd54ea08e9248e2f1cd05e6e9dd19233a"},
+		{"one entry", BulkLoad(randEntries(1, 1), DefaultMaxEntries), "6da23980407700458460cac8c2ad8125760b649ca14962390011f6f6c2276015"},
+		{"bulk", BulkLoad(randEntries(5000, 2), 16), "d9834c346ad5c8b87cef9e27f1016194f6a14b5d3d3cfcd082c3bcaa90bb1141"},
+		{"merged", Merge(8, BulkLoad(randEntries(2000, 3), 8), nil, BulkLoad(randEntries(5, 4), 8),
+			BulkLoad(nil, 8), BulkLoad(randEntries(100, 5), 16)), "0d50c2f9b58727f4901cf46a400741befb488b1ebaebc0faacd96c3c0c17eed8"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(Codec{}.Append(nil, c.tree))); got != c.sha256 {
+			t.Errorf("%s: encoding's SHA-256 is %s, want %s", c.name, got, c.sha256)
+		}
+	}
+}
+
 // header returns a blob's header for hand-built malformed trees.
 func header(fanOut, size, height uint64) []byte {
 	b := append([]byte(magic), version)
@@ -437,24 +466,6 @@ func appendEntry(b []byte, id string, lat, lon float64) []byte {
 	b = append(b, id...)
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(lat))
 	return binary.BigEndian.AppendUint64(b, math.Float64bits(lon))
-}
-
-// unevenTree has one leaf at depth 1 and another at depth 2, which no
-// construction produces; leafFirst picks which subtree comes first.
-func unevenTree(leafFirst bool) *Tree {
-	leaf := func(id string, lat float64) *node {
-		n := &node{leaf: true, entries: []Entry{{ID: id, Point: geo.Point{Lat: lat, Lon: 116}}}}
-		n.recomputeRect()
-		return n
-	}
-	deep := &node{children: []*node{leaf("b", 40)}}
-	deep.recomputeRect()
-	root := &node{children: []*node{leaf("a", 39), deep}}
-	if !leafFirst {
-		root.children[0], root.children[1] = deep, root.children[0]
-	}
-	root.recomputeRect()
-	return &Tree{root: root, size: 2, maxEntries: 4}
 }
 
 func TestReadFromErrors(t *testing.T) {
@@ -480,20 +491,14 @@ func TestReadFromErrors(t *testing.T) {
 		"NaN coordinate":   appendEntry(append(header(4, 1, 1), 1), "a", math.NaN(), 116.4),
 		"ID past the end":  append(append(header(4, 1, 1), 1, 200), make([]byte, 20)...),
 		"overlong varint":  append(append([]byte(magic), version), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f),
+		// A root over leaf a at depth 1 and, under a one-child node,
+		// leaf b at depth 2, in both orders; the header's height is
+		// the first leaf's depth plus one.
+		"uneven, leaf first": appendEntry(append(appendEntry(append(header(4, 2, 2), 2, 1), "a", 39, 116), 1, 1), "b", 40, 116),
+		"uneven, leaf last":  appendEntry(append(appendEntry(append(header(4, 2, 3), 2, 1, 1), "b", 40, 116), 1), "a", 39, 116),
 	}
 	for i := 0; i < len(blob); i++ {
 		bad[fmt.Sprintf("truncated at %d", i)] = blob[:i]
-	}
-	for _, leafFirst := range []bool{true, false} {
-		tr := unevenTree(leafFirst)
-		if tr.CheckInvariants() == nil {
-			t.Fatal("uneven tree passes CheckInvariants")
-		}
-		var buf bytes.Buffer
-		if _, err := tr.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		bad[fmt.Sprintf("uneven leaf depth (leaf first: %v)", leafFirst)] = buf.Bytes()
 	}
 	if _, err := ReadFrom(bytes.NewReader(oneLeaf)); err != nil {
 		t.Fatalf("the well-formed base of the hand-built cases: %v", err)
@@ -501,6 +506,28 @@ func TestReadFromErrors(t *testing.T) {
 	for name, b := range bad {
 		if tr, err := ReadFrom(bytes.NewReader(b)); err == nil {
 			t.Errorf("%s: decoded a tree of %d entries, want an error", name, tr.Len())
+		}
+	}
+}
+
+// TestCheckInvariantsRejects breaks a packed tree one way at a time:
+// each must be reported.
+func TestCheckInvariantsRejects(t *testing.T) {
+	for name, breakIt := range map[string]func(tr *Tree){
+		"two roots":        func(tr *Tree) { tr.levels[0] = append(tr.levels[0], tr.levels[0][0]) },
+		"gap in a level":   func(tr *Tree) { tr.levels[1][1].lo++ },
+		"empty node":       func(tr *Tree) { tr.levels[1][0].hi = tr.levels[1][0].lo },
+		"entries left out": func(tr *Tree) { tr.entries = append(tr.entries, tr.entries[0]) },
+		"leaf MBR":         func(tr *Tree) { tr.levels[len(tr.levels)-1][3].rect.Max.Lat -= 1 },
+		"parent MBR":       func(tr *Tree) { tr.levels[0][0].rect.Min.Lon += 1 },
+	} {
+		tr := BulkLoad(randEntries(200, 16), 4)
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("%s: the tree before breaking it: %v", name, err)
+		}
+		breakIt(tr)
+		if tr.CheckInvariants() == nil {
+			t.Errorf("%s: CheckInvariants passes", name)
 		}
 	}
 }
@@ -548,11 +575,26 @@ func TestBoundsTracksEntries(t *testing.T) {
 	}
 }
 
+// BenchmarkBulkLoad10k clones its input each time, as BulkLoad sorts
+// the slice it is given: a reused slice would be timed pre-sorted.
 func BenchmarkBulkLoad10k(b *testing.B) {
 	es := randEntries(10_000, 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BulkLoad(es, 16)
+		BulkLoad(slices.Clone(es), 16)
+	}
+}
+
+// BenchmarkMerge is the MapReduce construction's phase 3 at scale:
+// four partition subtrees of 250 k entries each.
+func BenchmarkMerge(b *testing.B) {
+	parts := make([]*Tree, 4)
+	for i := range parts {
+		parts[i] = BulkLoad(randEntries(250_000, int64(25+i)), DefaultMaxEntries)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Merge(DefaultMaxEntries, parts...)
 	}
 }
 
@@ -578,10 +620,11 @@ func BenchmarkAppendWithin(b *testing.B) {
 }
 
 // BenchmarkNeighborhood is DJ-Cluster's query: every entry of dense
-// dwell clusters is a centre, at 25 m.
+// dwell clusters is a centre, at 25 m. The centres are visited in
+// generation order, so the tree gets a clone of them.
 func BenchmarkNeighborhood(b *testing.B) {
 	es := dwellEntries(50_000, 200, 23)
-	tr := BulkLoad(es, 16)
+	tr := BulkLoad(slices.Clone(es), 16)
 	var ords []uint32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -40,27 +40,29 @@ func (t *Tree) AppendWithin(dst []uint32, center geo.Point, radiusMeters float64
 // every entry within radiusMeters of center.
 func (t *Tree) search(center geo.Point, radiusMeters float64, hit func(ord int, e *Entry)) {
 	q := newRadiusQuery(center, radiusMeters)
-	if t.size > 0 && t.root.rect.Intersects(q.box) {
-		q.search(t.root, 0, hit)
-	}
+	q.search(t, 0, 0, 1, hit)
 }
 
-// search walks n, whose first entry has ordinal base and whose
-// rectangle meets the box.
-func (q *radiusQuery) search(n *node, base int, hit func(ord int, e *Entry)) {
-	if n.leaf {
-		for i := range n.entries {
-			if e := &n.entries[i]; q.box.Contains(e.Point) && q.inCircle(e.Point) {
-				hit(base+i, e)
+// search walks the nodes [lo, hi) of the given level whose rectangles
+// meet the box.
+func (q *radiusQuery) search(t *Tree, level, lo, hi int, hit func(ord int, e *Entry)) {
+	nodes := t.levels[level][lo:hi]
+	if level+1 < len(t.levels) {
+		for i := range nodes {
+			if n := &nodes[i]; n.rect.Intersects(q.box) {
+				q.search(t, level+1, n.lo, n.hi, hit)
 			}
 		}
 		return
 	}
-	for _, c := range n.children {
-		if c.rect.Intersects(q.box) {
-			q.search(c, base, hit)
+	for i := range nodes {
+		if n := &nodes[i]; n.rect.Intersects(q.box) {
+			for ord := n.lo; ord < n.hi; ord++ {
+				if e := &t.entries[ord]; q.box.Contains(e.Point) && q.inCircle(e.Point) {
+					hit(ord, e)
+				}
+			}
 		}
-		base += c.count
 	}
 }
 
@@ -104,7 +106,8 @@ func (q *radiusQuery) search(n *node, base int, hit func(ord int, e *Entry)) {
 // At 25 m in Beijing ε ≈ 7e-12; at 10 km, 1e-6. The band grows with b²,
 // that is with r and with 1/cos φ₀ near the poles, and maxBand turns
 // the pre-test off where ε would pass it (past ~290 km at Beijing's
-// latitude, or within ~0.003° of a pole at 25 m). It is off too below
+// latitude, within ~0.003° of a pole at 25 m, or where the box spans
+// every longitude and b is infinite). It is off too below
 // minPretestMeters, where h_max nears the subnormal range, and for a
 // centre past ±90°, where φ's rounding outgrows the 16 ulps. Off, lo
 // and hi are ∓Inf and every candidate goes to geo.Haversine.
@@ -131,14 +134,32 @@ const (
 
 func newRadiusQuery(center geo.Point, radiusMeters float64) (q radiusQuery) {
 	q.center, q.radius = center, radiusMeters
-	q.box = geo.RectFromPoint(center).ExpandMeters(radiusMeters * 1.001)
 	q.sin0, q.cos0 = math.Sincos(center.Lat * math.Pi / 180)
+	// The box. A point within r is at most δ = r/R radians away (δ is
+	// taken 0.1 % over, for rounding), so its latitude is within δ of
+	// φ₀. Along a path of length δ, |φ| ≤ |φ₀|+δ, so λ moves at most
+	// δ/cos(|φ₀|+δ) ≤ δ/(cos φ₀(1−δ²/2) − |sin φ₀|·δ) while that
+	// denominator is positive. Otherwise, and where the box would cross
+	// ±180°, it spans every longitude.
+	delta := 1.001 * radiusMeters / geo.EarthRadiusMeters
+	dLon := math.Inf(1)
+	if den := q.cos0*(1-delta*delta/2) - math.Abs(q.sin0)*delta; den > 0 {
+		dLon = delta / den * (180 / math.Pi)
+	}
+	if center.Lon-dLon < -180 || center.Lon+dLon > 180 {
+		dLon = math.Inf(1)
+	}
+	dLat := delta * (180 / math.Pi)
+	q.box = geo.Rect{
+		Min: geo.Point{Lat: center.Lat - dLat, Lon: center.Lon - dLon},
+		Max: geo.Point{Lat: center.Lat + dLat, Lon: center.Lon + dLon},
+	}
 	q.lo, q.hi = math.Inf(-1), math.Inf(1)
 	if !(radiusMeters >= minPretestMeters && math.Abs(center.Lat) <= 90) {
 		return q
 	}
-	a := 1.01 * (q.box.Max.Lat - q.box.Min.Lat) * (math.Pi / 360)
-	b := 1.01 * (q.box.Max.Lon - q.box.Min.Lon) * (math.Pi / 360)
+	a := 1.01 * delta
+	b := 1.01 * dLon * (math.Pi / 180)
 	x := radiusMeters / (2 * geo.EarthRadiusMeters)
 	hMax := x * x
 	ab := max(a, b)
