@@ -11,7 +11,9 @@ type Store interface {
 	// Create stores a complete file, placing the first replica on
 	// localNode when it is alive (HDFS write-locality).
 	Create(path string, data []byte, localNode string) error
-	// ReadRange returns length bytes starting at offset.
+	// ReadRange returns length bytes starting at offset, in a slice
+	// the caller owns: the store keeps no reference to it and never
+	// writes it again, so the engine hands map input out as views of it.
 	ReadRange(path string, offset, length int64) ([]byte, error)
 	// Size returns the file's length in bytes.
 	Size(path string) (int64, error)

@@ -358,14 +358,12 @@ func randPointIn(rng *rand.Rand, r geo.Rect) geo.Point {
 func WriteRecords(fs *dfs.FileSystem, dir string, ds *trace.Dataset) error {
 	for i := range ds.Trails {
 		tr := &ds.Trails[i]
-		var sb strings.Builder
-		sb.Grow(len(tr.Traces) * 48)
+		buf := make([]byte, 0, len(tr.Traces)*48)
 		for _, t := range tr.Traces {
-			sb.WriteString(t.Record())
-			sb.WriteByte('\n')
+			buf = append(t.AppendRecord(buf), '\n')
 		}
 		path := fmt.Sprintf("%s/%s.rec", dir, tr.User)
-		if err := fs.Create(path, []byte(sb.String()), ""); err != nil {
+		if err := fs.Create(path, buf, ""); err != nil {
 			return fmt.Errorf("geolife: uploading %s: %v", path, err)
 		}
 	}
@@ -380,21 +378,20 @@ func WriteRecordsConcat(fs *dfs.FileSystem, dir string, ds *trace.Dataset, numFi
 	if numFiles < 1 {
 		numFiles = 1
 	}
-	var bufs = make([]strings.Builder, numFiles)
+	bufs := make([][]byte, numFiles)
 	total := ds.NumTraces()
 	perFile := (total + numFiles - 1) / numFiles
 	i := 0
 	for _, tr := range ds.Trails {
 		for _, t := range tr.Traces {
 			b := &bufs[i/perFile]
-			b.WriteString(t.Record())
-			b.WriteByte('\n')
+			*b = append(t.AppendRecord(*b), '\n')
 			i++
 		}
 	}
 	for f := 0; f < numFiles; f++ {
 		path := fmt.Sprintf("%s/part-%03d.rec", dir, f)
-		if err := fs.Create(path, []byte(bufs[f].String()), ""); err != nil {
+		if err := fs.Create(path, bufs[f], ""); err != nil {
 			return fmt.Errorf("geolife: uploading %s: %v", path, err)
 		}
 	}

@@ -21,14 +21,12 @@ func WriteRecordsLocal(dir string, ds *trace.Dataset) error {
 	}
 	for i := range ds.Trails {
 		tr := &ds.Trails[i]
-		var sb strings.Builder
-		sb.Grow(len(tr.Traces) * 48)
+		buf := make([]byte, 0, len(tr.Traces)*48)
 		for _, t := range tr.Traces {
-			sb.WriteString(t.Record())
-			sb.WriteByte('\n')
+			buf = append(t.AppendRecord(buf), '\n')
 		}
 		path := filepath.Join(dir, sanitizeFilename(tr.User)+".rec")
-		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
 			return err
 		}
 	}

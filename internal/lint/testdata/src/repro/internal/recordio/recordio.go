@@ -41,6 +41,6 @@ func (w *Writer) Bytes() []byte { return nil }
 func ScanAll(data []byte, fn func(key, value string) error) error { return nil }
 
 // ScanSplit mirrors the split record scanner.
-func ScanSplit(buf []byte, bufStart, start, end int64, rangeLimited bool, fn func(key, value string) error) error {
+func ScanSplit(buf []byte, bufStart, start, end int64, rangeLimited bool, fn func(key, value []byte) error) error {
 	return nil
 }

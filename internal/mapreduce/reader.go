@@ -62,6 +62,11 @@ func splitsFor(fs *dfs.FileSystem, inputPaths []string) ([]InputSplit, error) {
 // lines whose key is the byte offset (Hadoop TextInputFormat). The
 // sniff costs one tiny ReadRange per split; the engine's pipelines mix
 // text uploads and binary part files freely because of it.
+//
+// Nothing is copied per record: a key and a value reach fn as views of
+// the split's ReadRange buffer — a text offset key as a view of an
+// append-only arena of its own — and since neither is written again,
+// they stay valid for as long as anything holds them.
 func readSplit(fs dfs.Store, sp InputSplit, fn func(key, value string) error) error {
 	hdr, err := fs.ReadRange(sp.Path, 0, recordio.HeaderLen)
 	if err != nil {
@@ -70,8 +75,9 @@ func readSplit(fs dfs.Store, sp InputSplit, fn func(key, value string) error) er
 	if recordio.IsRecordData(hdr) {
 		return readSplitRecords(fs, sp, fn)
 	}
+	var keys offsetKeys
 	return readSplitLines(fs, sp, func(off int64, line string) error {
-		return fn(offsetKey(off), line)
+		return fn(keys.key(off), line)
 	})
 }
 
@@ -86,7 +92,9 @@ func readSplitRecords(fs dfs.Store, sp InputSplit, fn func(key, value string) er
 		return err
 	}
 	rangeLimited := int64(len(buf)) == reqLen
-	err = recordio.ScanSplit(buf, sp.Offset, sp.Offset, sp.Offset+sp.Length, rangeLimited, fn)
+	err = recordio.ScanSplit(buf, sp.Offset, sp.Offset, sp.Offset+sp.Length, rangeLimited, func(k, v []byte) error {
+		return fn(view(k), view(v))
+	})
 	if err != nil {
 		return fmt.Errorf("mapreduce: %s: %v", sp.Path, err)
 	}
@@ -99,11 +107,12 @@ func readSplitRecords(fs dfs.Store, sp InputSplit, fn func(key, value string) er
 // partial) line in progress at its start — the previous split reads
 // across the boundary to finish it — and every split reads past its
 // end to complete its final record. The callback receives the byte
-// offset of each line (the record key) and the line text without the
-// trailing newline or carriage return. Empty lines, after that trim,
-// are not records: the callback never sees them, as the driver-side
-// record walks (geolife.ForEachRecord, ForEachTrace) skip them too. An
-// error from the callback comes back naming the file.
+// offset of each line (the record key) and the line text, a view of
+// the split's buffer, without the trailing newline or carriage
+// return. Empty lines, after that trim, are not records: the callback
+// never sees them, as the driver-side record walks
+// (geolife.ForEachRecord, ForEachTrace) skip them too. An error from
+// the callback comes back naming the file.
 func readSplitLines(fs dfs.Store, sp InputSplit, fn func(offset int64, line string) error) error {
 	// Start one byte early (as Hadoop's LineRecordReader does) so that
 	// a record beginning exactly at the split boundary is not skipped:
@@ -168,7 +177,7 @@ func readSplitLines(fs dfs.Store, sp InputSplit, fn func(offset int64, line stri
 			line = line[:n-1]
 		}
 		if len(line) > 0 {
-			if err := fn(readStart+pos, string(line)); err != nil {
+			if err := fn(readStart+pos, view(line)); err != nil {
 				return fmt.Errorf("mapreduce: %s: %w", sp.Path, err)
 			}
 		}
@@ -180,6 +189,17 @@ func readSplitLines(fs dfs.Store, sp InputSplit, fn func(offset int64, line stri
 	return nil
 }
 
-// offsetKey renders a record's byte offset as the map input key, as
-// Hadoop's TextInputFormat does.
-func offsetKey(off int64) string { return strconv.FormatInt(off, 10) }
+// offsetKeys renders records' byte offsets as map input keys, as
+// Hadoop's TextInputFormat does, into blocks it fills once and never
+// writes again: each key is a view, and a split's keys share a few
+// allocations.
+type offsetKeys []byte
+
+func (a *offsetKeys) key(off int64) string {
+	if cap(*a)-len(*a) < 20 { // an int64's longest rendering
+		*a = make([]byte, 0, 64<<10)
+	}
+	n := len(*a)
+	*a = strconv.AppendInt(*a, off, 10)
+	return view((*a)[n:])
+}

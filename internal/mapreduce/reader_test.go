@@ -1,11 +1,15 @@
 package mapreduce
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/dfs"
+	"repro/internal/recordio"
 )
 
 func newReaderFS(t *testing.T, chunkSize int64) *dfs.FileSystem {
@@ -111,5 +115,105 @@ func TestUnterminatedFinalLineAtEOFStillReads(t *testing.T) {
 	}
 	if len(lines) != 3 || lines[len(lines)-1] != "ccccc" {
 		t.Fatalf("lines = %q, want trailing ccccc intact", lines)
+	}
+}
+
+// viewInputs is a text file (line lengths vary, some lines empty) and
+// an RCIO file of as many records, both spanning many 256-byte chunks.
+func viewInputs() (text string, rcio []byte, records map[string]string) {
+	var sb strings.Builder
+	w := recordio.NewWriter()
+	records = map[string]string{}
+	for i := 0; i < 300; i++ {
+		if i%50 == 7 {
+			sb.WriteString("\n")
+		}
+		fmt.Fprintf(&sb, "line %d %s\n", i, strings.Repeat("x", i%17))
+		k, v := fmt.Sprintf("k%03d", i), strings.Repeat("v", i%23)+strconv.Itoa(i)
+		w.Add(k, v)
+		records[k] = v
+	}
+	return sb.String(), w.Bytes(), records
+}
+
+// checkKeptInput asserts that what a mapper kept is, record for
+// record, what viewInputs wrote: a text value is the line starting at
+// the offset its key names, an RCIO value the one stored with its key,
+// and every record was seen.
+func checkKeptInput(t *testing.T, text string, records map[string]string, kept []KV) {
+	t.Helper()
+	seen := map[string]bool{}
+	for _, kv := range kept {
+		if want, ok := records[kv.Key]; ok {
+			if kv.Value != want {
+				t.Fatalf("record %q kept as %q, written as %q", kv.Key, kv.Value, want)
+			}
+		} else if off, err := strconv.Atoi(kv.Key); err != nil || off >= len(text) || off > 0 && text[off-1] != '\n' ||
+			!strings.HasPrefix(text[off:], kv.Value+"\n") {
+			t.Fatalf("text line kept as (%q, %q): not the line at that offset", kv.Key, kv.Value)
+		}
+		seen[kv.Key] = true
+	}
+	if want := strings.Count(text, "\n") - strings.Count(text, "\n\n") + len(records); len(seen) != want {
+		t.Fatalf("kept %d distinct records, want %d", len(seen), want)
+	}
+}
+
+// TestMapInputOutlivesTheRecord: a mapper's input keys and values are
+// views of the split's buffer, never written again, so a mapper may
+// keep them. One that keeps every key and value until the job returns
+// finds them all as written, for text and RCIO input, map-only and
+// with a reducer, in-process and on storeExecutor.
+func TestMapInputOutlivesTheRecord(t *testing.T) {
+	text, rcio, records := viewInputs()
+	for _, viaStore := range []bool{false, true} {
+		for _, mapOnly := range []bool{false, true} {
+			t.Run(fmt.Sprintf("store=%v/mapOnly=%v", viaStore, mapOnly), func(t *testing.T) {
+				cl, err := cluster.NewUniform(4, 2, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fs, err := dfs.New(cl, dfs.Config{ChunkSize: 256, Replication: 3, Seed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var opts Options
+				if viaStore {
+					opts.Executor = storeExecutor{fs}
+				}
+				e := NewEngine(cl, fs, opts)
+				if err := fs.Create("in/text", []byte(text), ""); err != nil {
+					t.Fatal(err)
+				}
+				if err := fs.Create("in/rcio", rcio, ""); err != nil {
+					t.Fatal(err)
+				}
+				var mu sync.Mutex
+				var kept []KV
+				job := strJob{
+					Name:       "keep-input",
+					Kind:       kindShuffleTest,
+					InputPaths: []string{"in/text", "in/rcio"},
+					OutputPath: "out",
+					Mapper: func() strMapper {
+						return strMapFunc(func(_ *TaskContext, k, v string, emit strEmit) error {
+							mu.Lock()
+							kept = append(kept, KV{k, v})
+							mu.Unlock()
+							emit(k, v)
+							return nil
+						})
+					},
+					NumReducers: 2,
+				}
+				if !mapOnly {
+					job.Reducer = func() strReducer { return joinReducer{} }
+				}
+				if _, err := e.Run(build(job)); err != nil {
+					t.Fatal(err)
+				}
+				checkKeptInput(t, text, records, kept)
+			})
+		}
 	}
 }

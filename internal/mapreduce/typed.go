@@ -27,7 +27,10 @@ type TypedMapper[KI, VI, KO, VO any] interface {
 	Setup(ctx *TaskContext) error
 	// Map processes one record. For line-oriented input the key is the
 	// byte offset of the line within the file and the value is the line
-	// text (Hadoop TextInputFormat).
+	// text (Hadoop TextInputFormat). The input strings — and what the
+	// input codecs decode from them, such as a trace's User — alias
+	// the split's read buffer, which nobody writes again: a mapper may
+	// keep them, and keeps the buffer alive while it does.
 	Map(ctx *TaskContext, key KI, value VI, emit TypedEmit[KO, VO]) error
 	Cleanup(ctx *TaskContext, emit TypedEmit[KO, VO]) error
 }

@@ -135,7 +135,11 @@ func scanAll[T ~string | ~[]byte](data []byte, fn func(key, value T) error) erro
 // rangeLimited says buf may have been cut by the read budget rather
 // than EOF; running out of buffer mid-scan is then a record-too-long
 // error instead of end-of-file.
-func ScanSplit(buf []byte, bufStart, start, end int64, rangeLimited bool, fn func(key, value string) error) error {
+//
+// Each record reaches fn as views of buf, not copies: they stay valid
+// as long as buf's bytes are not written, which the engine's map input
+// relies on (a split's buffer is never written again).
+func ScanSplit(buf []byte, bufStart, start, end int64, rangeLimited bool, fn func(key, value []byte) error) error {
 	return scanSplit(buf, bufStart, start, end, rangeLimited, fn)
 }
 

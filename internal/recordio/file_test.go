@@ -79,8 +79,8 @@ func TestScanSplitExactness(t *testing.T) {
 		var got [][2]string
 		for i := 0; i+1 < len(cuts); i++ {
 			start, end := cuts[i], cuts[i+1]
-			err := ScanSplit(data, 0, start, end, false, func(k, v string) error {
-				got = append(got, [2]string{k, v})
+			err := ScanSplit(data, 0, start, end, false, func(k, v []byte) error {
+				got = append(got, [2]string{string(k), string(v)})
 				return nil
 			})
 			if err != nil {
@@ -113,8 +113,8 @@ func TestScanSplitPartialBuffer(t *testing.T) {
 			end = int64(len(data))
 		}
 		buf := data[start:]
-		err := ScanSplit(buf, start, start, end, false, func(k, v string) error {
-			got = append(got, [2]string{k, v})
+		err := ScanSplit(buf, start, start, end, false, func(k, v []byte) error {
+			got = append(got, [2]string{string(k), string(v)})
 			return nil
 		})
 		if err != nil {
@@ -138,12 +138,12 @@ func TestScanSplitRangeLimitedMidRecord(t *testing.T) {
 	// Cut the buffer mid-record and claim it was range-limited: the
 	// scan must report the budget error rather than silently stop.
 	cut := data[:len(data)-4]
-	err := ScanSplit(cut, 0, 0, int64(len(data)), true, func(k, v string) error { return nil })
+	err := ScanSplit(cut, 0, 0, int64(len(data)), true, func(k, v []byte) error { return nil })
 	if err == nil {
 		t.Fatal("want overrun error for range-limited mid-record buffer")
 	}
 	// The same cut without rangeLimited is a truncated (corrupt) file.
-	err = ScanSplit(cut, 0, 0, int64(len(data)), false, func(k, v string) error { return nil })
+	err = ScanSplit(cut, 0, 0, int64(len(data)), false, func(k, v []byte) error { return nil })
 	if err == nil {
 		t.Fatal("want corruption error for truncated file")
 	}

@@ -52,10 +52,11 @@ func DecodeTraceValue(s string) (trace.Trace, error) {
 	if len(s) > 0 && s[0] == traceTag {
 		return decodeBinaryTrace(s)
 	}
-	j := strings.LastIndexByte(s, '\t')
-	if j < 0 {
-		return trace.ParseRecord(s) // errors with record context
+	j := strings.IndexByte(s, '\t')
+	if j < 0 || strings.IndexByte(s[j+1:], '\t') < 0 {
+		return trace.ParseRecord(s) // an upload line; errors with record context
 	}
+	j = strings.LastIndexByte(s, '\t')
 	i := strings.LastIndexByte(s[:j], '\t')
 	return trace.ParseRecord(s[i+1:])
 }

@@ -11,6 +11,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -93,42 +94,137 @@ func ParsePLTLine(user, line string) (Trace, error) {
 // compact than PLT and embeds the user, so a record is self-contained
 // once chunked.
 func (t Trace) Record() string {
-	return fmt.Sprintf("%s\t%.6f,%.6f,%g,%d",
-		t.User, t.Point.Lat, t.Point.Lon, t.AltitudeFeet, t.Time.Unix())
+	var buf [64]byte // most records fit: no allocation but the string's
+	return string(t.AppendRecord(buf[:0]))
 }
 
-// ParseRecord parses the internal record form produced by Record.
+// AppendRecord appends the Record form of t to dst: the bytes of
+// fmt's "%s\t%.6f,%.6f,%g,%d", without fmt.
+func (t Trace) AppendRecord(dst []byte) []byte {
+	dst = append(append(dst, t.User...), '\t')
+	dst = append(strconv.AppendFloat(dst, t.Point.Lat, 'f', 6, 64), ',')
+	dst = append(strconv.AppendFloat(dst, t.Point.Lon, 'f', 6, 64), ',')
+	dst = append(strconv.AppendFloat(dst, t.AltitudeFeet, 'g', -1, 64), ',')
+	return strconv.AppendInt(dst, t.Time.Unix(), 10)
+}
+
+// ParseRecord parses the internal record form produced by Record. It
+// rejects a coordinate out of range and a NaN altitude, as ParsePLTLine
+// and the binary trace codec do. The returned User aliases rec.
+//
+// A record whose value fields are plain decimals, as Record writes
+// them, is parsed in one pass that allocates nothing. Any other goes
+// through parseFields, whose values and errors are strconv's.
 func ParseRecord(rec string) (Trace, error) {
 	user, rest, ok := strings.Cut(rec, "\t")
 	if !ok {
 		return Trace{}, fmt.Errorf("trace: record missing tab: %q", rec)
 	}
-	fields := strings.Split(rest, ",")
-	if len(fields) != 4 {
-		return Trace{}, fmt.Errorf("trace: record has %d value fields, want 4: %q", len(fields), rec)
+	lat, r, ok0 := decimalField(rest)
+	lon, r, ok1 := decimalField(r)
+	alt, r, ok2 := decimalField(r)
+	unix, ok3 := intField(r)
+	if !ok0 || !ok1 || !ok2 || !ok3 {
+		var err error
+		if lat, lon, alt, unix, err = parseFields(rec, rest); err != nil {
+			return Trace{}, err
+		}
 	}
-	lat, err := strconv.ParseFloat(fields[0], 64)
-	if err != nil {
-		return Trace{}, fmt.Errorf("trace: bad latitude in record %q: %v", rec, err)
+	p := geo.Point{Lat: lat, Lon: lon}
+	if !p.Valid() {
+		return Trace{}, fmt.Errorf("trace: coordinate out of range in record %q", rec)
 	}
-	lon, err := strconv.ParseFloat(fields[1], 64)
-	if err != nil {
-		return Trace{}, fmt.Errorf("trace: bad longitude in record %q: %v", rec, err)
-	}
-	alt, err := strconv.ParseFloat(fields[2], 64)
-	if err != nil {
-		return Trace{}, fmt.Errorf("trace: bad altitude in record %q: %v", rec, err)
-	}
-	unix, err := strconv.ParseInt(fields[3], 10, 64)
-	if err != nil {
-		return Trace{}, fmt.Errorf("trace: bad unix time in record %q: %v", rec, err)
+	if math.IsNaN(alt) {
+		return Trace{}, fmt.Errorf("trace: NaN altitude in record %q", rec)
 	}
 	return Trace{
 		User:         user,
-		Point:        geo.Point{Lat: lat, Lon: lon},
+		Point:        p,
 		AltitudeFeet: alt,
 		Time:         time.Unix(unix, 0).UTC(),
 	}, nil
+}
+
+// parseFields parses a record's "lat,lon,alt,unix" with strconv.
+func parseFields(rec, rest string) (lat, lon, alt float64, unix int64, err error) {
+	f0, r, ok0 := strings.Cut(rest, ",")
+	f1, r, ok1 := strings.Cut(r, ",")
+	f2, f3, ok2 := strings.Cut(r, ",")
+	if !ok0 || !ok1 || !ok2 || strings.Contains(f3, ",") {
+		return 0, 0, 0, 0, fmt.Errorf("trace: record has %d value fields, want 4: %q", strings.Count(rest, ",")+1, rec)
+	}
+	if lat, err = strconv.ParseFloat(f0, 64); err != nil {
+		return 0, 0, 0, 0, fmt.Errorf("trace: bad latitude in record %q: %v", rec, err)
+	}
+	if lon, err = strconv.ParseFloat(f1, 64); err != nil {
+		return 0, 0, 0, 0, fmt.Errorf("trace: bad longitude in record %q: %v", rec, err)
+	}
+	if alt, err = strconv.ParseFloat(f2, 64); err != nil {
+		return 0, 0, 0, 0, fmt.Errorf("trace: bad altitude in record %q: %v", rec, err)
+	}
+	if unix, err = strconv.ParseInt(f3, 10, 64); err != nil {
+		return 0, 0, 0, 0, fmt.Errorf("trace: bad unix time in record %q: %v", rec, err)
+	}
+	return lat, lon, alt, unix, nil
+}
+
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// decimalField parses the field s starts with when it is a plain
+// decimal -?digits[.digits] of at most 15 digits, ended by a comma;
+// rest is what follows the comma. Its value is strconv.ParseFloat's,
+// bit for bit: this is Clinger's fast path, the one strconv takes
+// itself. The mantissa (< 2^53) and the power of ten are exact
+// float64s, so their quotient is rounded once, correctly.
+func decimalField(s string) (v float64, rest string, ok bool) {
+	i := 0
+	if len(s) > 0 && s[0] == '-' {
+		i = 1
+	}
+	var mant uint64
+	digits, point := 0, -1 // point: the digits before the '.', once one is seen
+	for ; i < len(s); i++ {
+		if c := s[i]; c-'0' <= 9 {
+			mant = mant*10 + uint64(c-'0')
+			digits++
+		} else if c == '.' && point < 0 && digits > 0 {
+			point = digits
+		} else {
+			break
+		}
+	}
+	frac := 0
+	if point >= 0 {
+		frac = digits - point
+	}
+	if digits == 0 || digits > 15 || point == digits || i == len(s) || s[i] != ',' {
+		return 0, "", false
+	}
+	if v = float64(mant) / pow10[frac]; s[0] == '-' {
+		v = -v
+	}
+	return v, s[i+1:], true
+}
+
+// intField parses s when it is -?digits of at most 18 digits, which
+// cannot overflow an int64.
+func intField(s string) (int64, bool) {
+	d := strings.TrimPrefix(s, "-")
+	if len(d) == 0 || len(d) > 18 {
+		return 0, false
+	}
+	var n int64
+	for i := 0; i < len(d); i++ {
+		if c := d[i]; c-'0' <= 9 {
+			n = n*10 + int64(c-'0')
+		} else {
+			return 0, false
+		}
+	}
+	if len(d) < len(s) {
+		n = -n
+	}
+	return n, true
 }
 
 // Trail is the time-ordered sequence of mobility traces of a single

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -136,6 +137,57 @@ func TestParseRecordErrors(t *testing.T) {
 	for _, rec := range bad {
 		if _, err := ParseRecord(rec); err == nil {
 			t.Errorf("ParseRecord(%q): want error", rec)
+		}
+	}
+}
+
+// TestParseRecordRejectsInvalidValues: a record that parses must be one
+// the binary trace codec can carry, so the text form refuses what the
+// binary form refuses — a coordinate off the globe or NaN, a NaN
+// altitude — rather than letting it into k-means sums.
+func TestParseRecordRejectsInvalidValues(t *testing.T) {
+	for _, tc := range []struct {
+		rec, want string // want: "" to accept, else an error substring
+	}{
+		{"u\t90,180,-777,0", ""},
+		{"u\t-90,-180,+Inf,0", ""},
+		{"u\t200,1,0,0", "coordinate out of range"},
+		{"u\t1,-180.000001,0,0", "coordinate out of range"},
+		{"u\tNaN,1,0,0", "coordinate out of range"},
+		{"u\t1,nan,0,0", "coordinate out of range"},
+		{"u\t-Inf,1,0,0", "coordinate out of range"},
+		{"u\t1,2,NaN,0", "NaN altitude"},
+	} {
+		_, err := ParseRecord(tc.rec)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("ParseRecord(%q): %v", tc.rec, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("ParseRecord(%q) = %v, want an error containing %q", tc.rec, err, tc.want)
+		}
+	}
+}
+
+// TestAppendRecordMatchesFmt pins AppendRecord to the fmt rendering it
+// replaces, on the values where 'f' and 'g' formatting have edges.
+func TestAppendRecordMatchesFmt(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, tr := range []Trace{
+		{User: "153", Point: geo.Point{Lat: 39.984702, Lon: 116.318417}, AltitudeFeet: 492, Time: time.Unix(1224813000, 0)},
+		{User: "u", Point: geo.Point{Lat: -33.8688, Lon: -151.2093}, AltitudeFeet: -777, Time: time.Unix(-86400, 0)},
+		{User: "", Point: geo.Point{Lat: negZero, Lon: 0}, AltitudeFeet: negZero},
+		{User: "big", Point: geo.Point{Lat: 89.9999995, Lon: -0.0000004}, AltitudeFeet: 1e21, Time: time.Unix(1<<40, 0)},
+		{User: "tiny", Point: geo.Point{Lat: 1e-7, Lon: 179.9999999}, AltitudeFeet: 1e-7},
+		{User: "g", AltitudeFeet: 123456789.125, Time: time.Unix(math.MaxInt32, 0)},
+		{User: "inf", AltitudeFeet: math.Inf(1)},
+		{User: "nan", AltitudeFeet: math.NaN()},
+	} {
+		want := fmt.Sprintf("%s\t%.6f,%.6f,%g,%d", tr.User, tr.Point.Lat, tr.Point.Lon, tr.AltitudeFeet, tr.Time.Unix())
+		if got := string(tr.AppendRecord([]byte("prefix"))); got != "prefix"+want {
+			t.Errorf("AppendRecord = %q, want %q", got, "prefix"+want)
+		}
+		if got := tr.Record(); got != want {
+			t.Errorf("Record = %q, want %q", got, want)
 		}
 	}
 }
