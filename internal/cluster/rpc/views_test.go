@@ -55,8 +55,7 @@ var (
 // TestMapInputOutlivesTheRecordOverRPC: map input reaches a worker's
 // mapper as views of the split's buffer, and a mapper that keeps every
 // key and value until the job returns finds them all as written — text
-// lines with their offset keys and RCIO records, map-only and with a
-// reducer.
+// lines with empty keys and RCIO records, map-only and with a reducer.
 func TestMapInputOutlivesTheRecordOverRPC(t *testing.T) {
 	var text strings.Builder
 	w := recordio.NewWriter()
@@ -85,20 +84,34 @@ func TestMapInputOutlivesTheRecordOverRPC(t *testing.T) {
 			}
 			keptInput.Lock()
 			defer keptInput.Unlock()
+			lines := map[string]int{}
+			for _, l := range strings.Split(text.String(), "\n") {
+				if l != "" {
+					lines[l]++
+				}
+			}
 			seen := map[string]bool{}
 			for _, kv := range keptInput.kvs {
 				k, v := kv[0], kv[1]
-				if want, ok := records[k]; ok {
-					if v != want {
-						t.Fatalf("record %q kept as %q, written as %q", k, v, want)
+				if k == "" {
+					if lines[v] == 0 {
+						t.Fatalf("text line kept as %q: not a line of the file, or kept more often than written", v)
 					}
-				} else if off, err := strconv.Atoi(k); err != nil || off >= text.Len() || !strings.HasPrefix(text.String()[off:], v+"\n") {
-					t.Fatalf("text line kept as (%q, %q): not the line at that offset", k, v)
+					lines[v]--
+					continue
+				}
+				if want, ok := records[k]; !ok || v != want || seen[k] {
+					t.Fatalf("record (%q, %q) kept: written as %q (found %v), or kept twice", k, v, want, ok)
 				}
 				seen[k] = true
 			}
-			if len(seen) != 600 {
-				t.Fatalf("kept %d distinct records, want 600", len(seen))
+			for l, n := range lines {
+				if n != 0 {
+					t.Fatalf("text line %q kept %d times too few", l, n)
+				}
+			}
+			if len(seen) != len(records) {
+				t.Fatalf("kept %d RCIO records, want %d", len(seen), len(records))
 			}
 		})
 	}

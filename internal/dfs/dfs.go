@@ -448,6 +448,25 @@ func (fs *FileSystem) Chunks(path string) ([]ChunkInfo, error) {
 	return out, nil
 }
 
+// Expand resolves input paths to files, as a job's input paths
+// resolve: a path that is a file names itself, any other the files
+// under it (see List), and a path that names no file is an error.
+func (fs *FileSystem) Expand(paths []string) ([]string, error) {
+	var files []string
+	for _, p := range paths {
+		if fs.Exists(p) {
+			files = append(files, p)
+			continue
+		}
+		listed := fs.List(p)
+		if len(listed) == 0 {
+			return nil, fmt.Errorf("dfs: input %q matches no files", p)
+		}
+		files = append(files, listed...)
+	}
+	return files, nil
+}
+
 // List returns the sorted paths of all files under the given directory
 // prefix ("" lists everything). A trailing slash on dir is optional.
 func (fs *FileSystem) List(dir string) []string {

@@ -22,11 +22,9 @@
 package geolife
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"time"
 
 	"repro/internal/dfs"
@@ -400,9 +398,9 @@ func WriteRecordsConcat(fs *dfs.FileSystem, dir string, ds *trace.Dataset, numFi
 
 // ReadRecords reads a record directory written by WriteRecords or by a
 // MapReduce job back into a dataset. Files are sniffed per file: both
-// text record files ("user TAB lat,lon,alt,unix" lines, optionally
-// with a leading part-file key column) and binary recordio part files
-// are accepted, so text uploads and binary job outputs read the same.
+// text record files ("user TAB lat,lon,alt,unix" lines) and binary
+// recordio part files are accepted, so text uploads and binary job
+// outputs read the same.
 func ReadRecords(fs *dfs.FileSystem, dir string) (*trace.Dataset, error) {
 	var traces []trace.Trace
 	err := ForEachTrace(fs, []string{dir}, func(t trace.Trace) error {
@@ -440,59 +438,33 @@ func decoding(fn func(trace.Trace) error) func(rec []byte) error {
 }
 
 // ForEachRecord walks the undecoded trace records stored under the
-// given paths in the order ForEachTrace yields them: the value of
-// every record of a binary record file, and every non-empty line of a
-// text file with a trailing '\r' trimmed, as the engine's line reader
-// trims it, so a CRLF file reads like its LF twin. rec is a view of
-// the file's bytes, valid only during the call; a walk that decodes
-// few of the records it counts (k-means' reservoir) pays one read of
-// the corpus and almost nothing per record.
+// given paths in the order ForEachTrace yields them. Paths resolve as
+// a job's input paths do (see dfs.FileSystem.Expand), and each file is
+// scanned whole by the scanner the engine reads its splits with: the
+// value of every record of a binary record file, every non-empty line
+// of a text file less its line end. rec is a view of the file's bytes,
+// valid only during the call; a walk that decodes few of the records
+// it counts (k-means' reservoir) pays one read of the corpus and
+// almost nothing per record.
 func ForEachRecord(fs *dfs.FileSystem, paths []string, fn func(rec []byte) error) error {
-	var files []string
-	for _, p := range paths {
-		if fs.Exists(p) {
-			files = append(files, p)
-		} else {
-			files = append(files, fs.List(p)...)
-		}
-	}
-	if len(files) == 0 {
-		return fmt.Errorf("geolife: no record files under %q", strings.Join(paths, ", "))
+	files, err := fs.Expand(paths)
+	if err != nil {
+		return fmt.Errorf("geolife: %v", err)
 	}
 	for _, f := range files {
 		data, err := fs.ReadAll(f)
 		if err != nil {
 			return err
 		}
-		if recordio.IsRecordData(data) {
-			err = recordio.ScanAllBytes(data, func(_, value []byte) error { return fn(value) })
-		} else {
-			err = forEachLine(data, fn)
-		}
-		if err != nil {
+		if err := scanFile(data, fn); err != nil {
 			return fmt.Errorf("geolife: %s: %v", f, err)
 		}
 	}
 	return nil
 }
 
-// forEachLine calls fn on every non-empty line of a text record file,
-// less its line end.
-func forEachLine(data []byte, fn func(line []byte) error) error {
-	for len(data) > 0 {
-		line := data
-		if i := bytes.IndexByte(data, '\n'); i >= 0 {
-			line, data = data[:i], data[i+1:]
-		} else {
-			data = nil
-		}
-		line = bytes.TrimSuffix(line, []byte{'\r'})
-		if len(line) == 0 {
-			continue
-		}
-		if err := fn(line); err != nil {
-			return err
-		}
-	}
-	return nil
+// scanFile calls fn on the value of every record of a whole file.
+func scanFile(data []byte, fn func(rec []byte) error) error {
+	scan, _ := recordio.ScannerFor(data)
+	return scan(data, 0, 0, int64(len(data)), false, func(_, value []byte) error { return fn(value) })
 }

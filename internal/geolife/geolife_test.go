@@ -257,6 +257,21 @@ func TestReadRecordsEmptyDir(t *testing.T) {
 	}
 }
 
+// TestForEachTraceRejectsMissingPath: the driver-side walk resolves
+// input paths as the engine does, so a path that names no file fails
+// the walk even when another path has files.
+func TestForEachTraceRejectsMissingPath(t *testing.T) {
+	c, _ := cluster.NewUniform(2, 1, 1)
+	fs, _ := dfs.New(c, dfs.Config{Seed: 1})
+	if err := WriteRecords(fs, "data", Generate(Config{Users: 2, TotalTraces: 50, Seed: 3})); err != nil {
+		t.Fatal(err)
+	}
+	err := ForEachTrace(fs, []string{"data", "typo"}, func(trace.Trace) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), `"typo"`) {
+		t.Fatalf("ForEachTrace over a missing path: err = %v, want one naming \"typo\"", err)
+	}
+}
+
 // TestCRLFRecordsReadLikeLF pins the driver-side readers to the
 // engine's line reader: a trailing '\r' is not part of the record.
 func TestCRLFRecordsReadLikeLF(t *testing.T) {

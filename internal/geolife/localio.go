@@ -34,7 +34,7 @@ func WriteRecordsLocal(dir string, ds *trace.Dataset) error {
 }
 
 // ReadRecordsLocal reads every *.rec file in a local directory back
-// into a dataset.
+// into a dataset, each read as ForEachRecord reads a DFS file.
 func ReadRecordsLocal(dir string) (*trace.Dataset, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -56,7 +56,7 @@ func ReadRecordsLocal(dir string) (*trace.Dataset, error) {
 		if err != nil {
 			return nil, err
 		}
-		err = forEachLine(data, decoding(func(t trace.Trace) error {
+		err = scanFile(data, decoding(func(t trace.Trace) error {
 			traces = append(traces, t)
 			return nil
 		}))

@@ -6,10 +6,9 @@
 // provided for correctness cross-checks and speed-up benchmarks.
 //
 // Data layout: jobs are typed over trace records via internal/recordio
-// codecs. Input codecs accept both text uploads (lines whose last two
-// tab-separated fields are "user TAB lat,lon,alt,unix", see
-// internal/recordio.DecodeTraceValue) and the binary part files earlier
-// jobs produce. Every trace-emitting job outputs binary recordio
+// codecs. Input codecs accept both text uploads ("user TAB
+// lat,lon,alt,unix" lines, see internal/recordio.DecodeTraceValue) and
+// the binary part files earlier jobs produce. Every trace-emitting job outputs binary recordio
 // records with key = user and value = the encoded trace, so its part
 // files are directly consumable as input records by the next job in a
 // pipeline.
@@ -21,7 +20,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/geo"
 	"repro/internal/trace"
 )
 
@@ -55,21 +53,4 @@ func TimeOfTraceID(id string) (time.Time, error) {
 		return time.Time{}, fmt.Errorf("gepeto: trace ID %q: %v", id, err)
 	}
 	return time.Unix(sec, 0).UTC(), nil
-}
-
-// parsePoint parses "lat,lon".
-func parsePoint(s string) (geo.Point, error) {
-	latS, lonS, ok := strings.Cut(s, ",")
-	if !ok {
-		return geo.Point{}, fmt.Errorf("gepeto: bad point %q", s)
-	}
-	lat, err := strconv.ParseFloat(latS, 64)
-	if err != nil {
-		return geo.Point{}, fmt.Errorf("gepeto: bad latitude %q: %v", latS, err)
-	}
-	lon, err := strconv.ParseFloat(lonS, 64)
-	if err != nil {
-		return geo.Point{}, fmt.Errorf("gepeto: bad longitude %q: %v", lonS, err)
-	}
-	return geo.Point{Lat: lat, Lon: lon}, nil
 }

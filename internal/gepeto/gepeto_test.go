@@ -83,15 +83,3 @@ func TestTraceIDRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestParsePointErrors(t *testing.T) {
-	for _, s := range []string{"", "1", "x,2", "1,y"} {
-		if _, err := parsePoint(s); err == nil {
-			t.Errorf("parsePoint(%q): want error", s)
-		}
-	}
-	p, err := parsePoint("39.9042,116.4074")
-	if err != nil || p.Lat != 39.9042 || p.Lon != 116.4074 {
-		t.Fatalf("parsePoint = %v, %v", p, err)
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"strings"
 
 	"repro/internal/dfs"
 	"repro/internal/geo"
@@ -124,7 +123,7 @@ func KMeansMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts KMe
 		tj.OutputPath = fmt.Sprintf("%s/clusters-%03d", workDir, iter)
 		tj.NumReducers = reducersFor(e, opts.K)
 		tj.Conf = map[string]string{confKMeansDistance: opts.Distance.String()}
-		tj.Cache = map[string][]byte{cacheCentroids: marshalCentroids(centroids)}
+		tj.Cache = map[string][]byte{cacheCentroids: centroidsBlob(centroids)}
 		tj.MaxShuffleBytes = opts.MaxShuffleBytes
 		tj.CompressSpill = opts.CompressSpill
 		if !opts.UseCombiner {
@@ -199,7 +198,7 @@ func (m *kmeansMapper) Setup(ctx *mapreduce.TaskContext) error {
 		return fmt.Errorf("kmeansMapper: centroids not in distributed cache")
 	}
 	var err error
-	m.centroids, err = unmarshalCentroids(blob)
+	m.centroids, err = decodeCentroids(blob)
 	if err != nil {
 		return err
 	}
@@ -408,40 +407,34 @@ func maxMovement(a, b []geo.Point) float64 {
 	return worst
 }
 
-func marshalCentroids(cs []geo.Point) []byte {
-	var sb strings.Builder
-	for i, c := range cs {
-		fmt.Fprintf(&sb, "%d\t%.6f,%.6f\n", i, c.Lat, c.Lon)
+// centroidsBlob encodes centroids for the distributed cache as their
+// recordio.Point encodings back to back, in cluster order: a mapper
+// assigns against the driver's centroids bit for bit.
+func centroidsBlob(cs []geo.Point) []byte {
+	var blob []byte
+	for _, c := range cs {
+		blob = recordio.Point{}.Append(blob, c)
 	}
-	return []byte(sb.String())
+	return blob
 }
 
-// unmarshalCentroids decodes a blob of marshalCentroids: one line per
-// centroid, each index in [0, lines) exactly once. A repeated index is
-// an error (it would leave another centroid at the zero point), and
-// with every index in range and none repeated, none can be missing.
-func unmarshalCentroids(blob []byte) ([]geo.Point, error) {
-	lines := strings.Split(strings.TrimSpace(string(blob)), "\n")
-	out := make([]geo.Point, len(lines))
-	seen := make([]bool, len(lines))
-	for _, line := range lines {
-		idxS, ptS, ok := strings.Cut(line, "\t")
-		if !ok {
-			return nil, fmt.Errorf("kmeans: bad centroid line %q", line)
-		}
-		idx, err := strconv.Atoi(idxS)
-		if err != nil || idx < 0 || idx >= len(lines) {
-			return nil, fmt.Errorf("kmeans: bad centroid index %q", idxS)
-		}
-		if seen[idx] {
-			return nil, fmt.Errorf("kmeans: centroid index %d repeated", idx)
-		}
-		seen[idx] = true
-		p, err := parsePoint(ptS)
+// decodeCentroids decodes a centroidsBlob. A blob whose length is not
+// a positive multiple of a point's 16 bytes is an error, and so is
+// one holding an invalid point.
+func decodeCentroids(blob []byte) ([]geo.Point, error) {
+	if len(blob) == 0 || len(blob)%16 != 0 {
+		return nil, fmt.Errorf("kmeans: centroid blob is %d bytes, want a positive multiple of 16", len(blob))
+	}
+	out := make([]geo.Point, len(blob)/16)
+	for i := range out {
+		p, err := recordio.Point{}.Decode(string(blob[16*i : 16*(i+1)]))
 		if err != nil {
 			return nil, err
 		}
-		out[idx] = p
+		if !p.Valid() {
+			return nil, fmt.Errorf("kmeans: centroid %d is not a valid point: %v", i, p)
+		}
+		out[i] = p
 	}
 	return out, nil
 }

@@ -274,8 +274,10 @@ func TestKMeansMRTooFewPoints(t *testing.T) {
 }
 
 func TestCentroidMarshalRoundTrip(t *testing.T) {
-	cs := []geo.Point{{Lat: 39.9, Lon: 116.4}, {Lat: 40.0, Lon: 116.5}}
-	back, err := unmarshalCentroids(marshalCentroids(cs))
+	// Full-precision coordinates come back bit for bit: the blob
+	// carries the centroids unrounded.
+	cs := []geo.Point{{Lat: 39.9, Lon: 116.4}, {Lat: 40.000000123456789, Lon: -116.50000000000001}}
+	back, err := decodeCentroids(centroidsBlob(cs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,19 +287,22 @@ func TestCentroidMarshalRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalCentroidsRejects(t *testing.T) {
-	for _, tc := range []struct{ name, blob string }{
-		{"junk", "junk"},
-		{"no comma", "0\tnocomma"},
-		{"duplicate", "0\t1,1\n0\t2,2"},
-		{"missing", "0\t1,1\n2\t2,2"},
-		{"negative", "-1\t1,1\n1\t2,2"},
-		{"out of range", "9\t1,2"},
-		{"empty", ""},
-		{"blank lines", "\n \n"},
-		{"inner blank line", "0\t1,1\n\n1\t2,2"},
+	good := centroidsBlob([]geo.Point{{Lat: 1, Lon: 1}, {Lat: 2, Lon: 2}})
+	for _, tc := range []struct {
+		name string
+		blob []byte
+	}{
+		{"empty", nil},
+		{"short", good[:15]},
+		{"ragged", good[:len(good)-1]},
+		{"one point and a byte", good[:17]},
+		{"latitude out of range", centroidsBlob([]geo.Point{{Lat: 1, Lon: 1}, {Lat: 91, Lon: 2}})},
+		{"longitude out of range", centroidsBlob([]geo.Point{{Lat: 1, Lon: -181}})},
+		{"NaN", centroidsBlob([]geo.Point{{Lat: math.NaN(), Lon: 1}})},
+		{"infinity", centroidsBlob([]geo.Point{{Lat: 1, Lon: math.Inf(1)}})},
 	} {
-		if cs, err := unmarshalCentroids([]byte(tc.blob)); err == nil {
-			t.Errorf("%s: unmarshalCentroids(%q) = %v, want error", tc.name, tc.blob, cs)
+		if cs, err := decodeCentroids(tc.blob); err == nil {
+			t.Errorf("%s: decodeCentroids(%x) = %v, want error", tc.name, tc.blob, cs)
 		}
 	}
 }

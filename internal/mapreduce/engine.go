@@ -378,17 +378,7 @@ func readPart[K, V any](fs *dfs.FileSystem, path string, key Codec[K], val Codec
 	if err != nil {
 		return err
 	}
-	r, err := recordio.NewFileReader(int64(len(data)), func(off, n int64) ([]byte, error) {
-		return data[off:min(off+n, int64(len(data)))], nil
-	})
-	if err != nil {
-		return err
-	}
-	for {
-		kb, vb, ok, err := r.NextBytes()
-		if err != nil || !ok {
-			return err
-		}
+	return recordio.ScanAllBytes(data, func(kb, vb []byte) error {
 		k, err := key.Decode(view(kb))
 		if err != nil {
 			return fmt.Errorf("decode key: %v", err)
@@ -397,10 +387,8 @@ func readPart[K, V any](fs *dfs.FileSystem, path string, key Codec[K], val Codec
 		if err != nil {
 			return fmt.Errorf("decode value of key %q: %v", kb, err)
 		}
-		if err := fn(k, v); err != nil {
-			return err
-		}
-	}
+		return fn(k, v)
+	})
 }
 
 // RunPipeline runs jobs in sequence, failing fast; the caller wires

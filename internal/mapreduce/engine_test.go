@@ -165,35 +165,6 @@ func TestNoRecordLossAcrossChunkBoundaries(t *testing.T) {
 	}
 }
 
-func TestRecordOffsetsAreFileOffsets(t *testing.T) {
-	e := newTestEngine(t, 10)
-	writeInput(t, e, "in/f", "aaaa\nbbbb\ncccc\ndddd\n")
-	var mu sync.Mutex
-	offsets := map[string]string{}
-	_, err := e.Run(build(strJob{
-		Name:       "offsets",
-		InputPaths: []string{"in/f"},
-		OutputPath: "out",
-		Mapper: func() strMapper {
-			return strMapFunc(func(_ *TaskContext, k, v string, _ strEmit) error {
-				mu.Lock()
-				offsets[v] = k
-				mu.Unlock()
-				return nil
-			})
-		},
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]string{"aaaa": "0", "bbbb": "5", "cccc": "10", "dddd": "15"}
-	for line, off := range want {
-		if offsets[line] != off {
-			t.Errorf("offset of %q = %s, want %s", line, offsets[line], off)
-		}
-	}
-}
-
 func TestMapOnlyJob(t *testing.T) {
 	e := newTestEngine(t, 64)
 	writeInput(t, e, "in/f", "keep 1\ndrop 2\nkeep 3\n")

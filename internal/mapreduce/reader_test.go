@@ -25,8 +25,8 @@ func newReaderFS(t *testing.T, chunkSize int64) *dfs.FileSystem {
 	return fs
 }
 
-// readAllSplits runs readSplitLines over every split of a file and
-// collects lines and per-split errors.
+// readAllSplits runs readSplit, and so recordio.ScanLines, over every
+// split of a text file and collects lines and per-split errors.
 func readAllSplits(t *testing.T, fs *dfs.FileSystem, path string) (lines []string, errs []error) {
 	t.Helper()
 	splits, err := splitsFor(fs, []string{path})
@@ -34,7 +34,7 @@ func readAllSplits(t *testing.T, fs *dfs.FileSystem, path string) (lines []strin
 		t.Fatal(err)
 	}
 	for _, sp := range splits {
-		err := readSplitLines(fs, sp, func(_ int64, line string) error {
+		err := readSplit(fs, sp, func(_, line string) error {
 			lines = append(lines, line)
 			return nil
 		})
@@ -46,7 +46,7 @@ func readAllSplits(t *testing.T, fs *dfs.FileSystem, path string) (lines []strin
 }
 
 func TestOversizedLineIsAnErrorNotTruncation(t *testing.T) {
-	// A record continuing more than maxLineOverrun bytes past its
+	// A record continuing more than maxOverrun bytes past its
 	// split's end used to be emitted truncated, as if the buffer end
 	// were EOF. It must be a "line too long" error instead, reported by
 	// the split the record starts in.
@@ -54,7 +54,7 @@ func TestOversizedLineIsAnErrorNotTruncation(t *testing.T) {
 	fs := newReaderFS(t, chunk)
 	// The line must outrun its split's read window: longer than one
 	// chunk plus the full overrun allowance.
-	huge := strings.Repeat("x", maxLineOverrun+2*chunk)
+	huge := strings.Repeat("x", maxOverrun+2*chunk)
 	content := "short-line\n" + huge + "\n" + "after\n"
 	if err := fs.Create("in/f", []byte(content), ""); err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestOversizedLineIsAnErrorNotTruncation(t *testing.T) {
 	if len(errs) != 1 {
 		t.Fatalf("got %d split errors, want exactly 1 (from the owning split): %v", len(errs), errs)
 	}
-	if !strings.Contains(errs[0].Error(), "maximum record length") {
+	if !strings.Contains(errs[0].Error(), "overrun budget") {
 		t.Fatalf("error = %v, want oversized-line error", errs[0])
 	}
 	// No split may have emitted a truncated piece of the huge line.
@@ -76,7 +76,7 @@ func TestOversizedLineIsAnErrorNotTruncation(t *testing.T) {
 
 func TestLongLineWithinOverrunStillReads(t *testing.T) {
 	// A record crossing many chunk boundaries but terminating within
-	// maxLineOverrun of its split end is legal and must come back whole.
+	// maxOverrun of its split end is legal and must come back whole.
 	fs := newReaderFS(t, 64)
 	long := strings.Repeat("y", 5000) // spans ~78 chunks, well under the overrun
 	content := "a\n" + long + "\nb\n"
@@ -137,31 +137,45 @@ func viewInputs() (text string, rcio []byte, records map[string]string) {
 }
 
 // checkKeptInput asserts that what a mapper kept is, record for
-// record, what viewInputs wrote: a text value is the line starting at
-// the offset its key names, an RCIO value the one stored with its key,
-// and every record was seen.
+// record, what viewInputs wrote: a text record is an empty key and a
+// line of the file, each line kept as often as it was written, and an
+// RCIO record is a key with the value stored under it, each key kept
+// once.
 func checkKeptInput(t *testing.T, text string, records map[string]string, kept []KV) {
 	t.Helper()
+	lines := map[string]int{}
+	for _, l := range strings.Split(text, "\n") {
+		if l != "" {
+			lines[l]++
+		}
+	}
 	seen := map[string]bool{}
 	for _, kv := range kept {
-		if want, ok := records[kv.Key]; ok {
-			if kv.Value != want {
-				t.Fatalf("record %q kept as %q, written as %q", kv.Key, kv.Value, want)
+		if kv.Key == "" {
+			if lines[kv.Value] == 0 {
+				t.Fatalf("text line kept as %q: not a line of the file, or kept more often than written", kv.Value)
 			}
-		} else if off, err := strconv.Atoi(kv.Key); err != nil || off >= len(text) || off > 0 && text[off-1] != '\n' ||
-			!strings.HasPrefix(text[off:], kv.Value+"\n") {
-			t.Fatalf("text line kept as (%q, %q): not the line at that offset", kv.Key, kv.Value)
+			lines[kv.Value]--
+			continue
+		}
+		if want, ok := records[kv.Key]; !ok || kv.Value != want || seen[kv.Key] {
+			t.Fatalf("record (%q, %q) kept: written as %q (found %v), or kept twice", kv.Key, kv.Value, want, ok)
 		}
 		seen[kv.Key] = true
 	}
-	if want := strings.Count(text, "\n") - strings.Count(text, "\n\n") + len(records); len(seen) != want {
-		t.Fatalf("kept %d distinct records, want %d", len(seen), want)
+	for l, n := range lines {
+		if n != 0 {
+			t.Fatalf("text line %q kept %d times too few", l, n)
+		}
+	}
+	if len(seen) != len(records) {
+		t.Fatalf("kept %d RCIO records, want %d", len(seen), len(records))
 	}
 }
 
 // TestMapInputOutlivesTheRecord: a mapper's input keys and values are
 // views of the split's buffer, never written again, so a mapper may
-// keep them. One that keeps every key and value until the job returns
+// keep them. A text record's key is empty. One that keeps every key and value until the job returns
 // finds them all as written, for text and RCIO input, map-only and
 // with a reducer, in-process and on storeExecutor.
 func TestMapInputOutlivesTheRecord(t *testing.T) {

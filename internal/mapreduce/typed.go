@@ -25,9 +25,9 @@ type TypedMapper[KI, VI, KO, VO any] interface {
 	// k-means and DJ-Cluster mappers load centroids / the R-tree from
 	// the distributed cache here.
 	Setup(ctx *TaskContext) error
-	// Map processes one record. For line-oriented input the key is the
-	// byte offset of the line within the file and the value is the line
-	// text (Hadoop TextInputFormat). The input strings — and what the
+	// Map processes one record. For a text file the key is empty and
+	// the value is the line (see recordio.ScanLines); for a record file
+	// they are the stored key and value. The input strings — and what the
 	// input codecs decode from them, such as a trace's User — alias
 	// the split's read buffer, which nobody writes again: a mapper may
 	// keep them, and keeps the buffer alive while it does.
@@ -114,8 +114,8 @@ type TypedJob[KI, VI, KM, VM, KO, VO any] struct {
 	Combiner func() TypedReducer[KM, VM, KM, VM]
 
 	// InputKey/InputValue decode the map input. For text files the key
-	// is the line's byte-offset string and the value the line; for
-	// binary record files they are the stored key and value bytes.
+	// is empty and the value the line; for binary record files they are
+	// the stored key and value bytes.
 	InputKey   Codec[KI]
 	InputValue Codec[VI]
 	// MapKey/MapValue code the intermediate records. MapKey should

@@ -268,16 +268,17 @@ func TestTraceValueRoundTrip(t *testing.T) {
 func TestDecodeTraceValueTextForms(t *testing.T) {
 	tr := someTrace()
 	rec := tr.Record()
-	// A raw upload line and a text part-file line with a leading key
-	// column must parse identically.
-	for _, s := range []string{rec, tr.User + "\t" + rec} {
-		got, err := DecodeTraceValue(s)
-		if err != nil {
-			t.Fatalf("DecodeTraceValue(%q): %v", s, err)
-		}
-		if got != tr {
-			t.Fatalf("%q -> %+v, want %+v", s, got, tr)
-		}
+	got, err := DecodeTraceValue(rec)
+	if err != nil {
+		t.Fatalf("DecodeTraceValue(%q): %v", rec, err)
+	}
+	if got != tr {
+		t.Fatalf("%q -> %+v, want %+v", rec, got, tr)
+	}
+	// A line with a leading key column is not a record: no part file
+	// is text.
+	if _, err := DecodeTraceValue(tr.User + "\t" + rec); err == nil {
+		t.Fatal("want error for a text record with a key column")
 	}
 	if _, err := DecodeTraceValue("no tabs here"); err == nil {
 		t.Fatal("want error for tabless text")

@@ -46,8 +46,7 @@ var syncMarker = [syncLen]byte{
 }
 
 // IsRecordData reports whether b starts with the record-file header —
-// the format sniff the engine's readers use to dispatch between
-// binary record files and legacy text files.
+// the format sniff behind ScannerFor.
 func IsRecordData(b []byte) bool {
 	return len(b) >= HeaderLen && bytes.Equal(b[:HeaderLen], fileHeader[:])
 }
@@ -122,8 +121,7 @@ func scanAll[T ~string | ~[]byte](data []byte, fn func(key, value T) error) erro
 // ScanSplit iterates the records a split [start, end) of a record
 // file owns. buf holds the file bytes from offset bufStart onward —
 // at least through the split plus enough overrun to finish the
-// split's final block (the engine budgets the same 1 MiB the text
-// reader uses). bufStart must be ≤ start.
+// split's final block. bufStart must be ≤ start.
 //
 // Ownership follows block starts: the record block beginning at file
 // offset p (the initial block at HeaderLen, every other at its sync

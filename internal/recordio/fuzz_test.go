@@ -239,3 +239,64 @@ func FuzzFileReader(f *testing.F) {
 		}
 	})
 }
+
+// FuzzScanLines cuts arbitrary bytes into arbitrary splits and scans
+// each the way the engine does: the buffer starts one byte early and
+// runs at most overrun bytes past the split. The splits must yield
+// every line of the whole-file scan exactly once, in order, unless one
+// of them reports a line longer than the overrun; the whole-file scan
+// must equal a plain split-trim-drop reference; nothing may panic.
+func FuzzScanLines(f *testing.F) {
+	f.Add([]byte("a\nbb\r\n\nccc"), []byte{2, 0, 5}, uint16(4))
+	f.Add([]byte("user\t1,2,3,4\r\n\r\n\nu\t5,6,7,8\n"), []byte{0}, uint16(64))
+	f.Add([]byte("\n\n\r\n\r"), []byte{1}, uint16(1))
+	f.Add([]byte(strings.Repeat("x", 40)+"\ny\n"), []byte{3, 7}, uint16(8))
+	f.Add([]byte("RCIO\x01no header sniff here\n"), []byte{255}, uint16(0))
+	f.Add([]byte{}, []byte{}, uint16(0))
+	f.Fuzz(func(t *testing.T, data, cuts []byte, overrun uint16) {
+		scan := func(buf []byte, bufStart, start, end int, rangeLimited bool) ([]string, error) {
+			var lines []string
+			err := ScanLines(buf, int64(bufStart), int64(start), int64(end), rangeLimited, func(k, v []byte) error {
+				if k != nil {
+					t.Fatalf("line %q scanned with key %q", v, k)
+				}
+				lines = append(lines, string(v))
+				return nil
+			})
+			return lines, err
+		}
+		var want []string
+		longest := 0
+		for _, l := range strings.Split(string(data), "\n") {
+			longest = max(longest, len(l))
+			if l = strings.TrimSuffix(l, "\r"); l != "" {
+				want = append(want, l)
+			}
+		}
+		whole, err := scan(data, 0, 0, len(data), false)
+		if err != nil || !reflect.DeepEqual(whole, want) {
+			t.Fatalf("whole-file scan = %q, %v; want %q", whole, err, want)
+		}
+		var split []string
+		for start, i := 0, 0; start < len(data); i++ {
+			n := 1
+			if len(cuts) > 0 {
+				n += int(cuts[i%len(cuts)])
+			}
+			end := min(start+n, len(data))
+			bufStart, reqEnd := max(start-1, 0), end+int(overrun)
+			lines, err := scan(data[bufStart:min(reqEnd, len(data))], bufStart, start, end, reqEnd <= len(data))
+			if err != nil {
+				if !strings.Contains(err.Error(), "overrun budget") || longest <= int(overrun) {
+					t.Fatalf("split [%d, %d) with overrun %d: %v (longest line %d)", start, end, overrun, err, longest)
+				}
+				return
+			}
+			split = append(split, lines...)
+			start = end
+		}
+		if !reflect.DeepEqual(split, whole) {
+			t.Fatalf("splits yield %q, whole file %q", split, whole)
+		}
+	})
+}

@@ -7,7 +7,6 @@ package recordio
 import (
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"repro/internal/geo"
@@ -15,15 +14,15 @@ import (
 )
 
 // traceTag is the first byte of every binary trace-value encoding. No
-// legacy text record starts with it (records start with a printable
-// user ID), which is what lets DecodeTraceValue dispatch between the
-// binary form and the text form without further framing.
+// text record starts with it (records start with a printable user ID),
+// which is what lets DecodeTraceValue dispatch between the binary form
+// and the text form without further framing.
 const traceTag = 0x01
 
 // TraceValue encodes a trace.Trace as a compact self-contained binary
 // value: tag byte, uvarint-length user ID, then latitude, longitude
 // and altitude as raw float64 bits and the unix time, all big-endian.
-// Decode additionally accepts the legacy text record form (see
+// Decode additionally accepts the text record form (see
 // DecodeTraceValue), so a typed mapper reads text uploads and binary
 // part files through the same codec.
 type TraceValue struct{}
@@ -40,25 +39,17 @@ func (TraceValue) Append(dst []byte, t trace.Trace) []byte {
 	return dst
 }
 
-// Decode parses a binary or legacy text trace record.
+// Decode parses a binary or text trace record.
 func (TraceValue) Decode(s string) (trace.Trace, error) { return DecodeTraceValue(s) }
 
 // DecodeTraceValue is the one shared trace-record parser: it decodes
 // the binary TraceValue form when the tag byte leads, and otherwise
-// falls back to the legacy text record "user\tlat,lon,alt,unix" —
-// taking the last two tab-separated fields, so text part-file lines
-// with a leading key column parse the same way as raw upload lines.
+// the text record "user\tlat,lon,alt,unix" (see trace.ParseRecord).
 func DecodeTraceValue(s string) (trace.Trace, error) {
 	if len(s) > 0 && s[0] == traceTag {
 		return decodeBinaryTrace(s)
 	}
-	j := strings.IndexByte(s, '\t')
-	if j < 0 || strings.IndexByte(s[j+1:], '\t') < 0 {
-		return trace.ParseRecord(s) // an upload line; errors with record context
-	}
-	j = strings.LastIndexByte(s, '\t')
-	i := strings.LastIndexByte(s[:j], '\t')
-	return trace.ParseRecord(s[i+1:])
+	return trace.ParseRecord(s)
 }
 
 func decodeBinaryTrace(s string) (trace.Trace, error) {
