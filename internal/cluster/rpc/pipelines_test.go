@@ -25,6 +25,7 @@ import (
 	"repro/internal/gepeto"
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
+	obstrace "repro/internal/obs/trace"
 	"repro/internal/privacy"
 )
 
@@ -225,6 +226,60 @@ func TestPipelinesRPCMatchInProcess(t *testing.T) {
 	for _, p := range pipelines {
 		t.Run(p.name, func(t *testing.T) {
 			assertSameOutcome(t, runPipeline(t, p.run, nil), runPipeline(t, p.run, onRPCBackend(t, backendOpts{})))
+		})
+	}
+}
+
+// TestFailingPipelineLeavesNoOpenSpan runs the POI attack over input
+// holding a record the trace parser rejects, in-process and on RPC
+// workers. The sampling job's map phase fails; every span and phase the
+// failure unwinds through must still be closed, and failed with the
+// job's error.
+func TestFailingPipelineLeavesNoOpenSpan(t *testing.T) {
+	for _, backend := range []struct {
+		name    string
+		newExec func(*cluster.Cluster, *dfs.FileSystem) mapreduce.Executor
+	}{{"in-process", nil}, {"rpc", onRPCBackend(t, backendOpts{})}} {
+		t.Run(backend.name, func(t *testing.T) {
+			rec := &obs.Recorder{}
+			tk, err := core.NewToolkit(core.ClusterConfig{
+				Nodes: 3, Racks: 2, SlotsPerNode: 2, ChunkSize: 64 << 10, Replication: 3, Seed: 7,
+				Obs: obs.NewBus(rec), Executor: backend.newExec,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tk.Upload(geolife.Generate(geolife.Config{Users: 2, TotalTraces: 500, Seed: 5}), "input"); err != nil {
+				t.Fatal(err)
+			}
+			if err := tk.FS().Create("input/zz-corrupt", []byte("no tab in this record\n"), ""); err != nil {
+				t.Fatal(err)
+			}
+			_, _, attackErr := tk.AttackPOI("input", time.Minute, gepeto.DefaultDJClusterOptions())
+			if attackErr == nil || !strings.Contains(attackErr.Error(), "missing tab") {
+				t.Fatalf("attack error = %v, want the parser's rejection", attackErr)
+			}
+
+			trees := obstrace.Assemble(rec.Events())
+			if len(trees) != 1 {
+				t.Fatalf("trees: %d, want 1", len(trees))
+			}
+			root := trees[0].Root
+			root.Walk(func(s *obstrace.Span) {
+				if s.Status == obstrace.StatusRunning {
+					t.Errorf("%s %q left running", s.Kind, s.Name)
+				}
+			})
+			if root.Name != "attack:input" || root.Status != obstrace.StatusFailed || root.Error != attackErr.Error() {
+				t.Errorf("root span %q: %s, error %q; want failed with %q", root.Name, root.Status, root.Error, attackErr)
+			}
+			job := root.Job("sampling")
+			if job == nil || len(job.Children) != 1 {
+				t.Fatalf("sampling job span: %+v", job)
+			}
+			if m := job.Children[0]; m.Name != "map" || m.Status != obstrace.StatusFailed || m.Error != root.Error {
+				t.Errorf("map phase %q: %s, error %q; want failed with %q", m.Name, m.Status, m.Error, root.Error)
+			}
 		})
 	}
 }

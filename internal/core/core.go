@@ -180,15 +180,8 @@ func (t *Toolkit) AttackPOI(inputDir string, window time.Duration, opts gepeto.D
 	// The whole attack is one pipeline span, so the trace tree links the
 	// sampling job and the DJ-Cluster sub-pipeline under a single root.
 	spanID := "attack:" + inputDir
-	t.cfg.Obs.Emit(obs.Event{Type: obs.SpanStart, Span: spanID,
-		Detail: fmt.Sprintf("window=%s r=%gm", window, opts.RadiusMeters)})
-	defer func() {
-		ev := obs.Event{Type: obs.SpanEnd, Span: spanID}
-		if err != nil {
-			ev.Err = err.Error()
-		}
-		t.cfg.Obs.Emit(ev)
-	}()
+	defer t.cfg.Obs.Begin(obs.Event{Span: spanID,
+		Detail: fmt.Sprintf("window=%s r=%gm", window, opts.RadiusMeters)})(&err)
 	sampledDir := inputDir + "-attack-sampled"
 	job := gepeto.SamplingJob("sampling", []string{inputDir}, sampledDir, window, gepeto.SampleUpperLimit)
 	job.Parent = spanID

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/mapreduce"
+	"repro/internal/obs"
 	"repro/internal/recordio"
 	"repro/internal/rtree"
 	"repro/internal/trace"
@@ -119,11 +120,11 @@ func DJClusterMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts 
 	opts = opts.withDefaults()
 	res = &DJClusterResult{}
 	spanID := "djcluster:" + workDir
-	defer span(e, spanID, opts.Parent, fmt.Sprintf("r=%gm minPts=%d", opts.RadiusMeters, opts.MinPts), &err)()
+	defer e.Obs().Begin(obs.Event{Span: spanID, Parent: opts.Parent, Detail: fmt.Sprintf("r=%gm minPts=%d", opts.RadiusMeters, opts.MinPts)})(&err)
 
 	// Phase 1: preprocessing pipeline.
 	preSpan := spanID + "/preprocess"
-	closePre := span(e, preSpan, spanID, "speed filter + dedup", &err)
+	closePre := e.Obs().Begin(obs.Event{Span: preSpan, Parent: spanID, Detail: "speed filter + dedup"})
 	speedOut := workDir + "/preprocessed-speed"
 	dedupOut := workDir + "/preprocessed"
 	speedJob := SpeedFilterJob("djcluster-speedfilter", inputPaths, speedOut, opts.MaxSpeedKmh)
@@ -131,7 +132,7 @@ func DJClusterMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts 
 	speedJob.Parent, dedupJob.Parent = preSpan, preSpan
 	jobs, err := e.RunPipeline(speedJob, dedupJob)
 	res.JobResults = append(res.JobResults, jobs...)
-	closePre()
+	closePre(&err)
 	if err != nil {
 		return res, err
 	}

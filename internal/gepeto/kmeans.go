@@ -9,6 +9,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/geolife"
 	"repro/internal/mapreduce"
+	"repro/internal/obs"
 	"repro/internal/recordio"
 	"repro/internal/trace"
 )
@@ -100,7 +101,7 @@ const (
 func KMeansMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts KMeansOptions) (res *KMeansResult, err error) {
 	opts = opts.withDefaults()
 	spanID := "kmeans:" + workDir
-	defer span(e, spanID, opts.Parent, fmt.Sprintf("k=%d maxIter=%d", opts.K, opts.MaxIter), &err)()
+	defer e.Obs().Begin(obs.Event{Span: spanID, Parent: opts.Parent, Detail: fmt.Sprintf("k=%d maxIter=%d", opts.K, opts.MaxIter)})(&err)
 	var centroids []geo.Point
 	if opts.PlusPlusInit {
 		var pts []geo.Point

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/geolife"
 	"repro/internal/mapreduce"
+	"repro/internal/obs"
 	"repro/internal/recordio"
 	"repro/internal/rtree"
 	"repro/internal/sfc"
@@ -75,7 +76,7 @@ const (
 func BuildRTreeMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts RTreeBuildOptions) (tree *rtree.Tree, results []*mapreduce.Result, err error) {
 	opts = opts.withDefaults(e)
 	spanID := "rtree:" + workDir
-	defer span(e, spanID, opts.Parent, fmt.Sprintf("curve=%s p=%d", opts.Curve, opts.Partitions), &err)()
+	defer e.Obs().Begin(obs.Event{Span: spanID, Parent: opts.Parent, Detail: fmt.Sprintf("curve=%s p=%d", opts.Curve, opts.Partitions)})(&err)
 	conf := map[string]string{
 		confCurve:      opts.Curve,
 		confPartitions: strconv.Itoa(opts.Partitions),
@@ -131,7 +132,7 @@ func BuildRTreeMR(e *mapreduce.Engine, inputPaths []string, workDir string, opts
 	// single node due to its low computational complexity"). Subtrees
 	// are merged in partition order, which follows the curve, so
 	// adjacent subtrees are spatially close.
-	defer span(e, spanID+"/merge", spanID, "sequential subtree merge", &err)()
+	defer e.Obs().Begin(obs.Event{Span: spanID + "/merge", Parent: spanID, Detail: "sequential subtree merge"})(&err)
 	subtrees, err := readSubtrees(e, phase2Out)
 	if err != nil {
 		return nil, results, err

@@ -1,8 +1,7 @@
 // Package engineapi recognizes the MapReduce engine's API surface in
 // type-checked code: task-code function bodies (anything receiving a
-// *mapreduce.TaskContext), emit callbacks, obs lifecycle events, and
-// the file-system/history interfaces whose errors must not be
-// dropped. Matching is by package-path suffix, so analyzer fixtures
+// *mapreduce.TaskContext), emit callbacks, and the file-system/history
+// interfaces whose errors must not be dropped. Matching is by package-path suffix, so analyzer fixtures
 // can supply stub packages under the same repro/internal/... paths.
 package engineapi
 
@@ -203,34 +202,6 @@ func isByteSlice(t types.Type) bool {
 	}
 	b, ok := s.Elem().Underlying().(*types.Basic)
 	return ok && b.Kind() == types.Byte
-}
-
-// ObsEventConst resolves an expression to the name of the obs
-// EventType constant it denotes ("phase_start" → "PhaseStart" etc.),
-// or "" when it is not a reference to one.
-func ObsEventConst(info *types.Info, e ast.Expr) string {
-	var id *ast.Ident
-	switch e := e.(type) {
-	case *ast.Ident:
-		id = e
-	case *ast.SelectorExpr:
-		id = e.Sel
-	default:
-		return ""
-	}
-	obj, ok := info.Uses[id].(*types.Const)
-	if !ok || !FromPkg(obj, ObsPath) {
-		return ""
-	}
-	if NamedFrom(obj.Type(), "EventType", ObsPath) == nil {
-		return ""
-	}
-	return obj.Name()
-}
-
-// IsObsEventType reports whether t is the obs.Event struct.
-func IsObsEventType(t types.Type) bool {
-	return NamedFrom(t, "Event", ObsPath) != nil
 }
 
 // RawComparerIface returns the mapreduce.RawComparer interface from

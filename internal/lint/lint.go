@@ -2,8 +2,8 @@
 // checks that enforce the MapReduce engine's correctness invariants.
 // Each analyzer guards one contract the type system cannot express —
 // task determinism under re-execution, buffer ownership across the
-// emit boundary, obs event pairing, raw-key sort order, storage error
-// surfacing, and — for the distributed cluster plane — lock-holding
+// emit boundary, raw-key sort order, storage error surfacing, and —
+// for the distributed cluster plane — lock-holding
 // discipline around blocking operations, consistent atomic access,
 // context-flow into retry loops, and gob-faithfulness of every type
 // crossing the rpc transport.
@@ -15,7 +15,6 @@ import (
 	"repro/internal/lint/ctxflow"
 	"repro/internal/lint/emitretain"
 	"repro/internal/lint/errdrop"
-	"repro/internal/lint/eventpairs"
 	"repro/internal/lint/gobwire"
 	"repro/internal/lint/lockheld"
 	"repro/internal/lint/rawkeyorder"
@@ -29,7 +28,6 @@ func Suite() []*analysis.Analyzer {
 		ctxflow.Analyzer,
 		emitretain.Analyzer,
 		errdrop.Analyzer,
-		eventpairs.Analyzer,
 		gobwire.Analyzer,
 		lockheld.Analyzer,
 		rawkeyorder.Analyzer,

@@ -14,9 +14,8 @@
 // *dfs.FileSystem / *rpc.RemoteStore I/O. sync.Cond.Wait is exempt —
 // releasing the lock is its contract.
 //
-// The walk is the same conservative linear pass eventpairs uses:
-// branches are explored with cloned lock-sets and re-merged by
-// intersection, so both the `mu.Unlock(); call(); mu.Lock()` window
+// The walk is a conservative linear pass: branches are explored with
+// cloned lock-sets and re-merged by intersection, so both the `mu.Unlock(); call(); mu.Lock()` window
 // idiom and `defer mu.Unlock()` (which holds to function exit — that
 // is the point) are modeled. Nested function literals are separate
 // contexts: a goroutine body does not inherit the spawner's locks.
@@ -278,9 +277,9 @@ func (w *walker) stmt(s ast.Stmt, st *state) bool {
 }
 
 // clauses walks each case body with cloned lock state. Clause bodies
-// never leak lock transitions into the continuation (conservative, as
-// in eventpairs), and select comm statements are not re-checked — the
-// select itself was already classified.
+// never leak lock transitions into the continuation (conservative),
+// and select comm statements are not re-checked — the select itself
+// was already classified.
 func (w *walker) clauses(body *ast.BlockStmt, st *state) {
 	for _, cl := range body.List {
 		switch cl := cl.(type) {

@@ -4,53 +4,7 @@ package obs
 import (
 	"context"
 	"log/slog"
-	"time"
 )
-
-// EventType enumerates lifecycle events.
-type EventType string
-
-// Event types mirrored from the real package.
-const (
-	JobSubmitted     EventType = "job_submitted"
-	JobFinished      EventType = "job_finished"
-	PhaseStart       EventType = "phase_start"
-	PhaseEnd         EventType = "phase_end"
-	AttemptStarted   EventType = "attempt_started"
-	AttemptSucceeded EventType = "attempt_succeeded"
-	AttemptFailed    EventType = "attempt_failed"
-	AttemptKilled    EventType = "attempt_killed"
-	SpanStart        EventType = "span_start"
-	SpanEnd          EventType = "span_end"
-)
-
-// Event is one lifecycle event.
-type Event struct {
-	Type     EventType
-	Time     time.Time
-	Job      string
-	Parent   string
-	Span     string
-	Phase    string
-	Task     string
-	Attempt  int
-	Node     string
-	Locality string
-	Backup   bool
-	Dur      time.Duration
-	Value    int64
-	Err      string
-	Detail   string
-}
-
-// Bus mirrors the event bus.
-type Bus struct{}
-
-// Emit mirrors Bus.Emit.
-func (b *Bus) Emit(e Event) {}
-
-// Active mirrors Bus.Active.
-func (b *Bus) Active() bool { return false }
 
 // FS mirrors the minimal file-store interface.
 type FS interface {

@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -152,13 +151,12 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 		})
 		return nil, err
 	}
-	// runPhase schedules one phase's tasks between its PhaseStart and
-	// PhaseEnd events — closed even on failure: an unpaired PhaseStart
-	// reads as a still-running phase in the span tree. Only the winning
-	// attempt's result is committed, counters, stats and output alike.
-	runPhase := func(name string, specs []TaskSpec, reports []TaskReport, commit func(i int, tr TaskResult)) (time.Duration, error) {
-		t0 := time.Now()
-		bus.Emit(obs.Event{Type: obs.PhaseStart, Job: job.Name, Phase: name, Time: t0})
+	// runPhase schedules one phase's tasks inside a phase span, closed
+	// on failure too, and returns the phase wall. parts is the shuffle
+	// summary the reduce phase opens with. Only the winning attempt's
+	// result is committed, counters, stats and output alike.
+	runPhase := func(name string, parts []obs.PartStat, specs []TaskSpec, reports []TaskReport, commit func(i int, tr TaskResult)) (time.Duration, error) {
+		end := bus.Begin(obs.Event{Job: job.Name, Phase: name, Parts: parts})
 		p := &phase{
 			e: e, job: job, name: name, specs: specs, maxAttempts: maxAttempts, exec: exec, res: res,
 			commit: func(i int, tr TaskResult, rep TaskReport) {
@@ -169,13 +167,10 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 			},
 		}
 		err := p.run()
-		end := obs.Event{Type: obs.PhaseEnd, Job: job.Name, Phase: name, Dur: time.Since(t0)}
 		if err != nil {
-			end.Err = err.Error()
 			err = fmt.Errorf("mapreduce: job %s: %v", job.Name, err)
 		}
-		bus.Emit(end)
-		return end.Dur, err
+		return end(&err), err
 	}
 	// commitOutputs renames each task's winning temp file into place as
 	// a part file, then finalises the successful result: the job's
@@ -213,7 +208,7 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 			MapOnly: mapOnly, NumReducers: numReducers, Split: sp,
 		}
 	}
-	res.MapWall, err = runPhase("map", mapSpecs, res.Tasks, func(i int, tr TaskResult) {
+	res.MapWall, err = runPhase("map", nil, mapSpecs, res.Tasks, func(i int, tr TaskResult) {
 		st := tr.Stats
 		res.Counters.Get(CounterGroupTask, CounterMapInputRecords).Inc(st.MapInputRecords)
 		res.Counters.Get(CounterGroupTask, CounterMapOutputRecords).Inc(st.MapOutputRecords)
@@ -275,20 +270,12 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 	}
 	res.Counters.Get(CounterGroupShuffle, CounterShuffleBytes).Inc(shuffleBytes)
 	res.Counters.Get(CounterGroupShuffle, CounterShuffleRunsMerged).Inc(totalRuns)
-	bus.Emit(obs.Event{
-		Type: obs.PhaseStart, Job: job.Name, Phase: "shuffle", Time: shuffleStart,
-		Detail: fmt.Sprintf("partitions=%d runs=%d", numReducers, totalRuns),
-	})
 	res.ShuffleWall = time.Since(shuffleStart)
-	bus.Emit(obs.Event{
-		Type: obs.PhaseEnd, Job: job.Name, Phase: "shuffle", Dur: res.ShuffleWall,
-		Value: shuffleBytes, Detail: shuffleDetail(parts), Parts: parts,
-	})
 
 	// ---- Reduce phase ----
 	temps := make([]string, numReducers)
 	reduceReports := make([]TaskReport, numReducers)
-	res.ReduceWall, err = runPhase("reduce", reduceSpecs, reduceReports, func(r int, tr TaskResult) {
+	res.ReduceWall, err = runPhase("reduce", parts, reduceSpecs, reduceReports, func(r int, tr TaskResult) {
 		st := tr.Stats
 		res.Counters.Get(CounterGroupTask, CounterReduceInputRecords).Inc(st.ReduceInputRecords)
 		res.Counters.Get(CounterGroupTask, CounterReduceOutput).Inc(st.ReduceOutputRecords)
@@ -331,25 +318,6 @@ func runReduce(ctx *TaskContext, red reducer, it cursor, cmp func(a, b string) i
 		return 0, fmt.Errorf("cleanup: %v", err)
 	}
 	return groups, nil
-}
-
-// shuffleDetail renders the per-partition summary carried on the
-// shuffle PhaseEnd event: runs, records and bytes per reduce partition,
-// capped so huge reducer counts stay readable.
-func shuffleDetail(parts []obs.PartStat) string {
-	const maxParts = 16
-	var sb strings.Builder
-	for i, p := range parts {
-		if i == maxParts {
-			fmt.Fprintf(&sb, " …(+%d partitions)", len(parts)-maxParts)
-			break
-		}
-		if i > 0 {
-			sb.WriteByte(' ')
-		}
-		fmt.Fprintf(&sb, "p%d:runs=%d,records=%d,bytes=%d", p.Part, p.Runs, p.Records, p.Bytes)
-	}
-	return sb.String()
 }
 
 // ReadOutput streams the records of a completed job's output

@@ -63,10 +63,11 @@ func TestEngineEventLifecycle(t *testing.T) {
 		t.Error("JobFinished carries no duration")
 	}
 
-	// Each phase opens and closes exactly once, in order.
-	wantPhases := []string{"map", "shuffle", "reduce"}
+	// Each phase opens and closes exactly once, in order; the shuffle
+	// only plans, so it has no phase of its own.
+	wantPhases := []string{"map", "reduce"}
 	starts, ends := rec.ByType(obs.PhaseStart), rec.ByType(obs.PhaseEnd)
-	if len(starts) != 3 || len(ends) != 3 {
+	if len(starts) != 2 || len(ends) != 2 {
 		t.Fatalf("phase events: %d starts, %d ends", len(starts), len(ends))
 	}
 	for i, ph := range wantPhases {
@@ -74,16 +75,19 @@ func TestEngineEventLifecycle(t *testing.T) {
 			t.Errorf("phase %d = start %q / end %q, want %q", i, starts[i].Phase, ends[i].Phase, ph)
 		}
 	}
-	// The shuffle PhaseEnd carries the shuffled byte volume.
-	if got := ends[1].Value; got != res.Counters.Value(CounterGroupShuffle, CounterShuffleBytes) {
-		t.Errorf("shuffle PhaseEnd value = %d, want shuffle_bytes counter", got)
+	if ends[0].Dur != res.MapWall || ends[1].Dur != res.ReduceWall {
+		t.Errorf("PhaseEnd durs %v/%v, want MapWall %v / ReduceWall %v", ends[0].Dur, ends[1].Dur, res.MapWall, res.ReduceWall)
 	}
-	// ... and the per-partition merge summary the trace assembler and
-	// skew analysis consume: one PartStat per reduce partition, whose
-	// byte/run totals match the shuffle counters.
-	parts := ends[1].Parts
+	// The reduce PhaseStart carries the per-partition merge summary the
+	// trace assembler, skew analysis and shuffle metrics consume: one
+	// PartStat per reduce partition, whose byte/run totals match the
+	// shuffle counters.
+	if len(starts[0].Parts) != 0 {
+		t.Errorf("map PhaseStart carries %d parts", len(starts[0].Parts))
+	}
+	parts := starts[1].Parts
 	if len(parts) != res.ReduceTasks {
-		t.Fatalf("shuffle PhaseEnd parts: %d, want %d", len(parts), res.ReduceTasks)
+		t.Fatalf("reduce PhaseStart parts: %d, want %d", len(parts), res.ReduceTasks)
 	}
 	var partBytes, partRuns, partRecords int64
 	for i, p := range parts {
@@ -149,6 +153,51 @@ func TestEngineEventLifecycle(t *testing.T) {
 	}
 	if len(recs) != 1 || recs[0].Job != "lifecycle" || len(recs[0].Attempts) != tasks {
 		t.Fatalf("history records: %+v", recs)
+	}
+}
+
+// The shuffle metrics a MetricsSink derives from a real run agree with
+// the job's own counters and with the Parts the reduce phase opened
+// with.
+func TestMetricsSinkAgreesWithCounters(t *testing.T) {
+	e, rec, _ := newObservedEngine(t, 32, Options{})
+	reg := obs.NewRegistry()
+	e.opts.Obs = obs.NewBus(rec, obs.NewMetricsSink(reg))
+	writeInput(t, e, "in/text", strings.Repeat("the quick brown fox jumps\n", 30))
+	res, err := e.Run(build(strJob{
+		Name:        "metrics",
+		InputPaths:  []string{"in"},
+		OutputPath:  "out",
+		Mapper:      func() strMapper { return wordMapper{} },
+		Reducer:     func() strReducer { return sumReducer{} },
+		NumReducers: 3,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantRecords, wantBytes int64
+	for _, st := range rec.ByType(obs.PhaseStart) {
+		for _, p := range st.Parts {
+			wantRecords += p.Records
+			wantBytes += p.Bytes
+		}
+	}
+	sums := map[string]int64{}
+	for _, pt := range reg.Snapshot() {
+		sums[pt.Name] += pt.Value
+	}
+	shuffleBytes := res.Counters.Value(CounterGroupShuffle, CounterShuffleBytes)
+	if shuffleBytes <= 0 || wantRecords <= 0 {
+		t.Fatalf("nothing shuffled: %d bytes, %d records", shuffleBytes, wantRecords)
+	}
+	if got := sums["mr_shuffle_bytes_total"]; got != shuffleBytes {
+		t.Errorf("mr_shuffle_bytes_total = %d, want shuffle.bytes counter %d", got, shuffleBytes)
+	}
+	if got := sums["shuffle_partition_bytes"]; got != wantBytes {
+		t.Errorf("Σ shuffle_partition_bytes = %d, want Σ Parts bytes %d", got, wantBytes)
+	}
+	if got := sums["shuffle_partition_records"]; got != wantRecords {
+		t.Errorf("Σ shuffle_partition_records = %d, want Σ Parts records %d", got, wantRecords)
 	}
 }
 

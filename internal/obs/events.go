@@ -35,7 +35,8 @@ const (
 	JobSubmitted EventType = "job_submitted"
 	// JobFinished marks a job leaving the engine (Err set on failure).
 	JobFinished EventType = "job_finished"
-	// PhaseStart/PhaseEnd bracket the map, shuffle and reduce phases.
+	// PhaseStart/PhaseEnd bracket the map and reduce phases. Only
+	// Bus.Begin emits them.
 	PhaseStart EventType = "phase_start"
 	PhaseEnd   EventType = "phase_end"
 	// AttemptStarted marks a task attempt being placed on a node slot
@@ -51,7 +52,8 @@ const (
 	// per such attempt, when that is decided: before the PhaseEnd.
 	AttemptKilled EventType = "attempt_killed"
 	// SpanStart/SpanEnd bracket driver-level pipeline spans (k-means
-	// iterations, DJ-Cluster phases, R-tree build).
+	// iterations, DJ-Cluster phases, R-tree build). Only Bus.Begin
+	// emits them.
 	SpanStart EventType = "span_start"
 	SpanEnd   EventType = "span_end"
 	// WorkerJoined/WorkerLost mark out-of-process worker membership at
@@ -86,7 +88,7 @@ type Event struct {
 	Parent string
 	// Span is the span ID for SpanStart/SpanEnd events.
 	Span string
-	// Phase is "map", "shuffle" or "reduce" for phase/task events.
+	// Phase is "map" or "reduce" for phase/task events.
 	Phase string
 	// Task identifies the task ("map-0007") for attempt events.
 	Task string
@@ -99,22 +101,25 @@ type Event struct {
 	// Backup marks speculative (backup) attempts.
 	Backup bool
 	// Dur carries a duration where meaningful (attempt run time on
-	// terminal attempt events, phase wall on PhaseEnd, job wall on
-	// JobFinished).
+	// terminal attempt events, span or phase wall on SpanEnd/PhaseEnd,
+	// job wall on JobFinished).
 	Dur time.Duration
-	// Value carries an event-specific magnitude: shuffle bytes on the
-	// shuffle PhaseEnd; on terminal attempt events, the attempts the
-	// task has launched (on AttemptSucceeded, TaskReport.Attempts); on
-	// RPCRoundTrip, the remote run time in nanoseconds.
+	// Value carries an event-specific magnitude: on terminal attempt
+	// events, the attempts the task has launched (on AttemptSucceeded,
+	// TaskReport.Attempts); on RPCRoundTrip, the remote run time in
+	// nanoseconds.
 	Value int64
-	// Err is the failure reason for AttemptFailed / failed JobFinished.
+	// Err is the failure reason for AttemptFailed and for a failed
+	// JobFinished, SpanEnd or PhaseEnd.
 	Err string
 	// Detail is free-form context ("maps=12 reducers=4").
 	Detail string
 	// Parts is the per-reduce-partition shuffle summary, set on the
-	// shuffle PhaseEnd event. It is the raw material for skew analysis:
-	// the DJ-Cluster merge funnelling everything into one reducer shows
-	// up here as one partition holding all the records.
+	// reduce PhaseStart: the shuffle only plans, so the partitions are
+	// known when the reduce phase opens. It is the raw material for
+	// skew analysis and the shuffle byte metrics: the DJ-Cluster merge
+	// funnelling everything into one reducer shows up here as one
+	// partition holding all the records.
 	Parts []PartStat
 }
 
@@ -168,6 +173,39 @@ func (b *Bus) Emit(e Event) {
 	}
 	for _, s := range b.sinks {
 		s.Emit(e)
+	}
+}
+
+// Begin is the one way to open a span or a phase: it emits start as a
+// PhaseStart when start.Phase is set (identity Job+Phase) and as a
+// SpanStart otherwise (identity Span), overwriting any Type the caller
+// set. The returned closer emits the matching PhaseEnd or SpanEnd with
+// the same identity, the elapsed Dur, and the error *errp holds at
+// close time (errp may be nil), and returns that duration, so
+//
+//	defer bus.Begin(obs.Event{Span: id, Parent: parent})(&err)
+//
+// closes the span on every return path. Safe on a nil bus, where the
+// closer still measures: callers that keep their own wall times need
+// no second clock.
+func (b *Bus) Begin(start Event) func(errp *error) time.Duration {
+	end := Event{Job: start.Job, Parent: start.Parent, Span: start.Span, Phase: start.Phase}
+	start.Type, end.Type = SpanStart, SpanEnd
+	if start.Phase != "" {
+		start.Type, end.Type = PhaseStart, PhaseEnd
+	}
+	if start.Time.IsZero() {
+		start.Time = time.Now()
+	}
+	b.Emit(start)
+	return func(errp *error) time.Duration {
+		end.Time = time.Now()
+		end.Dur = end.Time.Sub(start.Time)
+		if errp != nil && *errp != nil {
+			end.Err = (*errp).Error()
+		}
+		b.Emit(end)
+		return end.Dur
 	}
 }
 

@@ -480,18 +480,22 @@ func (m *MetricsSink) Emit(e Event) {
 		}
 		m.reg.Counter("mr_jobs_finished_total", "MapReduce jobs finished, by status.", Labels{"status": status}).Inc()
 		m.reg.Histogram("mr_job_duration_seconds", "Wall time of finished jobs.", nil, nil).Observe(e.Dur.Seconds())
-	case PhaseEnd:
-		m.reg.Histogram("mr_phase_duration_seconds", "Wall time per job phase.", nil, Labels{"phase": e.Phase}).Observe(e.Dur.Seconds())
-		if e.Phase == "shuffle" && e.Value > 0 {
-			m.reg.Counter("mr_shuffle_bytes_total", "Intermediate bytes moved by the shuffle.", nil).Add(e.Value)
-		}
-		// Per-partition shuffle distribution, the skew signal: a hot
-		// reduce key shows up as one partition label dominating both.
+	case PhaseStart:
+		// The reduce phase opens with the shuffle's per-partition
+		// distribution, the skew signal: a hot reduce key shows up as
+		// one partition label dominating both series.
+		var bytes int64
 		for _, p := range e.Parts {
 			part := Labels{"partition": strconv.Itoa(p.Part)}
 			m.reg.Counter("shuffle_partition_records", "Records merged into each reduce partition.", part).Add(p.Records)
 			m.reg.Counter("shuffle_partition_bytes", "Bytes merged into each reduce partition.", part).Add(p.Bytes)
+			bytes += p.Bytes
 		}
+		if bytes > 0 {
+			m.reg.Counter("mr_shuffle_bytes_total", "Intermediate bytes moved by the shuffle.", nil).Add(bytes)
+		}
+	case PhaseEnd:
+		m.reg.Histogram("mr_phase_duration_seconds", "Wall time per job phase.", nil, Labels{"phase": e.Phase}).Observe(e.Dur.Seconds())
 	case AttemptStarted:
 		m.reg.Counter("mr_task_attempts_scheduled_total", "Task attempts assigned to node slots.", Labels{"phase": e.Phase}).Inc()
 	case AttemptSucceeded:

@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -40,6 +41,48 @@ func TestBusFansOutAndStampsTime(t *testing.T) {
 	b.Emit(Event{Type: JobFinished, Job: "j", Time: at})
 	if got := r1.ByType(JobFinished)[0].Time; !got.Equal(at) {
 		t.Errorf("Time = %v, want %v", got, at)
+	}
+}
+
+func TestBeginPairsStartAndEnd(t *testing.T) {
+	rec := &Recorder{}
+	b := NewBus(rec)
+	// A Phase makes a phase whatever Type the caller set; its end keeps
+	// the Job+Phase identity and carries the error held at close time.
+	closePhase := b.Begin(Event{Type: JobSubmitted, Job: "j", Phase: "reduce", Parts: []PartStat{{Bytes: 5}}})
+	err := errors.New("boom")
+	phaseDur := closePhase(&err)
+	// No Phase makes a pipeline span; a nil error pointer closes it clean.
+	closeSpan := b.Begin(Event{Span: "s", Parent: "p", Detail: "d"})
+	spanDur := closeSpan(nil)
+
+	evs := rec.Events()
+	if len(evs) != 4 {
+		t.Fatalf("events: %d, want 4", len(evs))
+	}
+	ps, pe, ss, se := evs[0], evs[1], evs[2], evs[3]
+	if ps.Type != PhaseStart || pe.Type != PhaseEnd || ss.Type != SpanStart || se.Type != SpanEnd {
+		t.Fatalf("types: %s %s %s %s", ps.Type, pe.Type, ss.Type, se.Type)
+	}
+	if pe.Job != "j" || pe.Phase != "reduce" || pe.Err != "boom" || len(pe.Parts) != 0 {
+		t.Errorf("phase end: %+v", pe)
+	}
+	if len(ps.Parts) != 1 {
+		t.Errorf("phase start lost its Parts: %+v", ps)
+	}
+	if se.Span != "s" || se.Parent != "p" || se.Err != "" || se.Detail != "" {
+		t.Errorf("span end: %+v", se)
+	}
+	if pe.Dur != phaseDur || se.Dur != spanDur || pe.Dur != pe.Time.Sub(ps.Time) {
+		t.Errorf("durations: phase %v (returned %v), span %v (returned %v)", pe.Dur, phaseDur, se.Dur, spanDur)
+	}
+
+	// A nil bus emits nothing but still measures.
+	var nb *Bus
+	closeNil := nb.Begin(Event{Job: "j", Phase: "map"})
+	time.Sleep(time.Millisecond)
+	if d := closeNil(nil); d < time.Millisecond {
+		t.Errorf("nil bus closer measured %v, want ≥ 1ms", d)
 	}
 }
 
@@ -120,7 +163,8 @@ func TestMetricsSinkDerivesEngineMetrics(t *testing.T) {
 	s.Emit(Event{Type: AttemptSucceeded, Phase: "map", Attempt: 0, Value: 2, Locality: "data-local", Dur: 20 * time.Millisecond})
 	s.Emit(Event{Type: AttemptFailed, Phase: "map", Err: "boom"})
 	s.Emit(Event{Type: AttemptKilled, Phase: "reduce"})
-	s.Emit(Event{Type: PhaseEnd, Phase: "shuffle", Value: 1234, Dur: time.Millisecond})
+	s.Emit(Event{Type: PhaseStart, Phase: "reduce", Parts: []PartStat{{Part: 0, Bytes: 1000}, {Part: 1, Bytes: 234}}})
+	s.Emit(Event{Type: PhaseEnd, Phase: "reduce", Dur: time.Millisecond})
 	s.Emit(Event{Type: JobFinished, Job: "j", Dur: 50 * time.Millisecond})
 	s.Emit(Event{Type: RPCRoundTrip, Node: "n1", Dur: 3 * time.Millisecond, Value: int64(2 * time.Millisecond)})
 	s.Emit(Event{Type: RPCRoundTrip, Node: "n1", Dur: 3 * time.Millisecond, Err: "boom"})
@@ -137,6 +181,7 @@ func TestMetricsSinkDerivesEngineMetrics(t *testing.T) {
 		`mr_task_attempts_total{phase="reduce",status="killed"} 1`,
 		"mr_speculative_killed_total 1",
 		"mr_shuffle_bytes_total 1234",
+		`mr_phase_duration_seconds_count{phase="reduce"} 1`,
 		`mr_task_locality_total{locality="data-local"} 1`,
 		`cluster_worker_tasks_total{status="succeeded",worker="n1"} 1`,
 		`cluster_worker_tasks_total{status="failed",worker="n1"} 1`,
@@ -156,14 +201,16 @@ func TestMetricsSinkDerivesEngineMetrics(t *testing.T) {
 func TestMetricsSinkPartitionCounters(t *testing.T) {
 	reg := NewRegistry()
 	s := NewMetricsSink(reg)
-	s.Emit(Event{Type: PhaseEnd, Phase: "shuffle", Value: 60, Dur: time.Millisecond, Parts: []PartStat{
+	s.Emit(Event{Type: PhaseStart, Phase: "reduce", Parts: []PartStat{
 		{Part: 0, Runs: 2, Records: 3, Bytes: 10},
 		{Part: 1, Runs: 2, Records: 97, Bytes: 50},
 	}})
 	// A second job's shuffle accumulates into the same partition series.
-	s.Emit(Event{Type: PhaseEnd, Phase: "shuffle", Value: 4, Dur: time.Millisecond, Parts: []PartStat{
+	s.Emit(Event{Type: PhaseStart, Phase: "reduce", Parts: []PartStat{
 		{Part: 0, Runs: 1, Records: 1, Bytes: 4},
 	}})
+	// A phase opened without Parts (the map phase) adds nothing.
+	s.Emit(Event{Type: PhaseStart, Phase: "map"})
 
 	var sb strings.Builder
 	reg.WritePrometheus(&sb)
@@ -173,6 +220,7 @@ func TestMetricsSinkPartitionCounters(t *testing.T) {
 		`shuffle_partition_records{partition="1"} 97`,
 		`shuffle_partition_bytes{partition="0"} 14`,
 		`shuffle_partition_bytes{partition="1"} 50`,
+		"mr_shuffle_bytes_total 64",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q:\n%s", want, out)

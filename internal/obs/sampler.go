@@ -9,9 +9,9 @@ import (
 
 // StartRuntimeSampler samples Go runtime health — heap, goroutines,
 // GC — into registry gauges on a ticker, so phase timings and traces
-// can be correlated with memory pressure (the shuffle holding every
-// partition in memory shows up as a go_heap_alloc_bytes ramp between a
-// map PhaseEnd and the matching reduce PhaseStart).
+// can be correlated with memory pressure (map output runs held in
+// memory show up as a go_heap_alloc_bytes ramp across the map phase
+// that the reduce phase drains).
 //
 // It samples once immediately, then every interval (minimum 100ms,
 // default 1s when interval <= 0). The returned stop function halts the

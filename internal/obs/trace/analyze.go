@@ -33,11 +33,11 @@ func (o Options) withDefaults() Options {
 // each microsecond to a phase (or to "driver" for time outside any
 // phase).
 type PathStep struct {
-	// Phase is "map", "shuffle", "reduce" or "driver".
+	// Phase is "map", "reduce" or "driver".
 	Phase string `json:"phase"`
 	// Kind is "attempt" (a bounding task attempt ran), "wait" (inside
-	// a phase but off any bounding attempt: slot queueing, shuffle
-	// planning) or "driver" (between phases: split computation, output
+	// a phase but off any bounding attempt: slot queueing) or "driver"
+	// (between phases: split computation, shuffle planning, output
 	// commit).
 	Kind string `json:"kind"`
 	// Task/Attempt/Node identify the bounding attempt for attempt steps.
@@ -286,7 +286,8 @@ func phaseChain(phase *Span) []PathStep {
 	sort.SliceStable(done, func(i, j int) bool { return done[i].EndUs > done[j].EndUs })
 
 	if len(done) == 0 {
-		// No attempts: the shuffle, which only plans.
+		// No attempts: a zero-task phase, or one cut before any
+		// attempt finished.
 		return []PathStep{{Phase: phase.Name, Kind: "wait",
 			StartUs: phase.StartUs, EndUs: phase.EndUs}}
 	}
@@ -418,12 +419,12 @@ func stragglers(job *Span, factor float64) []Straggler {
 	return out
 }
 
-// skew summarises the shuffle partition distribution, flagging hot
-// partitions.
+// skew summarises the shuffle partition distribution the reduce phase
+// opened with, flagging hot partitions.
 func skew(job *Span, factor float64) *SkewReport {
 	var parts []obs.PartStat
 	for _, phase := range job.Children {
-		if phase.Kind == KindPhase && phase.Name == "shuffle" && len(phase.Parts) > 0 {
+		if phase.Kind == KindPhase && len(phase.Parts) > 0 {
 			parts = phase.Parts
 			break
 		}

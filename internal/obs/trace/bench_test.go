@@ -9,7 +9,7 @@ import (
 )
 
 // benchEvents synthesizes a pipeline of jobs jobs × tasks map attempts
-// (plus shuffle Parts and reducers), the shape Assemble and the
+// (plus reducers opened with shuffle Parts), the shape Assemble and the
 // analysis passes see from a real k-means run.
 func benchEvents(jobs, tasks int) []obs.Event {
 	var evs []obs.Event
@@ -36,9 +36,7 @@ func benchEvents(jobs, tasks int) []obs.Event {
 		for p := range parts {
 			parts[p] = obs.PartStat{Part: p, Runs: int64(tasks), Records: 100, Bytes: 3200}
 		}
-		mk(obs.PhaseStart, mapEnd+5, obs.Event{Job: job, Phase: "shuffle"})
-		mk(obs.PhaseEnd, mapEnd+100, obs.Event{Job: job, Phase: "shuffle", Value: 12800, Parts: parts})
-		mk(obs.PhaseStart, mapEnd+110, obs.Event{Job: job, Phase: "reduce"})
+		mk(obs.PhaseStart, mapEnd+110, obs.Event{Job: job, Phase: "reduce", Parts: parts})
 		for r := 0; r < 4; r++ {
 			task := fmt.Sprintf("reduce-%04d", r)
 			mk(obs.AttemptStarted, mapEnd+120, obs.Event{Job: job, Phase: "reduce", Task: task, Node: fmt.Sprintf("n%d", r)})

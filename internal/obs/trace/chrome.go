@@ -110,12 +110,7 @@ func BuildChrome(t *Tree) *ChromeTrace {
 			args["error"] = s.Error
 		}
 		switch s.Kind {
-		case KindPipeline, KindJob:
-			complete(s.Name, s.Kind, controlTid, s.StartUs, s.DurUs(), args)
-		case KindPhase:
-			if s.Value > 0 {
-				args["bytes"] = s.Value
-			}
+		case KindPipeline, KindJob, KindPhase:
 			complete(s.Name, s.Kind, controlTid, s.StartUs, s.DurUs(), args)
 		case KindAttempt:
 			args["attempt"] = s.Attempt

@@ -106,7 +106,7 @@ func TestEngineTracePhaseSumMatchesWall(t *testing.T) {
 			sum, wall, 100*float64(diff)/float64(wall))
 	}
 
-	// The shuffle span carries one PartStat per reducer, and the skew
+	// The reduce phase carries one PartStat per reducer, and the skew
 	// pass sees all the records.
 	if ja.Skew == nil || ja.Skew.Partitions != 3 {
 		t.Fatalf("skew report: %+v", ja.Skew)

@@ -53,7 +53,7 @@ type Span struct {
 	// Kind is pipeline, job, phase or attempt.
 	Kind string `json:"kind"`
 	// Name identifies the span: the span ID for pipelines, job name for
-	// jobs, "map"/"shuffle"/"reduce" for phases, task ID for attempts.
+	// jobs, "map"/"reduce" for phases, task ID for attempts.
 	Name string `json:"name"`
 	// Attempt is the 0-based attempt number (attempt spans only).
 	Attempt int `json:"attempt,omitempty"`
@@ -73,10 +73,7 @@ type Span struct {
 	// EndUs == StartUs for spans still open when the tree was cut.
 	StartUs int64 `json:"start_us"`
 	EndUs   int64 `json:"end_us"`
-	// Value carries the event magnitude (shuffle bytes on the shuffle
-	// phase span).
-	Value int64 `json:"value,omitempty"`
-	// Parts is the per-reduce-partition merge summary (shuffle phase
+	// Parts is the per-reduce-partition merge summary (reduce phase
 	// spans only), the input to skew analysis.
 	Parts []obs.PartStat `json:"parts,omitempty"`
 	// Children are the nested spans, ordered by StartUs.
@@ -222,6 +219,9 @@ func (a *assembler) add(e obs.Event) {
 		j := a.job(e.Job, ts)
 		p := &Span{Kind: KindPhase, Name: e.Phase, Status: StatusRunning,
 			Detail: e.Detail, StartUs: ts, EndUs: ts}
+		if len(e.Parts) > 0 {
+			p.Parts = append([]obs.PartStat(nil), e.Parts...)
+		}
 		a.phases[e.Job+"\x00"+e.Phase] = p
 		j.Children = append(j.Children, p)
 	case obs.PhaseEnd:
@@ -233,12 +233,9 @@ func (a *assembler) add(e obs.Event) {
 		}
 		p.EndUs = ts
 		p.Status = StatusSucceeded
-		p.Value = e.Value
-		if e.Detail != "" {
-			p.Detail = e.Detail
-		}
-		if len(e.Parts) > 0 {
-			p.Parts = append([]obs.PartStat(nil), e.Parts...)
+		if e.Err != "" {
+			p.Status = StatusFailed
+			p.Error = e.Err
 		}
 	case obs.AttemptStarted:
 		s := &Span{Kind: KindAttempt, Name: e.Task, Attempt: e.Attempt,

@@ -29,8 +29,8 @@ func at(us int64) time.Time { return fixtureBase.Add(time.Duration(us) * time.Mi
 
 // fixtureEvents is a deterministic pipeline run: a root span holding a
 // sub-span holding one job, with a straggling map task rescued by a
-// speculative backup, a failed-then-retried map task, a skewed
-// three-partition shuffle, and two reducers.
+// speculative backup, a failed-then-retried map task, and two reducers
+// behind a skewed three-partition shuffle.
 func fixtureEvents() []obs.Event {
 	mk := func(t obs.EventType, us int64, f obs.Event) obs.Event {
 		f.Type = t
@@ -54,13 +54,11 @@ func fixtureEvents() []obs.Event {
 		mk(obs.AttemptSucceeded, 4500, obs.Event{Job: "job-a", Phase: "map", Task: "map-0001", Attempt: 1, Node: "n1", Backup: true}),
 		mk(obs.AttemptKilled, 4600, obs.Event{Job: "job-a", Phase: "map", Task: "map-0001", Node: "n2"}),
 		mk(obs.PhaseEnd, 5000, obs.Event{Job: "job-a", Phase: "map"}),
-		mk(obs.PhaseStart, 5100, obs.Event{Job: "job-a", Phase: "shuffle"}),
-		mk(obs.PhaseEnd, 6000, obs.Event{Job: "job-a", Phase: "shuffle", Value: 6000, Parts: []obs.PartStat{
+		mk(obs.PhaseStart, 6100, obs.Event{Job: "job-a", Phase: "reduce", Parts: []obs.PartStat{
 			{Part: 0, Runs: 1, Records: 2, Bytes: 100},
 			{Part: 1, Runs: 1, Records: 4, Bytes: 200},
 			{Part: 2, Runs: 3, Records: 94, Bytes: 5700},
 		}}),
-		mk(obs.PhaseStart, 6100, obs.Event{Job: "job-a", Phase: "reduce"}),
 		mk(obs.AttemptStarted, 6200, obs.Event{Job: "job-a", Phase: "reduce", Task: "reduce-0000", Node: "n2"}),
 		mk(obs.AttemptStarted, 6200, obs.Event{Job: "job-a", Phase: "reduce", Task: "reduce-0001", Node: "n3"}),
 		mk(obs.AttemptSucceeded, 6500, obs.Event{Job: "job-a", Phase: "reduce", Task: "reduce-0001", Node: "n3"}),
@@ -98,8 +96,8 @@ func TestAssembleBuildsCausalTree(t *testing.T) {
 	if job.StartUs != 2000 || job.EndUs != 7200 || job.Status != StatusSucceeded {
 		t.Errorf("job span: [%d,%d] %s", job.StartUs, job.EndUs, job.Status)
 	}
-	if len(job.Children) != 3 {
-		t.Fatalf("phases: %d, want 3", len(job.Children))
+	if len(job.Children) != 2 {
+		t.Fatalf("phases: %d, want 2", len(job.Children))
 	}
 	mapPhase := job.Children[0]
 	if mapPhase.Name != "map" || len(mapPhase.Children) != 5 {
@@ -129,9 +127,31 @@ func TestAssembleBuildsCausalTree(t *testing.T) {
 			t.Errorf("failed attempt error = %q", a.Error)
 		}
 	}
-	shuffle := job.Children[1]
-	if shuffle.Name != "shuffle" || len(shuffle.Parts) != 3 || shuffle.Value != 6000 {
-		t.Fatalf("shuffle span: %+v", shuffle)
+	// The reduce phase opens with the shuffle's partition summary.
+	reduce := job.Children[1]
+	if reduce.Name != "reduce" || len(reduce.Parts) != 3 || reduce.Parts[2].Bytes != 5700 {
+		t.Fatalf("reduce span: %+v", reduce)
+	}
+}
+
+// A phase that ends with an error is failed in the tree and keeps the
+// reason, as a failed span or job does.
+func TestAssembleMarksFailedPhase(t *testing.T) {
+	trees := Assemble([]obs.Event{
+		{Type: obs.JobSubmitted, Time: at(0), Job: "job-f"},
+		{Type: obs.PhaseStart, Time: at(100), Job: "job-f", Phase: "map"},
+		{Type: obs.PhaseEnd, Time: at(200), Job: "job-f", Phase: "map", Err: "boom"},
+		{Type: obs.JobFinished, Time: at(300), Job: "job-f", Err: "mapreduce: job job-f: boom"},
+	})
+	if len(trees) != 1 {
+		t.Fatalf("trees: %d, want 1", len(trees))
+	}
+	job := trees[0].Root
+	if job.Status != StatusFailed || len(job.Children) != 1 {
+		t.Fatalf("job span: %s with %d phases", job.Status, len(job.Children))
+	}
+	if p := job.Children[0]; p.Status != StatusFailed || p.Error != "boom" || p.EndUs != 200 {
+		t.Errorf("map phase: status %q error %q end %d, want failed \"boom\" 200", p.Status, p.Error, p.EndUs)
 	}
 }
 
@@ -316,9 +336,9 @@ func TestChromeExportRoundTripsAgainstSchema(t *testing.T) {
 			meta++
 		}
 	}
-	// 1 pipeline + 1 sub-span + 1 job + 3 phases + 7 attempts.
-	if complete != 13 {
-		t.Errorf("complete events: %d, want 13", complete)
+	// 1 pipeline + 1 sub-span + 1 job + 2 phases + 7 attempts.
+	if complete != 12 {
+		t.Errorf("complete events: %d, want 12", complete)
 	}
 	// Every referenced thread carries a thread_name metadata record.
 	named := map[int]bool{}
@@ -384,16 +404,16 @@ func TestAnalyzeCriticalPathTilesJobWall(t *testing.T) {
 	if pct < 99.9 || pct > 100.1 {
 		t.Errorf("percentages sum to %.2f", pct)
 	}
-	// The shuffle only plans: no attempt bounds it, so it is one wait
-	// step.
-	var shuffleSteps []PathStep
+	// The shuffle only plans, between the map phase's end and the
+	// reduce phase's start: one driver step.
+	var planning []PathStep
 	for _, st := range ja.Path {
-		if st.Phase == "shuffle" {
-			shuffleSteps = append(shuffleSteps, st)
+		if st.StartUs == 5000 && st.EndUs == 6100 {
+			planning = append(planning, st)
 		}
 	}
-	if len(shuffleSteps) != 1 || shuffleSteps[0].Kind != "wait" {
-		t.Errorf("shuffle critical steps: %+v", shuffleSteps)
+	if len(planning) != 1 || planning[0].Kind != "driver" {
+		t.Errorf("shuffle planning steps: %+v", planning)
 	}
 
 	// Straggler pass: the killed original of map-0001 ran 2400µs against

@@ -14,9 +14,9 @@
 # its status server with -linger, and the script scrapes /cluster,
 # /metrics (federated per-worker series), the /trace/ listing and the
 # live worker table, then renders the report (with its per-node
-# attempt timelines and rpc overhead) and the Chrome trace, whose
-# worker-side exec lanes come from each attempt's completion report,
-# via `gepeto analyze`. Set ARTIFACT_DIR to keep the trace + scrapes
+# attempt timelines, rpc overhead and shuffle skew) and the Chrome
+# trace, whose worker-side exec lanes come from each attempt's
+# completion report, via `gepeto analyze`. Set ARTIFACT_DIR to keep the trace + scrapes
 # (CI uploads them).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -138,6 +138,13 @@ for family in rpc_server_handled_total cluster_workers cluster_worker_heartbeat_
         exit 1
     fi
 done
+# Shuffle bytes are summed from the partition summary each reduce
+# phase opens with, so a nonzero total shows it crossed the bus.
+if ! awk '/^mr_shuffle_bytes_total[ {]/ { sum += $NF } END { exit (sum > 0 ? 0 : 1) }' "$workdir/metrics.txt"; then
+    echo "FAIL: /metrics has no nonzero mr_shuffle_bytes_total" >&2
+    grep "^mr_shuffle" "$workdir/metrics.txt" >&2 || true
+    exit 1
+fi
 
 echo "== rendering the report and the Chrome trace"
 "$workdir/gepeto" analyze -dir "$workdir/history" >"$workdir/traces.txt"
@@ -145,6 +152,11 @@ seq=$(awk 'NR==2{print $1}' "$workdir/traces.txt")
 "$workdir/gepeto" analyze -dir "$workdir/history" -chrome "$workdir/trace.json" "$seq" >"$workdir/analyze.txt"
 if ! grep -q "rpc overhead:" "$workdir/analyze.txt"; then
     echo "FAIL: analyze report has no rpc overhead section" >&2
+    cat "$workdir/analyze.txt" >&2
+    exit 1
+fi
+if ! grep -q "shuffle skew:" "$workdir/analyze.txt"; then
+    echo "FAIL: analyze report has no shuffle skew section (reduce phase Parts lost)" >&2
     cat "$workdir/analyze.txt" >&2
     exit 1
 fi
@@ -210,4 +222,4 @@ if ! diff -u "$workdir/pois_expected.txt" "$workdir/pois_actual.txt"; then
     echo "FAIL: multi-process POIs differ from in-process run" >&2
     exit 1
 fi
-echo "PASS: centroids and POIs byte-identical across backends, cluster view + federated metrics + trace listing + rpc overhead, worker exec lanes and timelines verified"
+echo "PASS: centroids and POIs byte-identical across backends, cluster view + federated metrics + shuffle bytes + trace listing + rpc overhead + shuffle skew, worker exec lanes and timelines verified"
