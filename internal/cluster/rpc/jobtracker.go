@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"sort"
@@ -64,7 +65,25 @@ type completeArgs struct {
 	// duration, so it needs no clock shared with the jobtracker.
 	Exec time.Duration
 	Err  string
-	Res  resultWire
+	// Permanent marks an Err no retry can mend (a record the job's
+	// input codec rejects): the scheduler fails the task at once.
+	Permanent bool
+	Res       resultWire
+}
+
+// permanentError is a worker's failure marked Permanent, rebuilt on the
+// jobtracker side: its Permanent method is the mark the scheduler reads.
+type permanentError struct{ msg string }
+
+func (e permanentError) Error() string { return e.msg }
+
+// Permanent marks the error as one no retry can mend.
+func (permanentError) Permanent() bool { return true }
+
+// isPermanent reports whether a task error carries the permanent mark.
+func isPermanent(err error) bool {
+	var p interface{ Permanent() bool }
+	return errors.As(err, &p) && p.Permanent()
 }
 
 // resultWire mirrors mapreduce.TaskResult with every run reduced to
@@ -150,9 +169,10 @@ type lostRecord struct {
 // completion is a finished attempt's report, forwarded to the RunTask
 // call that assigned it.
 type completion struct {
-	res    mapreduce.TaskResult
-	exec   time.Duration
-	errMsg string
+	res       mapreduce.TaskResult
+	exec      time.Duration
+	errMsg    string
+	permanent bool
 }
 
 // JobtrackerConfig configures NewJobtracker.
@@ -552,7 +572,7 @@ func (jt *Jobtracker) handleComplete(a *completeArgs) (*completeReply, error) {
 	}
 	jt.mu.Unlock()
 	jt.log.Debug("attempt completed", "job", a.Job, "task", a.TaskID, "attempt", a.Attempt, "worker", a.Node, "err", a.Err)
-	p.ch <- completion{res: a.Res.taskResult(), exec: a.Exec, errMsg: a.Err} // buffered(1), sole sender
+	p.ch <- completion{res: a.Res.taskResult(), exec: a.Exec, errMsg: a.Err, permanent: a.Permanent} // buffered(1), sole sender
 	return &completeReply{}, nil
 }
 
@@ -663,6 +683,9 @@ func (x *rpcExecutor) RunTask(ctx context.Context, spec mapreduce.TaskSpec) (map
 			Task: spec.TaskID, Attempt: spec.Attempt, Node: spec.Node,
 			Dur: rtt, Value: int64(min(c.exec, rtt)), Err: c.errMsg,
 		})
+		if c.permanent {
+			return mapreduce.TaskResult{}, permanentError{c.errMsg}
+		}
 		if c.errMsg != "" {
 			return mapreduce.TaskResult{}, fmt.Errorf("%s", c.errMsg)
 		}

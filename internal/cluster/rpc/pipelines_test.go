@@ -232,9 +232,9 @@ func TestPipelinesRPCMatchInProcess(t *testing.T) {
 
 // TestFailingPipelineLeavesNoOpenSpan runs the POI attack over input
 // holding a record the trace parser rejects, in-process and on RPC
-// workers. The sampling job's map phase fails; every span and phase the
-// failure unwinds through must still be closed, and failed with the
-// job's error.
+// workers. The sampling job's map phase fails at its first failed
+// attempt; every span and phase the failure unwinds through must still
+// be closed, and failed with the job's error.
 func TestFailingPipelineLeavesNoOpenSpan(t *testing.T) {
 	for _, backend := range []struct {
 		name    string
@@ -277,8 +277,20 @@ func TestFailingPipelineLeavesNoOpenSpan(t *testing.T) {
 			if job == nil || len(job.Children) != 1 {
 				t.Fatalf("sampling job span: %+v", job)
 			}
-			if m := job.Children[0]; m.Name != "map" || m.Status != obstrace.StatusFailed || m.Error != root.Error {
+			m := job.Children[0]
+			if m.Name != "map" || m.Status != obstrace.StatusFailed || m.Error != root.Error {
 				t.Errorf("map phase %q: %s, error %q; want failed with %q", m.Name, m.Status, m.Error, root.Error)
+			}
+			// A record the parser rejects fails every attempt alike: the
+			// task fails at once, with no retry.
+			failed := 0
+			for _, a := range m.Children {
+				if a.Kind == obstrace.KindAttempt && a.Status == obstrace.StatusFailed {
+					failed++
+				}
+			}
+			if failed != 1 {
+				t.Errorf("%d failed map attempts, want 1", failed)
 			}
 		})
 	}

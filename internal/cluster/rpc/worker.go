@@ -270,7 +270,7 @@ func (w *Worker) runTask(a assignArgs) {
 		Exec: time.Since(started), Res: toResultWire(res),
 	}
 	if err != nil {
-		comp.Err = err.Error()
+		comp.Err, comp.Permanent = err.Error(), isPermanent(err)
 	}
 	w.log.Debug("task attempt finished", "job", a.Job.Name, "task", a.TaskID, "attempt", a.Attempt, "status", status, "dur", comp.Exec)
 	// The completion MUST land: without it the attempt hangs at the

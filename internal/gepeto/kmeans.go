@@ -46,9 +46,9 @@ type KMeansOptions struct {
 	// runs inside a larger pipeline ("" for a standalone run).
 	Parent string
 	// MaxShuffleBytes bounds each map task's in-memory shuffle buffer
-	// (see mapreduce.Job.MaxShuffleBytes). With UseCombiner it binds on
-	// post-combine bytes: a full buffer is combined down to k partial
-	// sums per partition, and a task whose buffer ever filled hands its
+	// (see mapreduce.Job.MaxShuffleBytes). With UseCombiner the partial
+	// sums are folded as they are emitted, so the buffer only ever holds
+	// about k of them; a task that emitted the budget's worth hands its
 	// runs over as DFS files. 0 keeps every run in memory.
 	MaxShuffleBytes int64
 	// CompressSpill DEFLATE-compresses spill run files.

@@ -1,14 +1,21 @@
 package gepeto
 
 import (
+	"context"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
+	"repro/internal/dfs"
 	"repro/internal/geo"
+	"repro/internal/geolife"
 	"repro/internal/mapreduce"
+	"repro/internal/recordio"
 )
 
 func TestKMeansSequentialBasic(t *testing.T) {
@@ -402,4 +409,99 @@ func sortPointsByLat(ps []geo.Point) {
 		}
 		return ps[i].Lon < ps[j].Lon
 	})
+}
+
+// allFileExecutor runs every attempt through the worker-side entry
+// point, on the job a worker rebuilds from its wire form, against the
+// engine's own file system: an RPC worker minus the transport, so every
+// run is a file.
+type allFileExecutor struct{ fs *dfs.FileSystem }
+
+func (x allFileExecutor) External() bool { return true }
+
+func (x allFileExecutor) RunTask(_ context.Context, spec mapreduce.TaskSpec) (mapreduce.TaskResult, error) {
+	wire, err := spec.Job.Wire()
+	if err != nil {
+		return mapreduce.TaskResult{}, err
+	}
+	if spec.Job, err = wire.Materialize(); err != nil {
+		return mapreduce.TaskResult{}, err
+	}
+	return mapreduce.ExecuteTask(x.fs, spec)
+}
+
+// The FNV-1a digests TestFoldKeepsKMeansBits computes, as the in-buffer
+// combine (the combiner run over each 1 MiB of sorted map output)
+// produced them: of the final centroids' Float64bits, and of one
+// iteration's unrounded partial sums per chunk size (the reduce side
+// adds map outputs in task order, so those depend on the split). The
+// emit-time fold must keep every bit.
+const kmeansCentroidDigest = 0x31d7d9943c29fbfc
+
+var kmeansSumDigest = map[int64]uint64{64 << 10: 0xb504c466949454f0, 4 << 20: 0x26deef267cddc728}
+
+// TestFoldKeepsKMeansBits: the combiner folds each key's partial sums
+// left to right in emission order, heads first, so wherever its batches
+// and arena flushes fall — no budget, 4 KiB, 64 KiB; in-process or
+// all-file — the sums and the centroids are the same bits.
+func TestFoldKeepsKMeansBits(t *testing.T) {
+	ds := geolife.Generate(geolife.Config{Users: 3, TotalTraces: 40_000, Seed: 23})
+	for _, chunk := range []int64{64 << 10, 4 << 20} {
+		for _, budget := range []int64{0, 4 << 10, 64 << 10} {
+			for _, external := range []bool{false, true} {
+				c, err := cluster.NewUniform(4, 2, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fs, err := dfs.New(c, dfs.Config{ChunkSize: chunk, Replication: 3, Seed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var opts mapreduce.Options
+				if external {
+					opts.Executor = allFileExecutor{fs}
+				}
+				e := mapreduce.NewEngine(c, fs, opts)
+				if err := geolife.WriteRecords(fs, "in", ds); err != nil {
+					t.Fatal(err)
+				}
+				res, err := KMeansMR(e, []string{"in"}, "w", KMeansOptions{
+					K: 11, Distance: geo.MetricSquaredEuclidean, MaxIter: 3, ConvergenceDelta: 1e-12,
+					Seed: 5, UseCombiner: true, MaxShuffleBytes: budget,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := fnv.New64a()
+				for _, p := range res.Centroids {
+					h.Write(binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, math.Float64bits(p.Lat)), math.Float64bits(p.Lon)))
+				}
+				if got := h.Sum64(); got != kmeansCentroidDigest {
+					t.Errorf("chunk %d, budget %d, external %v: centroid digest %#x, want %#x", chunk, budget, external, got, uint64(kmeansCentroidDigest))
+				}
+
+				tj := kmeansIterKind
+				tj.Name, tj.InputPaths, tj.OutputPath, tj.NumReducers = "sums", []string{"in"}, "sums", reducersFor(e, 11)
+				tj.Conf = map[string]string{confKMeansDistance: geo.MetricSquaredEuclidean.String()}
+				tj.Cache = map[string][]byte{cacheCentroids: centroidsBlob(res.Centroids)}
+				tj.MaxShuffleBytes = budget
+				if _, err := e.Run(tj.Build()); err != nil {
+					t.Fatal(err)
+				}
+				h.Reset()
+				err = mapreduce.ReadOutput(e, "sums", recordio.Int64{}, recordio.PointSumCodec{}, func(i int64, s recordio.PointSum) error {
+					for _, u := range []uint64{uint64(i), math.Float64bits(s.LatSum), math.Float64bits(s.LonSum), uint64(s.N)} {
+						h.Write(binary.BigEndian.AppendUint64(nil, u))
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := h.Sum64(); got != kmeansSumDigest[chunk] {
+					t.Errorf("chunk %d, budget %d, external %v: partial-sum digest %#x, want %#x", chunk, budget, external, got, kmeansSumDigest[chunk])
+				}
+			}
+		}
+	}
 }

@@ -25,12 +25,13 @@ type kvEntry struct {
 	part                 uint32
 }
 
-// kvBuffer is the sink of a map attempt (through its mapSpiller, which
-// picks the partition) and, directly, of a combiner refilling it.
+// kvBuffer holds a map attempt's records (its mapSpiller picks their
+// partition) and, with only its arena in use, the fold's pending values.
 type kvBuffer struct {
 	blocks [][]byte // the arena; the last block is the one being filled
 	index  []kvEntry
 	bytes  int64 // key and value bytes held
+	limit  int64 // bytes at which the holder empties the buffer; 0: never
 	next   int   // capacity of the next block
 	maxRec int   // the largest record so far
 	part   int   // the partition the next record is filed under
@@ -43,27 +44,42 @@ func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 // tail starts a new block when the next record might not fit the
 // current one: append would copy the whole block to make room (as it
 // still does for a record that dwarfs the ones before it). Blocks
-// double in size from 4 KiB to 1 MiB.
+// double in size from 4 KiB to 1 MiB, but none reaches much past the
+// limit: the buffer is emptied there.
 func (b *kvBuffer) tail() []byte {
 	n := len(b.blocks)
 	if n == 0 || cap(b.blocks[n-1])-len(b.blocks[n-1]) <= min(2*b.maxRec, cap(b.blocks[n-1])/4) {
 		size := min(max(b.next, 4<<10), 1<<20)
+		if b.limit > 0 {
+			size = min(size, max(int(b.limit-b.bytes)+4*b.maxRec, 4<<10))
+		}
 		b.blocks, b.next, n = append(b.blocks, make([]byte, 0, size)), 2*size, n+1
 	}
 	return b.blocks[n-1]
 }
 
-func (b *kvBuffer) add(buf []byte, klen int) {
+// full reports whether the buffer has reached its limit.
+func (b *kvBuffer) full() bool { return b.limit > 0 && b.bytes >= b.limit }
+
+// keep takes the record appended to tail() into the arena and returns it.
+func (b *kvBuffer) keep(buf []byte) []byte {
 	blk := len(b.blocks) - 1
 	off := len(b.blocks[blk])
+	b.blocks[blk] = buf
+	b.bytes += int64(len(buf) - off)
+	b.maxRec = max(b.maxRec, len(buf)-off)
+	return buf[off:]
+}
+
+// add keeps the record appended to tail() and indexes it under b.part.
+func (b *kvBuffer) add(buf []byte, klen int) {
+	blk, off := len(b.blocks)-1, len(b.blocks[len(b.blocks)-1])
 	if len(b.index) == cap(b.index) {
 		// Double: append would grow a large index by a quarter at a time.
 		b.index = slices.Grow(b.index, max(len(b.index), 64))
 	}
-	b.index = append(b.index, kvEntry{uint32(blk), uint32(off), uint32(klen), uint32(len(buf) - off - klen), uint32(b.part)})
-	b.blocks[blk] = buf
-	b.bytes += int64(len(buf) - off)
-	b.maxRec = max(b.maxRec, len(buf)-off)
+	rec := b.keep(buf)
+	b.index = append(b.index, kvEntry{uint32(blk), uint32(off), uint32(klen), uint32(len(rec) - klen), uint32(b.part)})
 }
 
 const groupFraction = 4 // sort leaves over len(index)/groupFraction distinct keys to compareSort

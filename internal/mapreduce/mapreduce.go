@@ -74,12 +74,13 @@ type Job struct {
 	// another node before the job fails (default 3).
 	MaxAttempts int
 	// MaxShuffleBytes bounds the raw key+value bytes a map task
-	// buffers. A full buffer is sorted and, by the job's combiner if it
-	// has one, combined in memory; what then still fills over half the
-	// budget is spilled to DFS as file-backed runs — with a combiner the
-	// budget binds on post-combine bytes. 0 (the default) never spills:
-	// in-process, each partition then leaves the task as one in-memory
-	// run. Ignored by map-only jobs.
+	// buffers. A full buffer is sorted and spilled to DFS as file-backed
+	// runs. A job with a combiner folds records as they are emitted, so
+	// its buffer only holds folded records; the budget also bounds the
+	// fold's own arena of pending values. Once a task's emitted bytes
+	// reach the budget, all its runs are files. 0 (the default) never
+	// spills: in-process, each partition then leaves the task as one
+	// in-memory run. Ignored by map-only jobs.
 	MaxShuffleBytes int64
 	// CompressSpill writes run files in the DEFLATE-compressed
 	// recordio block format (version 2) instead of plain record

@@ -289,6 +289,9 @@ func (p *phase) endLocked(a *attempt, tr TaskResult, err error) {
 		p.unexcludeLocked(t)
 	}
 	switch {
+	case isPermanent(err):
+		// Every attempt would fail the same way, a backup in flight too.
+		p.failLocked(fmt.Errorf("task failed: %v", err))
 	case len(t.running) > 0:
 		// Another attempt still runs and decides the task's fate; a
 		// failed backup leaves its primary eligible for another one.

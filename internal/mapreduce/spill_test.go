@@ -77,11 +77,13 @@ type shuffleJob struct {
 	budget   int64
 	compress bool
 	combiner bool
-	joined   bool   // joinReducer instead of sumReducer
-	reverse  bool   // custom KeyCompare: descending keys
-	mapOnly  bool   // no reducer at all
-	failKey  string // reducer fails on this key
-	viaStore bool
+	// newCombiner is the combiner when set; combiner sets sumReducer.
+	newCombiner func() strReducer
+	joined      bool   // joinReducer instead of sumReducer
+	reverse     bool   // custom KeyCompare: descending keys
+	mapOnly     bool   // no reducer at all
+	failKey     string // reducer fails on this key
+	viaStore    bool
 }
 
 // shuffleOut is what a shuffleJob leaves behind: its output records
@@ -137,6 +139,9 @@ func (c shuffleJob) run() (shuffleOut, error) {
 	}
 	if c.combiner {
 		job.Combiner = func() strReducer { return sumReducer{} }
+	}
+	if c.newCombiner != nil {
+		job.Combiner = c.newCombiner
 	}
 	if c.reverse {
 		job.KeyCompare = func(a, b string) int { return -strings.Compare(a, b) }
@@ -251,7 +256,7 @@ func TestPropertyExternalShuffleEqualsInMemory(t *testing.T) {
 		}
 		// Whether a given task actually spilled depends on its split
 		// size vs the budget; TestExternalShuffleSpillsAndCleansUp and
-		// TestExternalShuffleCombinesInTheBuffer pin that spills do
+		// TestExternalShuffleFoldsAtEmit pin that spills do
 		// engage. Here only equivalence matters.
 		return true
 	}
@@ -317,18 +322,31 @@ func distinctText(rng *rand.Rand) string {
 	return sb.String()
 }
 
-// TestExternalShuffleCombinesInTheBuffer pins the compaction rule from
-// both sides. With few keys the combiner keeps the buffer under half
-// the budget: nothing spills mid-task, and a task whose budget bound
-// hands over at most one file per partition. With near-distinct keys
-// combining frees nothing and the task spills run after run.
-func TestExternalShuffleCombinesInTheBuffer(t *testing.T) {
+// TestExternalShuffleFoldsAtEmit pins the fold from both sides. With
+// few keys the heads stay under half the budget: nothing spills
+// mid-task, a task whose budget bound hands over at most one file per
+// partition and one record per key, and the combiner re-reads its own
+// output. With near-distinct keys folding frees nothing and the task
+// spills run after run. Either way the output is the uncombined job's.
+func TestExternalShuffleFoldsAtEmit(t *testing.T) {
 	files := func(o shuffleOut) int64 { return o.counters[CounterGroupShuffle][CounterShuffleSpillFiles] }
+	sameAsUncombined := func(c shuffleJob, got shuffleOut) {
+		t.Helper()
+		c.combiner = false
+		want, err := c.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.kvs, want.kvs) {
+			t.Fatalf("budget %d: combined output %v, uncombined %v", c.budget, got.kvs, want.kvs)
+		}
+	}
 	few := shuffleJob{seed: 3, text: strings.Repeat(fewKeysLine, 30), reducers: 3, combiner: true, budget: 64}
 	out, ok := sameAcrossExecutors(t, few, true)
 	if !ok {
 		t.Fatal("few keys: executors disagree")
 	}
+	sameAsUncombined(few, out)
 	if n, most := files(out), int64(few.reducers*out.mapTasks); n == 0 || n > most {
 		t.Fatalf("few keys: %d run files from %d map tasks x %d partitions, want 1..%d", n, out.mapTasks, few.reducers, most)
 	}
@@ -346,18 +364,20 @@ func TestExternalShuffleCombinesInTheBuffer(t *testing.T) {
 	if !ok {
 		t.Fatal("near-distinct keys: executors disagree")
 	}
+	sameAsUncombined(distinct, out)
 	if n, once := files(out), int64(distinct.reducers*out.mapTasks); n <= once {
 		t.Fatalf("near-distinct keys: %d run files, want more than one per map task and partition (%d)", n, once)
 	}
 }
 
-// TestExternalShuffleCombinesWithoutABudget runs one map task whose
-// output is several times the internal combine size, over keys that
-// mostly differ (so the buffer has to grow) with a combiner and no
-// budget: the buffer is combined on the way — the combiner reads more
-// records than the mapper emitted — nothing is spilled, and the sums
-// equal the run without a combiner.
-func TestExternalShuffleCombinesWithoutABudget(t *testing.T) {
+// TestExternalShuffleFoldsWithoutABudget runs one map task whose output
+// is three times the fold's arena (combineBufferBytes), with a combiner
+// and no budget. Each line holds a word that mostly differs and one of
+// seven that repeat, so the heads outgrow half the arena and move on to
+// the buffer at each full arena. The combiner re-reads its own output,
+// the seven repeating words reach the shuffle folded, nothing is
+// spilled, and the sums equal the run without a combiner.
+func TestExternalShuffleFoldsWithoutABudget(t *testing.T) {
 	var sb strings.Builder
 	for i := 0; sb.Len() < 3*combineBufferBytes; i++ {
 		fmt.Fprintf(&sb, "w%06d w%06d\n", i%150000, i%7)
@@ -381,7 +401,13 @@ func TestExternalShuffleCombinesWithoutABudget(t *testing.T) {
 	}
 	task := got.counters[CounterGroupTask]
 	if in, emitted := task[CounterCombineInput], task[CounterMapOutputRecords]; in <= emitted {
-		t.Fatalf("combiner read %d records of %d emitted: the buffer was never combined before the end", in, emitted)
+		t.Fatalf("combiner read %d records of %d emitted: it never ran over its own output", in, emitted)
+	}
+	// At most one record per line for the first word, and the seven
+	// repeating words once per arena fill: 6 MiB of records and heads
+	// fill a 1 MiB arena at most 8 times.
+	if shuffled, most := got.counters[CounterGroupShuffle][CounterShuffleSpilledRecords], task[CounterMapInputRecords]+7*8; shuffled > most {
+		t.Fatalf("%d records reached the shuffle, want at most %d", shuffled, most)
 	}
 	if n := got.counters[CounterGroupShuffle][CounterShuffleSpillFiles]; n != 0 {
 		t.Fatalf("%d run files without a budget", n)

@@ -9,6 +9,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime/debug"
 
@@ -60,14 +61,34 @@ func executeTask(store dfs.Store, spec TaskSpec, forceFiles bool) (res TaskResul
 		err = fmt.Errorf("mapreduce: unknown phase %q", spec.Phase)
 	}
 	if err != nil {
-		return TaskResult{}, fmt.Errorf("%s: %v", spec.TaskID, err)
+		return TaskResult{}, fmt.Errorf("%s: %w", spec.TaskID, err)
 	}
 	res.UserCounters = counters.Snapshot()
 	return res, nil
 }
 
+// permanentError marks a failure every attempt of its task meets the
+// same way — an input record the job's codecs reject — so the scheduler
+// fails the task at once rather than retry it. The mark is the
+// Permanent method, which lets an executor carry it across a process
+// boundary and rebuild it as an error of its own.
+type permanentError struct{ err error }
+
+func (e permanentError) Error() string { return e.err.Error() }
+
+func (e permanentError) Unwrap() error { return e.err }
+
+// Permanent marks the error as one no retry can mend.
+func (permanentError) Permanent() bool { return true }
+
+// isPermanent reports whether err or an error it wraps is marked permanent.
+func isPermanent(err error) bool {
+	var p interface{ Permanent() bool }
+	return errors.As(err, &p) && p.Permanent()
+}
+
 // recordSink is where an attempt's emissions go, as bytes: the map
-// side's kvbuffer, the one a combiner refills, or a part file. A record
+// side's spiller, the fold a combiner emits into, or a part file. A record
 // is added by appending its key's and then its value's encoding to
 // tail() and handing the grown slice back with the key's length.
 type recordSink interface {

@@ -36,10 +36,12 @@ type TypedMapper[KI, VI, KO, VO any] interface {
 }
 
 // TypedReducer aggregates all values sharing a key. A fresh instance is
-// created per reduce task. The same interface serves for combiners
-// (with KO = K and VO = V), which pre-aggregate map output on the map
-// side to cut shuffle volume (§VI: the combiner optimisation for
-// k-means).
+// created per reduce task, and Reduce sees each key once, with all its
+// values. The same interface serves for combiners (with KO = K and
+// VO = V), which pre-aggregate map output on the map side to cut
+// shuffle volume (§VI: the combiner optimisation for k-means): one
+// instance per map attempt, whose Reduce sees a key many times, each
+// time with a batch of its values (see TypedJob.Combiner).
 type TypedReducer[K, V, KO, VO any] interface {
 	Setup(ctx *TaskContext) error
 	Reduce(ctx *TaskContext, key K, values []V, emit TypedEmit[KO, VO]) error
@@ -110,7 +112,14 @@ type TypedJob[KI, VI, KM, VM, KO, VO any] struct {
 	// job map-only.
 	Reducer func() TypedReducer[KM, VM, KO, VO]
 	// Combiner optionally creates a map-side combiner over the
-	// intermediate types.
+	// intermediate types: one instance per map attempt, set up before
+	// the first record and cleaned up after the mapper's Cleanup. It
+	// folds records as they are emitted: a key's values in batches, each
+	// batch after the key's earlier combined output, in emission order.
+	// So it may run many times over what it emitted itself, and must be
+	// associative. What it emits under the key it was given is fed back
+	// to it; records under other keys, and what Cleanup emits, go to the
+	// shuffle as they are.
 	Combiner func() TypedReducer[KM, VM, KM, VM]
 
 	// InputKey/InputValue decode the map input. For text files the key
@@ -140,8 +149,8 @@ type TypedJob[KI, VI, KM, VM, KO, VO any] struct {
 	Cache       map[string][]byte
 	MaxAttempts int
 	Parent      string
-	// MaxShuffleBytes (binding on post-combine bytes when Combiner is
-	// set) and CompressSpill: see the Job fields of the same names.
+	// MaxShuffleBytes and CompressSpill: see the Job fields of the same
+	// names.
 	MaxShuffleBytes int64
 	CompressSpill   bool
 }
@@ -231,11 +240,11 @@ func (lm *loweredMapper[KI, VI, KM, VM, KO, VO]) Setup(ctx *TaskContext) error {
 func (lm *loweredMapper[KI, VI, KM, VM, KO, VO]) Map(ctx *TaskContext, key, value string) error {
 	k, err := lm.tj.InputKey.Decode(key)
 	if err != nil {
-		return fmt.Errorf("decode input key: %v", err)
+		return permanentError{fmt.Errorf("decode input key: %v", err)}
 	}
 	v, err := lm.tj.InputValue.Decode(value)
 	if err != nil {
-		return fmt.Errorf("decode input value: %v", err)
+		return permanentError{fmt.Errorf("decode input value: %v", err)}
 	}
 	return lm.m.Map(ctx, k, v, lm.emit)
 }

@@ -370,8 +370,14 @@ func attribute(steps []PathStep, job *Span) []PhaseCost {
 	return out
 }
 
+// stragglerFloorUs is how far past its phase median an attempt must
+// also run to be a straggler: a ratio alone flags attempts of tens of
+// microseconds, whose spread is scheduling noise.
+const stragglerFloorUs = 1000
+
 // stragglers flags attempts slower than factor × their phase's median
-// attempt duration, cross-referenced with speculative kills.
+// attempt duration and over stragglerFloorUs past it, cross-referenced
+// with speculative kills.
 func stragglers(job *Span, factor float64) []Straggler {
 	var out []Straggler
 	for _, phase := range job.Children {
@@ -405,7 +411,7 @@ func stragglers(job *Span, factor float64) []Straggler {
 				continue
 			}
 			d := a.DurUs()
-			if float64(d) > factor*float64(median) {
+			if float64(d) > factor*float64(median) && d-median > stragglerFloorUs {
 				out = append(out, Straggler{
 					Phase: phase.Name, Task: a.Name, Attempt: a.Attempt, Node: a.Node,
 					DurUs: d, MedianUs: median, Factor: float64(d) / float64(median),

@@ -444,6 +444,43 @@ func TestAnalyzeCriticalPathTilesJobWall(t *testing.T) {
 	}
 }
 
+// TestStragglerFloorIgnoresMicrosecondAttempts: reduce attempts of 14,
+// 27 and 55 µs differ by ratio as much as a real straggler does, but
+// by microseconds; only the 16.5 ms map attempt is reported.
+func TestStragglerFloorIgnoresMicrosecondAttempts(t *testing.T) {
+	ev := []obs.Event{{Type: obs.JobSubmitted, Job: "j", Time: at(0)}}
+	attempt := func(phase, task string, start, dur int64) {
+		ev = append(ev,
+			obs.Event{Type: obs.AttemptStarted, Job: "j", Phase: phase, Task: task, Node: "n1", Time: at(start)},
+			obs.Event{Type: obs.AttemptSucceeded, Job: "j", Phase: phase, Task: task, Node: "n1", Time: at(start + dur)})
+	}
+	ev = append(ev, obs.Event{Type: obs.PhaseStart, Job: "j", Phase: "map", Time: at(0)})
+	attempt("map", "map-0000", 0, 5000)
+	attempt("map", "map-0001", 0, 6000)
+	attempt("map", "map-0002", 0, 16500)
+	ev = append(ev,
+		obs.Event{Type: obs.PhaseEnd, Job: "j", Phase: "map", Time: at(16500)},
+		obs.Event{Type: obs.PhaseStart, Job: "j", Phase: "reduce", Time: at(16600)})
+	attempt("reduce", "reduce-0000", 16600, 14)
+	attempt("reduce", "reduce-0001", 16600, 27)
+	attempt("reduce", "reduce-0002", 16600, 55)
+	ev = append(ev,
+		obs.Event{Type: obs.PhaseEnd, Job: "j", Phase: "reduce", Time: at(16700)},
+		obs.Event{Type: obs.JobFinished, Job: "j", Time: at(16800), Dur: 16800 * time.Microsecond})
+	trees := Assemble(ev)
+	if len(trees) != 1 {
+		t.Fatalf("trees: %d, want 1", len(trees))
+	}
+	a := AnalyzeTree(trees[0], Options{})
+	if len(a.Jobs) != 1 {
+		t.Fatalf("analyzed jobs: %d", len(a.Jobs))
+	}
+	got := a.Jobs[0].Stragglers
+	if len(got) != 1 || got[0].Task != "map-0002" || got[0].DurUs != 16500 || got[0].MedianUs != 6000 {
+		t.Fatalf("stragglers = %+v, want only map-0002 (16500µs against a 6000µs median)", got)
+	}
+}
+
 func TestWriteReportMentionsEverySection(t *testing.T) {
 	trees := Assemble(fixtureEvents())
 	a := AnalyzeTree(trees[0], Options{})
